@@ -31,7 +31,7 @@ from .bounds import (
 from .conditions import ConditionReport, verify_conditions
 from .config import ExperimentConfig, SweepSpec, parse_config, parse_sweep
 from .diagnostics import RecursionCheckReport, calibrate_window_constant, distance_recursion_check
-from .domain import Domain, project
+from .domain import Domain
 from .exceptions import (
     ConfigValidationError,
     ContractionViolationError,
@@ -46,7 +46,7 @@ from .objectives import ClassConstants, ObjectiveSpec, QuadraticBowl, QuarticPer
 from .rng import RandomStream, replication_stream, replication_streams
 from .runner import run_experiment, run_sweep
 from .scaling import fit_scaling_exponent
-from .schedule import EnvironmentSchedule, adversarial_corpus, objective_at
+from .schedule import EnvironmentSchedule, adversarial_corpus
 from .trajectory import (
     FixedStepPolicy,
     OraclePolicy,
@@ -110,12 +110,10 @@ __all__ = [
     "fixed_step_regret_bound",
     "initial_state",
     "monte_carlo_regret",
-    "objective_at",
     "optimal_step_size",
     "optimal_window",
     "parse_config",
     "parse_sweep",
-    "project",
     "regret_samples",
     "replication_stream",
     "replication_streams",

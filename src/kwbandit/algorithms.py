@@ -22,8 +22,8 @@ VANILLA = "vanilla"
 FIXED_STEP = "fixed-step"
 SLIDING_WINDOW = "sliding-window"
 
+# The one buffer refresh rule; summary.csv names it in its ``refresh`` column.
 RESTART = "restart"
-EVICT_OLDEST = "evict-oldest"
 
 
 def vanilla_step_size(step: int) -> float:
@@ -91,17 +91,10 @@ class SlidingWindowConfig:
 
         action = project(x0 + sum_n n**(-1/2) * y_(n))
 
-    ``refresh`` selects how the buffer evolves once full:
-
-    * ``restart`` (default): the buffer empties after ``window`` estimates
-      and the rule restarts from the anchor.  This keeps the realized
-      measurements identical to the restarted run they are weighted as,
-      which is what makes the expected squared distance decay like
-      1/sqrt(window).
-    * ``evict-oldest``: the oldest estimate is dropped one at a time.
-      Kept for completeness; re-weighting old measurements taken at
-      actions they themselves produced feeds back on itself and does not
-      settle, so its measured distances stay O(1) instead of decaying.
+    The buffer empties after ``window`` estimates and the rule restarts
+    from the anchor.  This keeps the realized measurements
+    identical to the restarted run they are weighted as, which is what
+    makes the expected squared distance decay like 1/sqrt(window).
 
     ``c`` is the perturbation used for every window measurement (an
     estimate cannot retroactively change its c, so it is shared); the
@@ -113,15 +106,12 @@ class SlidingWindowConfig:
     window: int
     x0: tuple[float, ...]
     c: float | None = None
-    refresh: str = RESTART
 
     def __post_init__(self):
         object.__setattr__(self, "window", int(self.window))
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
         if self.window < 1:
             raise ValueError(f"window must be >= 1, got {self.window}")
-        if self.refresh not in (RESTART, EVICT_OLDEST):
-            raise ValueError(f"refresh must be {RESTART!r} or {EVICT_OLDEST!r}, got {self.refresh!r}")
         c = float(self.window) ** -0.25 if self.c is None else float(self.c)
         object.__setattr__(self, "c", c)
         if c <= 0:
@@ -209,13 +199,13 @@ def sliding_window_action(
 def sliding_window_advance(
     state: AlgorithmState, estimate: GradientEstimate, config: SlidingWindowConfig
 ) -> AlgorithmState:
-    """Absorb one estimate per the config's refresh mode and recompute the
-    action from the buffer."""
+    """Absorb one estimate, restarting from the anchor once the buffer is
+    full, and recompute the action from the buffer."""
     if state.variant != SLIDING_WINDOW:
         raise ValueError(f"sliding_window_advance requires a sliding-window state, got {state.variant!r}")
     buffer = state.window_buffer
     if len(buffer) >= config.window:
-        buffer = () if config.refresh == RESTART else buffer[1:]
+        buffer = ()
     buffer = buffer + (estimate,)
     new_x = sliding_window_action(config, buffer, state.domain)
     return AlgorithmState(

@@ -31,6 +31,9 @@ class BoundReport:
     terms: tuple[tuple[str, float], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
+        object.__setattr__(self, "inputs", tuple((key, float(val)) for key, val in self.inputs))
+        object.__setattr__(self, "terms", tuple((key, float(val)) for key, val in self.terms))
         if not (np.isfinite(self.value) and self.value >= 0.0):
             raise ValueError(f"bound {self.name} evaluated to {self.value}; must be finite and >= 0")
 

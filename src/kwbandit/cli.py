@@ -18,16 +18,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .conditions import verify_conditions
-from .config import parse_config, parse_sweep
+from .config import parse_config, parse_sweep, with_overrides
 from .exceptions import ConfigValidationError, KWBanditError
-from .montecarlo import regret_samples
+from .montecarlo import MonteCarloEstimate, regret_samples
 from .runner import resolve_experiment, run_experiment, run_sweep
-
-import numpy as np
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -88,9 +85,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(_read(args.config))
-    out_dir = args.out if args.out is not None else cfg.output
     result = run_experiment(
-        cfg, out_dir=out_dir, seed=args.seed, replications=args.replications, threads=_threads(args.threads)
+        cfg, out_dir=args.out, seed=args.seed, replications=args.replications, threads=_threads(args.threads)
     )
     print(f"mean total regret: {result.mean_regret!r} (stderr {result.stderr_regret!r})")
     if result.bound is not None:
@@ -101,9 +97,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = parse_sweep(_read(args.config))
-    out_dir = args.out if args.out is not None else sweep.base.output
     result = run_sweep(
-        sweep, out_dir=out_dir, seed=args.seed, replications=args.replications, threads=_threads(args.threads)
+        sweep, out_dir=args.out, seed=args.seed, replications=args.replications, threads=_threads(args.threads)
     )
     for point in result.points:
         print(
@@ -116,11 +111,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = parse_config(_read(args.config))
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=int(args.seed))
-    if args.replications is not None:
-        cfg = replace(cfg, replications=int(args.replications))
+    cfg = with_overrides(parse_config(_read(args.config)), seed=args.seed, replications=args.replications)
     resolved = resolve_experiment(cfg)
     if resolved.bound is None:
         print(f"variant {cfg.algorithm.variant!r} has no theoretical bound to evaluate", file=sys.stderr)
@@ -141,10 +132,9 @@ def _cmd_bounds(args) -> int:
         cfg.base_seed,
         threads=_threads(args.threads),
     )
-    mean = float(np.mean(totals))
-    stderr = 0.0 if cfg.replications < 2 else float(np.std(totals, ddof=1) / np.sqrt(cfg.replications))
-    floor = mean - 3.0 * stderr
-    print(f"monte-carlo mean = {mean!r} (stderr {stderr!r}); mean - 3*SE = {floor!r}")
+    estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
+    floor = estimate.lower_confidence()
+    print(f"monte-carlo mean = {estimate.mean!r} (stderr {estimate.standard_error!r}); mean - 3*SE = {floor!r}")
     if floor <= bound.value:
         print("check: PASS (bound dominates the empirical mean)")
         return EXIT_OK

@@ -18,7 +18,7 @@ from .exceptions import ConfigValidationError
 from .noise import GAUSSIAN, NONE, UNIFORM_BOUNDED, NoiseModel
 from .objectives import QUADRATIC_BOWL, QUARTIC_PERTURBED_BOWL, ObjectiveSpec, QuadraticBowl, QuarticPerturbedBowl
 from .schedule import EnvironmentSchedule
-from .algorithms import EVICT_OLDEST, FIXED_STEP, RESTART, SLIDING_WINDOW, VANILLA
+from .algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA
 
 ORACLE = "oracle"
 STATIC = "static"
@@ -76,7 +76,6 @@ class AlgorithmSpec:
     c: float | None = None
     alpha: float = 1.0
     window: int | None = None
-    refresh: str = RESTART
 
     def to_dict(self) -> dict:
         doc: dict = {"variant": self.variant}
@@ -90,8 +89,6 @@ class AlgorithmSpec:
                 doc[key] = value
         if self.variant == FIXED_STEP:
             doc["alpha"] = self.alpha
-        if self.variant == SLIDING_WINDOW:
-            doc["refresh"] = self.refresh
         return doc
 
 
@@ -107,7 +104,6 @@ class ExperimentConfig:
     replications: int
     base_seed: int
     schedule: ScheduleSpec | None = None
-    output: str | None = None
 
     @property
     def dimension(self) -> int:
@@ -133,8 +129,6 @@ class ExperimentConfig:
         }
         if self.schedule is not None:
             doc["schedule"] = self.schedule.to_dict()
-        if self.output is not None:
-            doc["output"] = self.output
         return doc
 
     def build_domain(self) -> Domain:
@@ -337,7 +331,7 @@ def _parse_algorithm(doc, dimension: int | None, midpoint, chk: _Checker) -> Alg
     elif variant == FIXED_STEP:
         allowed |= {"tuning", "x0", "beta", "c", "alpha"}
     elif variant == SLIDING_WINDOW:
-        allowed |= {"tuning", "x0", "window", "c", "refresh"}
+        allowed |= {"tuning", "x0", "window", "c"}
     if not chk.expect_keys(doc, path, {"variant"}, allowed - {"variant"}):
         return None
 
@@ -346,7 +340,6 @@ def _parse_algorithm(doc, dimension: int | None, midpoint, chk: _Checker) -> Alg
     c = chk.number(doc, path, "c", minimum=0.0, exclusive=True)
     alpha = chk.number(doc, path, "alpha", default=1.0)
     window = chk.integer(doc, path, "window", minimum=1)
-    refresh = chk.choice(doc, path, "refresh", (RESTART, EVICT_OLDEST), default=RESTART)
 
     if alpha is not None and not 0.0 < alpha <= 1.0:
         chk.fail(f"{path}.alpha: must lie in (0, 1], got {alpha}")
@@ -378,13 +371,12 @@ def _parse_algorithm(doc, dimension: int | None, midpoint, chk: _Checker) -> Alg
         c=c,
         alpha=alpha if alpha is not None else 1.0,
         window=window,
-        refresh=refresh,
     )
 
 
 def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozenset()) -> ExperimentConfig | None:
     top_required = {"domain", "objectives", "noise", "algorithm", "horizon", "replications", "base_seed"}
-    top_optional = {"schedule", "output"} | extra_top_keys
+    top_optional = {"schedule"} | extra_top_keys
     chk.expect_keys(doc, "config", top_required, top_optional)
 
     dimension = None
@@ -460,11 +452,6 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
         ):
             chk.fail(f"algorithm.x0: {list(algorithm.x0)} lies outside the domain box")
 
-    output = doc.get("output")
-    if output is not None and not isinstance(output, str):
-        chk.fail(f"output: expected a string path, got {output!r}")
-        output = None
-
     n_episodes = None
     if schedule is not None:
         n_episodes = schedule.episodes if schedule.episodes is not None else len(schedule.change_times or ())
@@ -492,7 +479,6 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
         replications=replications,
         base_seed=base_seed,
         schedule=schedule,
-        output=output,
     )
     try:
         cfg.build_schedule()
@@ -513,6 +499,23 @@ def parse_config(source: str | dict) -> ExperimentConfig:
     if cfg is None:
         raise ConfigValidationError(chk.errors or ["config: could not be parsed"])
     return cfg
+
+
+def with_overrides(
+    cfg: ExperimentConfig, seed: int | None = None, replications: int | None = None
+) -> ExperimentConfig:
+    """``cfg`` with ``base_seed`` and ``replications`` replaced where given.
+
+    Overrides pass the same range checks as the document's own keys and
+    raise ConfigValidationError when they fail.
+    """
+    doc = {key: value for key, value in (("base_seed", seed), ("replications", replications)) if value is not None}
+    chk = _Checker()
+    base_seed = chk.integer(doc, "override", "base_seed", minimum=0, default=cfg.base_seed)
+    replications = chk.integer(doc, "override", "replications", minimum=1, default=cfg.replications)
+    if chk.errors:
+        raise ConfigValidationError(chk.errors)
+    return replace(cfg, base_seed=base_seed, replications=replications)
 
 
 def parse_sweep(source: str | dict) -> SweepSpec:

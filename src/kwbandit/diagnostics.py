@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import FixedStepConfig, SlidingWindowConfig
-from .montecarlo import regret_samples
+from .montecarlo import MonteCarloEstimate, regret_samples
 from .noise import NoiseModel
 from .objectives import ObjectiveSpec
 from .schedule import EnvironmentSchedule
@@ -86,9 +86,7 @@ def distance_recursion_check(
         objective.constants.k2,
         epsilon,
     )
-    paired = dist_next - gamma * dist_s
-    paired_mean = float(np.mean(paired))
-    paired_stderr = float(np.std(paired, ddof=1) / np.sqrt(replications))
+    paired = MonteCarloEstimate.from_samples(dist_next - gamma * dist_s, base_seed)
     return RecursionCheckReport(
         probe_step=probe_step,
         replications=replications,
@@ -96,9 +94,9 @@ def distance_recursion_check(
         estimate_s_next=float(np.mean(dist_next)),
         gamma=gamma,
         floor=floor,
-        paired_mean=paired_mean,
-        paired_stderr=paired_stderr,
-        holds=paired_mean <= floor + 3.0 * paired_stderr,
+        paired_mean=paired.mean,
+        paired_stderr=paired.standard_error,
+        holds=paired.mean <= floor + 3.0 * paired.standard_error,
     )
 
 

@@ -86,8 +86,3 @@ class Domain:
         p = np.asarray(point, dtype=float)
         per_axis = np.maximum(np.abs(p - self.lower_array), np.abs(self.upper_array - p))
         return float(np.linalg.norm(per_axis))
-
-
-def project(domain: Domain, x) -> np.ndarray:
-    """Euclidean projection of ``x`` onto ``domain`` (componentwise clamp)."""
-    return domain.project(x)

@@ -26,6 +26,13 @@ class MonteCarloEstimate:
     replications: int
     base_seed: int
 
+    @classmethod
+    def from_samples(cls, samples: np.ndarray, base_seed: int) -> "MonteCarloEstimate":
+        """Mean and standard error of ``samples``; the error of one sample is 0."""
+        n = len(samples)
+        stderr = 0.0 if n < 2 else float(np.std(samples, ddof=1) / np.sqrt(n))
+        return cls(mean=float(np.mean(samples)), standard_error=stderr, replications=n, base_seed=base_seed)
+
     def upper_confidence(self, z: float = 3.0) -> float:
         return self.mean + z * self.standard_error
 
@@ -98,6 +105,4 @@ def monte_carlo_regret(
     totals, _, _ = regret_samples(
         policy, env, noise, replications, base_seed, seed_path=seed_path, threads=threads
     )
-    mean = float(np.mean(totals))
-    stderr = float(np.std(totals, ddof=1) / np.sqrt(replications))
-    return MonteCarloEstimate(mean=mean, standard_error=stderr, replications=replications, base_seed=base_seed)
+    return MonteCarloEstimate.from_samples(totals, base_seed)

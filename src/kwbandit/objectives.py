@@ -247,13 +247,3 @@ class QuarticPerturbedBowl(ObjectiveSpec):
 
     def mean_value_offset(self, c: float) -> float:
         return 2.0 * self.q * float(c) ** 2 * self.max_radius / self.b
-
-
-def evaluate(objective: ObjectiveSpec, x) -> float | np.ndarray:
-    """Module-level alias for :meth:`ObjectiveSpec.evaluate`."""
-    return objective.evaluate(x)
-
-
-def analytic_gradient(objective: ObjectiveSpec, x) -> np.ndarray:
-    """Module-level alias for :meth:`ObjectiveSpec.gradient`."""
-    return objective.gradient(x)

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA, FixedStepConfig, SlidingWindowConfig
+from .algorithms import FIXED_STEP, RESTART, SLIDING_WINDOW, VANILLA, FixedStepConfig, SlidingWindowConfig
 from .bounds import BoundReport, fixed_step_regret_bound, sliding_window_regret_bound
-from .config import AUTO, ORACLE, STATIC, ExperimentConfig, SweepSpec
+from .config import AUTO, ORACLE, STATIC, ExperimentConfig, SweepSpec, with_overrides
 from .exceptions import ConfigValidationError
-from .montecarlo import regret_samples
+from .montecarlo import MonteCarloEstimate, regret_samples
+from .noise import NoiseModel
 from .scaling import fit_scaling_exponent
+from .schedule import EnvironmentSchedule
 from .trajectory import (
     FixedStepPolicy,
     OraclePolicy,
@@ -34,48 +36,76 @@ from .trajectory import (
 from .tuning import coupled_perturbation, error_floor, optimal_step_size, optimal_window
 
 TRACE_COLUMNS_FIXED = ["step", "episode", "inst_regret", "cum_regret", "boundary_contact"]
-SUMMARY_COLUMNS = [
-    "variant",
-    "tuning",
-    "horizon",
-    "delta_T",
-    "dimension",
-    "replications",
-    "base_seed",
-    "beta",
-    "c",
-    "alpha",
-    "window",
-    "refresh",
-    "epsilon",
-    "gamma",
-    "error_floor",
-    "k5",
-    "mean_regret",
-    "stderr_regret",
-    "bound_name",
-    "bound_value",
-]
-SWEEP_COLUMNS = [
-    "axis",
-    "value",
-    "scale",
-    "horizon",
-    "delta_T",
-    "variant",
-    "tuning",
-    "beta",
-    "c",
-    "window",
-    "replications",
-    "base_seed",
-    "mean_regret",
-    "stderr_regret",
-    "normalized_regret",
-    "bound_name",
-    "bound_value",
-]
-EXPONENT_COLUMNS = ["axis", "n_points", "slope", "r_squared"]
+
+
+# Each row type below is one CSV schema: its field order is the column order.
+
+
+@dataclass(frozen=True)
+class TuningEcho:
+    """What an experiment runs with, tuning values included; None (an
+    empty CSV cell) where its variant has no such value.  These are the
+    leading columns of summary.csv."""
+
+    variant: str
+    tuning: str
+    horizon: int
+    delta_T: int
+    dimension: int
+    replications: int
+    base_seed: int
+    beta: float | None = None
+    c: float | None = None
+    alpha: float | None = None
+    window: int | None = None
+    refresh: str = ""
+    epsilon: float | None = None
+    gamma: float | None = None
+    error_floor: float | None = None
+    k5: float | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class SummaryRow(TuningEcho):
+    """The row of summary.csv: the echo, the Monte-Carlo estimate and the bound."""
+
+    mean_regret: float
+    stderr_regret: float
+    bound_name: str
+    bound_value: float | None
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """One sweep point: a row of sweep_summary.csv."""
+
+    axis: str
+    value: float
+    scale: float
+    horizon: int
+    delta_T: int
+    variant: str
+    tuning: str
+    beta: float | None
+    c: float | None
+    window: int | None
+    replications: int
+    base_seed: int
+    mean_regret: float
+    stderr_regret: float
+    normalized_regret: float
+    bound_name: str
+    bound_value: float | None
+
+
+@dataclass(frozen=True)
+class ExponentFitRow:
+    """The row of exponent_fit.csv."""
+
+    axis: str
+    n_points: int
+    slope: float
+    r_squared: float
 
 
 @dataclass(frozen=True)
@@ -83,45 +113,32 @@ class ResolvedExperiment:
     """A config turned into runnable pieces, with tuning values echoed."""
 
     config: ExperimentConfig
+    env: EnvironmentSchedule
+    noise: NoiseModel
     policy: Policy
-    echo: dict
+    echo: TuningEcho
     bound: BoundReport | None
-
-    @property
-    def env(self):
-        return self.config.build_schedule()
-
-    @property
-    def noise(self):
-        return self.config.build_noise()
 
 
 def resolve_experiment(cfg: ExperimentConfig) -> ResolvedExperiment:
     """Build domain/schedule/noise/policy from a validated config; auto
     tuning computes the rate or window from the schedule's change rate and
     echoes the values used."""
-    domain = cfg.build_domain()
     env = cfg.build_schedule()
+    domain = env.domain
     noise = cfg.build_noise()
     constants = env.combined_constants()
     alg = cfg.algorithm
     episodes = env.num_episodes
-    echo: dict = {
-        "variant": alg.variant,
-        "tuning": alg.tuning if alg.variant in (FIXED_STEP, SLIDING_WINDOW) else "",
-        "horizon": cfg.horizon,
-        "delta_T": episodes,
-        "dimension": domain.dimension,
-        "beta": None,
-        "c": None,
-        "alpha": None,
-        "window": None,
-        "refresh": "",
-        "epsilon": None,
-        "gamma": None,
-        "error_floor": None,
-        "k5": None,
-    }
+    echo = TuningEcho(
+        variant=alg.variant,
+        tuning=alg.tuning if alg.variant in (FIXED_STEP, SLIDING_WINDOW) else "",
+        horizon=cfg.horizon,
+        delta_T=episodes,
+        dimension=domain.dimension,
+        replications=cfg.replications,
+        base_seed=cfg.base_seed,
+    )
     bound = None
 
     if alg.variant == ORACLE:
@@ -145,7 +162,8 @@ def resolve_experiment(cfg: ExperimentConfig) -> ResolvedExperiment:
         policy = FixedStepPolicy(config=fs, x0=alg.x0)
         epsilon = env.max_mean_value_offset(c)
         sigma_tilde2 = noise.sigma_tilde2(domain.dimension)
-        echo.update(
+        echo = replace(
+            echo,
             beta=beta,
             c=c,
             alpha=alg.alpha,
@@ -165,11 +183,11 @@ def resolve_experiment(cfg: ExperimentConfig) -> ResolvedExperiment:
             raise ConfigValidationError(
                 [f"algorithm.window: window {window} must exceed the declared burn-in s0={constants.s0}"]
             )
-        sw = SlidingWindowConfig(window=window, x0=alg.x0, c=alg.c, refresh=alg.refresh)
+        sw = SlidingWindowConfig(window=window, x0=alg.x0, c=alg.c)
         policy = SlidingWindowPolicy(config=sw)
-        echo.update(window=window, c=sw.c, refresh=alg.refresh, k5=constants.k5)
+        echo = replace(echo, window=window, c=sw.c, refresh=RESTART, k5=constants.k5)
         bound = sliding_window_regret_bound(constants, domain.diameter, window, cfg.horizon, episodes)
-    return ResolvedExperiment(config=cfg, policy=policy, echo=echo, bound=bound)
+    return ResolvedExperiment(config=cfg, env=env, noise=noise, policy=policy, echo=echo, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -178,7 +196,7 @@ class ExperimentResult:
     stderr_regret: float
     bound: BoundReport | None
     trace: RegretTrace
-    echo: dict
+    echo: TuningEcho
     trace_path: Path | None
     summary_path: Path | None
 
@@ -204,6 +222,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(v) for v in row])
 
 
+def _write_rows(path: Path, row_type: type, rows) -> None:
+    """Write row dataclasses of ``row_type``; the header is its field names."""
+    _write_csv(path, [f.name for f in fields(row_type)], [astuple(row) for row in rows])
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -214,25 +237,20 @@ def run_experiment(
     """Execute a config: per-step trace CSV for replication 0 plus a
     one-row summary CSV with the Monte-Carlo estimate, the evaluated
     bound, and the tuning values used."""
-    if seed is not None:
-        cfg = replace(cfg, base_seed=int(seed))
-    if replications is not None:
-        cfg = replace(cfg, replications=int(replications))
+    cfg = with_overrides(cfg, seed=seed, replications=replications)
     resolved = resolve_experiment(cfg)
     env = resolved.env
-    noise = resolved.noise
 
     totals, _, trace = regret_samples(
         resolved.policy,
         env,
-        noise,
+        resolved.noise,
         cfg.replications,
         cfg.base_seed,
         threads=threads,
         record_first_trace=True,
     )
-    mean = float(np.mean(totals))
-    stderr = 0.0 if cfg.replications < 2 else float(np.std(totals, ddof=1) / np.sqrt(cfg.replications))
+    estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
 
     trace_path = summary_path = None
     if out_dir is not None:
@@ -248,10 +266,18 @@ def run_experiment(
             for s in range(env.horizon)
         )
         _write_csv(trace_path, header, rows)
-        _write_csv(summary_path, SUMMARY_COLUMNS, [_summary_row(resolved, cfg, mean, stderr)])
+        bound = resolved.bound
+        row = SummaryRow(
+            **asdict(resolved.echo),
+            mean_regret=estimate.mean,
+            stderr_regret=estimate.standard_error,
+            bound_name=bound.name if bound else "",
+            bound_value=bound.value if bound else None,
+        )
+        _write_rows(summary_path, SummaryRow, [row])
     return ExperimentResult(
-        mean_regret=mean,
-        stderr_regret=stderr,
+        mean_regret=estimate.mean,
+        stderr_regret=estimate.standard_error,
         bound=resolved.bound,
         trace=trace,
         echo=resolved.echo,
@@ -260,47 +286,10 @@ def run_experiment(
     )
 
 
-def _summary_row(resolved: ResolvedExperiment, cfg: ExperimentConfig, mean: float, stderr: float) -> list:
-    e = resolved.echo
-    return [
-        e["variant"],
-        e["tuning"],
-        e["horizon"],
-        e["delta_T"],
-        e["dimension"],
-        cfg.replications,
-        cfg.base_seed,
-        e["beta"],
-        e["c"],
-        e["alpha"],
-        e["window"],
-        e["refresh"],
-        e["epsilon"],
-        e["gamma"],
-        e["error_floor"],
-        e["k5"],
-        mean,
-        stderr,
-        resolved.bound.name if resolved.bound else "",
-        resolved.bound.value if resolved.bound else None,
-    ]
-
-
-@dataclass(frozen=True)
-class SweepPointResult:
-    value: float
-    scale: float
-    mean_regret: float
-    stderr_regret: float
-    normalized_regret: float
-    echo: dict
-    bound: BoundReport | None
-
-
 @dataclass(frozen=True)
 class SweepResult:
     axis: str
-    points: tuple[SweepPointResult, ...]
+    points: tuple[SweepRow, ...]
     slope: float
     r_squared: float
     summary_path: Path | None
@@ -322,15 +311,11 @@ def run_sweep(
     ``value_source`` is a testing hook: a callable
     ``(index, value, config) -> (mean, stderr)`` replacing simulation.
     """
-    base = sweep.base
-    if seed is not None:
-        base = replace(base, base_seed=int(seed))
-    if replications is not None:
-        base = replace(base, replications=int(replications))
+    sweep = replace(sweep, base=with_overrides(sweep.base, seed=seed, replications=replications))
 
-    def run_point(item):
+    def run_point(item) -> SweepRow:
         index, value = item
-        cfg = replace(sweep, base=base).config_for(value)
+        cfg = sweep.config_for(value)
         resolved = resolve_experiment(cfg)
         if value_source is not None:
             mean, stderr = value_source(index, value, cfg)
@@ -343,17 +328,27 @@ def run_sweep(
                 cfg.base_seed,
                 seed_path=(index,),
             )
-            mean = float(np.mean(totals))
-            stderr = 0.0 if cfg.replications < 2 else float(np.std(totals, ddof=1) / np.sqrt(cfg.replications))
-        scale = resolved.echo["delta_T"] / cfg.horizon if sweep.axis == "delta_T" else float(value)
-        return SweepPointResult(
+            estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
+            mean, stderr = estimate.mean, estimate.standard_error
+        echo, bound = resolved.echo, resolved.bound
+        return SweepRow(
+            axis=sweep.axis,
             value=float(value),
-            scale=scale,
+            scale=echo.delta_T / cfg.horizon if sweep.axis == "delta_T" else float(value),
+            horizon=echo.horizon,
+            delta_T=echo.delta_T,
+            variant=echo.variant,
+            tuning=echo.tuning,
+            beta=echo.beta,
+            c=echo.c,
+            window=echo.window,
+            replications=echo.replications,
+            base_seed=echo.base_seed,
             mean_regret=mean,
             stderr_regret=stderr,
             normalized_regret=mean / cfg.horizon,
-            echo=resolved.echo,
-            bound=resolved.bound,
+            bound_name=bound.name if bound else "",
+            bound_value=bound.value if bound else None,
         )
 
     items = list(enumerate(sweep.values))
@@ -370,30 +365,8 @@ def run_sweep(
         out = Path(out_dir)
         summary_path = out / "sweep_summary.csv"
         exponent_path = out / "exponent_fit.csv"
-        rows = [
-            [
-                sweep.axis,
-                p.value,
-                p.scale,
-                p.echo["horizon"],
-                p.echo["delta_T"],
-                p.echo["variant"],
-                p.echo["tuning"],
-                p.echo["beta"],
-                p.echo["c"],
-                p.echo["window"],
-                base.replications,
-                base.base_seed,
-                p.mean_regret,
-                p.stderr_regret,
-                p.normalized_regret,
-                p.bound.name if p.bound else "",
-                p.bound.value if p.bound else None,
-            ]
-            for p in points
-        ]
-        _write_csv(summary_path, SWEEP_COLUMNS, rows)
-        _write_csv(exponent_path, EXPONENT_COLUMNS, [[sweep.axis, len(points), slope, r2]])
+        _write_rows(summary_path, SweepRow, points)
+        _write_rows(exponent_path, ExponentFitRow, [ExponentFitRow(sweep.axis, len(points), slope, r2)])
     return SweepResult(
         axis=sweep.axis,
         points=points,

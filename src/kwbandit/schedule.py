@@ -135,11 +135,6 @@ class EnvironmentSchedule:
         return cls(horizon=horizon, change_times=times, objectives=served)
 
 
-def objective_at(env: EnvironmentSchedule, step: int) -> ObjectiveSpec:
-    """Module-level alias for :meth:`EnvironmentSchedule.objective_at`."""
-    return env.objective_at(step)
-
-
 def adversarial_corpus(
     horizon: int, num_episodes: int, objectives: list[ObjectiveSpec], min_length: int = 1
 ) -> list[EnvironmentSchedule]:

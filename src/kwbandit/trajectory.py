@@ -16,13 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .algorithms import (
-    EVICT_OLDEST,
-    FixedStepConfig,
-    SlidingWindowConfig,
-    vanilla_perturbation,
-    vanilla_step_size,
-)
+from .algorithms import FixedStepConfig, SlidingWindowConfig, vanilla_perturbation, vanilla_step_size
 from .noise import NONE, NoiseModel
 from .rng import RandomStream
 from .schedule import EnvironmentSchedule
@@ -177,8 +171,6 @@ def simulate_batch(
         anchor = np.asarray(swc.x0, dtype=float)
         action_sum = np.zeros((reps, d))
         filled = 0
-        ring = np.zeros((window, reps, d)) if swc.refresh == EVICT_OLDEST else None
-        ring_start = 0
 
     cum = np.zeros(reps)
     if record_trace:
@@ -257,24 +249,11 @@ def simulate_batch(
             elif is_fixed:
                 x = np.clip(x + beta * grad_est, lo, hi)
             else:
-                if swc.refresh == EVICT_OLDEST:
-                    if filled == window:
-                        ring[ring_start] = grad_est
-                        ring_start = (ring_start + 1) % window
-                    else:
-                        ring[filled] = grad_est
-                        filled += 1
-                    acc = np.zeros((reps, d))
-                    start = ring_start if filled == window else 0
-                    for k in range(filled):
-                        acc = acc + weights[k] * ring[(start + k) % window]
-                    action_sum = acc
-                else:
-                    if filled == window:
-                        action_sum = np.zeros((reps, d))
-                        filled = 0
-                    action_sum = action_sum + weights[filled] * grad_est
-                    filled += 1
+                if filled == window:
+                    action_sum = np.zeros((reps, d))
+                    filled = 0
+                action_sum = action_sum + weights[filled] * grad_est
+                filled += 1
                 x = np.clip(anchor + action_sum, lo, hi)
         step += block
 

@@ -268,7 +268,7 @@ def test_criterion_06_stationary_scaling():
 def test_criterion_07_nonstationary_window_scaling(window_sweep):
     result, elapsed = window_sweep
     ok = 0.18 <= result.slope <= 0.48 and elapsed < 1200.0
-    windows = [p.echo["window"] for p in result.points]
+    windows = [p.window for p in result.points]
     report(
         7,
         "nonstationary-window-scaling",

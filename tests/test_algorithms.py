@@ -15,7 +15,7 @@ from kwbandit import (
     vanilla_perturbation,
     vanilla_step_size,
 )
-from kwbandit.algorithms import EVICT_OLDEST, FIXED_STEP, RESTART, SLIDING_WINDOW, VANILLA
+from kwbandit.algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA
 
 
 def est(y, c=0.1):
@@ -114,18 +114,8 @@ class TestSlidingWindow:
         assert SlidingWindowConfig(window=16, x0=(0.0,)).c == pytest.approx(16**-0.25)
         assert SlidingWindowConfig(window=16, x0=(0.0,), c=0.4).c == 0.4
 
-    def test_evict_oldest_ring_semantics(self, box1d):
-        cfg = SlidingWindowConfig(window=2, x0=(0.0,), refresh=EVICT_OLDEST)
-        state = initial_state(SLIDING_WINDOW, box1d, (0.0,))
-        e1, e2, e3 = est(0.1), est(0.2), est(0.3)
-        state = sliding_window_advance(state, e1, cfg)
-        state = sliding_window_advance(state, e2, cfg)
-        assert state.window_buffer == (e1, e2)
-        state = sliding_window_advance(state, e3, cfg)
-        assert state.window_buffer == (e2, e3)  # length stays 2, oldest gone
-
     def test_restart_clears_after_full_window(self, box1d):
-        cfg = SlidingWindowConfig(window=2, x0=(0.0,), refresh=RESTART)
+        cfg = SlidingWindowConfig(window=2, x0=(0.0,))
         state = initial_state(SLIDING_WINDOW, box1d, (0.0,))
         e1, e2, e3 = est(0.1), est(0.2), est(0.3)
         for e in (e1, e2):
@@ -135,18 +125,16 @@ class TestSlidingWindow:
         assert state.window_buffer == (e3,)  # new pass from the anchor
 
     def test_window_of_one_depends_only_on_latest(self, box1d):
-        for refresh in (RESTART, EVICT_OLDEST):
-            cfg = SlidingWindowConfig(window=1, x0=(1.0,), refresh=refresh)
-            state = initial_state(SLIDING_WINDOW, box1d, (1.0,))
-            for e in (est(0.5), est(-0.25)):
-                state = sliding_window_advance(state, e, cfg)
-            assert state.x == pytest.approx((1.0 - 0.25,), abs=1e-15)
-            assert len(state.window_buffer) == 1
+        cfg = SlidingWindowConfig(window=1, x0=(1.0,))
+        state = initial_state(SLIDING_WINDOW, box1d, (1.0,))
+        for e in (est(0.5), est(-0.25)):
+            state = sliding_window_advance(state, e, cfg)
+        assert state.x == pytest.approx((1.0 - 0.25,), abs=1e-15)
+        assert len(state.window_buffer) == 1
 
-    @pytest.mark.parametrize("refresh", [RESTART, EVICT_OLDEST])
-    def test_estimates_older_than_window_have_no_influence(self, box1d, refresh):
+    def test_estimates_older_than_window_have_no_influence(self, box1d):
         window = 3
-        cfg = SlidingWindowConfig(window=window, x0=(0.0,), refresh=refresh)
+        cfg = SlidingWindowConfig(window=window, x0=(0.0,))
         recent = [est(v) for v in (0.05, -0.02, 0.07, 0.01, -0.03)]
         state_a = initial_state(SLIDING_WINDOW, box1d, (0.0,))
         for e in [est(123.0)] + recent:  # wild ancient estimate
@@ -157,10 +145,12 @@ class TestSlidingWindow:
         assert state_a.x == state_b.x
 
     def test_replay_from_stored_buffer_is_bit_for_bit(self, box1d):
-        cfg = SlidingWindowConfig(window=4, x0=(0.2,), refresh=EVICT_OLDEST)
+        cfg = SlidingWindowConfig(window=4, x0=(0.2,))
         state = initial_state(SLIDING_WINDOW, box1d, (0.2,))
-        for v in (0.11, -0.07, 0.301, 0.013, -0.771):
+        # the fifth estimate restarts the buffer, which ends holding three
+        for v in (0.11, -0.07, 0.301, 0.013, -0.771, 0.052, -0.118):
             state = sliding_window_advance(state, est(v), cfg)
+        assert len(state.window_buffer) == 3
         replayed = sliding_window_action(cfg, state.window_buffer, box1d)
         assert np.array_equal(replayed, state.x_array)
 

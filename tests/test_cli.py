@@ -27,6 +27,37 @@ def smoke(tmp_path):
     )
 
 
+@pytest.fixture
+def sweep_config(tmp_path):
+    return write_config(
+        tmp_path,
+        {
+            "domain": {"lower": [-2.0], "upper": [2.0]},
+            "objectives": [{"kind": "quadratic-bowl", "theta": [0.0], "b": 1.0}],
+            "schedule": {"episodes": 1},
+            "noise": {"kind": "gaussian", "sigma2": 1.0},
+            "algorithm": {"variant": "fixed-step", "tuning": "auto", "x0": [1.0]},
+            "horizon": 100,
+            "replications": 3,
+            "base_seed": 1,
+            "sweep": {"axis": "T", "values": [50, 100, 200]},
+        },
+        name="sweep.json",
+    )
+
+
+def window_doc(k5):
+    return {
+        "domain": {"lower": [-2.0], "upper": [2.0]},
+        "objectives": [{"kind": "quadratic-bowl", "theta": [0.5], "b": 1.0, "k5": k5}],
+        "noise": {"kind": "gaussian", "sigma2": 1.0},
+        "algorithm": {"variant": "sliding-window", "window": 64, "c": 0.5, "x0": [0.0]},
+        "horizon": 3000,
+        "replications": 30,
+        "base_seed": 6,
+    }
+
+
 def test_run_writes_artifacts(smoke, tmp_path, capsys):
     code = main(["run", "--config", smoke, "--out", str(tmp_path / "out")])
     assert code == 0
@@ -55,21 +86,19 @@ def test_verify_reports_conditions(smoke, tmp_path, capsys):
 
 
 def test_bounds_check_fails_for_undominated_run(tmp_path, capsys):
-    # the evict-oldest refresh mode keeps re-weighting measurements taken at
-    # actions they produced; its distances do not settle, so the windowed
-    # bound cannot dominate it and --check must exit 3
-    doc = {
-        "domain": {"lower": [-2.0], "upper": [2.0]},
-        "objectives": [{"kind": "quadratic-bowl", "theta": [0.5], "b": 1.0}],
-        "noise": {"kind": "gaussian", "sigma2": 1.0},
-        "algorithm": {"variant": "sliding-window", "window": 64, "c": 0.5, "x0": [0.0], "refresh": "evict-oldest"},
-        "horizon": 3000,
-        "replications": 30,
-        "base_seed": 6,
-    }
-    cfg = write_config(tmp_path, doc)
+    # a declared steady-distance constant k5 far below the rule's real one
+    # shrinks the windowed bound under the measured regret, so --check must
+    # exit 3
+    cfg = write_config(tmp_path, window_doc(k5=0.01))
     assert main(["bounds", "--config", cfg, "--check"]) == 3
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_bounds_prints_plain_floats(tmp_path, capsys):
+    assert main(["bounds", "--config", write_config(tmp_path, window_doc(k5=1.0))]) == 0
+    out = capsys.readouterr().out
+    assert "bound sliding-window-total = " in out
+    assert "np.float64" not in out
 
 
 def test_bounds_prints_terms(smoke, tmp_path, capsys):
@@ -107,20 +136,8 @@ def test_bounds_for_oracle_is_a_validation_error(tmp_path, capsys):
     assert main(["bounds", "--config", write_config(tmp_path, doc)]) == 1
 
 
-def test_sweep_subcommand(tmp_path, capsys):
-    doc = {
-        "domain": {"lower": [-2.0], "upper": [2.0]},
-        "objectives": [{"kind": "quadratic-bowl", "theta": [0.0], "b": 1.0}],
-        "schedule": {"episodes": 1},
-        "noise": {"kind": "gaussian", "sigma2": 1.0},
-        "algorithm": {"variant": "fixed-step", "tuning": "auto", "x0": [1.0]},
-        "horizon": 100,
-        "replications": 3,
-        "base_seed": 1,
-        "sweep": {"axis": "T", "values": [50, 100, 200]},
-    }
-    cfg = write_config(tmp_path, doc)
-    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "s")]) == 0
+def test_sweep_subcommand(sweep_config, tmp_path, capsys):
+    assert main(["sweep", "--config", sweep_config, "--out", str(tmp_path / "s")]) == 0
     assert (tmp_path / "s/sweep_summary.csv").exists()
     assert (tmp_path / "s/exponent_fit.csv").exists()
     assert "fitted exponent" in capsys.readouterr().out
@@ -128,3 +145,13 @@ def test_sweep_subcommand(tmp_path, capsys):
 
 def test_missing_config_file_is_io_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("override", [["--seed", "-1"], ["--replications", "0"]], ids=["seed", "replications"])
+@pytest.mark.parametrize("command", [["run"], ["sweep"], ["bounds", "--check"]], ids=["run", "sweep", "bounds"])
+def test_bad_override_is_a_validation_error(command, override, smoke, sweep_config, tmp_path, capsys):
+    config = sweep_config if command == ["sweep"] else smoke
+    assert main([*command, "--config", config, *override, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "override." in err

@@ -41,9 +41,10 @@ class TestParseConfig:
         assert any("auto tuning" in e and "schedule" in e for e in err.value.errors)
 
     def test_unknown_keys_rejected_not_ignored(self):
-        with pytest.raises(ConfigValidationError) as err:
-            parse_config(json.dumps(smoke_doc(extra_field=1)))
-        assert any("unknown key 'extra_field'" in e for e in err.value.errors)
+        for key in ("extra_field", "output"):
+            with pytest.raises(ConfigValidationError) as err:
+                parse_config(json.dumps(smoke_doc(**{key: "declared"})))
+            assert any(f"unknown key {key!r}" in e for e in err.value.errors)
 
     def test_unknown_nested_key_rejected(self):
         doc = smoke_doc(noise={"kind": "none", "fat_tails": True})
@@ -128,9 +129,10 @@ class TestParseConfig:
         doc = smoke_doc(algorithm={"variant": "sliding-window", "window": 8, "c": 0.5, "x0": [0.0]})
         cfg = parse_config(json.dumps(doc))
         assert cfg.algorithm.window == 8
-        assert cfg.algorithm.refresh == "restart"
-        doc["algorithm"]["refresh"] = "evict-oldest"
-        assert parse_config(json.dumps(doc)).algorithm.refresh == "evict-oldest"
+        doc["algorithm"]["refresh"] = "restart"
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config(json.dumps(doc))
+        assert any("algorithm: unknown key 'refresh'" in e for e in err.value.errors)
 
 
 class TestParseSweep:

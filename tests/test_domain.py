@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwbandit import Domain, DomainViolationError, project
+from kwbandit import Domain, DomainViolationError
 
 
 def test_diameter_is_norm_of_side_lengths():
@@ -23,17 +23,17 @@ def test_rejects_empty_interior():
 
 def test_projection_interior_identity():
     dom = Domain(lower=(-1.0,), upper=(1.0,))
-    assert project(dom, (0.5,)) == pytest.approx([0.5])
+    assert dom.project((0.5,)) == pytest.approx([0.5])
 
 
 def test_projection_clamps():
     dom = Domain(lower=(-1.0,), upper=(1.0,))
-    assert project(dom, (1.7,)) == pytest.approx([1.0])
+    assert dom.project((1.7,)) == pytest.approx([1.0])
 
 
 def test_projection_clamps_per_axis():
     dom = Domain(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-    assert project(dom, (2.0, -3.0)) == pytest.approx([1.0, -1.0])
+    assert dom.project((2.0, -3.0)) == pytest.approx([1.0, -1.0])
 
 
 def test_contains_and_require_inside():

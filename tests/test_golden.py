@@ -1,0 +1,105 @@
+"""Golden sha256 digests of the CSV artifacts.
+
+Output bytes are a pure function of (config document, seed), so any change
+to the engine, the step rules, the tuning or the CSV layout that alters a
+single byte shows up here.  Every case runs at 3 replications, and the
+sweep documents at reduced horizons, so the whole file takes a few seconds.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from kwbandit.cli import main
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _load(name: str) -> dict:
+    return json.loads((CONFIGS / name).read_text(encoding="utf-8"))
+
+
+def _sliding_window_run() -> dict:
+    doc = _load("window_sweep.json")
+    del doc["sweep"]
+    doc["horizon"] = 4000
+    return doc
+
+
+def _stationary_sweep() -> dict:
+    doc = _load("stationary_sweep.json")
+    doc["horizon"] = 100
+    doc["sweep"]["values"] = [100, 1000, 4000]
+    return doc
+
+
+def _window_sweep() -> dict:
+    doc = _load("window_sweep.json")
+    doc["horizon"] = 4096
+    return doc
+
+
+# case -> (command, document, {artifact: sha256})
+CASES = {
+    "smoke": (
+        "run",
+        lambda: _load("smoke.json"),
+        {
+            "trace.csv": "03ed7fe2d55839ce286f451ee1dc1f26d5dc7ccdd5c49e7ca5097ffd12dd61be",
+            "summary.csv": "76080997cdff00f839c5bb0d25480b9b71b65e10797d9aa936519c4d5c622b73",
+        },
+    ),
+    "quartic_conditions": (
+        "run",
+        lambda: _load("quartic_conditions.json"),
+        {
+            "trace.csv": "51a75cc487f154ae202f09354d5d152f1f8354257d3e6cc6c3b49ca6bca7aff4",
+            "summary.csv": "7728588359b25db001a40f71206c15539daa72593915503ba3329a66b7b40232",
+        },
+    ),
+    "adversarial_packed_early": (
+        "run",
+        lambda: _load("adversarial_packed_early.json"),
+        {
+            "trace.csv": "0ab87b0a43541749bf0a0bf9711163eb4acda545f697e48bc4425b51163c39f0",
+            "summary.csv": "70677966c701c53d78c26a921ff0e639b679ce5078855a429cb95bdd4f98e2c5",
+        },
+    ),
+    "sliding_window": (
+        "run",
+        _sliding_window_run,
+        {
+            "trace.csv": "8d02b72ad05a26adc99d44d54f3bcc4f1c18adb142021f4f25d7f741dd95ab30",
+            "summary.csv": "2aba61a71a99887fcf88084b21ee9d99b1bed6d1cbece926198f726c9d91d774",
+        },
+    ),
+    "stationary_sweep": (
+        "sweep",
+        _stationary_sweep,
+        {
+            "sweep_summary.csv": "af90b4c53dc9035a95c5df94d7a2f9d4e495b6d99510df5739fa03218365e4b1",
+            "exponent_fit.csv": "45bf84460f361e5ecffb88180572de390d6d4fa6f61e936f04951205c06206ca",
+        },
+    ),
+    "window_sweep": (
+        "sweep",
+        _window_sweep,
+        {
+            "sweep_summary.csv": "6f2afa5543739ed0b62d144b9818d74ca28150439364cf8f2e5b88859fa2cdff",
+            "exponent_fit.csv": "4d620634dd12fd0f477f37584c97020ba647846123dcf0455d509356bb74045a",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifact_digests(case, tmp_path):
+    command, document, expected = CASES[case]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document()), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--replications", "3", "--out", str(out)]) == 0
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
+    assert digests == expected

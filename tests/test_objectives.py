@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from kwbandit import ClassConstants, Domain, DomainViolationError, QuadraticBowl, QuarticPerturbedBowl
-from kwbandit.objectives import analytic_gradient, evaluate
 
 
 class TestQuadraticBowl:
@@ -17,10 +16,10 @@ class TestQuadraticBowl:
         # f = 3 - 2*||x - (1,1)||^2 at the origin: 3 - 2*2 = -1
         dom = Domain(lower=(-2.0, -2.0), upper=(2.0, 2.0))
         f = QuadraticBowl(domain=dom, theta=(1.0, 1.0), b=2.0, a=3.0)
-        assert evaluate(f, (0.0, 0.0)) == pytest.approx(-1.0, abs=1e-15)
+        assert f.evaluate((0.0, 0.0)) == pytest.approx(-1.0, abs=1e-15)
 
     def test_gradient_1d(self, bowl):
-        assert analytic_gradient(bowl, (1.0,)) == pytest.approx([-2.0], abs=1e-15)
+        assert bowl.gradient((1.0,)) == pytest.approx([-2.0], abs=1e-15)
 
     def test_gradient_zero_at_maximizer(self, bowl):
         assert bowl.gradient((0.0,)) == pytest.approx([0.0], abs=0.0)

@@ -72,7 +72,7 @@ class TestRunExperiment:
         header, row = (tmp_path / "summary.csv").read_text().splitlines()
         record = dict(zip(header.split(","), row.split(",")))
         assert record["tuning"] == "auto"
-        assert float(record["beta"]) == result.echo["beta"]
+        assert float(record["beta"]) == result.echo.beta
         assert record["bound_name"] == "fixed-step-total"
         assert float(record["bound_value"]) == result.bound.value
         # alpha = 1 couples the perturbation to 1
@@ -110,7 +110,7 @@ class TestResolveExperiment:
         )
         resolved = resolve_experiment(parse_config(json.dumps(doc)))
         # (16 / (2*4) * 1000/8)**(2/3) = 250**(2/3) ~ 39.7 -> 40
-        assert resolved.echo["window"] == 40
+        assert resolved.echo.window == 40
         assert resolved.bound.name == "sliding-window-total"
 
 

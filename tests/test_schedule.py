@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwbandit import EnvironmentSchedule, QuadraticBowl, objective_at
+from kwbandit import EnvironmentSchedule, QuadraticBowl
 from kwbandit.schedule import adversarial_corpus
 
 
@@ -18,7 +18,7 @@ def test_stationary_serves_single_objective(bowl):
     env = EnvironmentSchedule.stationary(10, bowl)
     assert env.num_episodes == 1
     for s in (1, 5, 10):
-        assert objective_at(env, s) is bowl
+        assert env.objective_at(s) is bowl
 
 
 def test_change_takes_effect_at_its_step(two_bowls):

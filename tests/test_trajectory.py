@@ -23,7 +23,7 @@ from kwbandit import (
     step_vanilla,
     vanilla_perturbation,
 )
-from kwbandit.algorithms import EVICT_OLDEST, FIXED_STEP, RESTART, SLIDING_WINDOW, VANILLA
+from kwbandit.algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA
 
 
 @pytest.fixture
@@ -140,10 +140,9 @@ class TestEngineMatchesReferenceOps:
             state = step_vanilla(state, e)
         assert np.array_equal(trace.final_x, state.x_array)
 
-    @pytest.mark.parametrize("refresh", [RESTART, EVICT_OLDEST])
-    def test_sliding_window(self, bowl, box1d, refresh):
+    def test_sliding_window(self, bowl, box1d):
         noise = NoiseModel.gaussian(0.5)
-        cfg = SlidingWindowConfig(window=4, x0=(1.0,), c=0.3, refresh=refresh)
+        cfg = SlidingWindowConfig(window=4, x0=(1.0,), c=0.3)
         env = EnvironmentSchedule.stationary(25, bowl)
         trace = run_trajectory(SlidingWindowPolicy(config=cfg), env, noise, replication_stream(17, 0))
 
