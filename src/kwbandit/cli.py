@@ -16,13 +16,12 @@ Exit codes: 0 success, 1 validation error, 2 runtime/IO error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from .conditions import verify_conditions
 from .config import parse_config, parse_sweep, with_overrides
-from .exceptions import ConfigValidationError, KWBanditError
+from .exceptions import ConfigValidationError
 from .montecarlo import MonteCarloEstimate, regret_samples
 from .runner import resolve_experiment, run_experiment, run_sweep
 
@@ -41,7 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config's base_seed")
         p.add_argument("--replications", type=int, default=None, help="override the config's replications")
         p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--threads", type=int, default=0, help="worker threads, 0 = auto")
 
     p_verify = sub.add_parser("verify", help="verify the declared objective-class constants on a grid")
     common(p_verify)
@@ -63,10 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads(value: int) -> int:
-    return os.cpu_count() or 1 if value == 0 else max(1, value)
-
-
 def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
@@ -85,9 +79,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = parse_config(_read(args.config))
-    result = run_experiment(
-        cfg, out_dir=args.out, seed=args.seed, replications=args.replications, threads=_threads(args.threads)
-    )
+    result = run_experiment(cfg, out_dir=args.out, seed=args.seed, replications=args.replications)
     print(f"mean total regret: {result.mean_regret!r} (stderr {result.stderr_regret!r})")
     if result.bound is not None:
         print(f"bound {result.bound.name}: {result.bound.value!r}")
@@ -97,9 +89,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = parse_sweep(_read(args.config))
-    result = run_sweep(
-        sweep, out_dir=args.out, seed=args.seed, replications=args.replications, threads=_threads(args.threads)
-    )
+    result = run_sweep(sweep, out_dir=args.out, seed=args.seed, replications=args.replications)
     for point in result.points:
         print(
             f"{result.axis}={point.value:g}: mean regret {point.mean_regret!r}, "
@@ -124,14 +114,7 @@ def _cmd_bounds(args) -> int:
         print(f"  input {key} = {value!r}")
     if not args.check:
         return EXIT_OK
-    totals, _, _ = regret_samples(
-        resolved.policy,
-        resolved.env,
-        resolved.noise,
-        cfg.replications,
-        cfg.base_seed,
-        threads=_threads(args.threads),
-    )
+    totals, _, _ = regret_samples(resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
     estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
     floor = estimate.lower_confidence()
     print(f"monte-carlo mean = {estimate.mean!r} (stderr {estimate.standard_error!r}); mean - 3*SE = {floor!r}")
@@ -150,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigValidationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    except KWBanditError as exc:
+    except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,9 +11,9 @@ from .rng import replication_stream
 from .schedule import EnvironmentSchedule
 from .trajectory import Policy, RegretTrace, simulate_batch
 
-# Replications are grouped in fixed-size chunks regardless of thread count,
-# so parallel execution cannot change which streams run together.
-REPLICATION_CHUNK = 64
+# Upper bound on the replications simulated together, which bounds the
+# generator states and noise blocks alive at once.  Results do not depend on it.
+REPLICATION_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -47,7 +46,6 @@ def regret_samples(
     replications: int,
     base_seed: int,
     seed_path: tuple[int, ...] = (),
-    threads: int = 1,
     probe_steps: tuple[int, ...] = (),
     record_first_trace: bool = False,
 ) -> tuple[np.ndarray, dict[int, np.ndarray], RegretTrace | None]:
@@ -55,15 +53,11 @@ def regret_samples(
 
     Replication ``r`` draws from the stream keyed by
     ``(base_seed, *seed_path, r)``; results are a pure function of that
-    key, so the chunking below is a throughput detail only.
+    key, so running them in chunks of ``REPLICATION_CHUNK`` only bounds
+    memory and never changes a result.
     """
     if replications < 1:
         raise ValueError(f"replications must be >= 1, got {replications}")
-
-    chunks = [
-        range(start, min(start + REPLICATION_CHUNK, replications))
-        for start in range(0, replications, REPLICATION_CHUNK)
-    ]
 
     def run_chunk(chunk: range):
         rngs = [replication_stream(base_seed, *seed_path, r) for r in chunk]
@@ -76,11 +70,10 @@ def regret_samples(
             probe_steps=probe_steps,
         )
 
-    if threads > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, chunks))
-    else:
-        results = [run_chunk(chunk) for chunk in chunks]
+    results = [
+        run_chunk(range(start, min(start + REPLICATION_CHUNK, replications)))
+        for start in range(0, replications, REPLICATION_CHUNK)
+    ]
 
     totals = np.concatenate([res.total_regret for res in results])
     probes: dict[int, np.ndarray] = {}
@@ -97,12 +90,9 @@ def monte_carlo_regret(
     replications: int,
     base_seed: int,
     seed_path: tuple[int, ...] = (),
-    threads: int = 1,
 ) -> MonteCarloEstimate:
     """Mean and standard error of total regret over independent replications."""
     if replications < 2:
         raise ValueError(f"monte_carlo_regret needs replications >= 2, got {replications}")
-    totals, _, _ = regret_samples(
-        policy, env, noise, replications, base_seed, seed_path=seed_path, threads=threads
-    )
+    totals, _, _ = regret_samples(policy, env, noise, replications, base_seed, seed_path=seed_path)
     return MonteCarloEstimate.from_samples(totals, base_seed)

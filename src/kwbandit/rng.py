@@ -1,10 +1,10 @@
-"""Splittable random streams for reproducible parallel replications.
+"""Splittable random streams for reproducible replications.
 
 Stream derivation: replication ``r`` of an experiment with seed ``s``
 uses ``numpy.random.SeedSequence(entropy=s, spawn_key=(*path, r))``.
 Sweeps prepend the sweep-point index to ``path``.  Streams are therefore
 a pure function of (seed, path, replication index): adding replications,
-reordering execution, or changing the degree of parallelism never
+reordering execution, or batching replications differently never
 perturbs existing streams.
 """
 

@@ -3,14 +3,14 @@ tuning), Monte-Carlo execution, and CSV emission.
 
 Output bytes are a pure function of (config document, seed): floats are
 written with repr (full round-trip precision), rows are emitted in a
-fixed order, and the thread count only changes scheduling, never stream
-assignment or aggregation order.
+fixed order, and each replication's stream is keyed by its index, so how
+replications are chunked never changes stream assignment or aggregation
+order.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 
@@ -232,7 +232,6 @@ def run_experiment(
     out_dir: str | Path | None = None,
     seed: int | None = None,
     replications: int | None = None,
-    threads: int = 1,
 ) -> ExperimentResult:
     """Execute a config: per-step trace CSV for replication 0 plus a
     one-row summary CSV with the Monte-Carlo estimate, the evaluated
@@ -247,7 +246,6 @@ def run_experiment(
         resolved.noise,
         cfg.replications,
         cfg.base_seed,
-        threads=threads,
         record_first_trace=True,
     )
     estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
@@ -301,7 +299,6 @@ def run_sweep(
     out_dir: str | Path | None = None,
     seed: int | None = None,
     replications: int | None = None,
-    threads: int = 1,
     value_source=None,
 ) -> SweepResult:
     """Run one experiment per sweep value and fit the power-law exponent of
@@ -313,8 +310,7 @@ def run_sweep(
     """
     sweep = replace(sweep, base=with_overrides(sweep.base, seed=seed, replications=replications))
 
-    def run_point(item) -> SweepRow:
-        index, value = item
+    def run_point(index: int, value) -> SweepRow:
         cfg = sweep.config_for(value)
         resolved = resolve_experiment(cfg)
         if value_source is not None:
@@ -351,12 +347,7 @@ def run_sweep(
             bound_value=bound.value if bound else None,
         )
 
-    items = list(enumerate(sweep.values))
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            points = tuple(pool.map(run_point, items))
-    else:
-        points = tuple(run_point(item) for item in items)
+    points = tuple(run_point(index, value) for index, value in enumerate(sweep.values))
 
     slope, r2 = fit_scaling_exponent([(p.scale, p.normalized_regret) for p in points])
 

@@ -5,8 +5,8 @@ replications, while consuming one private random stream per replication.
 Per-replication results are bitwise identical whatever the batch
 composition: every operation is elementwise across replications and each
 stream is consumed in a fixed per-step order (axis-major, plus before
-minus), so adding replications or changing parallelism never perturbs
-existing ones.
+minus), so adding replications or splitting them into different batches
+never perturbs existing ones.
 """
 
 from __future__ import annotations
@@ -193,9 +193,9 @@ def simulate_batch(
     while step <= horizon:
         block = min(block_cap, horizon - step + 1)
         if values_per_step:
-            noise_block = np.stack(
-                [noise.draw(rng, block * values_per_step).reshape(block, values_per_step) for rng in rngs]
-            )
+            noise_block = np.empty((reps, block, values_per_step))
+            for r, rng in enumerate(rngs):
+                noise_block[r] = noise.draw(rng, block * values_per_step).reshape(block, values_per_step)
         for j in range(block):
             s = step + j
             while episode_idx + 1 < len(change_times) and s >= change_times[episode_idx + 1]:

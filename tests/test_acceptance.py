@@ -36,6 +36,7 @@ from kwbandit import (
     sliding_window_regret_bound,
     verify_conditions,
 )
+from kwbandit import montecarlo
 from kwbandit.cli import main as cli_main
 from kwbandit.conditions import CURVATURE_LOWER_BOUND, GRADIENT_GROWTH, GRADIENT_LIPSCHITZ, VALUE_GAP
 from kwbandit.runner import run_sweep
@@ -309,7 +310,7 @@ def test_criterion_09_tuning_calculators():
     )
 
 
-def test_criterion_10_determinism_across_threads(tmp_path):
+def test_criterion_10_determinism_across_chunking(tmp_path, monkeypatch):
     import json
 
     doc = {
@@ -323,10 +324,16 @@ def test_criterion_10_determinism_across_threads(tmp_path):
     }
     config_path = tmp_path / "determinism.json"
     config_path.write_text(json.dumps(doc))
-    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
-    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "t8"), "--threads", "8"]) == 0
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "whole")]) == 0
+    monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 8)  # 130 replications in 17 chunks
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "chunked")]) == 0
     same = all(
-        (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
+        (tmp_path / "whole" / name).read_bytes() == (tmp_path / "chunked" / name).read_bytes()
         for name in ("trace.csv", "summary.csv")
     )
-    report(10, "determinism-across-threads", same, "trace.csv and summary.csv byte-identical at 1 and 8 threads")
+    report(
+        10,
+        "determinism-across-chunking",
+        same,
+        "trace.csv and summary.csv byte-identical with one chunk and with chunks of 8 replications",
+    )

@@ -66,11 +66,10 @@ def test_run_writes_artifacts(smoke, tmp_path, capsys):
     assert "mean total regret" in capsys.readouterr().out
 
 
-def test_run_is_byte_identical_across_thread_counts(smoke, tmp_path):
-    assert main(["run", "--config", smoke, "--out", str(tmp_path / "t1"), "--threads", "1"]) == 0
-    assert main(["run", "--config", smoke, "--out", str(tmp_path / "t8"), "--threads", "8"]) == 0
-    for name in ("trace.csv", "summary.csv"):
-        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t8" / name).read_bytes()
+def test_removed_threads_flag_is_a_usage_error(smoke, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", smoke, "--out", str(tmp_path / "out"), "--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_validation_error_exit_code(tmp_path, capsys):
@@ -83,6 +82,12 @@ def test_verify_reports_conditions(smoke, tmp_path, capsys):
     assert main(["verify", "--config", smoke, "--grid", "16"]) == 0
     out = capsys.readouterr().out
     assert "curvature-lower-bound" in out and "ALL HOLD" in out
+
+
+@pytest.mark.parametrize("grid", [0, 1])
+def test_verify_rejects_a_grid_too_coarse_to_difference(grid, smoke, capsys):
+    assert main(["verify", "--config", smoke, "--grid", str(grid)]) == 1
+    assert "grid_points_per_axis" in capsys.readouterr().err
 
 
 def test_bounds_check_fails_for_undominated_run(tmp_path, capsys):

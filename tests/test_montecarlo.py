@@ -52,17 +52,6 @@ def test_chunk_size_does_not_change_samples(setup, monkeypatch):
     assert np.array_equal(full, chunked)
 
 
-def test_thread_count_does_not_change_samples(setup, monkeypatch):
-    policy, env = setup
-    noise = NoiseModel.gaussian(1.0)
-    import kwbandit.montecarlo as mc
-
-    monkeypatch.setattr(mc, "REPLICATION_CHUNK", 8)
-    serial, _, _ = regret_samples(policy, env, noise, 50, base_seed=5, threads=1)
-    threaded, _, _ = regret_samples(policy, env, noise, 50, base_seed=5, threads=8)
-    assert np.array_equal(serial, threaded)
-
-
 def test_seed_paths_give_independent_streams(setup):
     policy, env = setup
     noise = NoiseModel.gaussian(1.0)

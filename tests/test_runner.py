@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kwbandit import ConfigValidationError, parse_config, parse_sweep, run_experiment, run_sweep
+from kwbandit import montecarlo
 from kwbandit.runner import resolve_experiment
 
 
@@ -29,11 +30,12 @@ class TestRunExperiment:
         assert result.mean_regret == pytest.approx(closed_form, rel=1e-9)
         assert result.stderr_regret == 0.0
 
-    def test_csv_bytes_deterministic(self, tmp_path):
+    def test_csv_bytes_deterministic(self, tmp_path, monkeypatch):
         doc = base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, replications=130)
         cfg = parse_config(json.dumps(doc))
-        run_experiment(cfg, out_dir=tmp_path / "a", threads=1)
-        run_experiment(cfg, out_dir=tmp_path / "b", threads=8)
+        run_experiment(cfg, out_dir=tmp_path / "a")
+        monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 8)
+        run_experiment(cfg, out_dir=tmp_path / "b")
         assert (tmp_path / "a/trace.csv").read_bytes() == (tmp_path / "b/trace.csv").read_bytes()
         assert (tmp_path / "a/summary.csv").read_bytes() == (tmp_path / "b/summary.csv").read_bytes()
 
@@ -137,10 +139,11 @@ class TestRunSweep:
         lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 4
 
-    def test_thread_invariance(self, tmp_path):
+    def test_chunk_invariance(self, tmp_path, monkeypatch):
         sweep = self.sweep()
-        a = run_sweep(sweep, out_dir=tmp_path / "a", threads=1)
-        b = run_sweep(sweep, out_dir=tmp_path / "b", threads=4)
+        a = run_sweep(sweep, out_dir=tmp_path / "a", replications=20)
+        monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 8)
+        b = run_sweep(sweep, out_dir=tmp_path / "b", replications=20)
         assert (tmp_path / "a/sweep_summary.csv").read_bytes() == (tmp_path / "b/sweep_summary.csv").read_bytes()
         assert a.slope == b.slope
 

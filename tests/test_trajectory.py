@@ -1,13 +1,20 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kwbandit.trajectory as traj
 from kwbandit import (
+    Domain,
     EnvironmentSchedule,
     FixedStepConfig,
     FixedStepPolicy,
     NoiseModel,
     OraclePolicy,
     QuadraticBowl,
+    QuarticPerturbedBowl,
     SlidingWindowConfig,
     SlidingWindowPolicy,
     StaticPolicy,
@@ -216,3 +223,80 @@ class TestBatchSemantics:
         env = EnvironmentSchedule.stationary(5, bowl)
         with pytest.raises(ValueError, match="probe steps"):
             simulate_batch(fixed_policy, env, no_noise, replication_streams(0, 1), probe_steps=(7,))
+
+
+@st.composite
+def engine_cases(draw):
+    """A random d <= 3 box, 2-3 objectives with random change times, a
+    policy of each measuring variant starting on a box face, and noise."""
+    d = draw(st.integers(1, 3))
+    half = [draw(st.floats(0.5, 3.0)) for _ in range(d)]
+    domain = Domain(lower=tuple(-h for h in half), upper=tuple(half))
+    horizon = draw(st.integers(10, 40))
+    episodes = draw(st.integers(2, 3))
+    change_times = (1,) + tuple(
+        sorted(draw(st.lists(st.integers(2, horizon), min_size=episodes - 1, max_size=episodes - 1, unique=True)))
+    )
+    objectives = []
+    for k in range(episodes):
+        theta = tuple(draw(st.floats(-0.9, 0.9)) * h for h in half)
+        b = draw(st.floats(0.2, 2.0)) + 2.0 * k  # distinct b keeps neighbouring episodes distinct
+        if draw(st.booleans()):
+            radius = domain.max_distance_from(theta)
+            q = draw(st.floats(0.1, 0.9)) * b / (2.0 * radius)
+            objectives.append(QuarticPerturbedBowl(domain=domain, theta=theta, b=b, q=q))
+        else:
+            objectives.append(QuadraticBowl(domain=domain, theta=theta, b=b))
+    env = EnvironmentSchedule(horizon=horizon, change_times=change_times, objectives=tuple(objectives))
+
+    x0 = [draw(st.floats(-1.0, 1.0)) * h for h in half]
+    face = draw(st.integers(0, d - 1))
+    x0[face] = half[face] if draw(st.booleans()) else -half[face]
+    x0 = tuple(x0)
+
+    variant = draw(st.sampled_from((VANILLA, FIXED_STEP, SLIDING_WINDOW)))
+    if variant == VANILLA:
+        policy = VanillaPolicy(x0=x0)
+    elif variant == FIXED_STEP:
+        constants = env.combined_constants()
+        beta = draw(st.floats(0.05, 0.95)) * constants.k1 / constants.k2**2
+        config = FixedStepConfig(beta=beta, c=draw(st.floats(0.05, 1.0)), constants=constants)
+        policy = FixedStepPolicy(config=config, x0=x0)
+    else:
+        config = SlidingWindowConfig(window=draw(st.integers(1, 8)), x0=x0, c=draw(st.floats(0.05, 1.0)))
+        policy = SlidingWindowPolicy(config=config)
+
+    sigma2 = draw(st.floats(0.01, 2.0))
+    noise = draw(st.sampled_from((NoiseModel.gaussian, NoiseModel.uniform_bounded)))(sigma2)
+    return variant, policy, env, noise
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=engine_cases(), reps=st.integers(3, 5), seed=st.integers(0, 2**31 - 1))
+def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
+    """Every replication of a batch wider than one, drawn over several noise
+    blocks, equals its own single-stream run and the step-by-step
+    reference ops on ``env.objective_at(s)``, bit for bit."""
+    variant, policy, env, noise = case
+    domain = env.domain
+    with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", 48):
+        batch = simulate_batch(policy, env, noise, replication_streams(seed, reps))
+        for r in range(reps):
+            trace = run_trajectory(policy, env, noise, replication_stream(seed, r))
+            assert batch.total_regret[r] == trace.total_regret
+
+            rng = replication_stream(seed, r)
+            x0 = policy.config.x0 if variant == SLIDING_WINDOW else policy.x0
+            state = initial_state(variant, domain, x0)
+            for s in range(1, env.horizon + 1):
+                assert np.array_equal(trace.actions[s - 1], state.x_array)
+                c = vanilla_perturbation(s) if variant == VANILLA else policy.config.c
+                e = estimate_gradient(env.objective_at(s), noise, state.x_array, c, rng)
+                assert trace.boundary_contact[s - 1] == e.boundary_contact
+                if variant == VANILLA:
+                    state = step_vanilla(state, e)
+                elif variant == FIXED_STEP:
+                    state = step_fixed(state, e, policy.config)
+                else:
+                    state = sliding_window_advance(state, e, policy.config)
+            assert np.array_equal(trace.final_x, state.x_array)
