@@ -25,6 +25,9 @@ from .domain import Domain
 from .objectives import ClassConstants, ObjectiveSpec
 
 _REL_TOL = 1e-9
+# Largest grid verify_conditions builds; the neighbour pairs alone hold
+# about (3**d - 1) / 2 index pairs per point on top of the points.
+MAX_GRID_POINTS = 10**6
 
 CURVATURE_LOWER_BOUND = "curvature-lower-bound"
 GRADIENT_GROWTH = "gradient-growth"
@@ -113,6 +116,11 @@ def verify_conditions(
     consts = declared if declared is not None else objective.constants
     domain = objective.domain
     n, d = grid_points_per_axis, domain.dimension
+    if n**d > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a grid of {n} points per axis in dimension {d} has n**d = {n**d} points, "
+            f"more than the budget of {MAX_GRID_POINTS}"
+        )
 
     pts = _grid(domain, n)
     grads = objective._gradient(pts)

@@ -214,17 +214,32 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a header and rows of already formatted cells."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
 def _write_rows(path: Path, row_type: type, rows) -> None:
     """Write row dataclasses of ``row_type``; the header is its field names."""
-    _write_csv(path, [f.name for f in fields(row_type)], [astuple(row) for row in rows])
+    _write_csv(path, [f.name for f in fields(row_type)], ([_fmt(v) for v in astuple(row)] for row in rows))
+
+
+def _write_trace(path: Path, trace: RegretTrace) -> None:
+    """Write trace.csv one column at a time, formatting each cell as
+    ``_fmt`` would.  The columns are lazy, so no step's cells are held
+    beyond its row."""
+    d = trace.actions.shape[1]
+    header = TRACE_COLUMNS_FIXED[:2] + [f"action_{i}" for i in range(d)] + TRACE_COLUMNS_FIXED[2:]
+    floats = [trace.actions[:, i] for i in range(d)] + [trace.inst_regret, trace.cum_regret]
+    columns = (
+        [map(str, range(1, trace.horizon + 1)), map(str, map(int, trace.episode))]
+        + [map(repr, map(float, column)) for column in floats]
+        + [("1" if hit else "0" for hit in trace.boundary_contact)]
+    )
+    _write_csv(path, header, zip(*columns))
 
 
 def run_experiment(
@@ -255,15 +270,7 @@ def run_experiment(
         out = Path(out_dir)
         trace_path = out / "trace.csv"
         summary_path = out / "summary.csv"
-        d = env.domain.dimension
-        header = TRACE_COLUMNS_FIXED[:2] + [f"action_{i}" for i in range(d)] + TRACE_COLUMNS_FIXED[2:]
-        rows = (
-            [s + 1, int(trace.episode[s])]
-            + [trace.actions[s, i] for i in range(d)]
-            + [trace.inst_regret[s], trace.cum_regret[s], bool(trace.boundary_contact[s])]
-            for s in range(env.horizon)
-        )
-        _write_csv(trace_path, header, rows)
+        _write_trace(trace_path, trace)
         bound = resolved.bound
         row = SummaryRow(
             **asdict(resolved.echo),

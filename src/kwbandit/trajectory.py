@@ -7,6 +7,12 @@ composition: every operation is elementwise across replications and each
 stream is consumed in a fixed per-step order (axis-major, plus before
 minus), so adding replications or splitting them into different batches
 never perturbs existing ones.
+
+A measuring rule evaluates the objective once per step, on one stacked
+array of the step's 1 + 2d points for every replication: x itself, whose
+value gives the step's regret, then x + c e_i and x - c e_i for each axis
+i, clamped into the box, whose noisy values give the central-difference
+gradient estimate.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .algorithms import FixedStepConfig, SlidingWindowConfig, vanilla_perturbation, vanilla_step_size
 from .noise import NONE, NoiseModel
@@ -156,21 +163,30 @@ def simulate_batch(
     measuring = isinstance(policy, (VanillaPolicy, FixedStepPolicy, SlidingWindowPolicy))
     is_vanilla = isinstance(policy, VanillaPolicy)
     is_fixed = isinstance(policy, FixedStepPolicy)
-    is_sliding = isinstance(policy, SlidingWindowPolicy)
     is_oracle = isinstance(policy, OraclePolicy)
 
     if is_fixed:
         beta = policy.config.beta
-        c_fixed = policy.config.c
-    if is_sliding:
+        c = policy.config.c
+    if isinstance(policy, SlidingWindowPolicy):
         swc = policy.config
-        domain.require_inside(np.asarray(swc.x0, dtype=float), what="window anchor x0")
         weights = swc.weights
         window = swc.window
-        c_fixed = swc.c
-        anchor = np.asarray(swc.x0, dtype=float)
+        c = swc.c
+        anchor = x_start
         action_sum = np.zeros((reps, d))
         filled = 0
+    if measuring:
+        # The 1 + 2d points of a step, one (reps, d) slab each: slab 0 is x,
+        # slabs 1 + 2i and 2 + 2i are x + c e_i and x - c e_i (axis-major,
+        # plus before minus).  plus[i] and minus[i] view coordinate i of
+        # slabs 1 + 2i and 2 + 2i, the only coordinates a step perturbs.
+        points = np.empty((1 + 2 * d, reps, d))
+        flat_points = points.reshape(-1, d)
+        diagonal = (2 * points.strides[0] + points.strides[2], points.strides[1])
+        plus = as_strided(points[1, :, 0], shape=(d, reps), strides=diagonal)
+        minus = as_strided(points[2, :, 0], shape=(d, reps), strides=diagonal)
+        lo_col, hi_col = lo[:, None], hi[:, None]
 
     cum = np.zeros(reps)
     if record_trace:
@@ -184,7 +200,8 @@ def simulate_batch(
     objective = env.objectives[0]
     theta = objective.theta_array
     f_at_theta = objective.max_value
-    change_times = env.change_times
+    episode_end = env.change_times[1:] + (horizon + 1,)
+    next_change = episode_end[0]
 
     values_per_step = 2 * d if (measuring and noise.kind != NONE) else 0
     block_cap = max(1, _NOISE_BLOCK_VALUES // max(1, reps * max(1, values_per_step)))
@@ -198,15 +215,26 @@ def simulate_batch(
                 noise_block[r] = noise.draw(rng, block * values_per_step).reshape(block, values_per_step)
         for j in range(block):
             s = step + j
-            while episode_idx + 1 < len(change_times) and s >= change_times[episode_idx + 1]:
+            if s == next_change:
                 episode_idx += 1
+                next_change = episode_end[episode_idx]
                 objective = env.objectives[episode_idx]
                 theta = objective.theta_array
                 f_at_theta = objective.max_value
                 if is_oracle:
                     x = np.tile(theta, (reps, 1))
 
-            inst = f_at_theta - objective._value(x)
+            if measuring:
+                if is_vanilla:
+                    c = vanilla_perturbation(s)
+                points[...] = x
+                x_cols = x.T
+                np.minimum(x_cols + c, hi_col, out=plus)
+                np.maximum(x_cols - c, lo_col, out=minus)
+                values = objective._value(flat_points).reshape(1 + 2 * d, reps)
+                inst = f_at_theta - values[0]
+            else:
+                inst = f_at_theta - objective._value(x)
             cum += inst
             if s in probe_set:
                 diff = x - theta
@@ -216,33 +244,16 @@ def simulate_batch(
                 tr_inst[s - 1] = inst[0]
                 tr_cum[s - 1] = cum[0]
                 tr_episode[s - 1] = episode_idx + 1
+                if measuring:
+                    tr_contact[s - 1] = ((x[0] + c > hi) | (x[0] - c < lo)).any()
 
             if not measuring:
                 continue
 
-            c = vanilla_perturbation(s) if is_vanilla else c_fixed
-            grad_est = np.empty((reps, d))
-            contact = np.zeros(reps, dtype=bool)
-            for i in range(d):
-                xp = x.copy()
-                xp[:, i] += c
-                over = xp[:, i] > hi[i]
-                if over.any():
-                    xp[over, i] = hi[i]
-                xm = x.copy()
-                xm[:, i] -= c
-                under = xm[:, i] < lo[i]
-                if under.any():
-                    xm[under, i] = lo[i]
-                contact |= over | under
-                f_plus = objective._value(xp)
-                f_minus = objective._value(xm)
-                if values_per_step:
-                    f_plus = f_plus + noise_block[:, j, 2 * i]
-                    f_minus = f_minus + noise_block[:, j, 2 * i + 1]
-                grad_est[:, i] = (f_plus - f_minus) / (2.0 * c)
-            if record_trace:
-                tr_contact[s - 1] = contact[0]
+            samples = values[1:]
+            if values_per_step:
+                samples = samples + noise_block[:, j].T
+            grad_est = (samples[0::2] - samples[1::2]).T / (2.0 * c)
 
             if is_vanilla:
                 x = np.clip(x + vanilla_step_size(s) * grad_est, lo, hi)

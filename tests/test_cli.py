@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +89,14 @@ def test_verify_reports_conditions(smoke, tmp_path, capsys):
 def test_verify_rejects_a_grid_too_coarse_to_difference(grid, smoke, capsys):
     assert main(["verify", "--config", smoke, "--grid", str(grid)]) == 1
     assert "grid_points_per_axis" in capsys.readouterr().err
+
+
+def test_verify_rejects_a_grid_over_the_point_budget(capsys):
+    config = Path(__file__).resolve().parents[1] / "configs" / "quartic_conditions.json"
+    assert main(["verify", "--config", str(config), "--grid", "1001"]) == 1
+    err = capsys.readouterr().err.strip()
+    assert len(err.splitlines()) == 1
+    assert "1001" in err and "1002001" in err
 
 
 def test_bounds_check_fails_for_undominated_run(tmp_path, capsys):

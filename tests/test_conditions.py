@@ -1,5 +1,8 @@
+from unittest import mock
+
 import pytest
 
+import kwbandit.conditions as conditions
 from kwbandit import ClassConstants, QuadraticBowl, verify_conditions
 from kwbandit.conditions import (
     CURVATURE_LOWER_BOUND,
@@ -73,3 +76,21 @@ def test_multidimensional_grid(box2d):
 def test_rejects_degenerate_grid(bowl):
     with pytest.raises(ValueError, match="grid_points_per_axis"):
         verify_conditions(bowl, 1)
+
+
+def test_rejects_a_grid_over_the_point_budget_before_building_it(box2d):
+    f = QuadraticBowl(domain=box2d, theta=(0.3, -0.4), b=1.5)
+    with (
+        mock.patch.object(conditions, "_grid", side_effect=AssertionError("grid built")),
+        mock.patch.object(conditions, "_neighbor_pairs", side_effect=AssertionError("pairs built")),
+    ):
+        with pytest.raises(ValueError, match=r"1001 points per axis in dimension 2 has n\*\*d = 1002001"):
+            verify_conditions(f, 1001)
+
+
+def test_grid_at_the_point_budget_is_accepted(box2d, monkeypatch):
+    monkeypatch.setattr(conditions, "MAX_GRID_POINTS", 16**2)
+    f = QuadraticBowl(domain=box2d, theta=(0.3, -0.4), b=1.5)
+    assert verify_conditions(f, 16).all_hold
+    with pytest.raises(ValueError, match=r"n\*\*d = 289 points"):
+        verify_conditions(f, 17)

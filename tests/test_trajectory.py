@@ -31,6 +31,7 @@ from kwbandit import (
     vanilla_perturbation,
 )
 from kwbandit.algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA
+from kwbandit.config import ORACLE, STATIC
 
 
 @pytest.fixture
@@ -225,11 +226,63 @@ class TestBatchSemantics:
             simulate_batch(fixed_policy, env, no_noise, replication_streams(0, 1), probe_steps=(7,))
 
 
+@pytest.mark.parametrize(
+    "horizon, change_times, episodes",
+    [(3, (1, 2, 3), [1, 2, 3]), (5, (1, 5), [1, 1, 1, 1, 2])],
+    ids=["one-step-episodes", "change-at-final-step"],
+)
+def test_short_episodes_and_a_change_at_the_final_step(box1d, horizon, change_times, episodes):
+    thetas = (-0.5, 0.5, -1.0)[: len(change_times)]
+    objectives = tuple(QuadraticBowl(domain=box1d, theta=(t,), b=1.0) for t in thetas)
+    env = EnvironmentSchedule(horizon=horizon, change_times=change_times, objectives=objectives)
+    noise = NoiseModel.gaussian(1.0)
+
+    oracle = run_trajectory(OraclePolicy(), env, noise, replication_stream(0, 0))
+    assert list(oracle.episode) == episodes
+    assert np.all(oracle.inst_regret == 0.0)
+    assert list(oracle.actions[:, 0]) == [thetas[e - 1] for e in episodes]
+
+    cfg = FixedStepConfig(beta=0.1, c=0.2, constants=objectives[0].constants)
+    trace = run_trajectory(FixedStepPolicy(config=cfg, x0=(1.0,)), env, noise, replication_stream(0, 0))
+    assert list(trace.episode) == episodes
+    for s in range(1, horizon + 1):
+        f = env.objective_at(s)
+        assert trace.inst_regret[s - 1] == f.max_value - f.evaluate(trace.actions[s - 1])
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("variant", [VANILLA, FIXED_STEP, SLIDING_WINDOW])
+def test_each_step_evaluates_all_its_points_in_one_objective_call(variant, d):
+    box = Domain(lower=(-2.0,) * d, upper=(2.0,) * d)
+    f = QuadraticBowl(domain=box, theta=(0.3,) * d, b=1.0)
+    f.max_value  # cached before the patch, so only the engine's calls are counted
+    x0 = (1.0,) * d
+    if variant == VANILLA:
+        policy = VanillaPolicy(x0=x0)
+    elif variant == FIXED_STEP:
+        policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.1, constants=f.constants), x0=x0)
+    else:
+        policy = SlidingWindowPolicy(config=SlidingWindowConfig(window=4, x0=x0, c=0.3))
+    horizon, reps = 12, 3
+    env = EnvironmentSchedule.stationary(horizon, f)
+    value_of = QuadraticBowl._value
+    with mock.patch.object(QuadraticBowl, "_value", autospec=True, side_effect=value_of) as value:
+        simulate_batch(policy, env, NoiseModel.gaussian(1.0), replication_streams(0, reps))
+    assert value.call_count == horizon
+    for call in value.call_args_list:
+        assert call.args[1].shape == ((1 + 2 * d) * reps, d)
+
+
+VARIANTS = (VANILLA, FIXED_STEP, SLIDING_WINDOW, ORACLE, STATIC)
+MEASURING = (VANILLA, FIXED_STEP, SLIDING_WINDOW)
+
+
 @st.composite
 def engine_cases(draw):
-    """A random d <= 3 box, 2-3 objectives with random change times, a
-    policy of each measuring variant starting on a box face, and noise."""
-    d = draw(st.integers(1, 3))
+    """A random d <= 4 box, 2-3 objectives with random change times, a
+    policy of each variant starting on a box face, noise, and two probe
+    steps."""
+    d = draw(st.integers(1, 4))
     half = [draw(st.floats(0.5, 3.0)) for _ in range(d)]
     domain = Domain(lower=tuple(-h for h in half), upper=tuple(half))
     horizon = draw(st.integers(10, 40))
@@ -254,7 +307,7 @@ def engine_cases(draw):
     x0[face] = half[face] if draw(st.booleans()) else -half[face]
     x0 = tuple(x0)
 
-    variant = draw(st.sampled_from((VANILLA, FIXED_STEP, SLIDING_WINDOW)))
+    variant = draw(st.sampled_from(VARIANTS))
     if variant == VANILLA:
         policy = VanillaPolicy(x0=x0)
     elif variant == FIXED_STEP:
@@ -262,13 +315,23 @@ def engine_cases(draw):
         beta = draw(st.floats(0.05, 0.95)) * constants.k1 / constants.k2**2
         config = FixedStepConfig(beta=beta, c=draw(st.floats(0.05, 1.0)), constants=constants)
         policy = FixedStepPolicy(config=config, x0=x0)
-    else:
+    elif variant == SLIDING_WINDOW:
         config = SlidingWindowConfig(window=draw(st.integers(1, 8)), x0=x0, c=draw(st.floats(0.05, 1.0)))
         policy = SlidingWindowPolicy(config=config)
+    elif variant == ORACLE:
+        policy = OraclePolicy()
+    else:
+        policy = StaticPolicy(x0=x0)
 
     sigma2 = draw(st.floats(0.01, 2.0))
     noise = draw(st.sampled_from((NoiseModel.gaussian, NoiseModel.uniform_bounded)))(sigma2)
-    return variant, policy, env, noise
+    probes = tuple(draw(st.lists(st.integers(1, horizon + 1), min_size=2, max_size=2, unique=True)))
+    return variant, policy, env, noise, probes
+
+
+def _squared_distance(x, theta):
+    diff = x - theta
+    return np.sum(diff * diff)
 
 
 @settings(max_examples=30, deadline=None)
@@ -276,22 +339,37 @@ def engine_cases(draw):
 def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
     """Every replication of a batch wider than one, drawn over several noise
     blocks, equals its own single-stream run and the step-by-step
-    reference ops on ``env.objective_at(s)``, bit for bit."""
-    variant, policy, env, noise = case
+    reference ops on ``env.objective_at(s)``, bit for bit: actions,
+    instantaneous regret, boundary contacts, distance probes and the
+    final iterate."""
+    variant, policy, env, noise, probes = case
     domain = env.domain
+    horizon = env.horizon
     with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", 48):
-        batch = simulate_batch(policy, env, noise, replication_streams(seed, reps))
+        batch = simulate_batch(policy, env, noise, replication_streams(seed, reps), probe_steps=probes)
         for r in range(reps):
             trace = run_trajectory(policy, env, noise, replication_stream(seed, r))
             assert batch.total_regret[r] == trace.total_regret
 
             rng = replication_stream(seed, r)
-            x0 = policy.config.x0 if variant == SLIDING_WINDOW else policy.x0
-            state = initial_state(variant, domain, x0)
-            for s in range(1, env.horizon + 1):
-                assert np.array_equal(trace.actions[s - 1], state.x_array)
+            if variant in MEASURING:
+                x0 = policy.config.x0 if variant == SLIDING_WINDOW else policy.x0
+                state = initial_state(variant, domain, x0)
+            for s in range(1, horizon + 1):
+                f = env.objective_at(s)
+                if variant in MEASURING:
+                    x = state.x_array
+                else:
+                    x = f.theta_array if variant == ORACLE else np.asarray(policy.x0)
+                assert np.array_equal(trace.actions[s - 1], x)
+                assert trace.inst_regret[s - 1] == f.max_value - f.evaluate(x)
+                if s in probes:
+                    assert batch.distance_probes[s][r] == _squared_distance(x, f.theta_array)
+                if variant not in MEASURING:
+                    assert not trace.boundary_contact[s - 1]
+                    continue
                 c = vanilla_perturbation(s) if variant == VANILLA else policy.config.c
-                e = estimate_gradient(env.objective_at(s), noise, state.x_array, c, rng)
+                e = estimate_gradient(f, noise, x, c, rng)
                 assert trace.boundary_contact[s - 1] == e.boundary_contact
                 if variant == VANILLA:
                     state = step_vanilla(state, e)
@@ -299,4 +377,8 @@ def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
                     state = step_fixed(state, e, policy.config)
                 else:
                     state = sliding_window_advance(state, e, policy.config)
-            assert np.array_equal(trace.final_x, state.x_array)
+            final = state.x_array if variant in MEASURING else x
+            assert np.array_equal(trace.final_x, final)
+            if horizon + 1 in probes:
+                theta = env.objective_at(horizon).theta_array
+                assert batch.distance_probes[horizon + 1][r] == _squared_distance(final, theta)
