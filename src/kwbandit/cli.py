@@ -22,7 +22,7 @@ from pathlib import Path
 from .conditions import verify_conditions
 from .config import parse_config, parse_sweep, with_overrides
 from .exceptions import ConfigValidationError
-from .montecarlo import MonteCarloEstimate, regret_samples
+from .montecarlo import monte_carlo_regret
 from .runner import resolve_experiment, run_experiment, run_sweep
 
 EXIT_OK = 0
@@ -114,8 +114,7 @@ def _cmd_bounds(args) -> int:
         print(f"  input {key} = {value!r}")
     if not args.check:
         return EXIT_OK
-    totals, _, _ = regret_samples(resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
-    estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
+    estimate = monte_carlo_regret(resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
     floor = estimate.lower_confidence()
     print(f"monte-carlo mean = {estimate.mean!r} (stderr {estimate.standard_error!r}); mean - 3*SE = {floor!r}")
     if floor <= bound.value:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .noise import NoiseModel
-from .rng import replication_stream
+from .rng import replication_streams
 from .schedule import EnvironmentSchedule
 from .trajectory import Policy, RegretTrace, simulate_batch
 
@@ -60,12 +60,11 @@ def regret_samples(
         raise ValueError(f"replications must be >= 1, got {replications}")
 
     def run_chunk(chunk: range):
-        rngs = [replication_stream(base_seed, *seed_path, r) for r in chunk]
         return simulate_batch(
             policy,
             env,
             noise,
-            rngs,
+            replication_streams(base_seed, len(chunk), seed_path, chunk.start),
             record_trace=record_first_trace and chunk.start == 0,
             probe_steps=probe_steps,
         )

@@ -137,6 +137,25 @@ def test_bounds_check_passes_for_dominated_run(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+SHIPPED_SMOKE = str(Path(__file__).resolve().parents[1] / "configs" / "smoke.json")
+
+
+def test_bounds_without_check_needs_no_replications(capsys):
+    # smoke.json has one replication: the formulas alone still evaluate
+    assert main(["bounds", "--config", SHIPPED_SMOKE]) == 0
+    assert "bound fixed-step-total" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("override", [[], ["--replications", "1"]], ids=["config", "override"])
+def test_bounds_check_needs_two_replications(override, capsys):
+    # one replication has no standard error, so no statistical tolerance applies
+    assert main(["bounds", "--config", SHIPPED_SMOKE, "--check", *override]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.err.strip().splitlines()) == 1
+    assert "replications >= 2" in captured.err
+    assert "check:" not in captured.out
+
+
 def test_bounds_for_oracle_is_a_validation_error(tmp_path, capsys):
     doc = {
         "domain": {"lower": [-2.0], "upper": [2.0]},
