@@ -7,18 +7,7 @@ replication, and evaluating the matching theoretical bounds and tuning
 formulas.
 """
 
-from .algorithms import (
-    AlgorithmState,
-    FixedStepConfig,
-    SlidingWindowConfig,
-    initial_state,
-    sliding_window_action,
-    sliding_window_advance,
-    step_fixed,
-    step_vanilla,
-    vanilla_perturbation,
-    vanilla_step_size,
-)
+from .algorithms import FixedStepConfig, SlidingWindowConfig, vanilla_perturbation, vanilla_step_size
 from .bounds import (
     BoundReport,
     expected_distance_bound,
@@ -39,9 +28,8 @@ from .exceptions import (
     KWBanditError,
     MeanValueConditionError,
 )
-from .gradient import GradientEstimate, estimate_gradient
 from .montecarlo import MonteCarloEstimate, monte_carlo_regret, regret_samples
-from .noise import NoiseModel, sample_reward
+from .noise import NoiseModel
 from .objectives import ClassConstants, ObjectiveSpec, QuadraticBowl, QuarticPerturbedBowl
 from .rng import RandomStream, replication_stream, replication_streams
 from .runner import run_experiment, run_sweep
@@ -54,7 +42,6 @@ from .trajectory import (
     SlidingWindowPolicy,
     StaticPolicy,
     VanillaPolicy,
-    run_trajectory,
     simulate_batch,
 )
 from .tuning import (
@@ -68,7 +55,6 @@ from .tuning import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlgorithmState",
     "BoundReport",
     "ClassConstants",
     "ConditionReport",
@@ -80,7 +66,6 @@ __all__ = [
     "ExperimentConfig",
     "FixedStepConfig",
     "FixedStepPolicy",
-    "GradientEstimate",
     "KWBanditError",
     "MeanValueConditionError",
     "MonteCarloEstimate",
@@ -103,12 +88,10 @@ __all__ = [
     "coupled_perturbation",
     "distance_recursion_check",
     "error_floor",
-    "estimate_gradient",
     "expected_distance_bound",
     "fit_scaling_exponent",
     "fixed_step_normalized_bound",
     "fixed_step_regret_bound",
-    "initial_state",
     "monte_carlo_regret",
     "optimal_step_size",
     "optimal_window",
@@ -119,16 +102,10 @@ __all__ = [
     "replication_streams",
     "run_experiment",
     "run_sweep",
-    "run_trajectory",
-    "sample_reward",
     "simulate_batch",
-    "sliding_window_action",
-    "sliding_window_advance",
     "sliding_window_episode_bound",
     "sliding_window_normalized_bound",
     "sliding_window_regret_bound",
-    "step_fixed",
-    "step_vanilla",
     "vanilla_perturbation",
     "vanilla_step_size",
     "verify_conditions",

@@ -1,20 +1,19 @@
-"""Allocation rules: decaying-step, fixed-step, and windowed ascent.
+"""Configs of the three allocation rules and the decaying schedule.
 
-All three share the same measurement primitive (central differences) and
-keep every iterate inside the domain by Euclidean projection, which is
-nonexpansive on a box and therefore preserves every distance argument
-the tuning formulas rest on.
+The rules themselves (decaying-step, fixed-step and windowed ascent) run
+in ``trajectory.simulate_batch``.  All three share the same measurement
+primitive (central differences) and keep every iterate inside the domain
+by Euclidean projection, which is nonexpansive on a box and therefore
+preserves every distance argument the tuning formulas rest on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .domain import Domain
-from .gradient import GradientEstimate
 from .objectives import ClassConstants
 from .tuning import contraction_factor
 
@@ -123,95 +122,3 @@ class SlidingWindowConfig:
         w = np.arange(1, self.window + 1, dtype=float) ** -0.5
         w.flags.writeable = False
         return w
-
-    @cached_property
-    def x0_array(self) -> np.ndarray:
-        a = np.array(self.x0, dtype=float)
-        a.flags.writeable = False
-        return a
-
-
-@dataclass(frozen=True)
-class AlgorithmState:
-    """Immutable per-trajectory state; step ops return a new state."""
-
-    variant: str
-    domain: Domain
-    x: tuple[float, ...]
-    step_count: int = 0
-    window_buffer: tuple[GradientEstimate, ...] = field(default=())
-
-    def __post_init__(self):
-        if self.variant not in (VANILLA, FIXED_STEP, SLIDING_WINDOW):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        if not self.domain.contains(self.x):
-            raise ValueError(f"iterate {self.x} lies outside the domain")
-        if self.step_count < 0:
-            raise ValueError(f"step_count must be >= 0, got {self.step_count}")
-
-    @property
-    def x_array(self) -> np.ndarray:
-        return np.array(self.x, dtype=float)
-
-    @property
-    def next_step(self) -> int:
-        """1-based index of the upcoming update."""
-        return self.step_count + 1
-
-
-def initial_state(variant: str, domain: Domain, x0) -> AlgorithmState:
-    return AlgorithmState(variant=variant, domain=domain, x=tuple(float(v) for v in np.atleast_1d(np.asarray(x0, dtype=float))))
-
-
-def step_vanilla(state: AlgorithmState, estimate: GradientEstimate) -> AlgorithmState:
-    """x <- project(x + s**(-1/2) * y) at update index s = step_count + 1."""
-    if state.variant != VANILLA:
-        raise ValueError(f"step_vanilla requires a vanilla state, got {state.variant!r}")
-    s = state.next_step
-    new_x = state.domain.project(state.x_array + vanilla_step_size(s) * estimate.y_array)
-    return AlgorithmState(variant=VANILLA, domain=state.domain, x=tuple(new_x), step_count=s)
-
-
-def step_fixed(state: AlgorithmState, estimate: GradientEstimate, config: FixedStepConfig) -> AlgorithmState:
-    """x <- project(x + beta * y)."""
-    if state.variant != FIXED_STEP:
-        raise ValueError(f"step_fixed requires a fixed-step state, got {state.variant!r}")
-    new_x = state.domain.project(state.x_array + config.beta * estimate.y_array)
-    return AlgorithmState(variant=FIXED_STEP, domain=state.domain, x=tuple(new_x), step_count=state.next_step)
-
-
-def sliding_window_action(
-    config: SlidingWindowConfig, buffer: tuple[GradientEstimate, ...], domain: Domain
-) -> np.ndarray:
-    """project(x0 + sum_n n**(-1/2) * y_(n)), oldest estimate first."""
-    m = len(buffer)
-    if m > config.window:
-        raise ValueError(f"buffer holds {m} estimates, window is {config.window}")
-    # Left-to-right accumulation, oldest first; the batch engine reproduces
-    # this order exactly, so replaying a stored buffer is bit-for-bit.
-    acc = np.zeros(domain.dimension)
-    for k, est in enumerate(buffer):
-        acc = acc + config.weights[k] * est.y_array
-    return domain.project(config.x0_array + acc)
-
-
-def sliding_window_advance(
-    state: AlgorithmState, estimate: GradientEstimate, config: SlidingWindowConfig
-) -> AlgorithmState:
-    """Absorb one estimate, restarting from the anchor once the buffer is
-    full, and recompute the action from the buffer."""
-    if state.variant != SLIDING_WINDOW:
-        raise ValueError(f"sliding_window_advance requires a sliding-window state, got {state.variant!r}")
-    buffer = state.window_buffer
-    if len(buffer) >= config.window:
-        buffer = ()
-    buffer = buffer + (estimate,)
-    new_x = sliding_window_action(config, buffer, state.domain)
-    return AlgorithmState(
-        variant=SLIDING_WINDOW,
-        domain=state.domain,
-        x=tuple(new_x),
-        step_count=state.next_step,
-        window_buffer=buffer,
-    )

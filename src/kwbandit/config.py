@@ -570,6 +570,8 @@ def _load(source: str | dict) -> dict:
         doc = json.loads(source)
     except json.JSONDecodeError as exc:
         raise ConfigValidationError([f"config is not well-formed JSON: {exc}"]) from exc
+    except RecursionError:
+        raise ConfigValidationError(["config is nested too deeply to parse"]) from None
     if not isinstance(doc, dict):
         raise ConfigValidationError(["config: top level must be a JSON object"])
     return doc

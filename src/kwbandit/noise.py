@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import ObjectiveSpec
 from .rng import RandomStream
 
 GAUSSIAN = "gaussian"
@@ -78,9 +77,3 @@ class NoiseModel:
             return rng.normal(0.0, np.sqrt(self.sigma2), size)
         w = self.support_half_width
         return rng.uniform(-w, w, size)
-
-
-def sample_reward(noise: NoiseModel, objective: ObjectiveSpec, x, rng: RandomStream) -> float:
-    """One noisy reward f(x) + xi with E[xi] = 0 and Var[xi] <= sigma2."""
-    value = objective.evaluate(x)
-    return float(value + noise.draw(rng))

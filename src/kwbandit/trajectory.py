@@ -13,6 +13,9 @@ array of the step's 1 + 2d points for every replication: x itself, whose
 value gives the step's regret, then x + c e_i and x - c e_i for each axis
 i, clamped into the box, whose noisy values give the central-difference
 gradient estimate.
+
+``simulate_batch`` is the only implementation of the three step rules;
+``algorithms`` holds their configs and the decaying schedule.
 """
 
 from __future__ import annotations
@@ -287,14 +290,3 @@ def simulate_batch(
             final_x=final,
         )
     return BatchResult(total_regret=cum, trace=trace, distance_probes=probe_out)
-
-
-def run_trajectory(
-    policy: Policy,
-    env: EnvironmentSchedule,
-    noise: NoiseModel,
-    rng: RandomStream,
-) -> RegretTrace:
-    """Execute one trajectory over the full schedule and record its trace."""
-    result = simulate_batch(policy, env, noise, [rng], record_trace=True)
-    return result.trace

@@ -24,7 +24,6 @@ from kwbandit import (
     SlidingWindowPolicy,
     calibrate_window_constant,
     distance_recursion_check,
-    estimate_gradient,
     fixed_step_regret_bound,
     optimal_step_size,
     optimal_window,
@@ -32,7 +31,7 @@ from kwbandit import (
     parse_sweep,
     regret_samples,
     replication_stream,
-    run_trajectory,
+    simulate_batch,
     sliding_window_regret_bound,
     verify_conditions,
 )
@@ -133,7 +132,7 @@ def test_criterion_02_exact_noiseless_contraction():
     bowl = QuadraticBowl(domain=BOX, theta=(0.0,), b=1.0)
     policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.1, constants=bowl.constants), x0=(1.0,))
     env = EnvironmentSchedule.stationary(50, bowl)
-    trace = run_trajectory(policy, env, NoiseModel.none(), replication_stream(0, 0))
+    trace = simulate_batch(policy, env, NoiseModel.none(), [replication_stream(0, 0)], record_trace=True).trace
     iterate_errors = [abs(trace.actions[s, 0] - 0.8**s) for s in range(50)]
     iterate_errors.append(abs(trace.final_x[0] - 0.8**50))
     closed_form = (1.0 - 0.64**50) / 0.36
@@ -154,9 +153,14 @@ def test_criterion_03_gradient_estimator_order():
     x = (0.8, 0.5)
     exact = quartic.gradient(x)
     errors = []
+    beta = 0.0625
     for c in (0.2, 0.1, 0.05):
-        est = estimate_gradient(quartic, NoiseModel.none(), x, c, replication_stream(0, 0))
-        errors.append(float(np.linalg.norm(est.y_array - exact)))
+        # the engine's estimate y, read back from one interior fixed-step update x + beta * y
+        policy = FixedStepPolicy(config=FixedStepConfig(beta=beta, c=c, constants=quartic.constants), x0=x)
+        env = EnvironmentSchedule.stationary(1, quartic)
+        batch = simulate_batch(policy, env, NoiseModel.none(), [replication_stream(0, 0)], record_trace=True)
+        estimate = (batch.trace.final_x - np.asarray(x)) / beta
+        errors.append(float(np.linalg.norm(estimate - exact)))
     ratios = (errors[0] / errors[1], errors[1] / errors[2])
     elapsed = time.perf_counter() - started
     ok = all(3.5 <= r <= 4.5 for r in ratios) and elapsed < 1.0

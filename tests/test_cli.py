@@ -67,12 +67,6 @@ def test_run_writes_artifacts(smoke, tmp_path, capsys):
     assert "mean total regret" in capsys.readouterr().out
 
 
-def test_removed_threads_flag_is_a_usage_error(smoke, tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--config", smoke, "--out", str(tmp_path / "out"), "--threads", "2"])
-    assert exc.value.code == 2
-
-
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = write_config(tmp_path, {"horizon": 10})
     assert main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 1
@@ -89,23 +83,6 @@ def test_verify_reports_conditions(smoke, tmp_path, capsys):
 def test_verify_rejects_a_grid_too_coarse_to_difference(grid, smoke, capsys):
     assert main(["verify", "--config", smoke, "--grid", str(grid)]) == 1
     assert "grid_points_per_axis" in capsys.readouterr().err
-
-
-def test_verify_rejects_a_grid_over_the_point_budget(capsys):
-    config = Path(__file__).resolve().parents[1] / "configs" / "quartic_conditions.json"
-    assert main(["verify", "--config", str(config), "--grid", "1001"]) == 1
-    err = capsys.readouterr().err.strip()
-    assert len(err.splitlines()) == 1
-    assert "1001" in err and "1002001" in err
-
-
-def test_bounds_check_fails_for_undominated_run(tmp_path, capsys):
-    # a declared steady-distance constant k5 far below the rule's real one
-    # shrinks the windowed bound under the measured regret, so --check must
-    # exit 3
-    cfg = write_config(tmp_path, window_doc(k5=0.01))
-    assert main(["bounds", "--config", cfg, "--check"]) == 3
-    assert "FAIL" in capsys.readouterr().out
 
 
 def test_bounds_prints_plain_floats(tmp_path, capsys):
@@ -176,10 +153,6 @@ def test_sweep_subcommand(sweep_config, tmp_path, capsys):
     assert "fitted exponent" in capsys.readouterr().out
 
 
-def test_missing_config_file_is_io_error(tmp_path, capsys):
-    assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
-
-
 @pytest.mark.parametrize("override", [["--seed", "-1"], ["--replications", "0"]], ids=["seed", "replications"])
 @pytest.mark.parametrize("command", [["run"], ["sweep"], ["bounds", "--check"]], ids=["run", "sweep", "bounds"])
 def test_bad_override_is_a_validation_error(command, override, smoke, sweep_config, tmp_path, capsys):
@@ -188,3 +161,64 @@ def test_bad_override_is_a_validation_error(command, override, smoke, sweep_conf
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "override." in err
+
+
+QUARTIC_CONDITIONS = str(Path(__file__).resolve().parents[1] / "configs" / "quartic_conditions.json")
+
+# id, argv ("{dir}" is a scratch directory holding the files of
+# ``bad_inputs``), exit code, lines on stderr, texts naming the fault (on
+# stdout for exit 3, the failed check's report)
+EXIT_CODE_MATRIX = [
+    ("missing-config", ["run", "--config", "{dir}/nope.json"], 2, 1, ("No such file",)),
+    ("directory", ["run", "--config", "{dir}"], 2, 1, ("Is a directory",)),
+    ("non-utf8", ["run", "--config", "{dir}/non-utf8.json"], 1, 1, ("can't decode byte 0xff",)),
+    ("invalid-json", ["run", "--config", "{dir}/invalid.json"], 1, 2, ("not well-formed JSON",)),
+    ("non-object-json", ["run", "--config", "{dir}/array.json"], 1, 2, ("top level must be a JSON object",)),
+    ("unknown-key", ["run", "--config", "{dir}/unknown-key.json"], 1, 2, ("unknown key 'extra_field'",)),
+    ("deep-nesting", ["run", "--config", "{dir}/deep.json"], 1, 2, ("nested too deeply",)),
+    ("bad-seed", ["run", "--config", SHIPPED_SMOKE, "--seed", "-1"], 1, 2, ("override.base_seed",)),
+    ("grid-1", ["verify", "--config", SHIPPED_SMOKE, "--grid", "1"], 1, 1, ("grid_points_per_axis",)),
+    ("grid-over-budget", ["verify", "--config", QUARTIC_CONDITIONS, "--grid", "1001"], 1, 1, ("1001", "1002001")),
+    ("bounds-check-one-replication", ["bounds", "--config", SHIPPED_SMOKE, "--check"], 1, 1, ("replications >= 2",)),
+    ("unknown-flag", ["run", "--config", SHIPPED_SMOKE, "--threads", "2"], 2, 2, ("unrecognized arguments: --threads",)),
+    ("out-names-a-file", ["run", "--config", SHIPPED_SMOKE, "--out", "{dir}/a-file"], 2, 1, ("File exists",)),
+    ("undominated-bounds-check", ["bounds", "--config", "{dir}/window.json", "--check"], 3, 0, ("check: FAIL",)),
+]
+
+
+@pytest.fixture
+def bad_inputs(tmp_path):
+    files = {
+        "non-utf8.json": b"\xff\xfe{}",
+        "invalid.json": b"{",
+        "array.json": b"[1, 2]",
+        "unknown-key.json": json.dumps({**json.loads(Path(SHIPPED_SMOKE).read_text()), "extra_field": 1}).encode(),
+        "deep.json": b"[" * 100_000,
+        # a declared steady-distance constant k5 far below the rule's real
+        # one shrinks the windowed bound under the measured regret
+        "window.json": json.dumps(window_doc(k5=0.01)).encode(),
+        "a-file": b"",
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    return tmp_path
+
+
+@pytest.mark.parametrize(
+    "argv, code, lines, texts", [row[1:] for row in EXIT_CODE_MATRIX], ids=[row[0] for row in EXIT_CODE_MATRIX]
+)
+def test_bad_input_exit_code(argv, code, lines, texts, bad_inputs, capsys):
+    argv = [arg.replace("{dir}", str(bad_inputs)) for arg in argv]
+    if "--out" not in argv:
+        argv += ["--out", str(bad_inputs / "out")]
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        exit_code = exc.code
+    captured = capsys.readouterr()
+    assert exit_code == code
+    assert "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == lines
+    report = captured.out if code == 3 else captured.err
+    for text in texts:
+        assert text in report

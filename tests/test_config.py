@@ -125,6 +125,13 @@ class TestParseConfig:
         with pytest.raises(ConfigValidationError, match="well-formed"):
             parse_config("{not json")
 
+    @pytest.mark.parametrize("parse", [parse_config, parse_sweep], ids=["config", "sweep"])
+    def test_deeply_nested_document_is_one_validation_error(self, parse):
+        # deep enough to exhaust the JSON decoder's recursion limit
+        with pytest.raises(ConfigValidationError) as err:
+            parse("[" * 100_000)
+        assert err.value.errors == ["config is nested too deeply to parse"]
+
     def test_sliding_window_fields(self):
         doc = smoke_doc(algorithm={"variant": "sliding-window", "window": 8, "c": 0.5, "x0": [0.0]})
         cfg = parse_config(json.dumps(doc))

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from kwbandit import NoiseModel, replication_stream, sample_reward
+from kwbandit import NoiseModel, replication_stream
 
 
 def test_none_noise_is_exact(bowl):
     rng = replication_stream(0, 0)
-    assert sample_reward(NoiseModel.none(), bowl, (1.0,), rng) == -1.0
+    assert bowl.evaluate((1.0,)) + NoiseModel.none().draw(rng) == -1.0
     # and consumes no stream values
     assert rng.integers(0, 100) == replication_stream(0, 0).integers(0, 100)
 
@@ -36,7 +36,7 @@ def test_uniform_bounded_support(bowl):
     noise = NoiseModel.uniform_bounded(1.0 / 3.0)
     assert noise.support_half_width == pytest.approx(1.0, abs=1e-15)
     fx = bowl.evaluate((0.5,))
-    draws = np.array([sample_reward(noise, bowl, (0.5,), rng) for _ in range(2000)])
+    draws = fx + np.array([noise.draw(rng) for _ in range(2000)])
     assert np.all(draws >= fx - 1.0) and np.all(draws <= fx + 1.0)
     assert draws.var(ddof=1) <= 1.0 / 3.0 + 3 * (1 / 3) * np.sqrt(2 / 1999)
 

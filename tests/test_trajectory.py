@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwbandit.trajectory as traj
+import reference
 from kwbandit import (
     Domain,
     EnvironmentSchedule,
@@ -19,19 +20,17 @@ from kwbandit import (
     SlidingWindowPolicy,
     StaticPolicy,
     VanillaPolicy,
-    estimate_gradient,
-    initial_state,
     replication_stream,
     replication_streams,
-    run_trajectory,
     simulate_batch,
-    sliding_window_advance,
-    step_fixed,
-    step_vanilla,
-    vanilla_perturbation,
 )
 from kwbandit.algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA
 from kwbandit.config import ORACLE, STATIC
+
+
+def single_trace(policy, env, noise, rng):
+    """The recorded trace of a batch of one replication."""
+    return simulate_batch(policy, env, noise, [rng], record_trace=True).trace
 
 
 @pytest.fixture
@@ -50,7 +49,7 @@ def two_bowls(box1d):
 class TestNoiselessTrace:
     def test_exact_geometric_recursion(self, bowl, fixed_policy, no_noise):
         env = EnvironmentSchedule.stationary(10, bowl)
-        trace = run_trajectory(fixed_policy, env, no_noise, replication_stream(0, 0))
+        trace = single_trace(fixed_policy, env, no_noise, replication_stream(0, 0))
         assert trace.actions[0, 0] == 1.0
         assert trace.inst_regret[0] == pytest.approx(1.0, abs=1e-15)
         assert trace.actions[1, 0] == pytest.approx(0.8, abs=1e-13)
@@ -61,13 +60,13 @@ class TestNoiselessTrace:
     def test_start_at_maximizer_zero_regret(self, bowl, no_noise):
         policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.1, constants=bowl.constants), x0=(0.0,))
         env = EnvironmentSchedule.stationary(20, bowl)
-        trace = run_trajectory(policy, env, no_noise, replication_stream(0, 0))
+        trace = single_trace(policy, env, no_noise, replication_stream(0, 0))
         assert np.all(trace.inst_regret == 0.0)
         assert trace.total_regret == 0.0
 
     def test_bookkeeping_identities(self, bowl, fixed_policy, no_noise):
         env = EnvironmentSchedule.stationary(25, bowl)
-        trace = run_trajectory(fixed_policy, env, no_noise, replication_stream(0, 0))
+        trace = single_trace(fixed_policy, env, no_noise, replication_stream(0, 0))
         assert trace.horizon == 25
         assert trace.cum_regret[-1] == pytest.approx(np.sum(trace.inst_regret), rel=1e-14)
         assert np.all(np.diff(trace.cum_regret) >= 0)
@@ -76,7 +75,7 @@ class TestNoiselessTrace:
 
 def test_oracle_has_zero_regret(two_bowls, box1d):
     env = EnvironmentSchedule(horizon=50, change_times=(1, 20), objectives=two_bowls)
-    trace = run_trajectory(OraclePolicy(), env, NoiseModel.gaussian(1.0), replication_stream(0, 0))
+    trace = single_trace(OraclePolicy(), env, NoiseModel.gaussian(1.0), replication_stream(0, 0))
     assert np.all(trace.inst_regret == 0.0)
     assert np.array_equal(trace.actions[:19, 0], np.full(19, -0.5))
     assert np.array_equal(trace.actions[19:, 0], np.full(31, 0.5))
@@ -84,7 +83,7 @@ def test_oracle_has_zero_regret(two_bowls, box1d):
 
 def test_static_policy_constant_action(bowl, no_noise):
     env = EnvironmentSchedule.stationary(10, bowl)
-    trace = run_trajectory(StaticPolicy(x0=(1.0,)), env, no_noise, replication_stream(0, 0))
+    trace = single_trace(StaticPolicy(x0=(1.0,)), env, no_noise, replication_stream(0, 0))
     assert np.all(trace.actions == 1.0)
     assert trace.total_regret == pytest.approx(10.0, abs=1e-12)
 
@@ -95,14 +94,14 @@ def test_iterates_stay_inside_domain(two_bowls, box1d):
     policy = FixedStepPolicy(
         config=FixedStepConfig(beta=0.2, c=0.05, constants=two_bowls[0].constants), x0=(1.9,)
     )
-    trace = run_trajectory(policy, env, noise, replication_stream(3, 0))
+    trace = single_trace(policy, env, noise, replication_stream(3, 0))
     assert np.all(trace.actions >= -2.0) and np.all(trace.actions <= 2.0)
     assert trace.boundary_contact.any()  # big noise near the wall must clamp sometimes
 
 
 def test_episode_column_matches_schedule(two_bowls):
     env = EnvironmentSchedule(horizon=10, change_times=(1, 4), objectives=two_bowls)
-    trace = run_trajectory(StaticPolicy(x0=(0.0,)), env, NoiseModel.none(), replication_stream(0, 0))
+    trace = single_trace(StaticPolicy(x0=(0.0,)), env, NoiseModel.none(), replication_stream(0, 0))
     assert list(trace.episode) == [1, 1, 1, 2, 2, 2, 2, 2, 2, 2]
     totals = trace.episode_regret_totals()
     assert totals.shape == (2,)
@@ -112,85 +111,61 @@ def test_episode_column_matches_schedule(two_bowls):
 def test_per_episode_totals_sum_to_cumulative(two_bowls):
     env = EnvironmentSchedule(horizon=137, change_times=(1, 31, 90), objectives=two_bowls + (two_bowls[0],))
     policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.2, constants=two_bowls[0].constants), x0=(0.9,))
-    trace = run_trajectory(policy, env, NoiseModel.gaussian(1.0), replication_stream(5, 0))
+    trace = single_trace(policy, env, NoiseModel.gaussian(1.0), replication_stream(5, 0))
     assert np.sum(trace.episode_regret_totals()) == pytest.approx(trace.total_regret, rel=1e-12)
 
 
 class TestEngineMatchesReferenceOps:
-    """The batched engine must reproduce the step-by-step reference ops
-    bit for bit, including the stream consumption order."""
+    """The batched engine must reproduce the step-by-step reference bit
+    for bit, including the stream consumption order."""
 
-    def test_fixed_step(self, bowl, box1d):
+    def test_fixed_step(self, bowl):
         noise = NoiseModel.gaussian(1.0)
-        cfg = FixedStepConfig(beta=0.1, c=0.2, constants=bowl.constants)
+        policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.2, constants=bowl.constants), x0=(1.0,))
         env = EnvironmentSchedule.stationary(40, bowl)
-        trace = run_trajectory(FixedStepPolicy(config=cfg, x0=(1.0,)), env, noise, replication_stream(11, 0))
+        trace = single_trace(policy, env, noise, replication_stream(11, 0))
+        actions, contacts, final = reference.run(FIXED_STEP, policy, env, noise, replication_stream(11, 0))
+        assert np.array_equal(trace.actions, actions)
+        assert np.array_equal(trace.boundary_contact, contacts)
+        assert np.array_equal(trace.final_x, final)
 
-        rng = replication_stream(11, 0)
-        state = initial_state(FIXED_STEP, box1d, (1.0,))
-        for s in range(1, 41):
-            assert np.array_equal(trace.actions[s - 1], state.x_array)
-            e = estimate_gradient(bowl, noise, state.x_array, cfg.c, rng)
-            assert trace.boundary_contact[s - 1] == e.boundary_contact
-            state = step_fixed(state, e, cfg)
-        assert np.array_equal(trace.final_x, state.x_array)
-
-    def test_vanilla(self, bowl, box1d):
+    def test_vanilla(self, bowl):
         noise = NoiseModel.uniform_bounded(0.5)
+        policy = VanillaPolicy(x0=(1.5,))
         env = EnvironmentSchedule.stationary(30, bowl)
-        trace = run_trajectory(VanillaPolicy(x0=(1.5,)), env, noise, replication_stream(13, 0))
+        trace = single_trace(policy, env, noise, replication_stream(13, 0))
+        actions, _, final = reference.run(VANILLA, policy, env, noise, replication_stream(13, 0))
+        assert np.array_equal(trace.actions, actions)
+        assert np.array_equal(trace.final_x, final)
 
-        rng = replication_stream(13, 0)
-        state = initial_state(VANILLA, box1d, (1.5,))
-        for s in range(1, 31):
-            assert np.array_equal(trace.actions[s - 1], state.x_array)
-            e = estimate_gradient(bowl, noise, state.x_array, vanilla_perturbation(s), rng)
-            state = step_vanilla(state, e)
-        assert np.array_equal(trace.final_x, state.x_array)
-
-    def test_sliding_window(self, bowl, box1d):
+    def test_sliding_window(self, bowl):
         noise = NoiseModel.gaussian(0.5)
-        cfg = SlidingWindowConfig(window=4, x0=(1.0,), c=0.3)
+        policy = SlidingWindowPolicy(config=SlidingWindowConfig(window=4, x0=(1.0,), c=0.3))
         env = EnvironmentSchedule.stationary(25, bowl)
-        trace = run_trajectory(SlidingWindowPolicy(config=cfg), env, noise, replication_stream(17, 0))
-
-        rng = replication_stream(17, 0)
-        state = initial_state(SLIDING_WINDOW, box1d, (1.0,))
-        for s in range(1, 26):
-            assert np.array_equal(trace.actions[s - 1], state.x_array)
-            e = estimate_gradient(bowl, noise, state.x_array, cfg.c, rng)
-            state = sliding_window_advance(state, e, cfg)
-        assert np.array_equal(trace.final_x, state.x_array)
+        trace = single_trace(policy, env, noise, replication_stream(17, 0))
+        actions, _, final = reference.run(SLIDING_WINDOW, policy, env, noise, replication_stream(17, 0))
+        assert np.array_equal(trace.actions, actions)
+        assert np.array_equal(trace.final_x, final)
 
     def test_2d_fixed_step(self, box2d):
         f = QuadraticBowl(domain=box2d, theta=(0.5, -0.3), b=0.8)
         noise = NoiseModel.gaussian(1.0)
-        cfg = FixedStepConfig(beta=0.15, c=0.25, constants=f.constants)
+        policy = FixedStepPolicy(config=FixedStepConfig(beta=0.15, c=0.25, constants=f.constants), x0=(1.0, 1.0))
         env = EnvironmentSchedule.stationary(20, f)
-        trace = run_trajectory(FixedStepPolicy(config=cfg, x0=(1.0, 1.0)), env, noise, replication_stream(19, 0))
-
-        rng = replication_stream(19, 0)
-        state = initial_state(FIXED_STEP, box2d, (1.0, 1.0))
-        for s in range(1, 21):
-            assert np.array_equal(trace.actions[s - 1], state.x_array)
-            e = estimate_gradient(f, noise, state.x_array, cfg.c, rng)
-            state = step_fixed(state, e, cfg)
-        assert np.array_equal(trace.final_x, state.x_array)
+        trace = single_trace(policy, env, noise, replication_stream(19, 0))
+        actions, _, final = reference.run(FIXED_STEP, policy, env, noise, replication_stream(19, 0))
+        assert np.array_equal(trace.actions, actions)
+        assert np.array_equal(trace.final_x, final)
 
     def test_2d_sliding_window(self, box2d):
         f = QuadraticBowl(domain=box2d, theta=(0.5, -0.3), b=0.8)
         noise = NoiseModel.gaussian(0.25)
-        cfg = SlidingWindowConfig(window=3, x0=(1.0, -1.0), c=0.4)
+        policy = SlidingWindowPolicy(config=SlidingWindowConfig(window=3, x0=(1.0, -1.0), c=0.4))
         env = EnvironmentSchedule.stationary(17, f)
-        trace = run_trajectory(SlidingWindowPolicy(config=cfg), env, noise, replication_stream(23, 0))
-
-        rng = replication_stream(23, 0)
-        state = initial_state(SLIDING_WINDOW, box2d, (1.0, -1.0))
-        for s in range(1, 18):
-            assert np.array_equal(trace.actions[s - 1], state.x_array)
-            e = estimate_gradient(f, noise, state.x_array, cfg.c, rng)
-            state = sliding_window_advance(state, e, cfg)
-        assert np.array_equal(trace.final_x, state.x_array)
+        trace = single_trace(policy, env, noise, replication_stream(23, 0))
+        actions, _, final = reference.run(SLIDING_WINDOW, policy, env, noise, replication_stream(23, 0))
+        assert np.array_equal(trace.actions, actions)
+        assert np.array_equal(trace.final_x, final)
 
 
 class TestBatchSemantics:
@@ -199,7 +174,7 @@ class TestBatchSemantics:
         env = EnvironmentSchedule.stationary(30, bowl)
         batch = simulate_batch(fixed_policy, env, noise, replication_streams(7, 5))
         for r in range(5):
-            solo = run_trajectory(fixed_policy, env, noise, replication_stream(7, r))
+            solo = single_trace(fixed_policy, env, noise, replication_stream(7, r))
             assert solo.total_regret == batch.total_regret[r]
 
     def test_block_size_does_not_change_results(self, bowl, fixed_policy, monkeypatch):
@@ -237,13 +212,13 @@ def test_short_episodes_and_a_change_at_the_final_step(box1d, horizon, change_ti
     env = EnvironmentSchedule(horizon=horizon, change_times=change_times, objectives=objectives)
     noise = NoiseModel.gaussian(1.0)
 
-    oracle = run_trajectory(OraclePolicy(), env, noise, replication_stream(0, 0))
+    oracle = single_trace(OraclePolicy(), env, noise, replication_stream(0, 0))
     assert list(oracle.episode) == episodes
     assert np.all(oracle.inst_regret == 0.0)
     assert list(oracle.actions[:, 0]) == [thetas[e - 1] for e in episodes]
 
     cfg = FixedStepConfig(beta=0.1, c=0.2, constants=objectives[0].constants)
-    trace = run_trajectory(FixedStepPolicy(config=cfg, x0=(1.0,)), env, noise, replication_stream(0, 0))
+    trace = single_trace(FixedStepPolicy(config=cfg, x0=(1.0,)), env, noise, replication_stream(0, 0))
     assert list(trace.episode) == episodes
     for s in range(1, horizon + 1):
         f = env.objective_at(s)
@@ -274,7 +249,6 @@ def test_each_step_evaluates_all_its_points_in_one_objective_call(variant, d):
 
 
 VARIANTS = (VANILLA, FIXED_STEP, SLIDING_WINDOW, ORACLE, STATIC)
-MEASURING = (VANILLA, FIXED_STEP, SLIDING_WINDOW)
 
 
 @st.composite
@@ -338,46 +312,27 @@ def _squared_distance(x, theta):
 @given(case=engine_cases(), reps=st.integers(3, 5), seed=st.integers(0, 2**31 - 1))
 def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
     """Every replication of a batch wider than one, drawn over several noise
-    blocks, equals its own single-stream run and the step-by-step
-    reference ops on ``env.objective_at(s)``, bit for bit: actions,
-    instantaneous regret, boundary contacts, distance probes and the
-    final iterate."""
+    blocks, equals its own single-stream run and the step-by-step run of
+    ``tests/reference.py`` on ``env.objective_at(s)``, bit for bit:
+    actions, instantaneous regret, boundary contacts, distance probes and
+    the final iterate."""
     variant, policy, env, noise, probes = case
-    domain = env.domain
     horizon = env.horizon
     with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", 48):
         batch = simulate_batch(policy, env, noise, replication_streams(seed, reps), probe_steps=probes)
         for r in range(reps):
-            trace = run_trajectory(policy, env, noise, replication_stream(seed, r))
+            trace = single_trace(policy, env, noise, replication_stream(seed, r))
             assert batch.total_regret[r] == trace.total_regret
 
-            rng = replication_stream(seed, r)
-            if variant in MEASURING:
-                x0 = policy.config.x0 if variant == SLIDING_WINDOW else policy.x0
-                state = initial_state(variant, domain, x0)
+            actions, contacts, final = reference.run(variant, policy, env, noise, replication_stream(seed, r))
             for s in range(1, horizon + 1):
                 f = env.objective_at(s)
-                if variant in MEASURING:
-                    x = state.x_array
-                else:
-                    x = f.theta_array if variant == ORACLE else np.asarray(policy.x0)
+                x = actions[s - 1]
                 assert np.array_equal(trace.actions[s - 1], x)
                 assert trace.inst_regret[s - 1] == f.max_value - f.evaluate(x)
                 if s in probes:
                     assert batch.distance_probes[s][r] == _squared_distance(x, f.theta_array)
-                if variant not in MEASURING:
-                    assert not trace.boundary_contact[s - 1]
-                    continue
-                c = vanilla_perturbation(s) if variant == VANILLA else policy.config.c
-                e = estimate_gradient(f, noise, x, c, rng)
-                assert trace.boundary_contact[s - 1] == e.boundary_contact
-                if variant == VANILLA:
-                    state = step_vanilla(state, e)
-                elif variant == FIXED_STEP:
-                    state = step_fixed(state, e, policy.config)
-                else:
-                    state = sliding_window_advance(state, e, policy.config)
-            final = state.x_array if variant in MEASURING else x
+                assert trace.boundary_contact[s - 1] == contacts[s - 1]
             assert np.array_equal(trace.final_x, final)
             if horizon + 1 in probes:
                 theta = env.objective_at(horizon).theta_array
