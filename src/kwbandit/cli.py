@@ -62,7 +62,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigValidationError([f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
 
 
 def _cmd_verify(args) -> int:

@@ -24,9 +24,10 @@ class MeanValueConditionError(KWBanditError):
 class ConfigValidationError(KWBanditError):
     """A config document failed validation.
 
-    Carries the full list of problems, not just the first one.
+    Carries the full list of problems, not just the first one; the
+    message names them all on one line.
     """
 
     def __init__(self, errors: list[str]):
         self.errors = list(errors)
-        super().__init__("invalid config:\n" + "\n".join(f"  - {e}" for e in self.errors))
+        super().__init__("invalid config: " + "; ".join(self.errors))

@@ -97,8 +97,12 @@ class ObjectiveSpec(ABC):
     def constants(self) -> ClassConstants: ...
 
     @abstractmethod
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        """Objective value at x, shape (..., d) -> (...); no domain check."""
+    def _value(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Objective value at x, shape (..., d) -> (...); no domain check.
+
+        With ``out`` (shape (...)), the value is written into it and
+        returned; subclasses must honour it, since the engine reads ``out``.
+        """
 
     @abstractmethod
     def _gradient(self, x: np.ndarray) -> np.ndarray:
@@ -136,6 +140,12 @@ class ObjectiveSpec(ABC):
         )
         return 0.5 * float(c) ** 2
 
+    def _squared_distance(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """||x - theta||**2, shape (..., d) -> (...)."""
+        u = np.subtract(x, self.theta_array)
+        np.multiply(u, u, out=u)
+        return np.add.reduce(u, axis=-1, out=out)
+
     def _check_common(self):
         if len(self.theta) != self.domain.dimension:
             raise ValueError(
@@ -170,9 +180,9 @@ class QuadraticBowl(ObjectiveSpec):
     def constants(self) -> ClassConstants:
         return ClassConstants(k1=2 * self.b, k2=2 * self.b, k3=self.b, k4=2 * self.b, k5=self.k5, s0=self.s0)
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        u = x - self.theta_array
-        return self.a - self.b * np.sum(u * u, axis=-1)
+    def _value(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        r2 = self._squared_distance(x, out=out)
+        return np.subtract(self.a, np.multiply(self.b, r2, out=out), out=out)
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         return -2.0 * self.b * (x - self.theta_array)
@@ -235,10 +245,13 @@ class QuarticPerturbedBowl(ObjectiveSpec):
             s0=self.s0,
         )
 
-    def _value(self, x: np.ndarray) -> np.ndarray:
-        u = x - self.theta_array
-        r2 = np.sum(u * u, axis=-1)
-        return self.a - self.b * r2 - self.q * r2 * r2
+    def _value(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        # a - b*r2 - (q*r2)*r2, in that order
+        r2 = self._squared_distance(x)
+        quartic = np.multiply(self.q, r2)
+        quartic *= r2
+        value = np.subtract(self.a, np.multiply(self.b, r2, out=out), out=out)
+        return np.subtract(value, quartic, out=out)
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         u = x - self.theta_array

@@ -213,9 +213,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _make_out_dir(out_dir: str | Path | None) -> None:
+    """Create the output directory before any simulation, so a path that
+    cannot be one (an existing file) fails at once."""
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write a header and rows of already formatted cells."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -254,6 +260,7 @@ def run_experiment(
     cfg = with_overrides(cfg, seed=seed, replications=replications)
     resolved = resolve_experiment(cfg)
     env = resolved.env
+    _make_out_dir(out_dir)
 
     totals, _, trace = regret_samples(
         resolved.policy,
@@ -354,6 +361,7 @@ def run_sweep(
             bound_value=bound.value if bound else None,
         )
 
+    _make_out_dir(out_dir)
     points = tuple(run_point(index, value) for index, value in enumerate(sweep.values))
 
     slope, r2 = fit_scaling_exponent([(p.scale, p.normalized_regret) for p in points])

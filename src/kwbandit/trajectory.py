@@ -8,11 +8,31 @@ stream is consumed in a fixed per-step order (axis-major, plus before
 minus), so adding replications or splitting them into different batches
 never perturbs existing ones.
 
-A measuring rule evaluates the objective once per step, on one stacked
-array of the step's 1 + 2d points for every replication: x itself, whose
-value gives the step's regret, then x + c e_i and x - c e_i for each axis
-i, clamped into the box, whose noisy values give the central-difference
-gradient estimate.
+Each measuring rule (decaying-step, fixed-step, sliding-window) is two
+operations: ``perturbations(first, count)`` gives the perturbation c of a
+block of steps, and ``update(x, g, s)`` overwrites the iterates x with
+those that follow step s, given its gradient estimates g.  One loop, which
+never asks which rule it runs, evaluates the objective once per step on
+one stacked array of the step's 1 + 2d points for every replication: x
+itself, whose value gives the step's regret, then x + c e_i and x - c e_i
+for each axis i, clamped into the box, whose noisy values give the
+central-difference gradient estimate.
+
+Every array the loop writes (the points, their values, the gradient, the
+iterates, the regret and its running sum, the window's action sum) is
+allocated once per batch, and each operation is a ufunc writing into one
+of them with ``out=``.  No ufunc writes over an input that can have one
+element: NumPy's overlap check costs more than the operation itself on
+the one-element arrays of a one-replication batch, so the running sums
+alternate between two arrays and the updates go through scratch arrays.
+The noise and the decaying schedule's tables are built once per noise
+block.  With ``record_trace`` the loop stores only
+replication 0's action, regret and cumulative regret; the boundary-contact
+column (from the actions and each step's c) and the episode column (from
+the change times) are derived after it in vectorized passes.
+
+The oracle and static policies never measure: their action changes only
+at an episode start, so each episode's regret is evaluated once.
 
 ``simulate_batch`` is the only implementation of the three step rules;
 ``algorithms`` holds their configs and the decaying schedule.
@@ -31,7 +51,12 @@ from .noise import NONE, NoiseModel
 from .rng import RandomStream
 from .schedule import EnvironmentSchedule
 
+# A noise block holds at most this many noise values and spans at most this
+# many steps; the per-block tables of perturbations and rates stay as small.
 _NOISE_BLOCK_VALUES = 4_000_000
+_NOISE_BLOCK_STEPS = 4096
+# Slab 1 + 2i of a step's points is x + c e_i, slab 2 + 2i is x - c e_i.
+_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -130,6 +155,112 @@ def _policy_start(policy: Policy, env: EnvironmentSchedule) -> np.ndarray:
     return x0
 
 
+class _Rule:
+    """A measuring rule: ``perturbations(first, count)`` gives the
+    perturbation c of steps first .. first + count - 1 (a constant ``c``
+    unless a rule overrides it), and ``update(x, g, s)`` overwrites the
+    iterates x with those that follow step s.  ``step`` and ``trial`` are
+    (reps, d) scratch arrays, so that no ufunc writes over its own input.
+    """
+
+    c: float
+
+    def __init__(self, reps: int, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi = lo, hi
+        self.step, self.trial = np.empty((reps, lo.shape[0])), np.empty((reps, lo.shape[0]))
+
+    def perturbations(self, first: int, count: int) -> np.ndarray:
+        return np.full(count, self.c)
+
+    def _project(self, x: np.ndarray, point: np.ndarray) -> None:
+        """x <- project(point); ties go to the bound, as in np.clip."""
+        np.maximum(point, self.lo, out=self.step)
+        np.minimum(self.step, self.hi, out=x)
+
+    def _ascend(self, x: np.ndarray, g: np.ndarray, rate) -> None:
+        """x <- project(x + rate * g)."""
+        np.multiply(g, rate, out=self.step)
+        self._project(x, np.add(x, self.step, out=self.trial))
+
+
+class _DecayingStep(_Rule):
+    """Rate s**(-1/2) and perturbation s**(-1/4), tabulated per block."""
+
+    def perturbations(self, first: int, count: int) -> np.ndarray:
+        steps = range(first, first + count)
+        self.first = first
+        self.rates = np.fromiter(map(vanilla_step_size, steps), float, count)
+        return np.fromiter(map(vanilla_perturbation, steps), float, count)
+
+    def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
+        self._ascend(x, g, self.rates[s - self.first])
+
+
+class _FixedStep(_Rule):
+    """Constant rate beta and perturbation c."""
+
+    def __init__(self, config: FixedStepConfig, reps: int, lo: np.ndarray, hi: np.ndarray):
+        super().__init__(reps, lo, hi)
+        self.beta, self.c = config.beta, config.c
+
+    def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
+        self._ascend(x, g, self.beta)
+
+
+class _SlidingWindow(_Rule):
+    """x <- project(anchor + sum_n n**(-1/2) y_n) over the estimates since
+    the last restart; the sum empties after ``window`` estimates."""
+
+    def __init__(self, config: SlidingWindowConfig, anchor: np.ndarray, reps: int, lo: np.ndarray, hi: np.ndarray):
+        super().__init__(reps, lo, hi)
+        self.c, self.window, self.weights = config.c, config.window, config.weights
+        self.anchor = anchor
+        self.action_sum = np.zeros((reps, anchor.shape[0]))
+        self.filled = 0
+
+    def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
+        if self.filled == self.window:
+            self.action_sum.fill(0.0)
+            self.filled = 0
+        np.multiply(g, self.weights[self.filled], out=self.step)
+        np.add(self.action_sum, self.step, out=self.trial)
+        self.action_sum, self.trial = self.trial, self.action_sum
+        self.filled += 1
+        self._project(x, np.add(self.anchor, self.action_sum, out=self.trial))
+
+
+def _rule(policy: Policy, anchor: np.ndarray, reps: int, lo: np.ndarray, hi: np.ndarray) -> _Rule:
+    if isinstance(policy, VanillaPolicy):
+        return _DecayingStep(reps, lo, hi)
+    if isinstance(policy, FixedStepPolicy):
+        return _FixedStep(policy.config, reps, lo, hi)
+    return _SlidingWindow(policy.config, anchor, reps, lo, hi)
+
+
+class _TraceColumns:
+    """Replication 0's per-step columns, as the step loops fill them."""
+
+    def __init__(self, horizon: int, d: int):
+        self.actions = np.empty((horizon, d))
+        self.inst = np.empty(horizon)
+        self.cum = np.empty(horizon)
+        self.contact = np.zeros(horizon, dtype=bool)
+
+    def finish(self, env: EnvironmentSchedule, x: np.ndarray) -> RegretTrace:
+        episode = np.repeat(np.arange(1, env.num_episodes + 1), env.episode_lengths)
+        trace = RegretTrace(
+            actions=self.actions,
+            inst_regret=self.inst,
+            cum_regret=self.cum,
+            episode=episode,
+            boundary_contact=self.contact,
+            final_x=x[0].copy(),
+        )
+        for column in (trace.actions, trace.inst_regret, trace.cum_regret, episode, trace.boundary_contact, trace.final_x):
+            column.flags.writeable = False
+        return trace
+
+
 def simulate_batch(
     policy: Policy,
     env: EnvironmentSchedule,
@@ -144,10 +275,10 @@ def simulate_batch(
     ``probe_steps`` requests per-replication squared distances
     ``||X_s - theta_s||**2`` at the listed steps (``horizon + 1`` probes the
     iterate left after the final update).  When ``record_trace`` is set,
-    the full per-step trace of replication 0 is returned.
+    the full per-step trace of replication 0 is returned.  Every returned
+    array is new and owns its memory.
     """
     domain = env.domain
-    d = domain.dimension
     lo, hi = domain.lower_array, domain.upper_array
     reps = len(rngs)
     horizon = env.horizon
@@ -157,136 +288,146 @@ def simulate_batch(
     probes = sorted(set(int(s) for s in probe_steps))
     if probes and not (1 <= probes[0] and probes[-1] <= horizon + 1):
         raise ValueError(f"probe steps must lie in [1, horizon + 1 = {horizon + 1}], got {probes}")
-    probe_set = set(probes)
     probe_out: dict[int, np.ndarray] = {}
 
     x_start = _policy_start(policy, env)
     x = np.tile(x_start, (reps, 1))
+    columns = _TraceColumns(horizon, domain.dimension) if record_trace else None
 
-    measuring = isinstance(policy, (VanillaPolicy, FixedStepPolicy, SlidingWindowPolicy))
-    is_vanilla = isinstance(policy, VanillaPolicy)
-    is_fixed = isinstance(policy, FixedStepPolicy)
-    is_oracle = isinstance(policy, OraclePolicy)
+    if isinstance(policy, (OraclePolicy, StaticPolicy)):
+        cum = _hold(isinstance(policy, OraclePolicy), env, x, set(probes), probe_out, columns)
+    else:
+        cum = _measure(_rule(policy, x_start, reps, lo, hi), env, noise, rngs, x, set(probes), probe_out, columns)
 
-    if is_fixed:
-        beta = policy.config.beta
-        c = policy.config.c
-    if isinstance(policy, SlidingWindowPolicy):
-        swc = policy.config
-        weights = swc.weights
-        window = swc.window
-        c = swc.c
-        anchor = x_start
-        action_sum = np.zeros((reps, d))
-        filled = 0
-    if measuring:
-        # The 1 + 2d points of a step, one (reps, d) slab each: slab 0 is x,
-        # slabs 1 + 2i and 2 + 2i are x + c e_i and x - c e_i (axis-major,
-        # plus before minus).  plus[i] and minus[i] view coordinate i of
-        # slabs 1 + 2i and 2 + 2i, the only coordinates a step perturbs.
-        points = np.empty((1 + 2 * d, reps, d))
-        flat_points = points.reshape(-1, d)
-        diagonal = (2 * points.strides[0] + points.strides[2], points.strides[1])
-        plus = as_strided(points[1, :, 0], shape=(d, reps), strides=diagonal)
-        minus = as_strided(points[2, :, 0], shape=(d, reps), strides=diagonal)
-        lo_col, hi_col = lo[:, None], hi[:, None]
+    if horizon + 1 in probes:
+        probe_out[horizon + 1] = env.objectives[-1]._squared_distance(x)
+    trace = columns.finish(env, x) if columns is not None else None
+    return BatchResult(total_regret=cum, trace=trace, distance_probes=probe_out)
 
-    cum = np.zeros(reps)
-    if record_trace:
-        tr_actions = np.empty((horizon, d))
-        tr_inst = np.empty(horizon)
-        tr_cum = np.empty(horizon)
-        tr_episode = np.empty(horizon, dtype=np.int64)
-        tr_contact = np.zeros(horizon, dtype=bool)
+
+def _measure(
+    rule: _Rule,
+    env: EnvironmentSchedule,
+    noise: NoiseModel,
+    rngs: list[RandomStream],
+    x: np.ndarray,
+    probe_set: set[int],
+    probe_out: dict[int, np.ndarray],
+    columns: _TraceColumns | None,
+) -> np.ndarray:
+    """The step loop of a measuring rule: advances x in place and returns
+    each replication's total regret.
+
+    The loop never branches on the rule.  Boundary contacts are derived
+    after each noise block's steps, from the recorded actions and the
+    block's perturbations."""
+    reps, d = x.shape
+    horizon = env.horizon
+    lo, hi = env.domain.lower_array, env.domain.upper_array
+    lo_col, hi_col = lo[:, None], hi[:, None]
+    x_cols = x.T
+
+    # The 1 + 2d points of a step, one (reps, d) slab each: slab 0 is x,
+    # slabs 1 + 2i and 2 + 2i are x + c e_i and x - c e_i (axis-major,
+    # plus before minus).  shifted[0, i] and shifted[1, i] view coordinate
+    # i of slabs 1 + 2i and 2 + 2i, the only coordinates a step perturbs.
+    points = np.empty((1 + 2 * d, reps, d))
+    flat_points = points.reshape(-1, d)
+    slab, row, col = points.strides
+    shifted = as_strided(points[1, :, 0], shape=(2, d, reps), strides=(slab, 2 * slab + col, row))
+    values = np.empty((1 + 2 * d, reps))
+    flat_values = values.reshape(-1)
+    at_x, samples = values[0], values[1:]
+    plus_samples, minus_samples = samples[0::2], samples[1::2]
+    diff, quotient = np.empty((d, reps)), np.empty((d, reps))
+    grad = quotient.T
+    inst, cum, cum_next = np.empty(reps), np.zeros(reps), np.empty(reps)
+
+    values_per_step = 2 * d if noise.kind != NONE else 0
+    block_cap = max(1, min(_NOISE_BLOCK_STEPS, _NOISE_BLOCK_VALUES // (reps * max(1, values_per_step))))
+    if values_per_step:
+        noise_block = np.empty((reps, min(block_cap, horizon), values_per_step))
+        step_noise = noise_block.transpose(1, 2, 0)
+    if columns is not None:
+        tr_actions, tr_inst, tr_cum = columns.actions, columns.inst, columns.cum
+        x_first = x[0]
 
     episode_idx = 0
     objective = env.objectives[0]
-    theta = objective.theta_array
     f_at_theta = objective.max_value
     episode_end = env.change_times[1:] + (horizon + 1,)
     next_change = episode_end[0]
 
-    values_per_step = 2 * d if (measuring and noise.kind != NONE) else 0
-    block_cap = max(1, _NOISE_BLOCK_VALUES // max(1, reps * max(1, values_per_step)))
-
     step = 1
     while step <= horizon:
         block = min(block_cap, horizon - step + 1)
+        cs = rule.perturbations(step, block)
+        offsets = np.multiply.outer(cs, _SIGNS)[:, :, None, None]
+        spans = 2.0 * cs
         if values_per_step:
-            noise_block = np.empty((reps, block, values_per_step))
             for r, rng in enumerate(rngs):
-                noise_block[r] = noise.draw(rng, block * values_per_step).reshape(block, values_per_step)
+                noise_block[r, :block] = noise.draw(rng, block * values_per_step).reshape(block, values_per_step)
         for j in range(block):
             s = step + j
             if s == next_change:
                 episode_idx += 1
                 next_change = episode_end[episode_idx]
                 objective = env.objectives[episode_idx]
-                theta = objective.theta_array
                 f_at_theta = objective.max_value
-                if is_oracle:
-                    x = np.tile(theta, (reps, 1))
 
-            if measuring:
-                if is_vanilla:
-                    c = vanilla_perturbation(s)
-                points[...] = x
-                x_cols = x.T
-                np.minimum(x_cols + c, hi_col, out=plus)
-                np.maximum(x_cols - c, lo_col, out=minus)
-                values = objective._value(flat_points).reshape(1 + 2 * d, reps)
-                inst = f_at_theta - values[0]
-            else:
-                inst = f_at_theta - objective._value(x)
-            cum += inst
+            points[...] = x
+            np.add(x_cols, offsets[j], out=shifted)
+            np.maximum(shifted, lo_col, out=shifted)
+            np.minimum(shifted, hi_col, out=shifted)
+            objective._value(flat_points, out=flat_values)
+            np.subtract(f_at_theta, at_x, out=inst)
+            np.add(cum, inst, out=cum_next)
+            cum, cum_next = cum_next, cum
             if s in probe_set:
-                diff = x - theta
-                probe_out[s] = np.sum(diff * diff, axis=-1)
-            if record_trace:
-                tr_actions[s - 1] = x[0]
+                probe_out[s] = objective._squared_distance(x)
+            if columns is not None:
+                tr_actions[s - 1] = x_first
                 tr_inst[s - 1] = inst[0]
                 tr_cum[s - 1] = cum[0]
-                tr_episode[s - 1] = episode_idx + 1
-                if measuring:
-                    tr_contact[s - 1] = ((x[0] + c > hi) | (x[0] - c < lo)).any()
 
-            if not measuring:
-                continue
-
-            samples = values[1:]
             if values_per_step:
-                samples = samples + noise_block[:, j].T
-            grad_est = (samples[0::2] - samples[1::2]).T / (2.0 * c)
+                np.add(samples, step_noise[j], out=samples)
+            np.subtract(plus_samples, minus_samples, out=diff)
+            np.divide(diff, spans[j], out=quotient)
+            rule.update(x, grad, s)
 
-            if is_vanilla:
-                x = np.clip(x + vanilla_step_size(s) * grad_est, lo, hi)
-            elif is_fixed:
-                x = np.clip(x + beta * grad_est, lo, hi)
-            else:
-                if filled == window:
-                    action_sum = np.zeros((reps, d))
-                    filled = 0
-                action_sum = action_sum + weights[filled] * grad_est
-                filled += 1
-                x = np.clip(anchor + action_sum, lo, hi)
+        if columns is not None:
+            rows = slice(step - 1, step - 1 + block)
+            actions, c_col = tr_actions[rows], cs[:, None]
+            np.any((actions + c_col > hi) | (actions - c_col < lo), axis=1, out=columns.contact[rows])
         step += block
+    return cum
 
-    if horizon + 1 in probe_set:
-        diff = x - theta
-        probe_out[horizon + 1] = np.sum(diff * diff, axis=-1)
 
-    trace = None
-    if record_trace:
-        for arr in (tr_actions, tr_inst, tr_cum, tr_episode, tr_contact):
-            arr.flags.writeable = False
-        final = x[0].copy()
-        final.flags.writeable = False
-        trace = RegretTrace(
-            actions=tr_actions,
-            inst_regret=tr_inst,
-            cum_regret=tr_cum,
-            episode=tr_episode,
-            boundary_contact=tr_contact,
-            final_x=final,
-        )
-    return BatchResult(total_regret=cum, trace=trace, distance_probes=probe_out)
+def _hold(
+    oracle: bool,
+    env: EnvironmentSchedule,
+    x: np.ndarray,
+    probe_set: set[int],
+    probe_out: dict[int, np.ndarray],
+    columns: _TraceColumns | None,
+) -> np.ndarray:
+    """Oracle and static play: the action changes only when the oracle
+    moves to a new episode's maximizer, so an episode's regret is one value.
+    Returns each replication's total regret."""
+    cum = np.zeros(len(x))
+    ends = env.change_times[1:] + (env.horizon + 1,)
+    for objective, first, end in zip(env.objectives, env.change_times, ends):
+        if oracle:
+            x[...] = objective.theta_array
+        inst = objective.max_value - objective._value(x)
+        for s in range(first, end):
+            np.add(cum, inst, out=cum)
+            if s in probe_set:
+                probe_out[s] = objective._squared_distance(x)
+            if columns is not None:
+                columns.cum[s - 1] = cum[0]
+        if columns is not None:
+            columns.actions[first - 1 : end - 1] = x[0]
+            columns.inst[first - 1 : end - 1] = inst[0]
+    return cum

@@ -49,3 +49,34 @@ def test_reference_imports_nothing_from_kwbandit():
     imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
     assert imported
     assert not [name for name in imported if name.split(".")[0] == "kwbandit"]
+
+
+def test_benchmark_child_uses_only_names_kwbandit_provides():
+    # perfbench/child.py drives the scan and library workloads through
+    # ``kb.<name>`` and a few ``from kwbandit.<module> import`` lines; an
+    # engine refactor must keep each of them resolving
+    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "child.py").read_text())
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "kwbandit"
+    }
+    assert aliases == {"kb", "kwbandit"}
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "kb"
+    }
+    assert used
+    assert [name for name in sorted(used) if not hasattr(kwbandit, name)] == []
+    imported = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kwbandit.")
+        for alias in node.names
+    ]
+    assert imported
+    for module, name in imported:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"

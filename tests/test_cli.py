@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from kwbandit import runner
 from kwbandit.cli import main
 
 
@@ -167,16 +168,16 @@ QUARTIC_CONDITIONS = str(Path(__file__).resolve().parents[1] / "configs" / "quar
 
 # id, argv ("{dir}" is a scratch directory holding the files of
 # ``bad_inputs``), exit code, lines on stderr, texts naming the fault (on
-# stdout for exit 3, the failed check's report)
+# stdout for exit 3, the failed check's report; "{dir}" as in argv)
 EXIT_CODE_MATRIX = [
     ("missing-config", ["run", "--config", "{dir}/nope.json"], 2, 1, ("No such file",)),
     ("directory", ["run", "--config", "{dir}"], 2, 1, ("Is a directory",)),
-    ("non-utf8", ["run", "--config", "{dir}/non-utf8.json"], 1, 1, ("can't decode byte 0xff",)),
-    ("invalid-json", ["run", "--config", "{dir}/invalid.json"], 1, 2, ("not well-formed JSON",)),
-    ("non-object-json", ["run", "--config", "{dir}/array.json"], 1, 2, ("top level must be a JSON object",)),
-    ("unknown-key", ["run", "--config", "{dir}/unknown-key.json"], 1, 2, ("unknown key 'extra_field'",)),
-    ("deep-nesting", ["run", "--config", "{dir}/deep.json"], 1, 2, ("nested too deeply",)),
-    ("bad-seed", ["run", "--config", SHIPPED_SMOKE, "--seed", "-1"], 1, 2, ("override.base_seed",)),
+    ("non-utf8", ["run", "--config", "{dir}/non-utf8.json"], 1, 1, ("{dir}/non-utf8.json", "not UTF-8")),
+    ("invalid-json", ["run", "--config", "{dir}/invalid.json"], 1, 1, ("not well-formed JSON",)),
+    ("non-object-json", ["run", "--config", "{dir}/array.json"], 1, 1, ("top level must be a JSON object",)),
+    ("unknown-key", ["run", "--config", "{dir}/unknown-key.json"], 1, 1, ("unknown key 'extra_field'",)),
+    ("deep-nesting", ["run", "--config", "{dir}/deep.json"], 1, 1, ("nested too deeply",)),
+    ("bad-seed", ["run", "--config", SHIPPED_SMOKE, "--seed", "-1"], 1, 1, ("override.base_seed",)),
     ("grid-1", ["verify", "--config", SHIPPED_SMOKE, "--grid", "1"], 1, 1, ("grid_points_per_axis",)),
     ("grid-over-budget", ["verify", "--config", QUARTIC_CONDITIONS, "--grid", "1001"], 1, 1, ("1001", "1002001")),
     ("bounds-check-one-replication", ["bounds", "--config", SHIPPED_SMOKE, "--check"], 1, 1, ("replications >= 2",)),
@@ -221,4 +222,19 @@ def test_bad_input_exit_code(argv, code, lines, texts, bad_inputs, capsys):
     assert len(captured.err.splitlines()) == lines
     report = captured.out if code == 3 else captured.err
     for text in texts:
-        assert text in report
+        assert text.replace("{dir}", str(bad_inputs)) in report
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_out_naming_a_file_fails_before_simulating(command, smoke, sweep_config, tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before checking --out")
+
+    monkeypatch.setattr(runner, "regret_samples", no_simulation)
+    a_file = tmp_path / "a-file"
+    a_file.write_bytes(b"")
+    config = sweep_config if command == "sweep" else smoke
+    assert main([command, "--config", config, "--out", str(a_file)]) == 2
+    err = capsys.readouterr().err
+    assert "File exists" in err
+    assert len(err.splitlines()) == 1

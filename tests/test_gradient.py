@@ -44,8 +44,8 @@ def test_componentwise_on_anisotropic_surface(box2d, no_noise):
     # f = -((x1)^2 + 2(x2)^2) is emulated with b=1 bowl plus a direct check
     # of per-axis central differences on an explicit callable oracle.
     class Aniso(QuadraticBowl):
-        def _value(self, x):
-            return -(x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2)
+        def _value(self, x, out=None):
+            return np.negative(x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2, out=out)
 
         def _gradient(self, x):
             return np.stack([-2.0 * x[..., 0], -4.0 * x[..., 1]], axis=-1)

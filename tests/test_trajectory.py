@@ -1,3 +1,4 @@
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -246,6 +247,45 @@ def test_each_step_evaluates_all_its_points_in_one_objective_call(variant, d):
     assert value.call_count == horizon
     for call in value.call_args_list:
         assert call.args[1].shape == ((1 + 2 * d) * reps, d)
+
+
+@pytest.mark.parametrize("variant", [VANILLA, FIXED_STEP, SLIDING_WINDOW, ORACLE, STATIC])
+def test_returned_arrays_own_their_memory_and_outlive_the_next_call(variant, box2d):
+    objectives = (
+        QuadraticBowl(domain=box2d, theta=(0.5, -0.3), b=0.8),
+        QuarticPerturbedBowl(domain=box2d, theta=(-0.4, 0.2), b=1.0, q=0.1),
+    )
+    env = EnvironmentSchedule(horizon=30, change_times=(1, 12), objectives=objectives)
+    x0 = (1.0, -1.0)
+    policy = {
+        VANILLA: VanillaPolicy(x0=x0),
+        FIXED_STEP: FixedStepPolicy(config=FixedStepConfig(beta=0.02, c=0.2, constants=env.combined_constants()), x0=x0),
+        SLIDING_WINDOW: SlidingWindowPolicy(config=SlidingWindowConfig(window=4, x0=x0, c=0.3)),
+        ORACLE: OraclePolicy(),
+        STATIC: StaticPolicy(x0=x0),
+    }[variant]
+
+    def returned(seed):
+        result = simulate_batch(
+            policy, env, NoiseModel.gaussian(1.0), replication_streams(seed, 3), record_trace=True, probe_steps=(1, 12, 31)
+        )
+        trace = result.trace
+        columns = (trace.actions, trace.inst_regret, trace.cum_regret, trace.episode, trace.boundary_contact)
+        return [result.total_regret, *result.distance_probes.values(), *columns, trace.final_x]
+
+    first = returned(0)
+    assert len(first) == 10
+    for array in first:
+        assert array.flags.owndata
+    for a, b in combinations(first, 2):
+        assert not np.shares_memory(a, b)
+    kept = [array.copy() for array in first]
+    second = returned(1)
+    for array, copy in zip(first, kept):
+        assert np.array_equal(array, copy)
+    for a in first:
+        for b in second:
+            assert not np.shares_memory(a, b)
 
 
 VARIANTS = (VANILLA, FIXED_STEP, SLIDING_WINDOW, ORACLE, STATIC)
