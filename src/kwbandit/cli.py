@@ -9,8 +9,10 @@ Subcommands:
 * ``bounds`` - evaluate the config's theoretical bound from parameters
                alone (``--check`` also simulates and verifies domination)
 
-Exit codes: 0 success, 1 validation error, 2 runtime/IO error,
-3 check failure (failed condition report or failed ``bounds --check``).
+Every subcommand assembles the config before its own work.  Exit codes:
+0 success, 1 validation error (a config that does not assemble too),
+2 runtime/IO error, 3 check failure (failed condition report or failed
+``bounds --check``).
 """
 
 from __future__ import annotations
@@ -69,7 +71,8 @@ def _read(path: str) -> str:
 
 
 def _cmd_verify(args) -> int:
-    cfg = parse_config(_read(args.config))
+    cfg = with_overrides(parse_config(_read(args.config)), seed=args.seed, replications=args.replications)
+    resolve_experiment(cfg)  # rejects every config that run rejects
     objectives = cfg.build_objectives()
     all_hold = True
     for i, objective in enumerate(objectives):

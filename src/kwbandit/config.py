@@ -3,7 +3,9 @@ validation and round-trip serialization.
 
 Unknown keys are rejected, every validation problem is collected (not
 just the first), and ``parse_config(json.dumps(cfg.to_dict()))`` yields an
-equal config.  The schema is documented in the README.
+equal config.  The schema is documented in the README.  Parsing checks
+the document only; ``runner.resolve_experiment`` assembles a config (its
+schedule, tuning and policy) and reports what does not assemble.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from .domain import Domain
 from .exceptions import ConfigValidationError
-from .noise import GAUSSIAN, NONE, UNIFORM_BOUNDED, NoiseModel
+from .noise import GAUSSIAN, NONE, UNIFORM_BOUNDED
 from .objectives import QUADRATIC_BOWL, QUARTIC_PERTURBED_BOWL, ObjectiveSpec, QuadraticBowl, QuarticPerturbedBowl
 from .schedule import EnvironmentSchedule
 from .algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA
@@ -131,21 +133,13 @@ class ExperimentConfig:
             doc["schedule"] = self.schedule.to_dict()
         return doc
 
-    def build_domain(self) -> Domain:
-        return Domain(lower=self.domain_lower, upper=self.domain_upper)
-
     def build_objectives(self) -> tuple[ObjectiveSpec, ...]:
-        domain = self.build_domain()
+        domain = Domain(lower=self.domain_lower, upper=self.domain_upper)
         return tuple(entry.build(domain) for entry in self.objectives)
-
-    def build_noise(self) -> NoiseModel:
-        return NoiseModel(kind=self.noise_kind, sigma2=self.noise_sigma2)
 
     def build_schedule(self) -> EnvironmentSchedule:
         objectives = list(self.build_objectives())
         if self.schedule is None or (self.schedule.episodes is not None and self.schedule.episodes == 1):
-            if self.schedule is None and len(objectives) != 1:
-                raise ConfigValidationError(["objectives: a config without a schedule must declare exactly one objective"])
             return EnvironmentSchedule.stationary(self.horizon, objectives[0])
         if self.schedule.episodes is not None:
             return EnvironmentSchedule.evenly_spaced(self.horizon, self.schedule.episodes, objectives)
@@ -452,13 +446,11 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
         ):
             chk.fail(f"algorithm.x0: {list(algorithm.x0)} lies outside the domain box")
 
-    n_episodes = None
-    if schedule is not None:
-        n_episodes = schedule.episodes if schedule.episodes is not None else len(schedule.change_times or ())
-    elif "schedule" not in doc:
-        n_episodes = 1
-    if n_episodes is not None and entries:
-        if schedule is not None and schedule.change_times is not None and len(entries) != n_episodes:
+    if "schedule" not in doc and len(entries) > 1:
+        chk.fail("objectives: a config without a schedule must declare exactly one objective")
+    if entries and schedule is not None:
+        n_episodes = schedule.episodes or len(schedule.change_times)
+        if schedule.change_times is not None and len(entries) != n_episodes:
             chk.fail(
                 f"objectives: explicit change_times declare {n_episodes} episodes "
                 f"but {len(entries)} objectives were given (need one per episode)"
@@ -468,7 +460,7 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
 
     if chk.errors:
         return None
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         domain_lower=lower,
         domain_upper=upper,
         objectives=tuple(entries),
@@ -480,18 +472,14 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
         base_seed=base_seed,
         schedule=schedule,
     )
-    try:
-        cfg.build_schedule()
-    except (ValueError, ConfigValidationError) as exc:
-        chk.fail(f"config does not assemble: {exc}")
-        return None
-    return cfg
 
 
 def parse_config(source: str | dict) -> ExperimentConfig:
     """Parse and validate a config document (JSON text or a dict tree).
 
-    Raises ConfigValidationError carrying every problem found.
+    Checks the document only and builds nothing; ``resolve_experiment``
+    assembles the result.  Raises ConfigValidationError carrying every
+    problem found.
     """
     doc = _load(source)
     chk = _Checker()
@@ -519,7 +507,11 @@ def with_overrides(
 
 
 def parse_sweep(source: str | dict) -> SweepSpec:
-    """Parse a sweep document: a config plus a top-level 'sweep' section."""
+    """Parse a sweep document: a config plus a top-level 'sweep' section.
+
+    Like ``parse_config`` it checks the document only; ``run_sweep``
+    assembles every point before it simulates one.
+    """
     doc = _load(source)
     chk = _Checker()
     sweep_doc = doc.get("sweep")
@@ -551,13 +543,6 @@ def parse_sweep(source: str | dict) -> SweepSpec:
             chk.fail("sweep: axis 'beta' requires an explicitly tuned fixed-step algorithm")
         if axis == "L" and not (base.algorithm.variant == SLIDING_WINDOW and base.algorithm.tuning == EXPLICIT):
             chk.fail("sweep: axis 'L' requires an explicitly tuned sliding-window algorithm")
-        if axis in ("T", "delta_T"):
-            spec = SweepSpec(axis=axis, values=values, base=base)
-            for v in values:
-                try:
-                    spec.config_for(v).build_schedule()
-                except (ValueError, ConfigValidationError) as exc:
-                    chk.fail(f"sweep value {v:g} does not assemble: {exc}")
     if chk.errors:
         raise ConfigValidationError(chk.errors)
     return SweepSpec(axis=axis, values=values, base=base)

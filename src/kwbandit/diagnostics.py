@@ -40,11 +40,6 @@ class RecursionCheckReport:
     paired_stderr: float
     holds: bool
 
-    @property
-    def slack(self) -> float:
-        """How far below the allowance the paired mean sits (>= 0 iff holds)."""
-        return self.floor + 3.0 * self.paired_stderr - self.paired_mean
-
 
 def distance_recursion_check(
     config: FixedStepConfig,

@@ -33,7 +33,7 @@ from .trajectory import (
     StaticPolicy,
     VanillaPolicy,
 )
-from .tuning import coupled_perturbation, error_floor, optimal_step_size, optimal_window
+from .tuning import coupled_perturbation, optimal_step_size, optimal_window
 
 TRACE_COLUMNS_FIXED = ["step", "episode", "inst_regret", "cum_regret", "boundary_contact"]
 
@@ -121,12 +121,20 @@ class ResolvedExperiment:
 
 
 def resolve_experiment(cfg: ExperimentConfig) -> ResolvedExperiment:
-    """Build domain/schedule/noise/policy from a validated config; auto
-    tuning computes the rate or window from the schedule's change rate and
-    echoes the values used."""
+    """Assemble a parsed config: build schedule/noise/policy; auto tuning
+    computes the rate or window from the schedule's change rate and echoes
+    the values used.  Whatever does not assemble (a beta that breaks
+    contraction, say) raises one ConfigValidationError."""
+    try:
+        return _assemble(cfg)
+    except ValueError as exc:
+        raise ConfigValidationError([f"config does not assemble: {exc}"]) from exc
+
+
+def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
     env = cfg.build_schedule()
     domain = env.domain
-    noise = cfg.build_noise()
+    noise = NoiseModel(kind=cfg.noise_kind, sigma2=cfg.noise_sigma2)
     constants = env.combined_constants()
     alg = cfg.algorithm
     episodes = env.num_episodes
@@ -148,31 +156,28 @@ def resolve_experiment(cfg: ExperimentConfig) -> ResolvedExperiment:
     elif alg.variant == VANILLA:
         policy = VanillaPolicy(x0=alg.x0)
     elif alg.variant == FIXED_STEP:
+        sigma_tilde2 = noise.sigma_tilde2(domain.dimension)
         if alg.tuning == AUTO:
             try:
-                beta = optimal_step_size(
-                    domain.diameter, noise.sigma_tilde2(domain.dimension), alg.alpha, cfg.horizon, episodes
-                )
+                beta = optimal_step_size(domain.diameter, sigma_tilde2, alg.alpha, cfg.horizon, episodes)
             except ValueError as exc:
-                raise ConfigValidationError([f"algorithm: auto tuning failed: {exc}"]) from exc
+                raise ValueError(f"algorithm: auto tuning failed: {exc}") from exc
             c = coupled_perturbation(beta, alg.alpha)
         else:
             beta, c = alg.beta, alg.c
-        fs = FixedStepConfig(beta=beta, c=c, constants=constants, alpha=alg.alpha)
-        policy = FixedStepPolicy(config=fs, x0=alg.x0)
+        policy = FixedStepPolicy(config=FixedStepConfig(beta=beta, c=c, constants=constants, alpha=alg.alpha), x0=alg.x0)
         epsilon = env.max_mean_value_offset(c)
-        sigma_tilde2 = noise.sigma_tilde2(domain.dimension)
+        bound = fixed_step_regret_bound(
+            constants, domain.diameter, sigma_tilde2, beta, c, epsilon, cfg.horizon, episodes
+        )
         echo = replace(
             echo,
             beta=beta,
             c=c,
             alpha=alg.alpha,
             epsilon=epsilon,
-            gamma=fs.gamma,
-            error_floor=error_floor(beta, c, sigma_tilde2, domain.diameter, constants.k4, constants.k2, epsilon),
-        )
-        bound = fixed_step_regret_bound(
-            constants, domain.diameter, sigma_tilde2, beta, c, epsilon, cfg.horizon, episodes
+            gamma=bound.input("gamma"),
+            error_floor=bound.input("error_floor"),
         )
     else:
         if alg.tuning == AUTO:
@@ -180,9 +185,7 @@ def resolve_experiment(cfg: ExperimentConfig) -> ResolvedExperiment:
         else:
             window = alg.window
         if window <= constants.s0:
-            raise ConfigValidationError(
-                [f"algorithm.window: window {window} must exceed the declared burn-in s0={constants.s0}"]
-            )
+            raise ValueError(f"algorithm.window: window {window} must exceed the declared burn-in s0={constants.s0}")
         sw = SlidingWindowConfig(window=window, x0=alg.x0, c=alg.c)
         policy = SlidingWindowPolicy(config=sw)
         echo = replace(echo, window=window, c=sw.c, refresh=RESTART, k5=constants.k5)
@@ -319,14 +322,23 @@ def run_sweep(
     the normalized regret against the axis scale (the change rate
     episodes/horizon for the delta_T axis, the raw value otherwise).
 
+    Every point is resolved before the first one simulates.
+
     ``value_source`` is a testing hook: a callable
     ``(index, value, config) -> (mean, stderr)`` replacing simulation.
     """
     sweep = replace(sweep, base=with_overrides(sweep.base, seed=seed, replications=replications))
+    resolved_points, errors = [], []
+    for value in sweep.values:
+        try:
+            resolved_points.append(resolve_experiment(sweep.config_for(value)))
+        except ConfigValidationError as exc:
+            errors += [f"sweep value {value:g}: {error}" for error in exc.errors]
+    if errors:
+        raise ConfigValidationError(errors)
 
-    def run_point(index: int, value) -> SweepRow:
-        cfg = sweep.config_for(value)
-        resolved = resolve_experiment(cfg)
+    def run_point(index: int, resolved: ResolvedExperiment) -> SweepRow:
+        cfg, value = resolved.config, sweep.values[index]
         if value_source is not None:
             mean, stderr = value_source(index, value, cfg)
         else:
@@ -362,7 +374,7 @@ def run_sweep(
         )
 
     _make_out_dir(out_dir)
-    points = tuple(run_point(index, value) for index, value in enumerate(sweep.values))
+    points = tuple(run_point(index, resolved) for index, resolved in enumerate(resolved_points))
 
     slope, r2 = fit_scaling_exponent([(p.scale, p.normalized_regret) for p in points])
 

@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kwbandit import runner
 from kwbandit.cli import main
+from kwbandit.config import ExperimentConfig
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -164,7 +166,9 @@ def test_bad_override_is_a_validation_error(command, override, smoke, sweep_conf
     assert "override." in err
 
 
-QUARTIC_CONDITIONS = str(Path(__file__).resolve().parents[1] / "configs" / "quartic_conditions.json")
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+QUARTIC_CONDITIONS = str(CONFIGS / "quartic_conditions.json")
+SECOND_OBJECTIVE = {"kind": "quadratic-bowl", "theta": [0.5], "b": 1.0}
 
 # id, argv ("{dir}" is a scratch directory holding the files of
 # ``bad_inputs``), exit code, lines on stderr, texts naming the fault (on
@@ -178,6 +182,15 @@ EXIT_CODE_MATRIX = [
     ("unknown-key", ["run", "--config", "{dir}/unknown-key.json"], 1, 1, ("unknown key 'extra_field'",)),
     ("deep-nesting", ["run", "--config", "{dir}/deep.json"], 1, 1, ("nested too deeply",)),
     ("bad-seed", ["run", "--config", SHIPPED_SMOKE, "--seed", "-1"], 1, 1, ("override.base_seed",)),
+    ("verify-bad-seed", ["verify", "--config", SHIPPED_SMOKE, "--seed", "-1"], 1, 1, ("override.base_seed",)),
+    ("verify-no-contraction", ["verify", "--config", "{dir}/beta-0.6.json"], 1, 1, ("contraction factor", "beta=0.6")),
+    (
+        "schedule-less-two-objectives",
+        ["run", "--config", "{dir}/two-objectives.json"],
+        1,
+        1,
+        ("a config without a schedule must declare exactly one objective",),
+    ),
     ("grid-1", ["verify", "--config", SHIPPED_SMOKE, "--grid", "1"], 1, 1, ("grid_points_per_axis",)),
     ("grid-over-budget", ["verify", "--config", QUARTIC_CONDITIONS, "--grid", "1001"], 1, 1, ("1001", "1002001")),
     ("bounds-check-one-replication", ["bounds", "--config", SHIPPED_SMOKE, "--check"], 1, 1, ("replications >= 2",)),
@@ -189,15 +202,19 @@ EXIT_CODE_MATRIX = [
 
 @pytest.fixture
 def bad_inputs(tmp_path):
+    smoke = json.loads(Path(SHIPPED_SMOKE).read_text())
     files = {
         "non-utf8.json": b"\xff\xfe{}",
         "invalid.json": b"{",
         "array.json": b"[1, 2]",
-        "unknown-key.json": json.dumps({**json.loads(Path(SHIPPED_SMOKE).read_text()), "extra_field": 1}).encode(),
+        "unknown-key.json": json.dumps({**smoke, "extra_field": 1}).encode(),
         "deep.json": b"[" * 100_000,
         # a declared steady-distance constant k5 far below the rule's real
         # one shrinks the windowed bound under the measured regret
         "window.json": json.dumps(window_doc(k5=0.01)).encode(),
+        # beta = 0.6 exceeds k1/k2**2 = 0.5 of the unit bowl: no contraction
+        "beta-0.6.json": json.dumps({**smoke, "algorithm": {**smoke["algorithm"], "beta": 0.6}}).encode(),
+        "two-objectives.json": json.dumps({**smoke, "objectives": smoke["objectives"] + [SECOND_OBJECTIVE]}).encode(),
         "a-file": b"",
     }
     for name, data in files.items():
@@ -220,6 +237,7 @@ def test_bad_input_exit_code(argv, code, lines, texts, bad_inputs, capsys):
     assert exit_code == code
     assert "Traceback" not in captured.err
     assert len(captured.err.splitlines()) == lines
+    assert captured.err.count("invalid config:") <= 1
     report = captured.out if code == 3 else captured.err
     for text in texts:
         assert text.replace("{dir}", str(bad_inputs)) in report
@@ -238,3 +256,65 @@ def test_out_naming_a_file_fails_before_simulating(command, smoke, sweep_config,
     err = capsys.readouterr().err
     assert "File exists" in err
     assert len(err.splitlines()) == 1
+
+
+def unbuildable_last_point_sweeps():
+    beta_axis = {
+        "domain": {"lower": [-2.0], "upper": [2.0]},
+        "objectives": [{"kind": "quadratic-bowl", "theta": [0.0], "b": 1.0}],
+        "noise": {"kind": "gaussian", "sigma2": 1.0},
+        "algorithm": {"variant": "fixed-step", "beta": 0.1, "c": 0.5, "x0": [1.0]},
+        "horizon": 1000,
+        "replications": 20,
+        "base_seed": 3,
+        "sweep": {"axis": "beta", "values": [0.05, 0.1, 0.6]},
+    }
+    # auto tuning gives beta* = 0.635 at 64 episodes, past k1/k2**2 = 0.5
+    delta_axis = {
+        **beta_axis,
+        "objectives": [{"kind": "quadratic-bowl", "theta": [-0.5], "b": 1.0}, SECOND_OBJECTIVE],
+        "schedule": {"episodes": 2},
+        "noise": {"kind": "gaussian", "sigma2": 0.01},
+        "algorithm": {"variant": "fixed-step", "tuning": "auto", "x0": [0.0]},
+        "horizon": 100_000,
+        "sweep": {"axis": "delta_T", "values": [1, 2, 64]},
+    }
+    return [(beta_axis, "sweep value 0.6:"), (delta_axis, "sweep value 64:")]
+
+
+@pytest.mark.parametrize("doc, names", unbuildable_last_point_sweeps(), ids=["beta", "delta_T"])
+def test_sweep_resolves_every_point_before_simulating(doc, names, tmp_path, capsys, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated before every point resolved")
+
+    monkeypatch.setattr(runner, "regret_samples", no_simulation)
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert names in err and "contraction factor" in err
+
+
+@pytest.mark.parametrize(
+    "argv, builds",
+    [
+        (["bounds", "--config", str(CONFIGS / "adversarial_packed_early.json")], 1),
+        (["sweep", "--config", str(CONFIGS / "stationary_sweep.json")], 3),
+        (["sweep", "--config", str(CONFIGS / "window_sweep.json")], 4),
+    ],
+    ids=["bounds", "stationary-sweep", "window-sweep"],
+)
+def test_each_experiment_builds_its_schedule_once(argv, builds, tmp_path, monkeypatch):
+    calls = []
+    build_schedule = ExperimentConfig.build_schedule
+
+    def counted(self):
+        calls.append(self)
+        return build_schedule(self)
+
+    def unit_regret(policy, env, noise, replications, base_seed, **kwargs):
+        return np.ones(replications), None, None
+
+    monkeypatch.setattr(ExperimentConfig, "build_schedule", counted)
+    monkeypatch.setattr(runner, "regret_samples", unit_regret)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == builds

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from kwbandit import ConfigValidationError, parse_config, parse_sweep
+from kwbandit.config import ExperimentConfig
+from kwbandit.runner import resolve_experiment
 
 
 def smoke_doc(**overrides):
@@ -101,8 +103,16 @@ class TestParseConfig:
             ],
         )
         with pytest.raises(ConfigValidationError) as err:
-            parse_config(json.dumps(doc))
+            resolve_experiment(parse_config(json.dumps(doc)))
         assert any("identical" in e for e in err.value.errors)
+
+    def test_parsing_builds_no_schedule(self, monkeypatch):
+        def no_build(self):
+            raise AssertionError("parsing built a schedule")
+
+        monkeypatch.setattr(ExperimentConfig, "build_schedule", no_build)
+        parse_config(json.dumps(smoke_doc()))
+        parse_sweep(json.dumps({**smoke_doc(), "sweep": {"axis": "T", "values": [100, 200, 400]}}))
 
     def test_auto_rejects_explicit_beta(self):
         doc = smoke_doc(
