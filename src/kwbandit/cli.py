@@ -11,8 +11,8 @@ Subcommands:
 
 Every subcommand assembles the config before its own work.  Exit codes:
 0 success, 1 validation error (a config that does not assemble too),
-2 runtime/IO error, 3 check failure (failed condition report or failed
-``bounds --check``).
+2 runtime/IO error (an allocation that fails too), 3 check failure
+(failed condition report or failed ``bounds --check``).
 """
 
 from __future__ import annotations
@@ -143,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

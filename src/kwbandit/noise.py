@@ -1,4 +1,9 @@
-"""Reward-perturbation models with a uniform variance bound."""
+"""Reward-perturbation models with a uniform variance bound.
+
+``NoiseModel.draw`` samples one stream with NumPy's ``normal`` and
+``uniform``; ``NoiseModel.fill``, the engine's path, writes a block of many
+streams' samples in place, equal to ``draw``'s bit for bit.
+"""
 
 from __future__ import annotations
 
@@ -24,8 +29,8 @@ class NoiseModel:
       variance exactly sigma2 and bounded support.
     * ``none``: no perturbation (sigma2 must be 0).
 
-    Every draw consumes a fixed number of generator values (1 per sample
-    for the stochastic kinds, 0 for ``none``), so replaying a stream
+    Every draw or fill consumes a fixed number of generator values (1 per
+    sample for the stochastic kinds, 0 for ``none``), so replaying a stream
     reproduces a trajectory exactly.
     """
 
@@ -77,3 +82,28 @@ class NoiseModel:
             return rng.normal(0.0, np.sqrt(self.sigma2), size)
         w = self.support_half_width
         return rng.uniform(-w, w, size)
+
+    def fill(self, rngs: list[RandomStream], out: np.ndarray) -> None:
+        """Overwrite row r of ``out`` with ``draw(rngs[r], out[r].shape)``,
+        bit for bit and advancing each stream identically.
+
+        Each row must be C-contiguous (the block as a whole need not be).
+        Each stream makes one call that writes its row's standard draws,
+        then one affine pass scales the block: NumPy's ``normal`` computes
+        ``loc + scale * z`` and ``uniform`` computes
+        ``low + (high - low) * u``.  The ``+ 0.0`` of the gaussian turns
+        the -0.0 of ``0 * z`` (sigma2 = 0) into 0.0, as ``draw`` does."""
+        if self.kind == NONE:
+            out[...] = 0.0
+            return
+        if self.kind == GAUSSIAN:
+            for rng, row in zip(rngs, out):
+                rng.standard_normal(out=row)
+            low, scale = 0.0, np.sqrt(self.sigma2)
+        else:
+            for rng, row in zip(rngs, out):
+                rng.random(out=row)
+            w = self.support_half_width
+            low, scale = -w, w - -w
+        np.multiply(out, scale, out=out)
+        np.add(out, low, out=out)

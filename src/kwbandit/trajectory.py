@@ -25,8 +25,10 @@ of them with ``out=``.  No ufunc writes over an input that can have one
 element: NumPy's overlap check costs more than the operation itself on
 the one-element arrays of a one-replication batch, so the running sums
 alternate between two arrays and the updates go through scratch arrays.
-The noise and the decaying schedule's tables are built once per noise
-block.  With ``record_trace`` the loop stores only
+The decaying schedule's tables are built once per noise block, and the
+block's noise is written in place by ``NoiseModel.fill``: one generator
+call per replication writes its row of standard draws, then one pass
+scales the whole block.  With ``record_trace`` the loop stores only
 replication 0's action, regret and cumulative regret; the boundary-contact
 column (from the actions and each step's c) and the episode column (from
 the change times) are derived after it in vectorized passes.
@@ -365,8 +367,7 @@ def _measure(
         offsets = np.multiply.outer(cs, _SIGNS)[:, :, None, None]
         spans = 2.0 * cs
         if values_per_step:
-            for r, rng in enumerate(rngs):
-                noise_block[r, :block] = noise.draw(rng, block * values_per_step).reshape(block, values_per_step)
+            noise.fill(rngs, noise_block[:, :block])
         for j in range(block):
             s = step + j
             if s == next_change:

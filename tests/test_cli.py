@@ -196,6 +196,7 @@ EXIT_CODE_MATRIX = [
     ("bounds-check-one-replication", ["bounds", "--config", SHIPPED_SMOKE, "--check"], 1, 1, ("replications >= 2",)),
     ("unknown-flag", ["run", "--config", SHIPPED_SMOKE, "--threads", "2"], 2, 2, ("unrecognized arguments: --threads",)),
     ("out-names-a-file", ["run", "--config", SHIPPED_SMOKE, "--out", "{dir}/a-file"], 2, 1, ("File exists",)),
+    ("out-of-memory", ["run", "--config", "{dir}/huge-horizon.json"], 2, 1, ("out of memory",)),
     ("undominated-bounds-check", ["bounds", "--config", "{dir}/window.json", "--check"], 3, 0, ("check: FAIL",)),
 ]
 
@@ -215,6 +216,9 @@ def bad_inputs(tmp_path):
         # beta = 0.6 exceeds k1/k2**2 = 0.5 of the unit bowl: no contraction
         "beta-0.6.json": json.dumps({**smoke, "algorithm": {**smoke["algorithm"], "beta": 0.6}}).encode(),
         "two-objectives.json": json.dumps({**smoke, "objectives": smoke["objectives"] + [SECOND_OBJECTIVE]}).encode(),
+        # the trace of 10**15 steps asks for 7.11 PiB, beyond any address
+        # space, so its first allocation fails at once and takes nothing
+        "huge-horizon.json": json.dumps({**smoke, "horizon": 10**15}).encode(),
         "a-file": b"",
     }
     for name, data in files.items():

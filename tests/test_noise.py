@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwbandit import NoiseModel, replication_stream
+from kwbandit import NoiseModel, replication_stream, replication_streams
 
 
 def test_none_noise_is_exact(bowl):
@@ -67,8 +67,34 @@ def test_invalid_models_rejected():
 
 def test_block_draws_match_sequential_draws():
     # the batching engine relies on this stream property
-    noise = NoiseModel.gaussian(2.0)
-    block = noise.draw(replication_stream(5, 3), 8)
-    rng = replication_stream(5, 3)
-    single = np.array([noise.draw(rng) for _ in range(8)])
-    assert np.array_equal(block, single)
+    for noise in (NoiseModel.gaussian(2.0), NoiseModel.uniform_bounded(0.7)):
+        block = noise.draw(replication_stream(5, 3), 8)
+        rng = replication_stream(5, 3)
+        single = np.array([noise.draw(rng) for _ in range(8)])
+        assert np.array_equal(block, single)
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [NoiseModel.gaussian(2.0), NoiseModel.gaussian(0.0), NoiseModel.uniform_bounded(0.7), NoiseModel.none()],
+    ids=["gaussian", "gaussian-zero-variance", "uniform-bounded", "none"],
+)
+def test_fill_equals_draw_bit_for_bit(noise):
+    # 1,000 rows of 3 values per stream, split 7 + 300 + 693 and written
+    # into the rows of a strided slice buf[:, :k] of a larger block; the
+    # sign bits catch a -0.0 where draw gives 0.0 (sigma2 = 0)
+    reps, width, split = 4, 3, (7, 300, 693)
+    fill_rngs, draw_rngs = replication_streams(5, reps), replication_streams(5, reps)
+    for k in split:
+        buf = np.full((reps, k + 2, width), np.nan)
+        noise.fill(fill_rngs, buf[:, :k])
+        for r, rng in enumerate(draw_rngs):
+            assert_same_bits(buf[r, :k], noise.draw(rng, (k, width)))
+        assert np.isnan(buf[:, k:]).all()
+    # both paths leave every stream at the same place
+    for a, b in zip(fill_rngs, draw_rngs):
+        assert a.integers(0, 2**62) == b.integers(0, 2**62)

@@ -188,6 +188,36 @@ class TestBatchSemantics:
         tiny = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
         assert np.array_equal(full, tiny)
 
+    @pytest.mark.parametrize(
+        "noise, fills",
+        [(NoiseModel.gaussian(1.0), 8), (NoiseModel.uniform_bounded(0.5), 8), (NoiseModel.none(), 0)],
+        ids=["gaussian", "uniform-bounded", "none"],
+    )
+    def test_noise_comes_from_one_fill_per_block(self, bowl, fixed_policy, noise, fills, monkeypatch):
+        env = EnvironmentSchedule.stationary(50, bowl)
+        default = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
+        blocks, draws = [], []
+        fill, draw = NoiseModel.fill, NoiseModel.draw
+
+        def counted_fill(self, rngs, out):
+            blocks.append((out.shape, out.flags.c_contiguous))
+            return fill(self, rngs, out)
+
+        def counted_draw(self, *args, **kwargs):
+            draws.append(args)
+            return draw(self, *args, **kwargs)
+
+        monkeypatch.setattr(NoiseModel, "fill", counted_fill)
+        monkeypatch.setattr(NoiseModel, "draw", counted_draw)
+        monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
+        blocked = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
+        assert len(blocks) == fills and draws == []
+        if fills:
+            # 7 blocks of 7 steps, then one step whose rows are not
+            # contiguous across replications
+            assert blocks == [((3, 7, 2), True)] * 7 + [((3, 1, 2), False)]
+        assert np.array_equal(default, blocked)
+
     def test_distance_probes(self, bowl, fixed_policy, no_noise):
         env = EnvironmentSchedule.stationary(5, bowl)
         result = simulate_batch(fixed_policy, env, no_noise, replication_streams(0, 2), probe_steps=(1, 3, 6))
