@@ -28,7 +28,7 @@ from .exceptions import (
     KWBanditError,
     MeanValueConditionError,
 )
-from .montecarlo import MonteCarloEstimate, monte_carlo_regret, regret_samples
+from .montecarlo import Experiment, MonteCarloEstimate, monte_carlo_regret, regret_lanes, regret_samples
 from .noise import NoiseModel
 from .objectives import ClassConstants, ObjectiveSpec, QuadraticBowl, QuarticPerturbedBowl
 from .rng import RandomStream, replication_stream, replication_streams
@@ -37,12 +37,14 @@ from .scaling import fit_scaling_exponent
 from .schedule import EnvironmentSchedule, adversarial_corpus
 from .trajectory import (
     FixedStepPolicy,
+    Lane,
     OraclePolicy,
     RegretTrace,
     SlidingWindowPolicy,
     StaticPolicy,
     VanillaPolicy,
     simulate_batch,
+    simulate_lanes,
 )
 from .tuning import (
     contraction_factor,
@@ -63,10 +65,12 @@ __all__ = [
     "Domain",
     "DomainViolationError",
     "EnvironmentSchedule",
+    "Experiment",
     "ExperimentConfig",
     "FixedStepConfig",
     "FixedStepPolicy",
     "KWBanditError",
+    "Lane",
     "MeanValueConditionError",
     "MonteCarloEstimate",
     "NoiseModel",
@@ -97,12 +101,14 @@ __all__ = [
     "optimal_window",
     "parse_config",
     "parse_sweep",
+    "regret_lanes",
     "regret_samples",
     "replication_stream",
     "replication_streams",
     "run_experiment",
     "run_sweep",
     "simulate_batch",
+    "simulate_lanes",
     "sliding_window_episode_bound",
     "sliding_window_normalized_bound",
     "sliding_window_regret_bound",

@@ -1,7 +1,7 @@
 """Configs of the three allocation rules and the decaying schedule.
 
 The rules themselves (decaying-step, fixed-step and windowed ascent) run
-in ``trajectory.simulate_batch``.  All three share the same measurement
+in ``trajectory.simulate_lanes``.  All three share the same measurement
 primitive (central differences) and keep every iterate inside the domain
 by Euclidean projection, which is nonexpansive on a box and therefore
 preserves every distance argument the tuning formulas rest on.

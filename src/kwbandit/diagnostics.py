@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algorithms import FixedStepConfig, SlidingWindowConfig
-from .montecarlo import MonteCarloEstimate, regret_samples
+from .montecarlo import Experiment, MonteCarloEstimate, regret_lanes, regret_samples
 from .noise import NoiseModel
 from .objectives import ObjectiveSpec
 from .schedule import EnvironmentSchedule
@@ -115,6 +115,7 @@ def calibrate_window_constant(
 
     ``c`` applies to every window length (keeping the constant comparable
     across the grid); it defaults to the objective-independent value 0.5.
+    All window lengths simulate together through ``regret_lanes``.
     """
     if not windows:
         raise ValueError("need at least one window length to calibrate")
@@ -124,23 +125,23 @@ def calibrate_window_constant(
         raise ValueError(f"epochs must be >= 2 (the first window is warm-up), got {epochs}")
     c_used = 0.5 if c is None else float(c)
     x0 = tuple(np.atleast_1d(np.asarray(x0, dtype=float)))
-    best = 0.0
-    for index, window in enumerate(sorted(set(int(w) for w in windows))):
-        if window < 1:
-            raise ValueError(f"window lengths must be >= 1, got {window}")
-        horizon = window * epochs
-        env = EnvironmentSchedule.stationary(horizon=horizon, objective=objective)
-        policy = SlidingWindowPolicy(config=SlidingWindowConfig(window=window, x0=x0, c=c_used))
-        probe_steps = tuple(range(window + 1, horizon + 1))
-        _, probes, _ = regret_samples(
-            policy,
-            env,
+    lengths = sorted(set(int(w) for w in windows))
+    if lengths[0] < 1:
+        raise ValueError(f"window lengths must be >= 1, got {lengths[0]}")
+    experiments = [
+        Experiment(
+            SlidingWindowPolicy(config=SlidingWindowConfig(window=window, x0=x0, c=c_used)),
+            EnvironmentSchedule.stationary(horizon=window * epochs, objective=objective),
             noise,
             replications,
             base_seed,
             seed_path=(index,),
-            probe_steps=probe_steps,
+            probe_steps=tuple(range(window + 1, window * epochs + 1)),
         )
-        average = float(np.mean([np.mean(probes[s]) for s in probe_steps]))
+        for index, window in enumerate(lengths)
+    ]
+    best = 0.0
+    for window, experiment, (_, probes, _) in zip(lengths, experiments, regret_lanes(experiments)):
+        average = float(np.mean([np.mean(probes[s]) for s in experiment.probe_steps]))
         best = max(best, float(np.sqrt(window)) * average)
     return best

@@ -1,18 +1,22 @@
-"""Monte-Carlo estimation of expected total regret over replications."""
+"""Monte-Carlo estimation of expected total regret over replications,
+for one experiment (``regret_samples``) or many packed into shared batches
+(``regret_lanes``)."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .noise import NoiseModel
+from .objectives import shared_kind
 from .rng import replication_streams
 from .schedule import EnvironmentSchedule
-from .trajectory import Policy, RegretTrace, simulate_batch
+from .trajectory import BatchResult, Lane, Policy, RegretTrace, simulate_lanes
 
-# Upper bound on the replications simulated together, which bounds the
-# generator states and noise blocks alive at once.  Results do not depend on it.
+# Upper bound on the rows (replications, over all lanes) simulated together,
+# which bounds the generator states alive at once.  Results do not depend on it.
 REPLICATION_CHUNK = 1024
 
 
@@ -39,6 +43,86 @@ class MonteCarloEstimate:
         return self.mean - z * self.standard_error
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """The inputs of one Monte-Carlo estimate: replication ``r`` runs
+    ``policy`` on ``env`` under ``noise`` and draws from the stream keyed by
+    ``(base_seed, *seed_path, r)``; ``probe_steps`` as in ``simulate_batch``."""
+
+    policy: Policy
+    env: EnvironmentSchedule
+    noise: NoiseModel
+    replications: int
+    base_seed: int
+    seed_path: tuple[int, ...] = ()
+    probe_steps: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.replications < 1:
+            raise ValueError(f"replications must be >= 1, got {self.replications}")
+
+    def batch_key(self) -> tuple:
+        """Experiments with equal keys can share a batch (see ``simulate_lanes``)."""
+        return type(self.policy), self.env.domain, shared_kind(self.env.objectives), self.noise
+
+
+Samples = tuple[np.ndarray, dict[int, np.ndarray], RegretTrace | None]
+
+
+def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = False) -> list[Samples]:
+    """``regret_samples`` of every experiment, in experiment order, from
+    batches that run several experiments in one step loop.
+
+    Experiments with one ``batch_key`` are ordered longest horizon first and
+    cut into (experiment, replication range) pieces, packed into batches of
+    at most ``REPLICATION_CHUNK`` rows; each piece is a lane.  Every result
+    is a pure function of its experiment: the packing only bounds memory
+    and never changes a result.  ``record_first_trace`` keeps the trace of
+    replication 0 of the first experiment.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, experiment in enumerate(experiments):
+        groups.setdefault(experiment.batch_key(), []).append(i)
+    pieces: list[list[BatchResult]] = [[] for _ in experiments]
+
+    def run(batch: list[tuple[int, int, int]]) -> None:
+        lanes = [
+            Lane(
+                experiments[i].policy,
+                experiments[i].env,
+                replication_streams(experiments[i].base_seed, count, experiments[i].seed_path, start),
+                experiments[i].probe_steps,
+                record_trace=record_first_trace and i == 0 and start == 0,
+            )
+            for i, start, count in batch
+        ]
+        for (i, _, _), result in zip(batch, simulate_lanes(lanes, experiments[batch[0][0]].noise)):
+            pieces[i].append(result)
+
+    for members in groups.values():
+        batch, room = [], REPLICATION_CHUNK
+        for i in sorted(members, key=lambda i: -experiments[i].env.horizon):
+            start, replications = 0, experiments[i].replications
+            while start < replications:
+                count = min(room, replications - start)
+                batch.append((i, start, count))
+                start, room = start + count, room - count
+                if room == 0:
+                    run(batch)
+                    batch, room = [], REPLICATION_CHUNK
+        if batch:
+            run(batch)
+
+    samples = []
+    for experiment, results in zip(experiments, pieces):
+        totals = np.concatenate([res.total_regret for res in results])
+        probes = {
+            int(s): np.concatenate([res.distance_probes[int(s)] for res in results]) for s in experiment.probe_steps
+        }
+        samples.append((totals, probes, results[0].trace))
+    return samples
+
+
 def regret_samples(
     policy: Policy,
     env: EnvironmentSchedule,
@@ -48,38 +132,19 @@ def regret_samples(
     seed_path: tuple[int, ...] = (),
     probe_steps: tuple[int, ...] = (),
     record_first_trace: bool = False,
-) -> tuple[np.ndarray, dict[int, np.ndarray], RegretTrace | None]:
-    """Total regret of every replication, ordered by replication index.
+) -> Samples:
+    """Total regret of every replication, ordered by replication index,
+    with the requested distance probes and, with ``record_first_trace``,
+    the trace of replication 0.
 
     Replication ``r`` draws from the stream keyed by
     ``(base_seed, *seed_path, r)``; results are a pure function of that
     key, so running them in chunks of ``REPLICATION_CHUNK`` only bounds
-    memory and never changes a result.
+    memory and never changes a result.  This is the one-experiment case of
+    ``regret_lanes``.
     """
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications}")
-
-    def run_chunk(chunk: range):
-        return simulate_batch(
-            policy,
-            env,
-            noise,
-            replication_streams(base_seed, len(chunk), seed_path, chunk.start),
-            record_trace=record_first_trace and chunk.start == 0,
-            probe_steps=probe_steps,
-        )
-
-    results = [
-        run_chunk(range(start, min(start + REPLICATION_CHUNK, replications)))
-        for start in range(0, replications, REPLICATION_CHUNK)
-    ]
-
-    totals = np.concatenate([res.total_regret for res in results])
-    probes: dict[int, np.ndarray] = {}
-    for s in probe_steps:
-        probes[int(s)] = np.concatenate([res.distance_probes[int(s)] for res in results])
-    trace = results[0].trace if record_first_trace else None
-    return totals, probes, trace
+    experiment = Experiment(policy, env, noise, replications, base_seed, seed_path, probe_steps)
+    return regret_lanes([experiment], record_first_trace)[0]
 
 
 def monte_carlo_regret(

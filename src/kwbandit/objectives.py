@@ -25,6 +25,7 @@ import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -80,11 +81,17 @@ class ClassConstants:
 
 
 class ObjectiveSpec(ABC):
-    """Analytic objective on a box with a known interior maximizer."""
+    """Analytic objective on a box with a known interior maximizer.
+
+    ``_value`` reads from ``self`` only ``theta_array``, ``_squared_distance``
+    and the float fields named in ``coefficients``, so the engine can run it
+    over per-point columns of those values (see ``shared_kind``).
+    """
 
     kind: str
     domain: Domain
     theta: tuple[float, ...]
+    coefficients: ClassVar[tuple[str, ...]] = ()
 
     @cached_property
     def theta_array(self) -> np.ndarray:
@@ -167,6 +174,7 @@ class QuadraticBowl(ObjectiveSpec):
     s0: int = 0
 
     kind = QUADRATIC_BOWL
+    coefficients = ("a", "b")
 
     def __post_init__(self):
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
@@ -212,6 +220,7 @@ class QuarticPerturbedBowl(ObjectiveSpec):
     s0: int = 0
 
     kind = QUARTIC_PERTURBED_BOWL
+    coefficients = ("a", "b", "q")
 
     def __post_init__(self):
         object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
@@ -260,3 +269,17 @@ class QuarticPerturbedBowl(ObjectiveSpec):
 
     def mean_value_offset(self, c: float) -> float:
         return 2.0 * self.q * float(c) ** 2 * self.max_radius / self.b
+
+
+def shared_kind(objectives) -> type[ObjectiveSpec]:
+    """The class whose ``_value`` evaluates every one of ``objectives`` from
+    their coefficient columns: their common class, or the quartic bowl for a
+    mix of quadratic and quartic bowls.  A quadratic bowl is a quartic one
+    with q = 0 bit for bit: (a - b*r2) - (0*r2)*r2 is a - b*r2 for finite r2.
+    """
+    kinds = {type(o) for o in objectives}
+    if kinds == {QuadraticBowl, QuarticPerturbedBowl}:
+        return QuarticPerturbedBowl
+    if len(kinds) != 1:
+        raise ValueError(f"objectives of kinds {sorted(k.__name__ for k in kinds)} cannot share one evaluation")
+    return kinds.pop()

@@ -15,6 +15,7 @@ from kwbandit import (
     ClassConstants,
     Domain,
     EnvironmentSchedule,
+    Experiment,
     FixedStepConfig,
     FixedStepPolicy,
     NoiseModel,
@@ -29,7 +30,7 @@ from kwbandit import (
     optimal_window,
     parse_config,
     parse_sweep,
-    regret_samples,
+    regret_lanes,
     replication_stream,
     simulate_batch,
     sliding_window_regret_bound,
@@ -195,48 +196,54 @@ def test_criterion_05_bound_domination(calibrated_k5):
     started = time.perf_counter()
     base_constants = ClassConstants(k1=2.0, k2=2.0, k3=1.0, k4=2.0)
     diameter = BOX.diameter
-    cells = 0
-    worst_margin = np.inf
+    # every cell's two experiments, simulated together through the lane API
+    cells, experiments = [], []
     for sigma2 in (0.25, 1.0):
         noise = NoiseModel.gaussian(sigma2)
-        sigma_tilde2 = noise.sigma_tilde2(1)
         k5 = k5_by_noise[sigma2]
-        constants = replace(base_constants, k5=k5)
         for horizon in (1_000, 10_000, 30_000):
             for episodes in (1, 10):
                 objectives = [BOWL_RIGHT] if episodes == 1 else [BOWL_LEFT, BOWL_RIGHT]
                 env = EnvironmentSchedule.evenly_spaced(horizon, episodes, objectives)
-                seed = 500 + cells
-
+                seed = 500 + len(cells)
+                window = optimal_window(k5, diameter, horizon, episodes)
                 fixed = FixedStepPolicy(
                     config=FixedStepConfig(beta=0.1, c=0.5, constants=base_constants), x0=(-1.0,)
                 )
-                totals, _, _ = regret_samples(fixed, env, noise, 200, seed)
-                mean_fixed = float(np.mean(totals))
-                bound_fixed = fixed_step_regret_bound(
-                    base_constants, diameter, sigma_tilde2, 0.1, 0.5, 0.0, horizon, episodes
-                ).value
-                assert mean_fixed <= bound_fixed, (
-                    f"fixed-step mean {mean_fixed:.1f} exceeds bound {bound_fixed:.1f} "
-                    f"(sigma2={sigma2}, T={horizon}, episodes={episodes})"
-                )
-                worst_margin = min(worst_margin, bound_fixed / mean_fixed)
-
-                window = optimal_window(k5, diameter, horizon, episodes)
                 sliding = SlidingWindowPolicy(
                     config=SlidingWindowConfig(window=window, x0=(0.0,), c=SW_PERTURBATION)
                 )
-                totals, _, _ = regret_samples(sliding, env, noise, 200, seed, seed_path=(1,))
-                mean_sliding = float(np.mean(totals))
-                bound_sliding = sliding_window_regret_bound(constants, diameter, window, horizon, episodes).value
-                assert mean_sliding <= bound_sliding, (
-                    f"sliding-window mean {mean_sliding:.1f} exceeds bound {bound_sliding:.1f} "
-                    f"(sigma2={sigma2}, T={horizon}, episodes={episodes}, window={window})"
-                )
-                worst_margin = min(worst_margin, bound_sliding / mean_sliding)
-                cells += 1
+                experiments.append(Experiment(fixed, env, noise, 200, seed))
+                experiments.append(Experiment(sliding, env, noise, 200, seed, seed_path=(1,)))
+                cells.append((sigma2, horizon, episodes, window))
+    samples = regret_lanes(experiments)
+
+    worst_margin = np.inf
+    for (sigma2, horizon, episodes, window), (fixed_totals, _, _), (sliding_totals, _, _) in zip(
+        cells, samples[0::2], samples[1::2]
+    ):
+        sigma_tilde2 = NoiseModel.gaussian(sigma2).sigma_tilde2(1)
+        constants = replace(base_constants, k5=k5_by_noise[sigma2])
+
+        mean_fixed = float(np.mean(fixed_totals))
+        bound_fixed = fixed_step_regret_bound(
+            base_constants, diameter, sigma_tilde2, 0.1, 0.5, 0.0, horizon, episodes
+        ).value
+        assert mean_fixed <= bound_fixed, (
+            f"fixed-step mean {mean_fixed:.1f} exceeds bound {bound_fixed:.1f} "
+            f"(sigma2={sigma2}, T={horizon}, episodes={episodes})"
+        )
+        worst_margin = min(worst_margin, bound_fixed / mean_fixed)
+
+        mean_sliding = float(np.mean(sliding_totals))
+        bound_sliding = sliding_window_regret_bound(constants, diameter, window, horizon, episodes).value
+        assert mean_sliding <= bound_sliding, (
+            f"sliding-window mean {mean_sliding:.1f} exceeds bound {bound_sliding:.1f} "
+            f"(sigma2={sigma2}, T={horizon}, episodes={episodes}, window={window})"
+        )
+        worst_margin = min(worst_margin, bound_sliding / mean_sliding)
     elapsed = time.perf_counter() - started
-    ok = cells == 12 and elapsed < 600.0
+    ok = len(cells) == 12 and elapsed < 600.0
     report(
         5,
         "bound-domination",

@@ -7,7 +7,7 @@ import pytest
 import kwbandit
 
 # The scalar step ops that duplicated the engine; each rule now has one
-# implementation, ``trajectory.simulate_batch``.
+# implementation, ``trajectory.simulate_lanes``.
 REMOVED = (
     "AlgorithmState",
     "GradientEstimate",

@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from kwbandit import ConfigValidationError, parse_config, parse_sweep, run_experiment, run_sweep
+from kwbandit import (
+    ConfigValidationError,
+    MonteCarloEstimate,
+    parse_config,
+    parse_sweep,
+    regret_samples,
+    run_experiment,
+    run_sweep,
+)
 from kwbandit import montecarlo
 from kwbandit.runner import resolve_experiment
 
@@ -146,6 +154,45 @@ class TestRunSweep:
         b = run_sweep(sweep, out_dir=tmp_path / "b", replications=20)
         assert (tmp_path / "a/sweep_summary.csv").read_bytes() == (tmp_path / "b/sweep_summary.csv").read_bytes()
         assert a.slope == b.slope
+
+    @pytest.mark.parametrize(
+        "axis, values, algorithm",
+        [
+            ("T", [120, 200, 300], {"variant": "fixed-step", "tuning": "auto", "x0": [1.0]}),
+            ("delta_T", [1, 3, 6], {"variant": "sliding-window", "tuning": "auto", "x0": [0.0], "c": 0.5}),
+        ],
+        ids=["T-fixed-step", "delta_T-sliding-window"],
+    )
+    def test_lanes_give_each_point_the_bytes_it_has_alone(self, axis, values, algorithm, tmp_path, monkeypatch):
+        doc = base_doc(
+            horizon=300,
+            schedule={"episodes": 1},
+            noise={"kind": "gaussian", "sigma2": 1.0},
+            objectives=[
+                {"kind": "quadratic-bowl", "theta": [-0.5], "b": 1.0, "k5": 2.0},
+                {"kind": "quartic-perturbed-bowl", "theta": [0.5], "b": 1.0, "q": 0.05, "k5": 2.0},
+            ],
+            algorithm=algorithm,
+            replications=10,
+        )
+        doc["sweep"] = {"axis": axis, "values": values}
+        sweep = parse_sweep(json.dumps(doc))
+
+        def alone(index, value, cfg):
+            resolved = resolve_experiment(cfg)
+            totals, _, _ = regret_samples(
+                resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed, seed_path=(index,)
+            )
+            estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
+            return estimate.mean, estimate.standard_error
+
+        run_sweep(sweep, out_dir=tmp_path / "alone", value_source=alone)
+        run_sweep(sweep, out_dir=tmp_path / "together")
+        monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 7)  # 30 rows in batches of 7: pieces of lanes
+        run_sweep(sweep, out_dir=tmp_path / "split")
+        expected = (tmp_path / "alone/sweep_summary.csv").read_bytes()
+        for name in ("together", "split"):
+            assert (tmp_path / name / "sweep_summary.csv").read_bytes() == expected
 
     def test_delta_axis_scale_is_change_rate(self, tmp_path):
         doc = base_doc(

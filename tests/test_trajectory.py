@@ -13,6 +13,7 @@ from kwbandit import (
     EnvironmentSchedule,
     FixedStepConfig,
     FixedStepPolicy,
+    Lane,
     NoiseModel,
     OraclePolicy,
     QuadraticBowl,
@@ -24,6 +25,7 @@ from kwbandit import (
     replication_stream,
     replication_streams,
     simulate_batch,
+    simulate_lanes,
 )
 from kwbandit.algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA
 from kwbandit.config import ORACLE, STATIC
@@ -200,7 +202,7 @@ class TestBatchSemantics:
         fill, draw = NoiseModel.fill, NoiseModel.draw
 
         def counted_fill(self, rngs, out):
-            blocks.append((out.shape, out.flags.c_contiguous))
+            blocks.append((out.shape, out.flags.c_contiguous, all(row.flags.c_contiguous for row in out)))
             return fill(self, rngs, out)
 
         def counted_draw(self, *args, **kwargs):
@@ -213,9 +215,9 @@ class TestBatchSemantics:
         blocked = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
         assert len(blocks) == fills and draws == []
         if fills:
-            # 7 blocks of 7 steps, then one step whose rows are not
-            # contiguous across replications
-            assert blocks == [((3, 7, 2), True)] * 7 + [((3, 1, 2), False)]
+            # 7 blocks of 7 steps, then one step; each row is contiguous,
+            # but rows sit a padded stride apart, so no block is
+            assert blocks == [((3, 7, 2), False, True)] * 7 + [((3, 1, 2), False, True)]
         assert np.array_equal(default, blocked)
 
     def test_distance_probes(self, bowl, fixed_policy, no_noise):
@@ -407,3 +409,126 @@ def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
             if horizon + 1 in probes:
                 theta = env.objective_at(horizon).theta_array
                 assert batch.distance_probes[horizon + 1][r] == _squared_distance(final, theta)
+
+
+@st.composite
+def lane_batches(draw):
+    """2-4 lanes of one rule on one box and one noise model (gaussian,
+    uniform-bounded or none), each with its own horizon, change times,
+    objectives, starting point, rate or window, width and probe steps."""
+    d = draw(st.integers(1, 3))
+    half = [draw(st.floats(0.5, 3.0)) for _ in range(d)]
+    domain = Domain(lower=tuple(-h for h in half), upper=tuple(half))
+    variant = draw(st.sampled_from(VARIANTS))
+    lanes = []
+    for _ in range(draw(st.integers(2, 4))):
+        horizon = draw(st.integers(1, 40))
+        change_times = (1,)
+        if horizon > 1:
+            later = st.lists(st.integers(2, horizon), max_size=2, unique=True)
+            change_times += tuple(sorted(draw(later)))
+        episodes = len(change_times)
+        objectives = []
+        for k in range(episodes):
+            theta = tuple(draw(st.floats(-0.9, 0.9)) * h for h in half)
+            b = draw(st.floats(0.2, 2.0)) + 2.0 * k
+            if draw(st.booleans()):
+                q = draw(st.floats(0.1, 0.9)) * b / (2.0 * domain.max_distance_from(theta))
+                objectives.append(QuarticPerturbedBowl(domain=domain, theta=theta, b=b, q=q))
+            else:
+                objectives.append(QuadraticBowl(domain=domain, theta=theta, b=b))
+        env = EnvironmentSchedule(horizon=horizon, change_times=change_times, objectives=tuple(objectives))
+        x0 = tuple(draw(st.floats(-1.0, 1.0)) * h for h in half)
+        if variant == VANILLA:
+            policy = VanillaPolicy(x0=x0)
+        elif variant == FIXED_STEP:
+            constants = env.combined_constants()
+            beta = draw(st.floats(0.05, 0.95)) * constants.k1 / constants.k2**2
+            policy = FixedStepPolicy(FixedStepConfig(beta=beta, c=draw(st.floats(0.05, 1.0)), constants=constants), x0)
+        elif variant == SLIDING_WINDOW:
+            config = SlidingWindowConfig(window=draw(st.integers(1, 8)), x0=x0, c=draw(st.floats(0.05, 1.0)))
+            policy = SlidingWindowPolicy(config=config)
+        else:
+            policy = OraclePolicy() if variant == ORACLE else StaticPolicy(x0=x0)
+        probes = tuple(draw(st.lists(st.integers(1, horizon + 1), max_size=3, unique=True)))
+        lanes.append((policy, env, draw(st.integers(1, 3)), probes))
+    sigma2 = draw(st.floats(0.01, 2.0))
+    noise = draw(st.sampled_from((NoiseModel.gaussian(sigma2), NoiseModel.uniform_bounded(sigma2), NoiseModel.none())))
+    return lanes, noise
+
+
+@settings(max_examples=40, deadline=None)
+@given(batch=lane_batches(), seed=st.integers(0, 2**31 - 1), block_values=st.sampled_from((48, 4_000_000)))
+def test_each_lane_equals_its_solo_batch(batch, seed, block_values):
+    """Lanes with unequal horizons, change times, rates, windows and widths,
+    run in one batch (the rows shrink as lanes end, over several noise
+    blocks or one), give each lane's totals and probes, and lane 0's trace,
+    bit for bit as a batch of that lane alone."""
+    specs, noise = batch
+    with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", block_values):
+        lanes = [
+            Lane(policy, env, replication_streams(seed, reps, (k,)), probes, record_trace=k == 0)
+            for k, (policy, env, reps, probes) in enumerate(specs)
+        ]
+        together = simulate_lanes(lanes, noise)
+        for k, (policy, env, reps, probes) in enumerate(specs):
+            solo = simulate_batch(policy, env, noise, replication_streams(seed, reps, (k,)), k == 0, probes)
+            assert np.array_equal(together[k].total_regret, solo.total_regret)
+            assert together[k].distance_probes.keys() == solo.distance_probes.keys()
+            for s, distances in solo.distance_probes.items():
+                assert np.array_equal(together[k].distance_probes[s], distances)
+            if k == 0:
+                for name in ("actions", "inst_regret", "cum_regret", "episode", "boundary_contact", "final_x"):
+                    assert np.array_equal(getattr(together[0].trace, name), getattr(solo.trace, name))
+            else:
+                assert together[k].trace is None
+
+
+def test_lanes_must_share_the_rule_and_the_domain(bowl, fixed_policy):
+    env = EnvironmentSchedule.stationary(5, bowl)
+    wider = Domain(lower=(-3.0,), upper=(3.0,))
+    other_box = EnvironmentSchedule.stationary(5, QuadraticBowl(domain=wider, theta=(0.0,), b=1.0))
+    streams, noise = replication_streams(0, 2), NoiseModel.gaussian(1.0)
+    for second in (Lane(VanillaPolicy(x0=(1.0,)), env, streams), Lane(fixed_policy, other_box, streams)):
+        with pytest.raises(ValueError, match="share the rule and the domain"):
+            simulate_lanes([Lane(fixed_policy, env, streams), second], noise)
+    with pytest.raises(ValueError, match="at most one lane"):
+        simulate_lanes([Lane(fixed_policy, env, streams, record_trace=True)] * 2, noise)
+
+
+class _FirstFill(Exception):
+    pass
+
+
+def _first_noise_block(policy, env, reps, monkeypatch):
+    """The block the engine's first ``fill`` writes; the simulation stops there."""
+    blocks = []
+
+    def record(self, rngs, out):
+        blocks.append(out)
+        raise _FirstFill
+
+    monkeypatch.setattr(NoiseModel, "fill", record)
+    with pytest.raises(_FirstFill):
+        simulate_batch(policy, env, NoiseModel.gaussian(1.0), replication_streams(0, reps))
+    return blocks[0]
+
+
+@pytest.mark.parametrize(
+    "d, horizon, reps",
+    [(1, 4096, 3), (2, 1024, 3), (1, 1, 5), (1, 20_000, 192), (1, 7, 4), (3, 50, 2)],
+    ids=["d1-4096-steps", "d2-1024-steps", "one-step", "sweep-stationary-20000", "d1-7-steps", "d3-50-steps"],
+)
+def test_noise_rows_longer_than_a_line_sit_an_odd_number_of_lines_apart(d, horizon, reps, monkeypatch):
+    box = Domain(lower=(-2.0,) * d, upper=(2.0,) * d)
+    f = QuadraticBowl(domain=box, theta=(0.0,) * d, b=1.0)
+    policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.1, constants=f.constants), x0=(1.0,) * d)
+    block = _first_noise_block(policy, EnvironmentSchedule.stationary(horizon, f), reps, monkeypatch)
+    assert block.shape[0] == reps and block.shape[2] == 2 * d
+    assert all(row.flags.c_contiguous for row in block)
+    row_bytes = block.shape[1] * block.shape[2] * block.itemsize
+    stride = block.strides[0]
+    if row_bytes > 64:
+        assert stride % 64 == 0 and (stride // 64) % 2 == 1, (row_bytes, stride)
+    else:
+        assert stride == row_bytes
