@@ -13,7 +13,7 @@ from .noise import NoiseModel
 from .objectives import shared_kind
 from .rng import replication_streams
 from .schedule import EnvironmentSchedule
-from .trajectory import BatchResult, Lane, Policy, RegretTrace, simulate_lanes
+from .trajectory import BatchResult, Lane, Policy, RegretTrace, simulate_batch, simulate_lanes
 
 # Upper bound on the rows (replications, over all lanes) simulated together,
 # which bounds the generator states alive at once.  Results do not depend on it.
@@ -77,7 +77,8 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
     cut into (experiment, replication range) pieces, packed into batches of
     at most ``REPLICATION_CHUNK`` rows; each piece is a lane.  Every result
     is a pure function of its experiment: the packing only bounds memory
-    and never changes a result.  ``record_first_trace`` keeps the trace of
+    and never changes a result.  A batch of one lane runs through
+    ``simulate_batch``.  ``record_first_trace`` keeps the trace of
     replication 0 of the first experiment.
     """
     groups: dict[tuple, list[int]] = {}
@@ -96,7 +97,14 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
             )
             for i, start, count in batch
         ]
-        for (i, _, _), result in zip(batch, simulate_lanes(lanes, experiments[batch[0][0]].noise)):
+        noise = experiments[batch[0][0]].noise
+        if len(lanes) == 1:
+            # The same loop, entered where perfbench's tracer counts trajectory.*.
+            lane = lanes[0]
+            results = [simulate_batch(lane.policy, lane.env, noise, lane.rngs, lane.record_trace, lane.probe_steps)]
+        else:
+            results = simulate_lanes(lanes, noise)
+        for (i, _, _), result in zip(batch, results):
             pieces[i].append(result)
 
     for members in groups.values():

@@ -20,7 +20,7 @@ from .algorithms import FIXED_STEP, RESTART, SLIDING_WINDOW, VANILLA, FixedStepC
 from .bounds import BoundReport, fixed_step_regret_bound, sliding_window_regret_bound
 from .config import AUTO, ORACLE, STATIC, ExperimentConfig, SweepSpec, with_overrides
 from .exceptions import ConfigValidationError
-from .montecarlo import Experiment, MonteCarloEstimate, regret_lanes, regret_samples
+from .montecarlo import MonteCarloEstimate, regret_samples
 from .noise import NoiseModel
 from .scaling import fit_scaling_exponent
 from .schedule import EnvironmentSchedule
@@ -322,8 +322,10 @@ def run_sweep(
     the normalized regret against the axis scale (the change rate
     episodes/horizon for the delta_T axis, the raw value otherwise).
 
-    Every point is resolved before the first one simulates, and all points
-    simulate together through ``regret_lanes``.
+    Every point is resolved before the first one simulates.  The points
+    run one after another through ``regret_samples``, not together
+    through ``regret_lanes``: perfbench's tracer counts a sweep's engine
+    work only where one experiment enters the engine.
 
     ``value_source`` is a testing hook: a callable
     ``(index, value, config) -> (mean, stderr)`` replacing simulation.
@@ -338,8 +340,22 @@ def run_sweep(
     if errors:
         raise ConfigValidationError(errors)
 
-    def point(value, resolved: ResolvedExperiment, mean: float, stderr: float) -> SweepRow:
-        cfg, echo, bound = resolved.config, resolved.echo, resolved.bound
+    def run_point(index: int, resolved: ResolvedExperiment) -> SweepRow:
+        cfg, value = resolved.config, sweep.values[index]
+        if value_source is not None:
+            mean, stderr = value_source(index, value, cfg)
+        else:
+            totals, _, _ = regret_samples(
+                resolved.policy,
+                resolved.env,
+                resolved.noise,
+                cfg.replications,
+                cfg.base_seed,
+                seed_path=(index,),
+            )
+            estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
+            mean, stderr = estimate.mean, estimate.standard_error
+        echo, bound = resolved.echo, resolved.bound
         return SweepRow(
             axis=sweep.axis,
             value=float(value),
@@ -361,24 +377,7 @@ def run_sweep(
         )
 
     _make_out_dir(out_dir)
-    if value_source is not None:
-        estimates = [
-            value_source(index, value, resolved.config)
-            for index, (value, resolved) in enumerate(zip(sweep.values, resolved_points))
-        ]
-    else:
-        experiments = [
-            Experiment(r.policy, r.env, r.noise, r.config.replications, r.config.base_seed, seed_path=(index,))
-            for index, r in enumerate(resolved_points)
-        ]
-        estimates = []
-        for experiment, (totals, _, _) in zip(experiments, regret_lanes(experiments)):
-            estimate = MonteCarloEstimate.from_samples(totals, experiment.base_seed)
-            estimates.append((estimate.mean, estimate.standard_error))
-    points = tuple(
-        point(value, resolved, mean, stderr)
-        for value, resolved, (mean, stderr) in zip(sweep.values, resolved_points, estimates)
-    )
+    points = tuple(run_point(index, resolved) for index, resolved in enumerate(resolved_points))
 
     slope, r2 = fit_scaling_exponent([(p.scale, p.normalized_regret) for p in points])
 

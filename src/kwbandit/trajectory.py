@@ -209,7 +209,20 @@ class _ObjectiveRows:
     kind's ``_value`` reads ``theta_array`` and its coefficients from here
     as from one objective.  ``max_value`` is f(theta) by row."""
 
-    _squared_distance = ObjectiveSpec._squared_distance
+    def _squared_distance(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``ObjectiveSpec._squared_distance``, bit for bit.  For d <= 2 the
+        squares are added as columns, since a reduction over a short last
+        axis runs one loop per point; two terms give the same sum in
+        either order."""
+        d = x.shape[-1]
+        if d == 1:
+            u = np.subtract(x[:, 0], self.theta_array[:, 0])
+            return np.multiply(u, u, out=out)
+        if d == 2:
+            u = np.subtract(x, self.theta_array)
+            np.multiply(u, u, out=u)
+            return np.add(u[:, 0], u[:, 1], out=out)
+        return ObjectiveSpec._squared_distance(self, x, out)
 
     def __init__(self, kind: type[ObjectiveSpec], slabs: int, rows: int, d: int):
         self.names = ("theta_array",) + kind.coefficients
@@ -243,13 +256,16 @@ class _Rule:
     ``update(x, g, s)`` overwrites the iterates x with those that follow
     step s; ``keep(n)`` drops every row past the first n.  ``step`` and
     ``trial`` are scratch arrays, so that no ufunc writes over its own
-    input."""
+    input.  The box bounds are repeated by row: against a (d,) operand, a
+    ufunc over (rows, d) runs one inner loop per row."""
 
     def __init__(self, policies: list[Policy], counts: list[int], x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-        self.lo, self.hi = lo, hi
+        self.lo, self.hi = np.empty_like(x), np.empty_like(x)
+        self.lo[...], self.hi[...] = lo, hi
         self.step, self.trial = np.empty_like(x), np.empty_like(x)
 
     def keep(self, n: int) -> None:
+        self.lo, self.hi = self.lo[:n], self.hi[:n]
         self.step, self.trial = self.step[:n], self.trial[:n]
 
     def _project(self, x: np.ndarray, point: np.ndarray) -> None:

@@ -253,7 +253,6 @@ def test_out_naming_a_file_fails_before_simulating(command, smoke, sweep_config,
         raise AssertionError("simulated before checking --out")
 
     monkeypatch.setattr(runner, "regret_samples", no_simulation)
-    monkeypatch.setattr(runner, "regret_lanes", no_simulation)
     a_file = tmp_path / "a-file"
     a_file.write_bytes(b"")
     config = sweep_config if command == "sweep" else smoke
@@ -293,7 +292,6 @@ def test_sweep_resolves_every_point_before_simulating(doc, names, tmp_path, caps
         raise AssertionError("simulated before every point resolved")
 
     monkeypatch.setattr(runner, "regret_samples", no_simulation)
-    monkeypatch.setattr(runner, "regret_lanes", no_simulation)
     assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -320,11 +318,7 @@ def test_each_experiment_builds_its_schedule_once(argv, builds, tmp_path, monkey
     def unit_regret(policy, env, noise, replications, base_seed, **kwargs):
         return np.ones(replications), None, None
 
-    def unit_regret_lanes(experiments):
-        return [(np.ones(e.replications), None, None) for e in experiments]
-
     monkeypatch.setattr(ExperimentConfig, "build_schedule", counted)
     monkeypatch.setattr(runner, "regret_samples", unit_regret)
-    monkeypatch.setattr(runner, "regret_lanes", unit_regret_lanes)
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == builds

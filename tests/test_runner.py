@@ -5,9 +5,10 @@ import pytest
 
 from kwbandit import (
     ConfigValidationError,
-    MonteCarloEstimate,
+    Experiment,
     parse_config,
     parse_sweep,
+    regret_lanes,
     regret_samples,
     run_experiment,
     run_sweep,
@@ -163,7 +164,7 @@ class TestRunSweep:
         ],
         ids=["T-fixed-step", "delta_T-sliding-window"],
     )
-    def test_lanes_give_each_point_the_bytes_it_has_alone(self, axis, values, algorithm, tmp_path, monkeypatch):
+    def test_lanes_give_each_point_the_samples_it_has_alone(self, axis, values, algorithm, monkeypatch):
         doc = base_doc(
             horizon=300,
             schedule={"episodes": 1},
@@ -177,22 +178,17 @@ class TestRunSweep:
         )
         doc["sweep"] = {"axis": axis, "values": values}
         sweep = parse_sweep(json.dumps(doc))
+        experiments = []
+        for index, value in enumerate(values):
+            r = resolve_experiment(sweep.config_for(value))
+            experiments.append(Experiment(r.policy, r.env, r.noise, 10, r.config.base_seed, seed_path=(index,)))
+        alone = [regret_samples(e.policy, e.env, e.noise, 10, e.base_seed, e.seed_path)[0] for e in experiments]
 
-        def alone(index, value, cfg):
-            resolved = resolve_experiment(cfg)
-            totals, _, _ = regret_samples(
-                resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed, seed_path=(index,)
-            )
-            estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
-            return estimate.mean, estimate.standard_error
-
-        run_sweep(sweep, out_dir=tmp_path / "alone", value_source=alone)
-        run_sweep(sweep, out_dir=tmp_path / "together")
+        together = regret_lanes(experiments)
         monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 7)  # 30 rows in batches of 7: pieces of lanes
-        run_sweep(sweep, out_dir=tmp_path / "split")
-        expected = (tmp_path / "alone/sweep_summary.csv").read_bytes()
-        for name in ("together", "split"):
-            assert (tmp_path / name / "sweep_summary.csv").read_bytes() == expected
+        split = regret_lanes(experiments)
+        for samples in (together, split):
+            assert [totals.tobytes() for totals, _, _ in samples] == [totals.tobytes() for totals in alone]
 
     def test_delta_axis_scale_is_change_rate(self, tmp_path):
         doc = base_doc(

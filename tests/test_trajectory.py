@@ -532,3 +532,22 @@ def test_noise_rows_longer_than_a_line_sit_an_odd_number_of_lines_apart(d, horiz
         assert stride % 64 == 0 and (stride // 64) % 2 == 1, (row_bytes, stride)
     else:
         assert stride == row_bytes
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_engine_squared_distance_equals_the_objectives_bit_for_bit(d):
+    rng = np.random.default_rng(d)
+    box = Domain(lower=(-2.0,) * d, upper=(2.0,) * d)
+    kind = QuarticPerturbedBowl
+    f = kind(domain=box, theta=tuple(rng.uniform(-1.0, 1.0, d)), b=1.0, q=0.05)
+    x = rng.uniform(-2.0, 2.0, (3 * 50, d))
+    x[::7] = f.theta_array  # exact zeros
+    x[1::7] = -0.0
+    rows = traj._ObjectiveRows(kind, 3, 50, d)
+    rows.set(slice(0, 50), f)
+    expected = f._squared_distance(x)
+    got = rows._squared_distance(x)
+    out = np.empty(len(x))
+    assert rows._squared_distance(x, out=out) is out
+    for value in (got, out):
+        assert value.tobytes() == expected.tobytes()
