@@ -133,7 +133,8 @@ class _SeedWords(ISeedSequence):
         self._words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != _SEED_WORDS or np.dtype(dtype) != np.uint64:
+        # the identity test spares the common call a dtype construction
+        if n_words != _SEED_WORDS or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(f"only {_SEED_WORDS} uint64 seed words are derived, not {n_words} of {np.dtype(dtype)}")
         return self._words
 

@@ -24,25 +24,42 @@ operations: ``perturbations(first, count)`` gives the perturbation c of a
 block of steps, and ``update(x, g, s)`` overwrites the iterates x with those
 that follow step s, given its gradient estimates g.  One loop, which never
 asks which rule it runs, evaluates the objective once per step on one
-stacked array of the step's 1 + 2d points for every active row: x itself,
-whose value gives the step's regret, then x + c e_i and x - c e_i for each
-axis i, clamped into the box, whose noisy values give the central-difference
-gradient estimate.
+stacked array of the step's 1 + 2d points for every active row, in
+sign-major slabs: x itself, whose value gives the step's regret, then
+x + c e_i for every axis i, then x - c e_i for every axis i, clamped into the
+box, whose noisy values give the central-difference gradient estimate.  The
+plus and the minus samples are then each one contiguous slab.  Only the
+slabs are sign-major: each stream is still consumed axis-major, plus before
+minus, and each noise block is permuted once into step-major, sign-major
+order, so that a step adds one contiguous (2d, rows) slab of noise.
 
 Every array the loop writes is allocated once per stretch of steps with the
-same active rows, and each operation is a ufunc writing into one of them
-with ``out=``.  No ufunc writes over an input that can have one element:
-NumPy's overlap check costs more than the operation itself on one-element
-arrays, so the running sums alternate between two arrays and the updates go
-through scratch arrays.  The decaying schedule's tables are built once per
-noise block, and ``NoiseModel.fill`` writes the block in place, one
-generator call per replication.  A block holds at most
-``_NOISE_BLOCK_VALUES`` values over all rows, and a row longer than one
-64-byte line starts an odd number of lines after the previous one, so that
-one step's values of every row fall into different cache sets.  With
-``record_trace`` the loop stores the traced row's action, regret and
-cumulative regret; the boundary-contact and episode columns are derived
-after it.
+same active rows, and every view it uses is built once per stretch too.
+Each per-step ufunc writes into one of them with ``out=`` and takes NumPy's
+trivial loop: every operand is 0-d, or has exactly the output's shape and
+is contiguous (a 1-D operand may be strided).  A broadcast or a strided N-d
+operand makes NumPy build its general iterator, which at one row costs an
+operation 2-3 us against about 0.9 us (numpy 2.4, 2.1 GHz Xeon).  So x and
+all rule state are coordinate-major, C-contiguous (d, rows) arrays, the box
+bounds repeated by row; a rate or perturbation that varies by step is a 0-d
+array; and an operation runs in place only through the identical array
+object, since one through a second view of the same memory pays NumPy's
+overlap solver.  One ``take`` gathers the step's points, coordinate-major,
+from x and its two clamped corners.
+
+Each step stores f(x) into a block buffer; the regret f(theta) - f(x) and
+its running sum, added strictly left to right, are settled once per noise
+block and before each event, so an episode change never meets unsettled
+steps.  The decaying schedule's tables are built once per noise block, and
+``NoiseModel.fill`` writes the block in place, one generator call per
+replication.  A block's noise as drawn, its step-major copy and the stored
+f(x) hold at most ``_NOISE_BLOCK_VALUES`` values over all rows together,
+and a drawn row longer than one 64-byte line starts an odd number of lines
+after the previous one, so that one step's values of every row fall into
+different cache sets.  With ``record_trace`` the loop stores the traced
+row's action; its regret and cumulative regret are copied from the block's
+settled rows, and the boundary-contact and episode columns are derived
+after the loop.
 
 The oracle and static policies never measure: their action changes only
 at an episode start, so each episode's regret is evaluated once.
@@ -60,7 +77,6 @@ from itertools import accumulate, chain, repeat
 from typing import Sequence, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .algorithms import FixedStepConfig, SlidingWindowConfig, vanilla_perturbation, vanilla_step_size
 from .noise import NONE, NoiseModel
@@ -68,15 +84,14 @@ from .objectives import ObjectiveSpec, shared_kind
 from .rng import RandomStream
 from .schedule import EnvironmentSchedule
 
-# A noise block holds at most this many noise values over all its rows
-# (2 MB, however many lanes share the batch) and spans at most this many
-# steps, which bounds the per-block tables too.
+# A noise block holds at most this many values over all its rows (2 MB,
+# however many lanes share the batch): the noise as drawn, its step-major
+# copy and the stored f(x).  It spans at most this many steps, which bounds
+# the per-block tables too.
 _NOISE_BLOCK_VALUES = 262_144
 _NOISE_BLOCK_STEPS = 4096
 # Floats in a 64-byte cache line.
 _LINE_FLOATS = 64 // 8
-# Slab 1 + 2i of a step's points is x + c e_i, slab 2 + 2i is x - c e_i.
-_SIGNS = np.array([1.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -198,113 +213,130 @@ def _policy_start(policy: Policy, env: EnvironmentSchedule) -> np.ndarray:
     return x0
 
 
-def _by_row(values, counts: list[int]) -> np.ndarray:
-    """values[k] repeated on the counts[k] rows of lane k."""
-    return np.asarray(values, dtype=float).repeat(counts, axis=0)
+def _by_row(values, counts: list[int], d: int) -> np.ndarray:
+    """values[k] repeated on the counts[k] rows of lane k, once per
+    coordinate: a C-contiguous (d, rows) array."""
+    return np.tile(np.asarray(values, dtype=float).repeat(counts), (d, 1))
 
 
 class _ObjectiveRows:
     """The current objective of every active row as columns laid out like a
-    step's points, (1 + 2d) slabs of the active rows flattened: the shared
-    kind's ``_value`` reads ``theta_array`` and its coefficients from here
-    as from one objective.  ``max_value`` is f(theta) by row."""
+    step's points: the shared kind's ``_value`` reads its coefficients from
+    here as from one objective, one entry per point, (1 + 2d) slabs of the
+    active rows flattened.  Theta is held coordinate-major, (d, points), as
+    the points are; ``max_value`` is f(theta) by row."""
 
     def _squared_distance(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``ObjectiveSpec._squared_distance``, bit for bit.  For d <= 2 the
-        squares are added as columns, since a reduction over a short last
-        axis runs one loop per point; two terms give the same sum in
-        either order."""
+        """``ObjectiveSpec._squared_distance``, bit for bit, of points x,
+        (points, d), whose transpose is C-contiguous.  For d <= 2 the
+        squares are added as coordinate rows, since a reduction over a short
+        last axis runs one loop per point; two terms give the same sum in
+        either order.  For d >= 3 the squares are reduced in the
+        objective's own layout, so the sum is associated as there."""
         d = x.shape[-1]
         if d == 1:
-            u = np.subtract(x[:, 0], self.theta_array[:, 0])
+            u = np.subtract(x[:, 0], self.theta_cols[0], out=self.square_rows[0])
             return np.multiply(u, u, out=out)
+        u = np.subtract(x.T, self.theta_cols, out=self.squares)
+        np.multiply(u, u, out=u)
         if d == 2:
-            u = np.subtract(x, self.theta_array)
-            np.multiply(u, u, out=u)
-            return np.add(u[:, 0], u[:, 1], out=out)
-        return ObjectiveSpec._squared_distance(self, x, out)
+            return np.add(*self.square_rows, out=out)
+        return np.add.reduce(np.ascontiguousarray(u.T), axis=-1, out=out)
 
     def __init__(self, kind: type[ObjectiveSpec], slabs: int, rows: int, d: int):
-        self.names = ("theta_array",) + kind.coefficients
-        self.slabbed = (slabs, rows, -1)
-        self.theta_array = np.empty((slabs * rows, d))
-        for name in kind.coefficients:
+        self.coefficients = kind.coefficients
+        self.slabbed = (slabs, rows)
+        self.theta_cols = np.empty((d, slabs * rows))
+        for name in self.coefficients:
             setattr(self, name, np.empty(slabs * rows))
         self.max_value = np.empty(rows)
+        self._scratch()
+
+    def _scratch(self) -> None:
+        self.squares = np.empty_like(self.theta_cols)
+        self.square_rows = list(self.squares)
 
     def set(self, rows: slice, objective: ObjectiveSpec) -> None:
         """The rows ``rows`` now see ``objective``; a coefficient it lacks is 0."""
-        for name in self.names:
+        d = len(self.theta_cols)
+        self.theta_cols.reshape(d, *self.slabbed)[:, :, rows] = objective.theta_array[:, None, None]
+        for name in self.coefficients:
             getattr(self, name).reshape(self.slabbed)[:, rows] = getattr(objective, name, 0.0)
         self.max_value[rows] = objective.max_value
 
     def keep(self, n: int) -> None:
         """Drop every row past the first n."""
-        slabs, rows, _ = self.slabbed
+        slabs, rows = self.slabbed
         if n < rows:
-            for name in self.names:
-                column = getattr(self, name)
-                setattr(self, name, column.reshape(self.slabbed)[:, :n].reshape(slabs * n, *column.shape[1:]))
-            self.slabbed = (slabs, n, -1)
+            d = len(self.theta_cols)
+            self.theta_cols = self.theta_cols.reshape(d, slabs, rows)[:, :, :n].reshape(d, slabs * n)
+            for name in self.coefficients:
+                setattr(self, name, getattr(self, name).reshape(slabs, rows)[:, :n].reshape(slabs * n))
+            self.slabbed = (slabs, n)
             self.max_value = self.max_value[:n]
+            self._scratch()
 
 
 class _Rule:
-    """A measuring rule over a batch's rows: ``perturbations(first, count)``
-    gives the perturbation c of steps first .. first + count - 1, shaped
-    (count, 1) when it varies by step and (1, rows) when it varies by row;
-    ``update(x, g, s)`` overwrites the iterates x with those that follow
-    step s; ``keep(n)`` drops every row past the first n.  ``step`` and
-    ``trial`` are scratch arrays, so that no ufunc writes over its own
-    input.  The box bounds are repeated by row: against a (d,) operand, a
-    ufunc over (rows, d) runs one inner loop per row."""
+    """A measuring rule over a batch's rows, its state held coordinate-major
+    as C-contiguous (d, rows) arrays, like the iterates x.
+
+    ``perturbations(first, count)`` gives the perturbation c of steps first
+    .. first + count - 1: a (count,) table when it varies by step, or a
+    (1, d, rows) one when it varies by row.  ``update(x, g, s)`` overwrites
+    x with the iterates that follow step s, given its gradient estimates g,
+    (d, rows).  ``keep(n)`` drops every row past the first n, leaving each
+    array in ``state`` C-contiguous.  The box bounds are repeated by row
+    and ``step`` and ``trial`` are scratch arrays, so that every operand of
+    the update's ufuncs is 0-d or has the output's shape, which keeps them
+    on NumPy's trivial loop (see the module docstring)."""
+
+    state = ("lo", "hi", "step", "trial")
 
     def __init__(self, policies: list[Policy], counts: list[int], x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         self.lo, self.hi = np.empty_like(x), np.empty_like(x)
-        self.lo[...], self.hi[...] = lo, hi
+        self.lo[...], self.hi[...] = lo[:, None], hi[:, None]
         self.step, self.trial = np.empty_like(x), np.empty_like(x)
 
     def keep(self, n: int) -> None:
-        self.lo, self.hi = self.lo[:n], self.hi[:n]
-        self.step, self.trial = self.step[:n], self.trial[:n]
+        for name in self.state:
+            setattr(self, name, np.ascontiguousarray(getattr(self, name)[:, :n]))
 
     def _project(self, x: np.ndarray, point: np.ndarray) -> None:
         """x <- project(point); ties go to the bound, as in np.clip."""
         np.maximum(point, self.lo, out=self.step)
         np.minimum(self.step, self.hi, out=x)
 
-    def _ascend(self, x: np.ndarray, g: np.ndarray, rate) -> None:
+    def _ascend(self, x: np.ndarray, g: np.ndarray, rate: np.ndarray) -> None:
         """x <- project(x + rate * g)."""
         np.multiply(g, rate, out=self.step)
         self._project(x, np.add(x, self.step, out=self.trial))
 
 
 class _DecayingStep(_Rule):
-    """Rate s**(-1/2) and perturbation s**(-1/4), tabulated per block as
-    (count, 1) columns: a ufunc takes a one-element array operand faster
-    than a float."""
+    """Rate s**(-1/2) and perturbation s**(-1/4), tabulated per block; each
+    step passes its rate to the ufuncs as a 0-d array, which they take as
+    fast as a same-shaped operand and faster than a float."""
 
     def perturbations(self, first: int, count: int) -> np.ndarray:
         steps = range(first, first + count)
         self.first = first
-        self.rates = np.fromiter(map(vanilla_step_size, steps), float, count)[:, None]
-        return np.fromiter(map(vanilla_perturbation, steps), float, count)[:, None]
+        self.rates = np.fromiter(map(vanilla_step_size, steps), float, count)
+        return np.fromiter(map(vanilla_perturbation, steps), float, count)
 
     def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
-        self._ascend(x, g, self.rates[s - self.first])
+        self._ascend(x, g, self.rates[s - self.first, ...])
 
 
 class _FixedStep(_Rule):
     """Constant rate beta and perturbation c, by row."""
 
+    state = _Rule.state + ("beta", "c")
+
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
-        self.beta = _by_row([policy.config.beta for policy in policies], counts)[:, None]
-        self.c = _by_row([policy.config.c for policy in policies], counts)
-
-    def keep(self, n: int) -> None:
-        super().keep(n)
-        self.beta, self.c = self.beta[:n], self.c[:n]
+        self.beta = _by_row([policy.config.beta for policy in policies], counts, len(x))
+        self.c = _by_row([policy.config.c for policy in policies], counts, len(x))
 
     def perturbations(self, first: int, count: int) -> np.ndarray:
         return self.c[None]
@@ -317,33 +349,29 @@ class _SlidingWindow(_Rule):
     """x <- project(anchor + sum_n n**(-1/2) y_n) over the estimates since
     the last restart; lane k's sum empties after each ``window`` estimates.
     Step s on lane k's rows has n = (s - 1) % window + 1: the weights are
-    tabulated per block by lane and gathered per step by row, and the
-    block's restarts are listed by step."""
+    tabulated per block by lane and gathered per step with one ``take``
+    over the (d, rows) lane index, and the block's restarts are listed by
+    step."""
+
+    state = _Rule.state + ("c", "anchor", "action_sum", "lane_index", "weight")
 
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
         self.configs = [policy.config for policy in policies]
         bounds = list(accumulate(counts, initial=0))
         self.lane_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        self.c = _by_row([config.c for config in self.configs], counts)
+        self.c = _by_row([config.c for config in self.configs], counts, len(x))
         self.anchor = x.copy()
         self.action_sum = np.zeros_like(x)
-        self.lane_of_row = np.arange(len(policies)).repeat(counts)
-        self.weight = np.empty((len(x), 1))
-        self.weight_of_row = self.weight[:, 0]
-
-    def keep(self, n: int) -> None:
-        super().keep(n)
-        self.c, self.anchor, self.action_sum = self.c[:n], self.anchor[:n], self.action_sum[:n]
-        self.lane_of_row, self.weight = self.lane_of_row[:n], self.weight[:n]
-        self.weight_of_row = self.weight[:, 0]
+        self.lane_index = np.tile(np.arange(len(policies)).repeat(counts), (len(x), 1))
+        self.weight = np.empty_like(x)
 
     def perturbations(self, first: int, count: int) -> np.ndarray:
         filled = np.arange(first - 1, first - 1 + count)
         self.first = first
         self.weights = np.stack([config.weights[filled % config.window] for config in self.configs], axis=1)
         self.restarts = defaultdict(list)
-        active = len(self.action_sum)
+        active = self.action_sum.shape[1]
         for rows, config in zip(self.lane_rows, self.configs):
             if rows.start < active:
                 window = config.window
@@ -355,11 +383,10 @@ class _SlidingWindow(_Rule):
     def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
         if s in self.restarts:
             for rows in self.restarts[s]:
-                self.action_sum[rows] = 0.0
-        self.weights[s - self.first].take(self.lane_of_row, out=self.weight_of_row, mode="clip")
+                self.action_sum[:, rows] = 0.0
+        self.weights[s - self.first].take(self.lane_index, out=self.weight, mode="clip")
         np.multiply(g, self.weight, out=self.step)
-        np.add(self.action_sum, self.step, out=self.trial)
-        self.action_sum, self.trial = self.trial, self.action_sum
+        np.add(self.action_sum, self.step, out=self.action_sum)
         self._project(x, np.add(self.anchor, self.action_sum, out=self.trial))
 
 
@@ -391,8 +418,11 @@ class _TraceColumns:
 
 
 def _block_steps(rows: int, values_per_step: int, length: int) -> int:
-    """Steps per noise block for ``rows`` rows over a stretch of ``length`` steps."""
-    return max(1, min(_NOISE_BLOCK_STEPS, length, _NOISE_BLOCK_VALUES // (rows * max(1, values_per_step))))
+    """Steps per noise block for ``rows`` rows over a stretch of ``length``
+    steps.  Each step of a row holds ``values_per_step`` noise values as
+    drawn, as many again in step-major order, and its f(x)."""
+    per_step = rows * (2 * values_per_step + 1)
+    return max(1, min(_NOISE_BLOCK_STEPS, length, _NOISE_BLOCK_VALUES // per_step))
 
 
 def _row_floats(width: int) -> int:
@@ -480,40 +510,62 @@ def _stretches(lanes: list[Lane], bounds: list[int]) -> list[tuple[int, int, int
     return stretches
 
 
+def _gather_index(d: int, n: int) -> np.ndarray:
+    """Where each entry of a step's points, coordinate-major (d, 1 + 2d, n),
+    sits in the stacked corners (x, min(x + c, hi), max(x - c, lo)),
+    (3, d, n): coordinate i of slab 1 + i comes from the second corner,
+    coordinate i of slab 1 + d + i from the third, and every other entry
+    from x."""
+    axes = np.arange(d)
+    corner = np.zeros((d, 1 + 2 * d), dtype=np.intp)
+    corner[axes, 1 + axes] = 1
+    corner[axes, 1 + d + axes] = 2
+    return (((corner * d + axes[:, None]) * n)[:, :, None] + np.arange(n)).ravel()
+
+
 def _measure(lanes: list[Lane], noise: NoiseModel) -> list[BatchResult]:
     """The step loop of a measuring rule over lanes ordered longest horizon
     first, with sorted probe steps; returns their results.
 
     The loop never branches on the rule or the lane.  Over each stretch
     the active rows are a fixed prefix, and noise blocks end with it;
-    boundary contacts are derived after each noise block's steps, from the
-    recorded actions and the block's perturbations."""
+    regret is settled from the stored f(x) at the end of each noise block
+    and before each event, and boundary contacts are derived after each
+    block's steps, from the recorded actions and the block's
+    perturbations."""
     domain = lanes[0].env.domain
     d = domain.dimension
     lo, hi = domain.lower_array, domain.upper_array
-    lo_col, hi_col = lo[:, None], hi[:, None]
     slabs = 1 + 2 * d
     counts = [len(lane.rngs) for lane in lanes]
     bounds = list(accumulate(counts, initial=0))
     lane_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     rngs = list(chain.from_iterable(lane.rngs for lane in lanes))
 
-    x = np.array([_policy_start(lane.policy, lane.env) for lane in lanes]).repeat(counts, axis=0)
+    # The iterates x, coordinate-major, stacked with the step's two
+    # perturbed corners, from which one take assembles the step's points.
+    corners = np.empty((3, d, len(rngs)))
+    x = corners[0]
+    x[...] = np.array([_policy_start(lane.policy, lane.env) for lane in lanes]).repeat(counts, axis=0).T
     rule = _RULES[type(lanes[0].policy)]([lane.policy for lane in lanes], counts, x, lo, hi)
     kind = shared_kind([o for lane in lanes for o in lane.env.objectives])
     evaluate = kind._value
-    objectives = _ObjectiveRows(kind, slabs, len(x), d)
+    objectives = _ObjectiveRows(kind, slabs, len(rngs), d)
     current = [lane.env.objectives[0] for lane in lanes]
     for rows, objective in zip(lane_rows, current):
         objectives.set(rows, objective)
     probe_out: list[dict[int, np.ndarray]] = [{} for _ in lanes]
+
+    def distances(k: int) -> np.ndarray:
+        # the objective's own layout, (rows, d) C-ordered, gives its own bits
+        return current[k]._squared_distance(np.ascontiguousarray(x[:, lane_rows[k]].T))
 
     def change(k: int, objective: ObjectiveSpec) -> None:
         current[k] = objective
         objectives.set(lane_rows[k], objective)
 
     def probe(k: int, s: int) -> None:
-        probe_out[k][s] = current[k]._squared_distance(x[lane_rows[k]])
+        probe_out[k][s] = distances(k)
 
     # Each step's events: episode changes, then probes of the new episode's
     # objective.
@@ -531,97 +583,131 @@ def _measure(lanes: list[Lane], noise: NoiseModel) -> list[BatchResult]:
     stretches = _stretches(lanes, bounds)
     values_per_step = 2 * d if noise.kind != NONE else 0
     block_caps = [_block_steps(n, values_per_step, last - first + 1) for n, first, last in stretches]
+    sizes = [(n, cap) for (n, _, _), cap in zip(stretches, block_caps)]
+    # Row 0 of every stretch's regret view is the buffer's first n values:
+    # the cumulative regret by row so far, carried over as the rows shrink.
+    regret_buffer = np.zeros(max(n * (cap + 1) for n, cap in sizes))
     if values_per_step:
-        buffer = np.empty(max(n * _row_floats(cap * values_per_step) for (n, _, _), cap in zip(stretches, block_caps)))
+        buffer = np.empty(max(n * _row_floats(cap * values_per_step) for n, cap in sizes))
+        step_buffer = np.empty(max(n * cap * values_per_step for n, cap in sizes))
 
     traced = next((k for k, lane in enumerate(lanes) if lane.record_trace), None)
     columns = trace = None
     if traced is not None:
         columns = _TraceColumns(lanes[traced].env.horizon, d)
-        tr_actions, tr_inst, tr_cum = columns.actions, columns.inst, columns.cum
+        tr_actions = columns.actions
         t_row = bounds[traced]
-        x_traced = x[t_row]
+
+    def settle(first: int, end: int) -> None:
+        """Regret and cumulative regret of the block's steps first .. end - 1
+        from their stored f(x); the running sum adds strictly step by step."""
+        fx = regret[1 + first : 1 + end]
+        np.subtract(f_at_theta, fx, out=fx)
+        if columns is not None:
+            columns.inst[step - 1 + first : step - 1 + end] = fx[:, t_row]
+        running = regret[first : 1 + end]
+        np.add.accumulate(running, axis=0, out=running)
+        if columns is not None:
+            columns.cum[step - 1 + first : step - 1 + end] = fx[:, t_row]
 
     totals: list[np.ndarray] = [None] * len(lanes)
-    cum, cum_next = np.zeros(len(x)), np.empty(len(x))
     active = len(lanes)
-    for (n, step, last), block_cap in zip(stretches, block_caps):
-        xs = x[:n]
-        x_cols = xs.T
+    for (n, step, last), cap in zip(stretches, block_caps):
+        if n < corners.shape[2]:
+            corners = np.ascontiguousarray(corners[:, :, :n])
+            x = corners[0]
+        plus, minus = corners[1], corners[2]
         rule.keep(n)
         objectives.keep(n)
+        lo_rows, hi_rows = rule.lo, rule.hi
         f_at_theta = objectives.max_value
-        cum, cum_next = cum[:n], cum_next[:n]
+        if columns is not None:
+            x_traced = x[:, t_row]
 
-        # The 1 + 2d points of a step, one (n, d) slab each: slab 0 is x,
-        # slabs 1 + 2i and 2 + 2i are x + c e_i and x - c e_i (axis-major,
-        # plus before minus).  shifted[0, i] and shifted[1, i] view
-        # coordinate i of slabs 1 + 2i and 2 + 2i, the only coordinates a
-        # step perturbs.
-        points = np.empty((slabs, n, d))
-        flat_points = points.reshape(-1, d)
-        slab, row, col = points.strides
-        shifted = as_strided(points[1, :, 0], shape=(2, d, n), strides=(slab, 2 * slab + col, row))
+        # The 1 + 2d points of a step, coordinate-major as (d, 1 + 2d, n)
+        # and handed to the objective as (points, d): slab 0 is x, slab
+        # 1 + i is x + c e_i and slab 1 + d + i is x - c e_i.  Their values
+        # are sign-major too, so the plus and the minus samples are each one
+        # contiguous (d, n) slab.
+        gather = _gather_index(d, n)
+        points = np.empty(d * slabs * n)
+        at_points = points.reshape(d, slabs * n).T
         values = np.empty((slabs, n))
         flat_values = values.reshape(-1)
         at_x, samples = values[0], values[1:]
-        plus_samples, minus_samples = samples[0::2], samples[1::2]
-        diff, quotient = np.empty((d, n)), np.empty((d, n))
-        grad = quotient.T
-        inst = np.empty(n)
+        plus_samples, minus_samples = values[1 : 1 + d], values[1 + d :]
+        grad = np.empty((d, n))
+        regret = regret_buffer[: (cap + 1) * n].reshape(cap + 1, n)
         if values_per_step:
-            noise_block = _noise_block(buffer, n, block_cap, values_per_step)
-            step_noise = noise_block.transpose(1, 2, 0)
+            noise_block = _noise_block(buffer, n, cap, values_per_step)
+            step_noise = step_buffer[: cap * values_per_step * n].reshape(cap, values_per_step, n)
 
         while step <= last:
-            block = min(block_cap, last - step + 1)
-            # c by step, (block, 1), or by row, (1, n): step + j reads row k
-            # of the tables, k = j or 0
+            block = min(cap, last - step + 1)
+            # c by step, (block,), or by row, (1, d, n): step + j reads
+            # entry k of the tables, k = j or 0
             cs = rule.perturbations(step, block)
-            offsets = np.multiply.outer(_SIGNS, cs).transpose(1, 0, 2)[:, :, None, :]
             spans = 2.0 * cs
             if values_per_step:
-                noise.fill(rngs, noise_block[:, :block])
-            for j, k in zip(range(block), range(block) if len(cs) > 1 else repeat(0)):
+                drawn = noise_block[:, :block]
+                noise.fill(rngs, drawn)
+                # Each stream's values stay axis-major, plus before minus;
+                # step j's values of every row become one sign-major slab.
+                by_sign = drawn.reshape(n, block, d, 2).transpose(1, 3, 2, 0)
+                np.copyto(step_noise[:block].reshape(block, 2, d, n), by_sign)
+            settled = 0
+            # step + j stores f(x) into f_x, row 1 + j of the regret, and
+            # adds the noise slab noise_j
+            by_step = zip(
+                range(block),
+                range(block) if cs.ndim == 1 else repeat(0),
+                regret[1:],
+                step_noise if values_per_step else repeat(None),
+            )
+            for j, k, f_x, noise_j in by_step:
                 s = step + j
                 if s == next_event:
+                    settle(settled, j)
+                    settled = j
                     for event in events[s]:
                         event()
                     next_event = next(event_steps, 0)
 
-                points[...] = xs
-                np.add(x_cols, offsets[k], out=shifted)
-                np.maximum(shifted, lo_col, out=shifted)
-                np.minimum(shifted, hi_col, out=shifted)
-                evaluate(objectives, flat_points, out=flat_values)
-                np.subtract(f_at_theta, at_x, out=inst)
-                np.add(cum, inst, out=cum_next)
-                cum, cum_next = cum_next, cum
+                # One-sided clamps: x lies in the box and c > 0, so x + c
+                # never falls below lo nor x - c rises above hi, and the
+                # clamp on that side would return its input bit for bit.
+                c = cs[k, ...]
+                np.add(x, c, out=plus)
+                np.minimum(plus, hi_rows, out=plus)
+                np.subtract(x, c, out=minus)
+                np.maximum(minus, lo_rows, out=minus)
+                corners.take(gather, out=points, mode="clip")
+                evaluate(objectives, at_points, out=flat_values)
+                f_x[...] = at_x
                 if columns is not None:
                     tr_actions[s - 1] = x_traced
-                    tr_inst[s - 1] = inst[t_row]
-                    tr_cum[s - 1] = cum[t_row]
 
                 if values_per_step:
-                    np.add(samples, step_noise[j], out=samples)
-                np.subtract(plus_samples, minus_samples, out=diff)
-                np.divide(diff, spans[k], out=quotient)
-                rule.update(xs, grad, s)
+                    np.add(samples, noise_j, out=samples)
+                np.subtract(plus_samples, minus_samples, out=grad)
+                np.divide(grad, spans[k, ...], out=grad)
+                rule.update(x, grad, s)
+            settle(settled, block)
+            regret[0] = regret[block]
 
             if columns is not None:
                 rows = slice(step - 1, step - 1 + block)
                 actions = tr_actions[rows]
-                c_col = np.broadcast_to(cs, (block, n))[:, t_row, None]
+                c_col = cs[:, None] if cs.ndim == 1 else cs[0, :, t_row]
                 np.any((actions + c_col > hi) | (actions - c_col < lo), axis=1, out=columns.contact[rows])
             step += block
 
         # The lanes whose horizon is ``last`` end here.
         while active and lanes[active - 1].env.horizon == last:
             active -= 1
-            rows = lane_rows[active]
-            totals[active] = cum[rows].copy()
+            totals[active] = regret[0, lane_rows[active]].copy()
             if last + 1 in lanes[active].probe_steps:
-                probe_out[active][last + 1] = current[active]._squared_distance(x[rows])
+                probe_out[active][last + 1] = distances(active)
             if active == traced:
                 trace = columns.finish(lanes[active].env, x_traced)
                 columns = None

@@ -1,4 +1,5 @@
-from itertools import combinations
+import tracemalloc
+from itertools import accumulate, combinations
 from unittest import mock
 
 import numpy as np
@@ -71,7 +72,8 @@ class TestNoiselessTrace:
         env = EnvironmentSchedule.stationary(25, bowl)
         trace = single_trace(fixed_policy, env, no_noise, replication_stream(0, 0))
         assert trace.horizon == 25
-        assert trace.cum_regret[-1] == pytest.approx(np.sum(trace.inst_regret), rel=1e-14)
+        # the running sum adds strictly left to right, step by step
+        assert trace.cum_regret.tolist() == list(accumulate(trace.inst_regret.tolist()))
         assert np.all(np.diff(trace.cum_regret) >= 0)
         assert np.all(trace.inst_regret >= 0)
 
@@ -386,8 +388,8 @@ def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
     """Every replication of a batch wider than one, drawn over several noise
     blocks, equals its own single-stream run and the step-by-step run of
     ``tests/reference.py`` on ``env.objective_at(s)``, bit for bit:
-    actions, instantaneous regret, boundary contacts, distance probes and
-    the final iterate."""
+    actions, instantaneous and cumulative regret, boundary contacts,
+    distance probes and the final iterate."""
     variant, policy, env, noise, probes = case
     horizon = env.horizon
     with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", 48):
@@ -397,15 +399,22 @@ def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
             assert batch.total_regret[r] == trace.total_regret
 
             actions, contacts, final = reference.run(variant, policy, env, noise, replication_stream(seed, r))
+            running, cum_regret = 0.0, []
             for s in range(1, horizon + 1):
                 f = env.objective_at(s)
                 x = actions[s - 1]
                 assert np.array_equal(trace.actions[s - 1], x)
-                assert trace.inst_regret[s - 1] == f.max_value - f.evaluate(x)
+                regret = f.max_value - f.evaluate(x)
+                assert trace.inst_regret[s - 1] == regret
+                running += regret
+                cum_regret.append(running)
                 if s in probes:
                     assert batch.distance_probes[s][r] == _squared_distance(x, f.theta_array)
                 assert trace.boundary_contact[s - 1] == contacts[s - 1]
             assert np.array_equal(trace.final_x, final)
+            # the left-to-right running sum, also where episodes change
+            # inside a noise block
+            assert trace.cum_regret.tobytes() == np.array(cum_regret).tobytes()
             if horizon + 1 in probes:
                 theta = env.objective_at(horizon).theta_array
                 assert batch.distance_probes[horizon + 1][r] == _squared_distance(final, theta)
@@ -551,3 +560,22 @@ def test_engine_squared_distance_equals_the_objectives_bit_for_bit(d):
     assert rows._squared_distance(x, out=out) is out
     for value in (got, out):
         assert value.tobytes() == expected.tobytes()
+
+
+def test_block_buffers_stay_within_the_noise_block_budget():
+    """A batch shaped like a sweep point (192 rows, d=1, 1,000 steps,
+    gaussian noise) allocates at most the 2 MB block budget, which covers
+    the noise as drawn, its step-major copy and the stored f(x), plus
+    0.5 MB for everything else."""
+    box = Domain(lower=(-2.0,), upper=(2.0,))
+    f = QuadraticBowl(domain=box, theta=(0.3,), b=1.0)
+    policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.1, constants=f.constants), x0=(1.0,))
+    env = EnvironmentSchedule.stationary(1000, f)
+    rngs = replication_streams(0, 192)
+    tracemalloc.start()
+    try:
+        simulate_batch(policy, env, NoiseModel.gaussian(0.5), rngs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= traj._NOISE_BLOCK_VALUES * 8 + 512 * 1024, peak
