@@ -34,7 +34,7 @@ from .objectives import ClassConstants, ObjectiveSpec, QuadraticBowl, QuarticPer
 from .rng import RandomStream, replication_stream, replication_streams
 from .runner import run_experiment, run_sweep
 from .scaling import fit_scaling_exponent
-from .schedule import EnvironmentSchedule, adversarial_corpus
+from .schedule import EnvironmentSchedule
 from .trajectory import (
     FixedStepPolicy,
     Lane,
@@ -86,7 +86,6 @@ __all__ = [
     "StaticPolicy",
     "SweepSpec",
     "VanillaPolicy",
-    "adversarial_corpus",
     "calibrate_window_constant",
     "contraction_factor",
     "coupled_perturbation",

@@ -46,8 +46,8 @@ class FixedStepConfig:
     Construction rejects any (beta, constants) pair whose contraction
     factor is not below one: a fixed step that large cannot shrink the
     expected squared distance.  ``alpha`` records the exponent coupling
-    beta to c (beta = c**(2/(1-alpha))); the coupled constructor derives
-    beta from c, the plain constructor just stores alpha.
+    beta to c (beta = c**(2/(1-alpha))); auto tuning derives c from beta
+    through it (``tuning.coupled_perturbation``), construction just stores it.
     """
 
     beta: float
@@ -67,13 +67,6 @@ class FixedStepConfig:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         # Raises ContractionViolationError when beta is too large.
         contraction_factor(self.beta, self.constants.k1, self.constants.k2)
-
-    @classmethod
-    def coupled(cls, c: float, alpha: float, constants: ClassConstants) -> "FixedStepConfig":
-        """beta = c**(2/(1-alpha)) for alpha in (0, 1)."""
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"the coupled constructor requires alpha in (0, 1), got {alpha}")
-        return cls(beta=float(c) ** (2.0 / (1.0 - alpha)), c=c, constants=constants, alpha=alpha)
 
     @property
     def gamma(self) -> float:

@@ -528,6 +528,8 @@ def parse_sweep(source: str | dict) -> SweepSpec:
             else:
                 if any(isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0 for v in raw):
                     chk.fail("sweep.values: all values must be positive numbers")
+                elif any(isinstance(v, float) and not np.isfinite(v) for v in raw):
+                    chk.fail("sweep.values: all values must be finite numbers")
                 elif any(b <= a for a, b in zip(raw, raw[1:])):
                     chk.fail("sweep.values: values must be strictly increasing")
                 elif axis in ("T", "delta_T", "L") and not all(isinstance(v, int) for v in raw):

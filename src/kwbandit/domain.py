@@ -56,10 +56,6 @@ class Domain:
     def diameter(self) -> float:
         return float(np.linalg.norm(self.upper_array - self.lower_array))
 
-    @property
-    def midpoint(self) -> tuple[float, ...]:
-        return tuple(0.5 * (a + b) for a, b in zip(self.lower, self.upper))
-
     def contains(self, x) -> bool:
         arr = np.asarray(x, dtype=float)
         return bool(np.all(arr >= self.lower_array) and np.all(arr <= self.upper_array))

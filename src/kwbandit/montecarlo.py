@@ -36,9 +36,6 @@ class MonteCarloEstimate:
         stderr = 0.0 if n < 2 else float(np.std(samples, ddof=1) / np.sqrt(n))
         return cls(mean=float(np.mean(samples)), standard_error=stderr, replications=n, base_seed=base_seed)
 
-    def upper_confidence(self, z: float = 3.0) -> float:
-        return self.mean + z * self.standard_error
-
     def lower_confidence(self, z: float = 3.0) -> float:
         return self.mean - z * self.standard_error
 

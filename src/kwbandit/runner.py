@@ -334,7 +334,6 @@ def run_sweep(
     out_dir: str | Path | None = None,
     seed: int | None = None,
     replications: int | None = None,
-    value_source=None,
 ) -> SweepResult:
     """Run one experiment per sweep value and fit the power-law exponent of
     the normalized regret against the axis scale (the change rate
@@ -344,9 +343,6 @@ def run_sweep(
     run one after another through ``regret_samples``, not together
     through ``regret_lanes``: perfbench's tracer counts a sweep's engine
     work only where one experiment enters the engine.
-
-    ``value_source`` is a testing hook: a callable
-    ``(index, value, config) -> (mean, stderr)`` replacing simulation.
     """
     sweep = replace(sweep, base=with_overrides(sweep.base, seed=seed, replications=replications))
     resolved_points, errors = [], []
@@ -360,19 +356,15 @@ def run_sweep(
 
     def run_point(index: int, resolved: ResolvedExperiment) -> SweepRow:
         cfg, value = resolved.config, sweep.values[index]
-        if value_source is not None:
-            mean, stderr = value_source(index, value, cfg)
-        else:
-            totals, _, _ = regret_samples(
-                resolved.policy,
-                resolved.env,
-                resolved.noise,
-                cfg.replications,
-                cfg.base_seed,
-                seed_path=(index,),
-            )
-            estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
-            mean, stderr = estimate.mean, estimate.standard_error
+        totals, _, _ = regret_samples(
+            resolved.policy,
+            resolved.env,
+            resolved.noise,
+            cfg.replications,
+            cfg.base_seed,
+            seed_path=(index,),
+        )
+        estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
         echo, bound = resolved.echo, resolved.bound
         return SweepRow(
             axis=sweep.axis,
@@ -387,9 +379,9 @@ def run_sweep(
             window=echo.window,
             replications=echo.replications,
             base_seed=echo.base_seed,
-            mean_regret=mean,
-            stderr_regret=stderr,
-            normalized_regret=mean / cfg.horizon,
+            mean_regret=estimate.mean,
+            stderr_regret=estimate.standard_error,
+            normalized_regret=estimate.mean / cfg.horizon,
             bound_name=bound.name if bound else "",
             bound_value=bound.value if bound else None,
         )

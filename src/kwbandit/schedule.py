@@ -104,45 +104,3 @@ class EnvironmentSchedule:
         times = tuple(1 + (i * horizon) // num_episodes for i in range(num_episodes))
         served = tuple(objectives[i % len(objectives)] for i in range(num_episodes))
         return cls(horizon=horizon, change_times=times, objectives=served)
-
-    @classmethod
-    def packed(
-        cls,
-        horizon: int,
-        num_episodes: int,
-        objectives: list[ObjectiveSpec],
-        where: str = "early",
-        min_length: int = 1,
-    ) -> "EnvironmentSchedule":
-        """Adversarial layout: changes packed at the start or the end of the
-        horizon, each packed episode ``min_length`` steps long."""
-        if where not in ("early", "late"):
-            raise ValueError(f"where must be 'early' or 'late', got {where!r}")
-        if num_episodes < 1:
-            raise ValueError(f"num_episodes must be >= 1, got {num_episodes}")
-        if min_length < 1:
-            raise ValueError(f"min_length must be >= 1, got {min_length}")
-        packed_span = (num_episodes - 1) * min_length
-        if packed_span + 1 > horizon:
-            raise ValueError(f"cannot pack {num_episodes} episodes of {min_length} steps into horizon {horizon}")
-        if where == "early":
-            times = tuple(1 + i * min_length for i in range(num_episodes))
-        else:
-            times = (1,) + tuple(
-                horizon - (num_episodes - k) * min_length + 1 for k in range(1, num_episodes)
-            )
-        served = tuple(objectives[i % len(objectives)] for i in range(num_episodes))
-        return cls(horizon=horizon, change_times=times, objectives=served)
-
-
-def adversarial_corpus(
-    horizon: int, num_episodes: int, objectives: list[ObjectiveSpec], min_length: int = 1
-) -> list[EnvironmentSchedule]:
-    """Finite corpus approximating the worst case over schedules: maximal
-    objective jumps with change times evenly spaced, packed early, and
-    packed late."""
-    corpus = [EnvironmentSchedule.evenly_spaced(horizon, num_episodes, objectives)]
-    if num_episodes > 1:
-        corpus.append(EnvironmentSchedule.packed(horizon, num_episodes, objectives, "early", min_length))
-        corpus.append(EnvironmentSchedule.packed(horizon, num_episodes, objectives, "late", min_length))
-    return corpus

@@ -53,13 +53,10 @@ block and before each event, so an episode change never meets unsettled
 steps.  The decaying schedule's tables are built once per noise block, and
 ``NoiseModel.fill`` writes the block in place, one generator call per
 replication.  A block's noise as drawn, its step-major copy and the stored
-f(x) hold at most ``_NOISE_BLOCK_VALUES`` values over all rows together,
-and a drawn row longer than one 64-byte line starts an odd number of lines
-after the previous one, so that one step's values of every row fall into
-different cache sets.  With ``record_trace`` the loop stores the traced
-row's action; its regret and cumulative regret are copied from the block's
-settled rows, and the boundary-contact and episode columns are derived
-after the loop.
+f(x) hold at most ``_NOISE_BLOCK_VALUES`` values over all rows together.
+With ``record_trace`` the loop stores the traced row's action; its regret
+and cumulative regret are copied from the block's settled rows, and the
+boundary-contact and episode columns are derived after the loop.
 
 The oracle and static policies never measure: their action changes only
 at an episode start, so each episode's regret is evaluated once.
@@ -90,8 +87,6 @@ from .schedule import EnvironmentSchedule
 # the per-block tables too.
 _NOISE_BLOCK_VALUES = 262_144
 _NOISE_BLOCK_STEPS = 4096
-# Floats in a 64-byte cache line.
-_LINE_FLOATS = 64 // 8
 
 
 @dataclass(frozen=True)
@@ -163,11 +158,6 @@ class RegretTrace:
     @property
     def total_regret(self) -> float:
         return float(self.cum_regret[-1])
-
-    def episode_regret_totals(self) -> np.ndarray:
-        """Per-episode sums of instantaneous regret, episode order."""
-        starts = np.flatnonzero(np.diff(self.episode, prepend=self.episode[0] - 1))
-        return np.add.reduceat(self.inst_regret, starts)
 
 
 @dataclass(frozen=True)
@@ -425,26 +415,6 @@ def _block_steps(rows: int, values_per_step: int, length: int) -> int:
     return max(1, min(_NOISE_BLOCK_STEPS, length, _NOISE_BLOCK_VALUES // per_step))
 
 
-def _row_floats(width: int) -> int:
-    """Floats from one noise-block row of ``width`` values to the next: the
-    width itself when the row fits one 64-byte line, else the smallest odd
-    number of lines that holds it.  An odd number of lines is coprime with
-    the power-of-two number of cache sets, so one step's values of
-    successive rows fall into different sets; 4,096 steps of two values
-    (1,024 lines) would put them all into one."""
-    if width <= _LINE_FLOATS:
-        return width
-    return (-(-width // _LINE_FLOATS) | 1) * _LINE_FLOATS
-
-
-def _noise_block(buffer: np.ndarray, rows: int, steps: int, values_per_step: int) -> np.ndarray:
-    """A (rows, steps, values_per_step) view of ``buffer`` whose rows are
-    C-contiguous and ``_row_floats`` apart."""
-    width = steps * values_per_step
-    stride = _row_floats(width)
-    return buffer[: rows * stride].reshape(rows, stride)[:, :width].reshape(rows, steps, values_per_step)
-
-
 def simulate_lanes(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     """Run every lane in one step loop; returns each lane's result, in lane
     order.
@@ -588,8 +558,8 @@ def _measure(lanes: list[Lane], noise: NoiseModel) -> list[BatchResult]:
     # the cumulative regret by row so far, carried over as the rows shrink.
     regret_buffer = np.zeros(max(n * (cap + 1) for n, cap in sizes))
     if values_per_step:
-        buffer = np.empty(max(n * _row_floats(cap * values_per_step) for n, cap in sizes))
-        step_buffer = np.empty(max(n * cap * values_per_step for n, cap in sizes))
+        buffer = np.empty(max(n * cap * values_per_step for n, cap in sizes))
+        step_buffer = np.empty_like(buffer)
 
     traced = next((k for k, lane in enumerate(lanes) if lane.record_trace), None)
     columns = trace = None
@@ -639,7 +609,7 @@ def _measure(lanes: list[Lane], noise: NoiseModel) -> list[BatchResult]:
         grad = np.empty((d, n))
         regret = regret_buffer[: (cap + 1) * n].reshape(cap + 1, n)
         if values_per_step:
-            noise_block = _noise_block(buffer, n, cap, values_per_step)
+            noise_block = buffer[: n * cap * values_per_step].reshape(n, cap, values_per_step)
             step_noise = step_buffer[: cap * values_per_step * n].reshape(cap, values_per_step, n)
 
         while step <= last:

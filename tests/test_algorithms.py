@@ -88,12 +88,6 @@ class TestFixedStep:
         with pytest.raises(ContractionViolationError):
             FixedStepConfig(beta=1.5, c=0.1, constants=bowl.constants)
 
-    def test_coupled_constructor(self, bowl):
-        cfg = FixedStepConfig.coupled(c=0.3, alpha=0.5, constants=bowl.constants)
-        assert cfg.beta == pytest.approx(0.3 ** (2 / 0.5))
-        with pytest.raises(ValueError, match="alpha in"):
-            FixedStepConfig.coupled(c=0.3, alpha=1.0, constants=bowl.constants)
-
 
 class TestSlidingWindow:
     def test_empty_buffer_returns_anchor(self, bowl):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,26 @@ REMOVED = (
     "sliding_window_advance",
     "step_fixed",
     "step_vanilla",
+    # library code that no command, documented path or benchmark reached
+    "adversarial_corpus",
 )
+REMOVED_ATTRIBUTES = (
+    ("schedule", "adversarial_corpus"),
+    ("EnvironmentSchedule", "packed"),
+    ("FixedStepConfig", "coupled"),
+    ("Domain", "midpoint"),
+    ("MonteCarloEstimate", "upper_confidence"),
+    ("RegretTrace", "episode_regret_totals"),
+)
+# Public names no production path calls yet: the bound evaluators that the
+# per-episode diagnostics are to wire in.
+UNCALLED = (
+    "expected_distance_bound",
+    "fixed_step_normalized_bound",
+    "sliding_window_episode_bound",
+    "sliding_window_normalized_bound",
+)
+ROOT = Path(__file__).parents[1]
 
 
 def test_all_is_unique_sorted_and_resolves():
@@ -35,6 +55,37 @@ def test_removed_names_are_gone(name):
     assert name not in kwbandit.__all__
     with pytest.raises(AttributeError):
         getattr(kwbandit, name)
+
+
+@pytest.mark.parametrize("owner, name", REMOVED_ATTRIBUTES, ids=[".".join(pair) for pair in REMOVED_ATTRIBUTES])
+def test_removed_attributes_are_gone(owner, name):
+    assert not hasattr(getattr(kwbandit, owner), name)
+
+
+def test_run_sweep_takes_no_testing_hook():
+    assert "value_source" not in inspect.signature(kwbandit.run_sweep).parameters
+
+
+def _referenced_names(path: Path) -> set[str]:
+    """Every name ``path`` reads, as a plain name, an attribute or an import."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_every_public_name_has_a_production_caller():
+    # a public name that only tests reach is dead weight: production is the
+    # package itself, its re-exports aside, and the benchmark's child
+    sources = [p for p in (ROOT / "src" / "kwbandit").glob("*.py") if p.name != "__init__.py"]
+    referenced = set().union(*map(_referenced_names, sources + [ROOT / "perfbench" / "child.py"]))
+    uncalled = [name for name in kwbandit.__all__ if name not in referenced]
+    assert uncalled == list(UNCALLED)
 
 
 def test_gradient_module_is_gone():
@@ -55,7 +106,7 @@ def test_benchmark_child_uses_only_names_kwbandit_provides():
     # perfbench/child.py drives the scan and library workloads through
     # ``kb.<name>`` and a few ``from kwbandit.<module> import`` lines; an
     # engine refactor must keep each of them resolving
-    tree = ast.parse((Path(__file__).parents[1] / "perfbench" / "child.py").read_text())
+    tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
     aliases = {
         alias.asname or alias.name
         for node in ast.walk(tree)

@@ -197,6 +197,8 @@ EXIT_CODE_MATRIX = [
     ("unknown-flag", ["run", "--config", SHIPPED_SMOKE, "--threads", "2"], 2, 2, ("unrecognized arguments: --threads",)),
     ("out-names-a-file", ["run", "--config", SHIPPED_SMOKE, "--out", "{dir}/a-file"], 2, 1, ("File exists",)),
     ("out-of-memory", ["run", "--config", "{dir}/huge-horizon.json"], 2, 1, ("out of memory",)),
+    ("sweep-nan-value", ["sweep", "--config", "{dir}/nan-sweep.json"], 1, 1, ("sweep.values", "finite")),
+    ("sweep-infinite-value", ["sweep", "--config", "{dir}/infinite-sweep.json"], 1, 1, ("sweep.values", "finite")),
     ("undominated-bounds-check", ["bounds", "--config", "{dir}/window.json", "--check"], 3, 0, ("check: FAIL",)),
 ]
 
@@ -220,6 +222,9 @@ def bad_inputs(tmp_path):
         # space, so its first allocation fails at once and takes nothing
         "huge-horizon.json": json.dumps({**smoke, "horizon": 10**15}).encode(),
         "a-file": b"",
+        # json.loads takes NaN and Infinity, which no order check catches
+        "nan-sweep.json": json.dumps(beta_sweep_doc([0.05, float("nan"), 0.2])).encode(),
+        "infinite-sweep.json": json.dumps(beta_sweep_doc([0.05, 0.2, float("inf")])).encode(),
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -262,8 +267,8 @@ def test_out_naming_a_file_fails_before_simulating(command, smoke, sweep_config,
     assert len(err.splitlines()) == 1
 
 
-def unbuildable_last_point_sweeps():
-    beta_axis = {
+def beta_sweep_doc(values):
+    return {
         "domain": {"lower": [-2.0], "upper": [2.0]},
         "objectives": [{"kind": "quadratic-bowl", "theta": [0.0], "b": 1.0}],
         "noise": {"kind": "gaussian", "sigma2": 1.0},
@@ -271,8 +276,12 @@ def unbuildable_last_point_sweeps():
         "horizon": 1000,
         "replications": 20,
         "base_seed": 3,
-        "sweep": {"axis": "beta", "values": [0.05, 0.1, 0.6]},
+        "sweep": {"axis": "beta", "values": values},
     }
+
+
+def unbuildable_last_point_sweeps():
+    beta_axis = beta_sweep_doc([0.05, 0.1, 0.6])
     # auto tuning gives beta* = 0.635 at 64 episodes, past k1/k2**2 = 0.5
     delta_axis = {
         **beta_axis,

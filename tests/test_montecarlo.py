@@ -78,5 +78,4 @@ def test_requires_two_replications(setup, no_noise):
 def test_confidence_helpers(setup, no_noise):
     policy, env = setup
     estimate = monte_carlo_regret(policy, env, no_noise, replications=2, base_seed=0)
-    assert estimate.upper_confidence() == estimate.mean
     assert estimate.lower_confidence() == estimate.mean

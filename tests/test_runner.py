@@ -13,7 +13,7 @@ from kwbandit import (
     run_experiment,
     run_sweep,
 )
-from kwbandit import montecarlo
+from kwbandit import montecarlo, runner
 from kwbandit.runner import resolve_experiment
 
 
@@ -125,6 +125,15 @@ class TestResolveExperiment:
         assert resolved.bound.name == "sliding-window-total"
 
 
+def stub_constant_totals(monkeypatch, total):
+    """Every replication of a sweep point totals ``total(env)``, without simulating."""
+
+    def constant(policy, env, noise, replications, base_seed, **kwargs):
+        return np.full(replications, total(env)), None, None
+
+    monkeypatch.setattr(runner, "regret_samples", constant)
+
+
 class TestRunSweep:
     def sweep(self, axis="T", values=(100, 200, 400)):
         doc = base_doc(
@@ -136,15 +145,17 @@ class TestRunSweep:
         doc["sweep"] = {"axis": axis, "values": list(values)}
         return parse_sweep(json.dumps(doc))
 
-    def test_injected_constant_values_fit_zero_slope(self, tmp_path):
-        result = run_sweep(self.sweep(), out_dir=tmp_path, value_source=lambda i, v, cfg: (5.0 * cfg.horizon, 0.0))
+    def test_injected_constant_values_fit_zero_slope(self, tmp_path, monkeypatch):
+        stub_constant_totals(monkeypatch, lambda env: 5.0 * env.horizon)
+        result = run_sweep(self.sweep(), out_dir=tmp_path)
         assert result.slope == pytest.approx(0.0, abs=1e-12)
         lines = (tmp_path / "exponent_fit.csv").read_text().splitlines()
         assert lines[0] == "axis,n_points,slope,r_squared"
         assert lines[1].startswith("T,3,")
 
-    def test_one_summary_row_per_value(self, tmp_path):
-        run_sweep(self.sweep(), out_dir=tmp_path, value_source=lambda i, v, cfg: (float(v), 0.0))
+    def test_one_summary_row_per_value(self, tmp_path, monkeypatch):
+        stub_constant_totals(monkeypatch, lambda env: float(env.horizon))
+        run_sweep(self.sweep(), out_dir=tmp_path)
         lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 4
 
@@ -190,7 +201,7 @@ class TestRunSweep:
         for samples in (together, split):
             assert [totals.tobytes() for totals, _, _ in samples] == [totals.tobytes() for totals in alone]
 
-    def test_delta_axis_scale_is_change_rate(self, tmp_path):
+    def test_delta_axis_scale_is_change_rate(self, tmp_path, monkeypatch):
         doc = base_doc(
             horizon=1000,
             schedule={"episodes": 2},
@@ -203,5 +214,6 @@ class TestRunSweep:
             replications=2,
         )
         doc["sweep"] = {"axis": "delta_T", "values": [2, 4, 8]}
-        result = run_sweep(parse_sweep(json.dumps(doc)), value_source=lambda i, v, cfg: (1.0, 0.0))
+        stub_constant_totals(monkeypatch, lambda env: 1.0)
+        result = run_sweep(parse_sweep(json.dumps(doc)))
         assert [p.scale for p in result.points] == [0.002, 0.004, 0.008]

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kwbandit import EnvironmentSchedule, QuadraticBowl
-from kwbandit.schedule import adversarial_corpus
 
 
 @pytest.fixture
@@ -64,20 +63,6 @@ def test_evenly_spaced_cycles_objectives(two_bowls):
 def test_evenly_spaced_single_episode(bowl):
     env = EnvironmentSchedule.evenly_spaced(100, 1, [bowl])
     assert env.change_times == (1,)
-
-
-def test_packed_layouts(two_bowls):
-    early = EnvironmentSchedule.packed(100, 4, list(two_bowls), "early", min_length=2)
-    assert early.change_times == (1, 3, 5, 7)
-    late = EnvironmentSchedule.packed(100, 4, list(two_bowls), "late", min_length=2)
-    assert late.change_times == (1, 95, 97, 99)
-    assert late.episode_lengths == (94, 2, 2, 2)
-
-
-def test_adversarial_corpus_has_three_layouts(two_bowls):
-    corpus = adversarial_corpus(100, 4, list(two_bowls))
-    assert len(corpus) == 3
-    assert all(env.num_episodes == 4 for env in corpus)
 
 
 def test_combined_constants_and_offset(two_bowls, box1d):

@@ -108,16 +108,6 @@ def test_episode_column_matches_schedule(two_bowls):
     env = EnvironmentSchedule(horizon=10, change_times=(1, 4), objectives=two_bowls)
     trace = single_trace(StaticPolicy(x0=(0.0,)), env, NoiseModel.none(), replication_stream(0, 0))
     assert list(trace.episode) == [1, 1, 1, 2, 2, 2, 2, 2, 2, 2]
-    totals = trace.episode_regret_totals()
-    assert totals.shape == (2,)
-    assert np.sum(totals) == pytest.approx(trace.total_regret, rel=1e-14)
-
-
-def test_per_episode_totals_sum_to_cumulative(two_bowls):
-    env = EnvironmentSchedule(horizon=137, change_times=(1, 31, 90), objectives=two_bowls + (two_bowls[0],))
-    policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.2, constants=two_bowls[0].constants), x0=(0.9,))
-    trace = single_trace(policy, env, NoiseModel.gaussian(1.0), replication_stream(5, 0))
-    assert np.sum(trace.episode_regret_totals()) == pytest.approx(trace.total_regret, rel=1e-12)
 
 
 class TestEngineMatchesReferenceOps:
@@ -217,9 +207,9 @@ class TestBatchSemantics:
         blocked = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
         assert len(blocks) == fills and draws == []
         if fills:
-            # 7 blocks of 7 steps, then one step; each row is contiguous,
-            # but rows sit a padded stride apart, so no block is
-            assert blocks == [((3, 7, 2), False, True)] * 7 + [((3, 1, 2), False, True)]
+            # 7 blocks of 7 steps, each one contiguous array, then one step:
+            # a slice of the 7-step block, whose rows alone are contiguous
+            assert blocks == [((3, 7, 2), True, True)] * 7 + [((3, 1, 2), False, True)]
         assert np.array_equal(default, blocked)
 
     def test_distance_probes(self, bowl, fixed_policy, no_noise):
@@ -503,44 +493,6 @@ def test_lanes_must_share_the_rule_and_the_domain(bowl, fixed_policy):
             simulate_lanes([Lane(fixed_policy, env, streams), second], noise)
     with pytest.raises(ValueError, match="at most one lane"):
         simulate_lanes([Lane(fixed_policy, env, streams, record_trace=True)] * 2, noise)
-
-
-class _FirstFill(Exception):
-    pass
-
-
-def _first_noise_block(policy, env, reps, monkeypatch):
-    """The block the engine's first ``fill`` writes; the simulation stops there."""
-    blocks = []
-
-    def record(self, rngs, out):
-        blocks.append(out)
-        raise _FirstFill
-
-    monkeypatch.setattr(NoiseModel, "fill", record)
-    with pytest.raises(_FirstFill):
-        simulate_batch(policy, env, NoiseModel.gaussian(1.0), replication_streams(0, reps))
-    return blocks[0]
-
-
-@pytest.mark.parametrize(
-    "d, horizon, reps",
-    [(1, 4096, 3), (2, 1024, 3), (1, 1, 5), (1, 20_000, 192), (1, 7, 4), (3, 50, 2)],
-    ids=["d1-4096-steps", "d2-1024-steps", "one-step", "sweep-stationary-20000", "d1-7-steps", "d3-50-steps"],
-)
-def test_noise_rows_longer_than_a_line_sit_an_odd_number_of_lines_apart(d, horizon, reps, monkeypatch):
-    box = Domain(lower=(-2.0,) * d, upper=(2.0,) * d)
-    f = QuadraticBowl(domain=box, theta=(0.0,) * d, b=1.0)
-    policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.1, constants=f.constants), x0=(1.0,) * d)
-    block = _first_noise_block(policy, EnvironmentSchedule.stationary(horizon, f), reps, monkeypatch)
-    assert block.shape[0] == reps and block.shape[2] == 2 * d
-    assert all(row.flags.c_contiguous for row in block)
-    row_bytes = block.shape[1] * block.shape[2] * block.itemsize
-    stride = block.strides[0]
-    if row_bytes > 64:
-        assert stride % 64 == 0 and (stride // 64) % 2 == 1, (row_bytes, stride)
-    else:
-        assert stride == row_bytes
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
