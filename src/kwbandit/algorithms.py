@@ -45,26 +45,20 @@ class FixedStepConfig:
 
     Construction rejects any (beta, constants) pair whose contraction
     factor is not below one: a fixed step that large cannot shrink the
-    expected squared distance.  ``alpha`` records the exponent coupling
-    beta to c (beta = c**(2/(1-alpha))); auto tuning derives c from beta
-    through it (``tuning.coupled_perturbation``), construction just stores it.
+    expected squared distance.
     """
 
     beta: float
     c: float
     constants: ClassConstants
-    alpha: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "alpha", float(self.alpha))
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.c <= 0:
             raise ValueError(f"c must be > 0, got {self.c}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
         # Raises ContractionViolationError when beta is too large.
         contraction_factor(self.beta, self.constants.k1, self.constants.k2)
 

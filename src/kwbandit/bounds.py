@@ -212,7 +212,9 @@ def sliding_window_regret_bound(
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if episodes < 1:
         raise ValueError(f"episodes must be >= 1, got {episodes}")
-    tracking = constants.k3 * constants.k5 * horizon / np.sqrt(window)
+    # float() overflows on an integer window too large for a float, which
+    # np.sqrt would reject with a TypeError
+    tracking = constants.k3 * constants.k5 * horizon / np.sqrt(float(window))
     switching = window * constants.k3 * diameter * episodes
     return BoundReport(
         name=SLIDING_WINDOW_TOTAL,

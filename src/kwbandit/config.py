@@ -175,6 +175,17 @@ class SweepSpec:
         return doc
 
 
+def _finite(value) -> bool:
+    """Whether a JSON value is a number a float holds finitely: not a bool,
+    NaN, an infinity, nor an integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return bool(np.isfinite(float(value)))
+    except OverflowError:
+        return False
+
+
 class _Checker:
     """Accumulates validation errors instead of failing fast."""
 
@@ -199,7 +210,7 @@ class _Checker:
         if key not in doc:
             return default
         value = doc[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not np.isfinite(value):
+        if not _finite(value):
             self.fail(f"{path}.{key}: expected a finite number, got {value!r}")
             return default
         value = float(value)
@@ -230,7 +241,7 @@ class _Checker:
             return default
         out = []
         for i, v in enumerate(value):
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+            if not _finite(v):
                 self.fail(f"{path}.{key}[{i}]: expected a finite number, got {v!r}")
                 return default
             out.append(float(v))
@@ -528,7 +539,8 @@ def parse_sweep(source: str | dict) -> SweepSpec:
             else:
                 if any(isinstance(v, bool) or not isinstance(v, (int, float)) or v <= 0 for v in raw):
                     chk.fail("sweep.values: all values must be positive numbers")
-                elif any(isinstance(v, float) and not np.isfinite(v) for v in raw):
+                # a beta becomes a float; the integer axes keep exact integers
+                elif any(not _finite(v) for v in raw if axis == "beta" or isinstance(v, float)):
                     chk.fail("sweep.values: all values must be finite numbers")
                 elif any(b <= a for a, b in zip(raw, raw[1:])):
                     chk.fail("sweep.values: values must be strictly increasing")

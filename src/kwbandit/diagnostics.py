@@ -115,7 +115,8 @@ def calibrate_window_constant(
 
     ``c`` applies to every window length (keeping the constant comparable
     across the grid); it defaults to the objective-independent value 0.5.
-    All window lengths simulate together through ``regret_lanes``.
+    All window lengths go through one ``regret_lanes`` call; each runs for
+    its own horizon, so each fills batches of its own.
     """
     if not windows:
         raise ValueError("need at least one window length to calibrate")

@@ -60,7 +60,7 @@ class Experiment:
 
     def batch_key(self) -> tuple:
         """Experiments with equal keys can share a batch (see ``simulate_lanes``)."""
-        return type(self.policy), self.env.domain, shared_kind(self.env.objectives), self.noise
+        return type(self.policy), self.env.domain, self.env.horizon, shared_kind(self.env.objectives), self.noise
 
 
 Samples = tuple[np.ndarray, dict[int, np.ndarray], RegretTrace | None]
@@ -70,13 +70,13 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
     """``regret_samples`` of every experiment, in experiment order, from
     batches that run several experiments in one step loop.
 
-    Experiments with one ``batch_key`` are ordered longest horizon first and
-    cut into (experiment, replication range) pieces, packed into batches of
-    at most ``REPLICATION_CHUNK`` rows; each piece is a lane.  Every result
-    is a pure function of its experiment: the packing only bounds memory
-    and never changes a result.  A batch of one lane runs through
-    ``simulate_batch``.  ``record_first_trace`` keeps the trace of
-    replication 0 of the first experiment.
+    Experiments with one ``batch_key``, and so one horizon, are cut in
+    experiment order into (experiment, replication range) pieces, packed
+    into batches of at most ``REPLICATION_CHUNK`` rows; each piece is a
+    lane.  Every result is a pure function of its experiment: the packing
+    only bounds memory and never changes a result.  A batch of one lane
+    runs through ``simulate_batch``.  ``record_first_trace`` keeps the
+    trace of replication 0 of the first experiment.
     """
     groups: dict[tuple, list[int]] = {}
     for i, experiment in enumerate(experiments):
@@ -106,7 +106,7 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
 
     for members in groups.values():
         batch, room = [], REPLICATION_CHUNK
-        for i in sorted(members, key=lambda i: -experiments[i].env.horizon):
+        for i in members:
             start, replications = 0, experiments[i].replications
             while start < replications:
                 count = min(room, replications - start)

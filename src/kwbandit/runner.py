@@ -128,10 +128,11 @@ def resolve_experiment(cfg: ExperimentConfig) -> ResolvedExperiment:
     """Assemble a parsed config: build schedule/noise/policy; auto tuning
     computes the rate or window from the schedule's change rate and echoes
     the values used.  Whatever does not assemble (a beta that breaks
-    contraction, say) raises one ConfigValidationError."""
+    contraction, or a horizon too large for a float, say) raises one
+    ConfigValidationError."""
     try:
         return _assemble(cfg)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigValidationError([f"config does not assemble: {exc}"]) from exc
 
 
@@ -169,7 +170,7 @@ def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
             c = coupled_perturbation(beta, alg.alpha)
         else:
             beta, c = alg.beta, alg.c
-        policy = FixedStepPolicy(config=FixedStepConfig(beta=beta, c=c, constants=constants, alpha=alg.alpha), x0=alg.x0)
+        policy = FixedStepPolicy(config=FixedStepConfig(beta=beta, c=c, constants=constants), x0=alg.x0)
         epsilon = env.max_mean_value_offset(c)
         bound = fixed_step_regret_bound(
             constants, domain.diameter, sigma_tilde2, beta, c, epsilon, cfg.horizon, episodes
@@ -350,7 +351,7 @@ def run_sweep(
         try:
             resolved_points.append(resolve_experiment(sweep.config_for(value)))
         except ConfigValidationError as exc:
-            errors += [f"sweep value {value:g}: {error}" for error in exc.errors]
+            errors += [f"sweep value {value}: {error}" for error in exc.errors]
     if errors:
         raise ConfigValidationError(errors)
 

@@ -9,43 +9,43 @@ minus), so adding replications or splitting them into different batches
 never perturbs existing ones.
 
 A batch is a list of lanes, each one experiment's share: a (policy, env,
-streams, probe steps) tuple.  Lanes share the rule, the box, the objective
-kind and the noise model; what else differs between them is a per-row
-column: the rate and perturbation, the window's anchor and weight, and the
-current objective's theta, coefficients and f(theta).  The rows are the
-lanes' replications concatenated longest horizon first, so the active rows
-shrink to a prefix as lanes end.  Each lane's episode changes and probes
-fire at its own steps, precomputed into one table that the loop checks with
-one integer comparison per step; window restarts are listed per noise
-block.  ``simulate_batch`` is the one-lane case.
+streams, probe steps) tuple.  Lanes share the rule, the box, the horizon,
+the objective kind and the noise model; what else differs between them is
+a per-row column: the rate and perturbation, the window's anchor and
+weight, and the current objective's theta, coefficients and f(theta).  The
+rows are the lanes' replications concatenated in lane order, and every row
+runs every step.  Each lane's episode changes and probes fire at its own
+steps, precomputed into one table that the loop checks with one integer
+comparison per step; window restarts are listed per noise block.
+``simulate_batch`` is the one-lane case.
 
 Each measuring rule (decaying-step, fixed-step, sliding-window) is two
 operations: ``perturbations(first, count)`` gives the perturbation c of a
 block of steps, and ``update(x, g, s)`` overwrites the iterates x with those
 that follow step s, given its gradient estimates g.  One loop, which never
 asks which rule it runs, evaluates the objective once per step on one
-stacked array of the step's 1 + 2d points for every active row, in
-sign-major slabs: x itself, whose value gives the step's regret, then
-x + c e_i for every axis i, then x - c e_i for every axis i, clamped into the
-box, whose noisy values give the central-difference gradient estimate.  The
+stacked array of the step's 1 + 2d points for every row, in sign-major
+slabs: x itself, whose value gives the step's regret, then x + c e_i for
+every axis i, then x - c e_i for every axis i, clamped into the box, whose
+noisy values give the central-difference gradient estimate.  The
 plus and the minus samples are then each one contiguous slab.  Only the
 slabs are sign-major: each stream is still consumed axis-major, plus before
 minus, and each noise block is permuted once into step-major, sign-major
 order, so that a step adds one contiguous (2d, rows) slab of noise.
 
-Every array the loop writes is allocated once per stretch of steps with the
-same active rows, and every view it uses is built once per stretch too.
-Each per-step ufunc writes into one of them with ``out=`` and takes NumPy's
-trivial loop: every operand is 0-d, or has exactly the output's shape and
-is contiguous (a 1-D operand may be strided).  A broadcast or a strided N-d
-operand makes NumPy build its general iterator, which at one row costs an
-operation 2-3 us against about 0.9 us (numpy 2.4, 2.1 GHz Xeon).  So x and
-all rule state are coordinate-major, C-contiguous (d, rows) arrays, the box
-bounds repeated by row; a rate or perturbation that varies by step is a 0-d
-array; and an operation runs in place only through the identical array
-object, since one through a second view of the same memory pays NumPy's
-overlap solver.  One ``take`` gathers the step's points, coordinate-major,
-from x and its two clamped corners.
+Every array the loop writes is allocated once per batch, and every view it
+uses is built once per batch too.  Each per-step ufunc writes into one of
+them with ``out=`` and takes NumPy's trivial loop: every operand is 0-d, or
+has exactly the output's shape and is contiguous (a 1-D operand may be
+strided).  A broadcast or a strided N-d operand makes NumPy build its
+general iterator, which at one row costs an operation 2-3 us against about
+0.9 us (numpy 2.4, 2.1 GHz Xeon).  So x and all rule state are
+coordinate-major, C-contiguous (d, rows) arrays, the box bounds repeated by
+row; a rate or perturbation that varies by step is a 0-d array; and an
+operation runs in place only through the identical array object, since one
+through a second view of the same memory pays NumPy's overlap solver.  One
+``take`` gathers the step's points, coordinate-major, from x and its two
+clamped corners.
 
 Each step stores f(x) into a block buffer; the regret f(theta) - f(x) and
 its running sum, added strictly left to right, are settled once per noise
@@ -174,7 +174,8 @@ class Lane:
     """One experiment's share of a batch: ``policy`` on ``env`` with one
     replication per stream in ``rngs``, squared distances probed at
     ``probe_steps`` and, with ``record_trace``, the per-step trace of its
-    first replication."""
+    first replication.  The lanes of one batch run the same number of
+    steps, ``env.horizon`` (see ``simulate_lanes``)."""
 
     policy: Policy
     env: EnvironmentSchedule
@@ -210,11 +211,11 @@ def _by_row(values, counts: list[int], d: int) -> np.ndarray:
 
 
 class _ObjectiveRows:
-    """The current objective of every active row as columns laid out like a
-    step's points: the shared kind's ``_value`` reads its coefficients from
-    here as from one objective, one entry per point, (1 + 2d) slabs of the
-    active rows flattened.  Theta is held coordinate-major, (d, points), as
-    the points are; ``max_value`` is f(theta) by row."""
+    """The current objective of every row as columns laid out like a step's
+    points: the shared kind's ``_value`` reads its coefficients from here as
+    from one objective, one entry per point, (1 + 2d) slabs of the rows
+    flattened.  Theta is held coordinate-major, (d, points), as the points
+    are; ``max_value`` is f(theta) by row."""
 
     def _squared_distance(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``ObjectiveSpec._squared_distance``, bit for bit, of points x,
@@ -240,9 +241,6 @@ class _ObjectiveRows:
         for name in self.coefficients:
             setattr(self, name, np.empty(slabs * rows))
         self.max_value = np.empty(rows)
-        self._scratch()
-
-    def _scratch(self) -> None:
         self.squares = np.empty_like(self.theta_cols)
         self.square_rows = list(self.squares)
 
@@ -254,18 +252,6 @@ class _ObjectiveRows:
             getattr(self, name).reshape(self.slabbed)[:, rows] = getattr(objective, name, 0.0)
         self.max_value[rows] = objective.max_value
 
-    def keep(self, n: int) -> None:
-        """Drop every row past the first n."""
-        slabs, rows = self.slabbed
-        if n < rows:
-            d = len(self.theta_cols)
-            self.theta_cols = self.theta_cols.reshape(d, slabs, rows)[:, :, :n].reshape(d, slabs * n)
-            for name in self.coefficients:
-                setattr(self, name, getattr(self, name).reshape(slabs, rows)[:, :n].reshape(slabs * n))
-            self.slabbed = (slabs, n)
-            self.max_value = self.max_value[:n]
-            self._scratch()
-
 
 class _Rule:
     """A measuring rule over a batch's rows, its state held coordinate-major
@@ -275,22 +261,15 @@ class _Rule:
     .. first + count - 1: a (count,) table when it varies by step, or a
     (1, d, rows) one when it varies by row.  ``update(x, g, s)`` overwrites
     x with the iterates that follow step s, given its gradient estimates g,
-    (d, rows).  ``keep(n)`` drops every row past the first n, leaving each
-    array in ``state`` C-contiguous.  The box bounds are repeated by row
-    and ``step`` and ``trial`` are scratch arrays, so that every operand of
-    the update's ufuncs is 0-d or has the output's shape, which keeps them
-    on NumPy's trivial loop (see the module docstring)."""
-
-    state = ("lo", "hi", "step", "trial")
+    (d, rows).  The box bounds are repeated by row and ``step`` and
+    ``trial`` are scratch arrays, so that every operand of the update's
+    ufuncs is 0-d or has the output's shape, which keeps them on NumPy's
+    trivial loop (see the module docstring)."""
 
     def __init__(self, policies: list[Policy], counts: list[int], x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         self.lo, self.hi = np.empty_like(x), np.empty_like(x)
         self.lo[...], self.hi[...] = lo[:, None], hi[:, None]
         self.step, self.trial = np.empty_like(x), np.empty_like(x)
-
-    def keep(self, n: int) -> None:
-        for name in self.state:
-            setattr(self, name, np.ascontiguousarray(getattr(self, name)[:, :n]))
 
     def _project(self, x: np.ndarray, point: np.ndarray) -> None:
         """x <- project(point); ties go to the bound, as in np.clip."""
@@ -321,8 +300,6 @@ class _DecayingStep(_Rule):
 class _FixedStep(_Rule):
     """Constant rate beta and perturbation c, by row."""
 
-    state = _Rule.state + ("beta", "c")
-
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
         self.beta = _by_row([policy.config.beta for policy in policies], counts, len(x))
@@ -343,8 +320,6 @@ class _SlidingWindow(_Rule):
     over the (d, rows) lane index, and the block's restarts are listed by
     step."""
 
-    state = _Rule.state + ("c", "anchor", "action_sum", "lane_index", "weight")
-
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
         self.configs = [policy.config for policy in policies]
@@ -361,13 +336,11 @@ class _SlidingWindow(_Rule):
         self.first = first
         self.weights = np.stack([config.weights[filled % config.window] for config in self.configs], axis=1)
         self.restarts = defaultdict(list)
-        active = self.action_sum.shape[1]
         for rows, config in zip(self.lane_rows, self.configs):
-            if rows.start < active:
-                window = config.window
-                for s in range(first + (1 - first) % window, first + count, window):
-                    if s > 1:
-                        self.restarts[s].append(rows)
+            window = config.window
+            for s in range(first + (1 - first) % window, first + count, window):
+                if s > 1:
+                    self.restarts[s].append(rows)
         return self.c[None]
 
     def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
@@ -408,7 +381,7 @@ class _TraceColumns:
 
 
 def _block_steps(rows: int, values_per_step: int, length: int) -> int:
-    """Steps per noise block for ``rows`` rows over a stretch of ``length``
+    """Steps per noise block for ``rows`` rows over a run of ``length``
     steps.  Each step of a row holds ``values_per_step`` noise values as
     drawn, as many again in step-major order, and its f(x)."""
     per_step = rows * (2 * values_per_step + 1)
@@ -419,30 +392,25 @@ def simulate_lanes(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult
     """Run every lane in one step loop; returns each lane's result, in lane
     order.
 
-    Lanes must share the rule (the policy's class) and the domain, and their
-    objectives one kind (``objectives.shared_kind``); they all draw noise
-    from ``noise``.  Each lane's result equals, bit for bit, that of a batch
-    of the lane alone, whatever else shares its batch.  At most one lane
-    records a trace.  Every returned array is new and owns its memory.
+    Lanes must share the rule (the policy's class), the domain and the
+    horizon, and their objectives one kind (``objectives.shared_kind``);
+    they all draw noise from ``noise``.  Each lane's result equals, bit for
+    bit, that of a batch of the lane alone, whatever else shares its batch.
+    At most one lane records a trace.  Every returned array is new and owns
+    its memory.
     """
     if not lanes:
         raise ValueError("need at least one lane")
-    rule, domain = type(lanes[0].policy), lanes[0].env.domain
-    if any(type(lane.policy) is not rule or lane.env.domain != domain for lane in lanes):
-        raise ValueError("the lanes of one batch must share the rule and the domain")
+    rule, domain, horizon = type(lanes[0].policy), lanes[0].env.domain, lanes[0].env.horizon
+    if any(
+        type(lane.policy) is not rule or lane.env.domain != domain or lane.env.horizon != horizon for lane in lanes
+    ):
+        raise ValueError("the lanes of one batch must share the rule, the domain and the horizon")
     if sum(bool(lane.record_trace) for lane in lanes) > 1:
         raise ValueError("at most one lane of a batch records a trace")
-
-    order = sorted(range(len(lanes)), key=lambda k: -lanes[k].env.horizon)
-    ordered = [lanes[k] for k in order]
     if rule in (OraclePolicy, StaticPolicy):
-        results = [_hold(lane) for lane in ordered]
-    else:
-        results = _measure(ordered, noise)
-    by_lane: list[BatchResult] = [None] * len(lanes)
-    for k, result in zip(order, results):
-        by_lane[k] = result
-    return by_lane
+        return [_hold(lane) for lane in lanes]
+    return _measure(lanes, noise)
 
 
 def simulate_batch(
@@ -466,20 +434,6 @@ def simulate_batch(
     return simulate_lanes([Lane(policy, env, rngs, probe_steps, record_trace)], noise)[0]
 
 
-def _stretches(lanes: list[Lane], bounds: list[int]) -> list[tuple[int, int, int]]:
-    """(rows, first, last) of each stretch of steps over which the same
-    lanes run: the first ``rows`` rows, while the lanes are ordered longest
-    horizon first."""
-    stretches, first, active = [], 1, len(lanes)
-    while active:
-        last = lanes[active - 1].env.horizon
-        stretches.append((bounds[active], first, last))
-        first = last + 1
-        while active and lanes[active - 1].env.horizon == last:
-            active -= 1
-    return stretches
-
-
 def _gather_index(d: int, n: int) -> np.ndarray:
     """Where each entry of a step's points, coordinate-major (d, 1 + 2d, n),
     sits in the stacked corners (x, min(x + c, hi), max(x - c, lo)),
@@ -493,17 +447,17 @@ def _gather_index(d: int, n: int) -> np.ndarray:
     return (((corner * d + axes[:, None]) * n)[:, :, None] + np.arange(n)).ravel()
 
 
-def _measure(lanes: list[Lane], noise: NoiseModel) -> list[BatchResult]:
-    """The step loop of a measuring rule over lanes ordered longest horizon
-    first, with sorted probe steps; returns their results.
+def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
+    """The step loop of a measuring rule over lanes of one horizon, with
+    sorted probe steps; returns their results.
 
-    The loop never branches on the rule or the lane.  Over each stretch
-    the active rows are a fixed prefix, and noise blocks end with it;
-    regret is settled from the stored f(x) at the end of each noise block
-    and before each event, and boundary contacts are derived after each
-    block's steps, from the recorded actions and the block's
-    perturbations."""
-    domain = lanes[0].env.domain
+    The loop never branches on the rule or the lane, and every row runs
+    every step.  Regret is settled from the stored f(x) at the end of each
+    noise block and before each event, and boundary contacts are derived
+    after each block's steps, from the recorded actions and the block's
+    perturbations.  The totals, the probes of step ``horizon + 1`` and the
+    trace are taken after the last block."""
+    domain, horizon = lanes[0].env.domain, lanes[0].env.horizon
     d = domain.dimension
     lo, hi = domain.lower_array, domain.upper_array
     slabs = 1 + 2 * d
@@ -511,19 +465,21 @@ def _measure(lanes: list[Lane], noise: NoiseModel) -> list[BatchResult]:
     bounds = list(accumulate(counts, initial=0))
     lane_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     rngs = list(chain.from_iterable(lane.rngs for lane in lanes))
+    n = len(rngs)
 
     # The iterates x, coordinate-major, stacked with the step's two
     # perturbed corners, from which one take assembles the step's points.
-    corners = np.empty((3, d, len(rngs)))
-    x = corners[0]
+    corners = np.empty((3, d, n))
+    x, plus, minus = corners
     x[...] = np.array([_policy_start(lane.policy, lane.env) for lane in lanes]).repeat(counts, axis=0).T
     rule = _RULES[type(lanes[0].policy)]([lane.policy for lane in lanes], counts, x, lo, hi)
     kind = shared_kind([o for lane in lanes for o in lane.env.objectives])
     evaluate = kind._value
-    objectives = _ObjectiveRows(kind, slabs, len(rngs), d)
+    objectives = _ObjectiveRows(kind, slabs, n, d)
     current = [lane.env.objectives[0] for lane in lanes]
     for rows, objective in zip(lane_rows, current):
         objectives.set(rows, objective)
+    f_at_theta = objectives.max_value
     probe_out: list[dict[int, np.ndarray]] = [{} for _ in lanes]
 
     def distances(k: int) -> np.ndarray:
@@ -545,28 +501,27 @@ def _measure(lanes: list[Lane], noise: NoiseModel) -> list[BatchResult]:
             events[t].append(partial(change, k, objective))
     for k, lane in enumerate(lanes):
         for t in lane.probe_steps:
-            if t <= lane.env.horizon:
+            if t <= horizon:
                 events[t].append(partial(probe, k, t))
     event_steps = iter(sorted(events))
     next_event = next(event_steps, 0)
 
-    stretches = _stretches(lanes, bounds)
     values_per_step = 2 * d if noise.kind != NONE else 0
-    block_caps = [_block_steps(n, values_per_step, last - first + 1) for n, first, last in stretches]
-    sizes = [(n, cap) for (n, _, _), cap in zip(stretches, block_caps)]
-    # Row 0 of every stretch's regret view is the buffer's first n values:
-    # the cumulative regret by row so far, carried over as the rows shrink.
-    regret_buffer = np.zeros(max(n * (cap + 1) for n, cap in sizes))
+    cap = _block_steps(n, values_per_step, horizon)
+    # Row 0 holds the cumulative regret by row so far, and row 1 + j the
+    # f(x), then the regret, of step j of the current block.
+    regret = np.zeros((cap + 1, n))
     if values_per_step:
-        buffer = np.empty(max(n * cap * values_per_step for n, cap in sizes))
-        step_buffer = np.empty_like(buffer)
+        noise_block = np.empty((n, cap, values_per_step))
+        step_noise = np.empty((cap, values_per_step, n))
 
     traced = next((k for k, lane in enumerate(lanes) if lane.record_trace), None)
-    columns = trace = None
+    columns = None
     if traced is not None:
-        columns = _TraceColumns(lanes[traced].env.horizon, d)
+        columns = _TraceColumns(horizon, d)
         tr_actions = columns.actions
         t_row = bounds[traced]
+        x_traced = x[:, t_row]
 
     def settle(first: int, end: int) -> None:
         """Regret and cumulative regret of the block's steps first .. end - 1
@@ -580,110 +535,89 @@ def _measure(lanes: list[Lane], noise: NoiseModel) -> list[BatchResult]:
         if columns is not None:
             columns.cum[step - 1 + first : step - 1 + end] = fx[:, t_row]
 
-    totals: list[np.ndarray] = [None] * len(lanes)
-    active = len(lanes)
-    for (n, step, last), cap in zip(stretches, block_caps):
-        if n < corners.shape[2]:
-            corners = np.ascontiguousarray(corners[:, :, :n])
-            x = corners[0]
-        plus, minus = corners[1], corners[2]
-        rule.keep(n)
-        objectives.keep(n)
-        lo_rows, hi_rows = rule.lo, rule.hi
-        f_at_theta = objectives.max_value
-        if columns is not None:
-            x_traced = x[:, t_row]
+    # The 1 + 2d points of a step, coordinate-major as (d, 1 + 2d, n) and
+    # handed to the objective as (points, d): slab 0 is x, slab 1 + i is
+    # x + c e_i and slab 1 + d + i is x - c e_i.  Their values are
+    # sign-major too, so the plus and the minus samples are each one
+    # contiguous (d, n) slab.
+    gather = _gather_index(d, n)
+    points = np.empty(d * slabs * n)
+    at_points = points.reshape(d, slabs * n).T
+    values = np.empty((slabs, n))
+    flat_values = values.reshape(-1)
+    at_x, samples = values[0], values[1:]
+    plus_samples, minus_samples = values[1 : 1 + d], values[1 + d :]
+    grad = np.empty((d, n))
+    lo_rows, hi_rows = rule.lo, rule.hi
 
-        # The 1 + 2d points of a step, coordinate-major as (d, 1 + 2d, n)
-        # and handed to the objective as (points, d): slab 0 is x, slab
-        # 1 + i is x + c e_i and slab 1 + d + i is x - c e_i.  Their values
-        # are sign-major too, so the plus and the minus samples are each one
-        # contiguous (d, n) slab.
-        gather = _gather_index(d, n)
-        points = np.empty(d * slabs * n)
-        at_points = points.reshape(d, slabs * n).T
-        values = np.empty((slabs, n))
-        flat_values = values.reshape(-1)
-        at_x, samples = values[0], values[1:]
-        plus_samples, minus_samples = values[1 : 1 + d], values[1 + d :]
-        grad = np.empty((d, n))
-        regret = regret_buffer[: (cap + 1) * n].reshape(cap + 1, n)
+    step = 1
+    while step <= horizon:
+        block = min(cap, horizon - step + 1)
+        # c by step, (block,), or by row, (1, d, n): step + j reads entry k
+        # of the tables, k = j or 0
+        cs = rule.perturbations(step, block)
+        spans = 2.0 * cs
         if values_per_step:
-            noise_block = buffer[: n * cap * values_per_step].reshape(n, cap, values_per_step)
-            step_noise = step_buffer[: cap * values_per_step * n].reshape(cap, values_per_step, n)
+            drawn = noise_block[:, :block]
+            noise.fill(rngs, drawn)
+            # Each stream's values stay axis-major, plus before minus; step
+            # j's values of every row become one sign-major slab.
+            by_sign = drawn.reshape(n, block, d, 2).transpose(1, 3, 2, 0)
+            np.copyto(step_noise[:block].reshape(block, 2, d, n), by_sign)
+        settled = 0
+        # step + j stores f(x) into f_x, row 1 + j of the regret, and adds
+        # the noise slab noise_j
+        by_step = zip(
+            range(block),
+            range(block) if cs.ndim == 1 else repeat(0),
+            regret[1:],
+            step_noise if values_per_step else repeat(None),
+        )
+        for j, k, f_x, noise_j in by_step:
+            s = step + j
+            if s == next_event:
+                settle(settled, j)
+                settled = j
+                for event in events[s]:
+                    event()
+                next_event = next(event_steps, 0)
 
-        while step <= last:
-            block = min(cap, last - step + 1)
-            # c by step, (block,), or by row, (1, d, n): step + j reads
-            # entry k of the tables, k = j or 0
-            cs = rule.perturbations(step, block)
-            spans = 2.0 * cs
-            if values_per_step:
-                drawn = noise_block[:, :block]
-                noise.fill(rngs, drawn)
-                # Each stream's values stay axis-major, plus before minus;
-                # step j's values of every row become one sign-major slab.
-                by_sign = drawn.reshape(n, block, d, 2).transpose(1, 3, 2, 0)
-                np.copyto(step_noise[:block].reshape(block, 2, d, n), by_sign)
-            settled = 0
-            # step + j stores f(x) into f_x, row 1 + j of the regret, and
-            # adds the noise slab noise_j
-            by_step = zip(
-                range(block),
-                range(block) if cs.ndim == 1 else repeat(0),
-                regret[1:],
-                step_noise if values_per_step else repeat(None),
-            )
-            for j, k, f_x, noise_j in by_step:
-                s = step + j
-                if s == next_event:
-                    settle(settled, j)
-                    settled = j
-                    for event in events[s]:
-                        event()
-                    next_event = next(event_steps, 0)
-
-                # One-sided clamps: x lies in the box and c > 0, so x + c
-                # never falls below lo nor x - c rises above hi, and the
-                # clamp on that side would return its input bit for bit.
-                c = cs[k, ...]
-                np.add(x, c, out=plus)
-                np.minimum(plus, hi_rows, out=plus)
-                np.subtract(x, c, out=minus)
-                np.maximum(minus, lo_rows, out=minus)
-                corners.take(gather, out=points, mode="clip")
-                evaluate(objectives, at_points, out=flat_values)
-                f_x[...] = at_x
-                if columns is not None:
-                    tr_actions[s - 1] = x_traced
-
-                if values_per_step:
-                    np.add(samples, noise_j, out=samples)
-                np.subtract(plus_samples, minus_samples, out=grad)
-                np.divide(grad, spans[k, ...], out=grad)
-                rule.update(x, grad, s)
-            settle(settled, block)
-            regret[0] = regret[block]
-
+            # One-sided clamps: x lies in the box and c > 0, so x + c never
+            # falls below lo nor x - c rises above hi, and the clamp on that
+            # side would return its input bit for bit.
+            c = cs[k, ...]
+            np.add(x, c, out=plus)
+            np.minimum(plus, hi_rows, out=plus)
+            np.subtract(x, c, out=minus)
+            np.maximum(minus, lo_rows, out=minus)
+            corners.take(gather, out=points, mode="clip")
+            evaluate(objectives, at_points, out=flat_values)
+            f_x[...] = at_x
             if columns is not None:
-                rows = slice(step - 1, step - 1 + block)
-                actions = tr_actions[rows]
-                c_col = cs[:, None] if cs.ndim == 1 else cs[0, :, t_row]
-                np.any((actions + c_col > hi) | (actions - c_col < lo), axis=1, out=columns.contact[rows])
-            step += block
+                tr_actions[s - 1] = x_traced
 
-        # The lanes whose horizon is ``last`` end here.
-        while active and lanes[active - 1].env.horizon == last:
-            active -= 1
-            totals[active] = regret[0, lane_rows[active]].copy()
-            if last + 1 in lanes[active].probe_steps:
-                probe_out[active][last + 1] = distances(active)
-            if active == traced:
-                trace = columns.finish(lanes[active].env, x_traced)
-                columns = None
+            if values_per_step:
+                np.add(samples, noise_j, out=samples)
+            np.subtract(plus_samples, minus_samples, out=grad)
+            np.divide(grad, spans[k, ...], out=grad)
+            rule.update(x, grad, s)
+        settle(settled, block)
+        regret[0] = regret[block]
+
+        if columns is not None:
+            rows = slice(step - 1, step - 1 + block)
+            actions = tr_actions[rows]
+            c_col = cs[:, None] if cs.ndim == 1 else cs[0, :, t_row]
+            np.any((actions + c_col > hi) | (actions - c_col < lo), axis=1, out=columns.contact[rows])
+        step += block
+
+    for k, lane in enumerate(lanes):
+        if horizon + 1 in lane.probe_steps:
+            probe_out[k][horizon + 1] = distances(k)
+    trace = columns.finish(lanes[traced].env, x_traced) if columns is not None else None
     return [
-        BatchResult(total_regret=total, trace=trace if k == traced else None, distance_probes=probes)
-        for k, (total, probes) in enumerate(zip(totals, probe_out))
+        BatchResult(total_regret=regret[0, rows].copy(), trace=trace if k == traced else None, distance_probes=probes)
+        for k, (rows, probes) in enumerate(zip(lane_rows, probe_out))
     ]
 
 

@@ -30,6 +30,8 @@ REMOVED_ATTRIBUTES = (
     ("Domain", "midpoint"),
     ("MonteCarloEstimate", "upper_confidence"),
     ("RegretTrace", "episode_regret_totals"),
+    # auto tuning and the summary echo read alpha from the config document
+    ("FixedStepConfig", "alpha"),
 )
 # Public names no production path calls yet: the bound evaluators that the
 # per-episode diagnostics are to wire in.

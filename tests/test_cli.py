@@ -199,6 +199,28 @@ EXIT_CODE_MATRIX = [
     ("out-of-memory", ["run", "--config", "{dir}/huge-horizon.json"], 2, 1, ("out of memory",)),
     ("sweep-nan-value", ["sweep", "--config", "{dir}/nan-sweep.json"], 1, 1, ("sweep.values", "finite")),
     ("sweep-infinite-value", ["sweep", "--config", "{dir}/infinite-sweep.json"], 1, 1, ("sweep.values", "finite")),
+    ("sweep-huge-integer-beta", ["sweep", "--config", "{dir}/huge-beta-sweep.json"], 1, 1, ("sweep.values", "finite")),
+    ("huge-integer-beta", ["run", "--config", "{dir}/huge-beta.json"], 1, 1, ("algorithm.beta", "finite")),
+    ("huge-integer-theta", ["run", "--config", "{dir}/huge-theta.json"], 1, 1, ("objectives[0].theta[0]", "finite")),
+    ("huge-integer-sigma2", ["run", "--config", "{dir}/huge-sigma2.json"], 1, 1, ("noise.sigma2", "finite")),
+    ("huge-integer-lower", ["run", "--config", "{dir}/huge-lower.json"], 1, 1, ("domain.lower[0]", "finite")),
+    ("float-overflow-horizon-run", ["run", "--config", "{dir}/overflow-horizon.json"], 1, 1, ("does not assemble",)),
+    (
+        "float-overflow-horizon-verify",
+        ["verify", "--config", "{dir}/overflow-horizon-window.json"],
+        1,
+        1,
+        ("does not assemble",),
+    ),
+    ("float-overflow-window", ["run", "--config", "{dir}/overflow-window.json"], 1, 1, ("does not assemble",)),
+    ("float-overflow-horizon-bounds", ["bounds", "--config", "{dir}/overflow-horizon.json"], 1, 1, ("does not assemble",)),
+    (
+        "float-overflow-horizon-sweep",
+        ["sweep", "--config", "{dir}/overflow-horizon-sweep.json"],
+        1,
+        1,
+        ("sweep value 1000", "does not assemble"),
+    ),
     ("undominated-bounds-check", ["bounds", "--config", "{dir}/window.json", "--check"], 3, 0, ("check: FAIL",)),
 ]
 
@@ -225,6 +247,22 @@ def bad_inputs(tmp_path):
         # json.loads takes NaN and Infinity, which no order check catches
         "nan-sweep.json": json.dumps(beta_sweep_doc([0.05, float("nan"), 0.2])).encode(),
         "infinite-sweep.json": json.dumps(beta_sweep_doc([0.05, 0.2, float("inf")])).encode(),
+        # JSON integers too large for a float: as a number field or a beta
+        # sweep value, and as a horizon or window, which the bounds and the
+        # tuning take as a float
+        "huge-beta-sweep.json": json.dumps(beta_sweep_doc([0.05, 0.2, 10**400])).encode(),
+        "huge-beta.json": json.dumps({**smoke, "algorithm": {**smoke["algorithm"], "beta": 10**400}}).encode(),
+        "huge-theta.json": json.dumps({**smoke, "objectives": [{**smoke["objectives"][0], "theta": [10**400]}]}).encode(),
+        "huge-sigma2.json": json.dumps({**smoke, "noise": {"kind": "gaussian", "sigma2": 10**400}}).encode(),
+        "huge-lower.json": json.dumps({**smoke, "domain": {"lower": [-(10**400)], "upper": [2.0]}}).encode(),
+        "overflow-horizon.json": json.dumps({**smoke, "horizon": 10**400}).encode(),
+        "overflow-horizon-window.json": json.dumps({**window_doc(k5=1.8), "horizon": 10**400}).encode(),
+        "overflow-window.json": json.dumps(
+            {**window_doc(k5=1.8), "algorithm": {**window_doc(k5=1.8)["algorithm"], "window": 10**400}}
+        ).encode(),
+        "overflow-horizon-sweep.json": json.dumps(
+            {**beta_sweep_doc([0.05]), "sweep": {"axis": "T", "values": [10, 100, 10**400]}}
+        ).encode(),
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)

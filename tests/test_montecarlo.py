@@ -1,14 +1,24 @@
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import kwbandit.montecarlo as mc
 from kwbandit import (
     EnvironmentSchedule,
+    Experiment,
     FixedStepConfig,
     FixedStepPolicy,
     NoiseModel,
     monte_carlo_regret,
+    parse_sweep,
     regret_samples,
+    simulate_batch,
+    simulate_lanes,
 )
+from kwbandit.runner import resolve_experiment
 
 
 @pytest.fixture
@@ -45,8 +55,6 @@ def test_chunk_size_does_not_change_samples(setup, monkeypatch):
     policy, env = setup
     noise = NoiseModel.gaussian(1.0)
     full, _, _ = regret_samples(policy, env, noise, 30, base_seed=5)
-    import kwbandit.montecarlo as mc
-
     monkeypatch.setattr(mc, "REPLICATION_CHUNK", 7)
     chunked, _, _ = regret_samples(policy, env, noise, 30, base_seed=5)
     assert np.array_equal(full, chunked)
@@ -79,3 +87,32 @@ def test_confidence_helpers(setup, no_noise):
     policy, env = setup
     estimate = monte_carlo_regret(policy, env, no_noise, replications=2, base_seed=0)
     assert estimate.lower_confidence() == estimate.mean
+
+
+def test_regret_lanes_batches_only_experiments_of_one_horizon(monkeypatch):
+    """The points of a delta_T sweep shaped like ``configs/window_sweep.json``
+    share one horizon, so their 400 rows run as one ``simulate_lanes`` call;
+    the same experiment at unequal horizons runs as one-lane
+    ``simulate_batch`` calls, one per horizon."""
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs/window_sweep.json").read_text())
+    sweep = parse_sweep({**doc, "horizon": 2000})
+    points = [resolve_experiment(sweep.config_for(value)) for value in sweep.values]
+    calls = []
+
+    def lanes_call(lanes, noise):
+        calls.append(("lanes", [(lane.env.horizon, len(lane.rngs)) for lane in lanes]))
+        return simulate_lanes(lanes, noise)
+
+    def batch_call(policy, env, noise, rngs, *args):
+        calls.append(("batch", [(env.horizon, len(rngs))]))
+        return simulate_batch(policy, env, noise, rngs, *args)
+
+    monkeypatch.setattr(mc, "simulate_lanes", lanes_call)
+    monkeypatch.setattr(mc, "simulate_batch", batch_call)
+    mc.regret_lanes([Experiment(p.policy, p.env, p.noise, 100, 902, seed_path=(i,)) for i, p in enumerate(points)])
+    assert calls == [("lanes", [(2000, 100)] * 4)]
+
+    calls.clear()
+    unequal = [resolve_experiment(replace(sweep.base, horizon=horizon)) for horizon in (2000, 1000, 3000)]
+    mc.regret_lanes([Experiment(p.policy, p.env, p.noise, 20, 902) for p in unequal])
+    assert calls == [("batch", [(2000, 20)]), ("batch", [(1000, 20)]), ("batch", [(3000, 20)])]

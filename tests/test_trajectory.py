@@ -412,16 +412,16 @@ def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
 
 @st.composite
 def lane_batches(draw):
-    """2-4 lanes of one rule on one box and one noise model (gaussian,
-    uniform-bounded or none), each with its own horizon, change times,
+    """2-4 lanes of one rule on one box, one horizon and one noise model
+    (gaussian, uniform-bounded or none), each with its own change times,
     objectives, starting point, rate or window, width and probe steps."""
     d = draw(st.integers(1, 3))
     half = [draw(st.floats(0.5, 3.0)) for _ in range(d)]
     domain = Domain(lower=tuple(-h for h in half), upper=tuple(half))
     variant = draw(st.sampled_from(VARIANTS))
+    horizon = draw(st.integers(1, 40))
     lanes = []
     for _ in range(draw(st.integers(2, 4))):
-        horizon = draw(st.integers(1, 40))
         change_times = (1,)
         if horizon > 1:
             later = st.lists(st.integers(2, horizon), max_size=2, unique=True)
@@ -459,10 +459,10 @@ def lane_batches(draw):
 @settings(max_examples=40, deadline=None)
 @given(batch=lane_batches(), seed=st.integers(0, 2**31 - 1), block_values=st.sampled_from((48, 4_000_000)))
 def test_each_lane_equals_its_solo_batch(batch, seed, block_values):
-    """Lanes with unequal horizons, change times, rates, windows and widths,
-    run in one batch (the rows shrink as lanes end, over several noise
-    blocks or one), give each lane's totals and probes, and lane 0's trace,
-    bit for bit as a batch of that lane alone."""
+    """Lanes with unequal change times, rates, windows and widths, run in
+    one batch over several noise blocks or one, give each lane's totals and
+    probes, and lane 0's trace, bit for bit as a batch of that lane
+    alone."""
     specs, noise = batch
     with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", block_values):
         lanes = [
@@ -487,9 +487,15 @@ def test_lanes_must_share_the_rule_and_the_domain(bowl, fixed_policy):
     env = EnvironmentSchedule.stationary(5, bowl)
     wider = Domain(lower=(-3.0,), upper=(3.0,))
     other_box = EnvironmentSchedule.stationary(5, QuadraticBowl(domain=wider, theta=(0.0,), b=1.0))
+    longer = EnvironmentSchedule.stationary(6, bowl)
     streams, noise = replication_streams(0, 2), NoiseModel.gaussian(1.0)
-    for second in (Lane(VanillaPolicy(x0=(1.0,)), env, streams), Lane(fixed_policy, other_box, streams)):
-        with pytest.raises(ValueError, match="share the rule and the domain"):
+    mixed = (
+        Lane(VanillaPolicy(x0=(1.0,)), env, streams),
+        Lane(fixed_policy, other_box, streams),
+        Lane(fixed_policy, longer, streams),
+    )
+    for second in mixed:
+        with pytest.raises(ValueError, match="share the rule, the domain and the horizon"):
             simulate_lanes([Lane(fixed_policy, env, streams), second], noise)
     with pytest.raises(ValueError, match="at most one lane"):
         simulate_lanes([Lane(fixed_policy, env, streams, record_trace=True)] * 2, noise)
