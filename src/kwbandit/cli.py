@@ -10,7 +10,8 @@ Subcommands:
                alone (``--check`` also simulates and verifies domination)
 
 Every subcommand assembles the config before its own work.  Exit codes:
-0 success, 1 validation error (a config that does not assemble too),
+0 success, 1 validation error (a config that does not assemble, or whose
+values overflow float arithmetic, too),
 2 runtime/IO error (an allocation that fails too), 3 check failure
 (failed condition report or failed ``bounds --check``).
 """
@@ -20,6 +21,8 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .conditions import verify_conditions
 from .config import parse_config, parse_sweep, with_overrides
@@ -134,12 +137,18 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {"verify": _cmd_verify, "run": _cmd_run, "sweep": _cmd_sweep, "bounds": _cmd_bounds}
     try:
-        return handlers[args.command](args)
+        # A float operation that overflows or gives NaN is an error, not a
+        # warning: only parameters at the edge of the float range cause one.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return handlers[args.command](args)
     except ConfigValidationError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except FloatingPointError as exc:
+        print(f"invalid parameters: {exc} (a config value beyond what float arithmetic holds)", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

@@ -31,6 +31,10 @@ AUTO = "auto"
 
 SWEEP_AXES = ("T", "delta_T", "beta", "L")
 
+# The most replications a config or ``--replications`` may ask for: every
+# replication's total regret and probes are kept until the run ends.
+MAX_REPLICATIONS = 10**6
+
 
 @dataclass(frozen=True)
 class ObjectiveEntry:
@@ -220,7 +224,7 @@ class _Checker:
             return default
         return value
 
-    def integer(self, doc: dict, path: str, key: str, minimum=None, default=None):
+    def integer(self, doc: dict, path: str, key: str, minimum=None, default=None, maximum=None):
         if key not in doc:
             return default
         value = doc[key]
@@ -229,6 +233,9 @@ class _Checker:
             return default
         if minimum is not None and value < minimum:
             self.fail(f"{path}.{key}: must be >= {minimum}, got {value}")
+            return default
+        if maximum is not None and value > maximum:
+            self.fail(f"{path}.{key}: must be <= {maximum}, got {value}")
             return default
         return value
 
@@ -403,7 +410,7 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
         chk.fail("domain: expected an object with 'lower' and 'upper'")
 
     horizon = chk.integer(doc, "config", "horizon", minimum=1)
-    replications = chk.integer(doc, "config", "replications", minimum=1)
+    replications = chk.integer(doc, "config", "replications", minimum=1, maximum=MAX_REPLICATIONS)
     base_seed = chk.integer(doc, "config", "base_seed", minimum=0)
 
     entries: list[ObjectiveEntry] = []
@@ -511,7 +518,9 @@ def with_overrides(
     doc = {key: value for key, value in (("base_seed", seed), ("replications", replications)) if value is not None}
     chk = _Checker()
     base_seed = chk.integer(doc, "override", "base_seed", minimum=0, default=cfg.base_seed)
-    replications = chk.integer(doc, "override", "replications", minimum=1, default=cfg.replications)
+    replications = chk.integer(
+        doc, "override", "replications", minimum=1, default=cfg.replications, maximum=MAX_REPLICATIONS
+    )
     if chk.errors:
         raise ConfigValidationError(chk.errors)
     return replace(cfg, base_seed=base_seed, replications=replications)

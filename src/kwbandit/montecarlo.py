@@ -11,7 +11,7 @@ import numpy as np
 
 from .noise import NoiseModel
 from .objectives import shared_kind
-from .rng import replication_streams
+from .rng import StreamChunk
 from .schedule import EnvironmentSchedule
 from .trajectory import BatchResult, Lane, Policy, RegretTrace, simulate_batch, simulate_lanes
 
@@ -73,10 +73,12 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
     Experiments with one ``batch_key``, and so one horizon, are cut in
     experiment order into (experiment, replication range) pieces, packed
     into batches of at most ``REPLICATION_CHUNK`` rows; each piece is a
-    lane.  Every result is a pure function of its experiment: the packing
-    only bounds memory and never changes a result.  A batch of one lane
-    runs through ``simulate_batch``.  ``record_first_trace`` keeps the
-    trace of replication 0 of the first experiment.
+    lane, and draws from a private ``StreamChunk`` that builds the piece's
+    streams only when the engine iterates it.  Every result is a pure
+    function of its experiment: the packing only bounds memory and never
+    changes a result.  A batch of one lane runs through ``simulate_batch``.
+    ``record_first_trace`` keeps the trace of replication 0 of the first
+    experiment.
     """
     groups: dict[tuple, list[int]] = {}
     for i, experiment in enumerate(experiments):
@@ -88,7 +90,7 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
             Lane(
                 experiments[i].policy,
                 experiments[i].env,
-                replication_streams(experiments[i].base_seed, count, experiments[i].seed_path, start),
+                StreamChunk(experiments[i].base_seed, count, experiments[i].seed_path, start),
                 experiments[i].probe_steps,
                 record_trace=record_first_trace and i == 0 and start == 0,
             )

@@ -8,6 +8,7 @@ streams' samples in place, equal to ``draw``'s bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -83,10 +84,13 @@ class NoiseModel:
         w = self.support_half_width
         return rng.uniform(-w, w, size)
 
-    def fill(self, rngs: list[RandomStream], out: np.ndarray) -> None:
+    def fill(self, rngs: Iterable[RandomStream], out: np.ndarray) -> None:
         """Overwrite row r of ``out`` with ``draw(rngs[r], out[r].shape)``,
         bit for bit and advancing each stream identically.
 
+        The stochastic kinds iterate ``rngs`` once, in row order, and need
+        exactly one stream per row (``ValueError`` otherwise), so a lazy
+        ``rng.StreamChunk`` builds each stream just before its row is drawn.
         Each row must be C-contiguous (the block as a whole need not be).
         Each stream makes one call that writes its row's standard draws,
         then one affine pass scales the block: NumPy's ``normal`` computes
@@ -97,11 +101,11 @@ class NoiseModel:
             out[...] = 0.0
             return
         if self.kind == GAUSSIAN:
-            for rng, row in zip(rngs, out):
+            for rng, row in zip(rngs, out, strict=True):
                 rng.standard_normal(out=row)
             low, scale = 0.0, np.sqrt(self.sigma2)
         else:
-            for rng, row in zip(rngs, out):
+            for rng, row in zip(rngs, out, strict=True):
                 rng.random(out=row)
             w = self.support_half_width
             low, scale = -w, w - -w

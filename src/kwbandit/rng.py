@@ -15,6 +15,13 @@ that runs on ints and on arrays alike: the words that all replications of
 a (seed, path) share are mixed once, and the replication indices of a
 whole chunk are mixed in as one array.  The test suite holds NumPy's
 ``SeedSequence`` as the reference.
+
+A stream then costs only NumPy's ``PCG64`` and ``Generator`` construction:
+one ``_SeedRows`` per chunk hands each ``PCG64`` built from it the next
+row of the chunk's seed words.  ``StreamChunk`` builds a chunk's streams
+one at a time as it is iterated, so the engine can draw from each stream
+and drop it before it builds the next (see ``trajectory``);
+``replication_streams`` returns them as a list.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from typing import Iterator
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -123,20 +131,22 @@ def _seed_words(prefix: tuple[int, ...], index_words: list) -> np.ndarray:
     return np.array(words, dtype=np.uint64).T.copy()
 
 
-class _SeedWords(ISeedSequence):
-    """Hands PCG64 its four precomputed seed words.
+class _SeedRows(ISeedSequence):
+    """Hands each PCG64 built from it the next row of ``rows``, an
+    ``(n, 4)`` uint64 array of precomputed seed words, so one object seeds
+    a whole chunk's streams.
 
     It cannot spawn, so ``Generator.spawn`` on a stream raises ``TypeError``.
     """
 
-    def __init__(self, words: np.ndarray):
-        self._words = words
+    def __init__(self, rows: np.ndarray):
+        self._rows = iter(rows)
 
     def generate_state(self, n_words, dtype=np.uint32):
         # the identity test spares the common call a dtype construction
         if n_words != _SEED_WORDS or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError(f"only {_SEED_WORDS} uint64 seed words are derived, not {n_words} of {np.dtype(dtype)}")
-        return self._words
+        return next(self._rows)
 
 
 def _entropy_prefix(base_seed: int, path) -> tuple[int, ...]:
@@ -149,27 +159,45 @@ def _entropy_prefix(base_seed: int, path) -> tuple[int, ...]:
     return tuple(words)
 
 
-def _stream(words: np.ndarray) -> RandomStream:
-    return np.random.Generator(np.random.PCG64(_SeedWords(words)))
+class StreamChunk:
+    """The streams of replications ``path + (start,)`` ..
+    ``path + (start + count - 1,)``: a sized iterable that builds them
+    afresh, in index order, each time it is iterated.
+
+    A chunk holds no stream.  Each pass derives the chunk's seed words in
+    one vectorized pass, then builds each stream, from one ``_SeedRows``
+    that holds them, only when the stream is asked for; so a caller that
+    draws from each stream once and drops it never holds more than one.
+    """
+
+    def __init__(self, base_seed: int, count: int, path: tuple[int, ...] = (), start: int = 0):
+        self._prefix = _entropy_prefix(base_seed, path)
+        _words(start, "replication index")
+        self._start, self._count = start, count
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[RandomStream]:
+        start, stop = self._start, self._start + self._count
+        # Indices that share their words above the lowest are derived
+        # together, with the shared words as ints and the lowest word as an
+        # array.
+        while start < stop:
+            end = min(stop, ((start >> 32) + 1) << 32)
+            low, *high = _words(start, "replication index")
+            index_words = [np.arange(low, low + end - start, dtype=np.uint64), *high]
+            seeds = _SeedRows(_seed_words(self._prefix, index_words))
+            yield from map(RandomStream, map(np.random.PCG64, itertools.repeat(seeds, end - start)))
+            start = end
 
 
 def replication_streams(
     base_seed: int, count: int, path: tuple[int, ...] = (), start: int = 0
 ) -> list[RandomStream]:
     """Streams for replications ``path + (start,) .. path + (start+count-1,)``,
-    derived together."""
-    prefix = _entropy_prefix(base_seed, path)
-    stop = start + count
-    streams = []
-    # Indices that share their words above the lowest are derived together,
-    # with the shared words as ints and the lowest word as an array.
-    while start < stop:
-        end = min(stop, ((start >> 32) + 1) << 32)
-        low, *high = _words(start, "replication index")
-        index_words = [np.arange(low, low + end - start, dtype=np.uint64), *high]
-        streams += map(_stream, _seed_words(prefix, index_words))
-        start = end
-    return streams
+    derived together: a ``StreamChunk``'s streams as a list."""
+    return list(StreamChunk(base_seed, count, path, start))
 
 
 def replication_stream(base_seed: int, *path: int) -> RandomStream:
@@ -178,4 +206,5 @@ def replication_stream(base_seed: int, *path: int) -> RandomStream:
     if not path:
         raise ValueError("replication_stream needs a replication index after base_seed")
     *path, index = path
-    return _stream(_seed_words(_entropy_prefix(base_seed, path), _words(index, "replication index")))
+    words = _seed_words(_entropy_prefix(base_seed, path), _words(index, "replication index"))
+    return RandomStream(np.random.PCG64(_SeedRows(words[None])))

@@ -52,8 +52,13 @@ its running sum, added strictly left to right, are settled once per noise
 block and before each event, so an episode change never meets unsettled
 steps.  The decaying schedule's tables are built once per noise block, and
 ``NoiseModel.fill`` writes the block in place, one generator call per
-replication.  A block's noise as drawn, its step-major copy and the stored
-f(x) hold at most ``_NOISE_BLOCK_VALUES`` values over all rows together.
+replication.  A lane's streams are a sized iterable, which a
+``rng.StreamChunk`` builds only as it is iterated: a batch of one noise
+block hands ``fill`` the lanes' streams as one lazy chain, so each stream
+is built, drawn from and dropped before the next is built, and only a
+batch of several blocks keeps its streams in a list.  A block's noise as
+drawn, its step-major copy and the stored f(x) hold at most
+``_NOISE_BLOCK_VALUES`` values over all rows together.
 With ``record_trace`` the loop stores the traced row's action; its regret
 and cumulative regret are copied from the block's settled rows, and the
 boundary-contact and episode columns are derived after the loop.
@@ -71,7 +76,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, repeat
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -172,14 +177,16 @@ class BatchResult:
 @dataclass(frozen=True)
 class Lane:
     """One experiment's share of a batch: ``policy`` on ``env`` with one
-    replication per stream in ``rngs``, squared distances probed at
+    replication per stream in ``rngs``, a sized iterable (a list, or a
+    ``rng.StreamChunk``, which builds its streams when iterated, and is
+    iterated at most once per batch), squared distances probed at
     ``probe_steps`` and, with ``record_trace``, the per-step trace of its
     first replication.  The lanes of one batch run the same number of
     steps, ``env.horizon`` (see ``simulate_lanes``)."""
 
     policy: Policy
     env: EnvironmentSchedule
-    rngs: Sequence[RandomStream]
+    rngs: Iterable[RandomStream]
     probe_steps: tuple[int, ...] = ()
     record_trace: bool = False
 
@@ -417,12 +424,13 @@ def simulate_batch(
     policy: Policy,
     env: EnvironmentSchedule,
     noise: NoiseModel,
-    rngs: list[RandomStream],
+    rngs: Iterable[RandomStream],
     record_trace: bool = False,
     probe_steps: tuple[int, ...] = (),
 ) -> BatchResult:
-    """Run one trajectory per stream in ``rngs``; all share (policy, env,
-    noise) but draw noise from their own stream.
+    """Run one trajectory per stream in ``rngs``, a sized iterable as in
+    ``Lane``; all share (policy, env, noise) but draw noise from their own
+    stream.
 
     ``probe_steps`` requests per-replication squared distances
     ``||X_s - theta_s||**2`` at the listed steps (``horizon + 1`` probes the
@@ -456,7 +464,9 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     noise block and before each event, and boundary contacts are derived
     after each block's steps, from the recorded actions and the block's
     perturbations.  The totals, the probes of step ``horizon + 1`` and the
-    trace are taken after the last block."""
+    trace are taken after the last block.  The lanes' streams are iterated
+    once: lazily by the only block's fill, or into a list that every block
+    reuses."""
     domain, horizon = lanes[0].env.domain, lanes[0].env.horizon
     d = domain.dimension
     lo, hi = domain.lower_array, domain.upper_array
@@ -464,8 +474,7 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     counts = [len(lane.rngs) for lane in lanes]
     bounds = list(accumulate(counts, initial=0))
     lane_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    rngs = list(chain.from_iterable(lane.rngs for lane in lanes))
-    n = len(rngs)
+    n = bounds[-1]
 
     # The iterates x, coordinate-major, stacked with the step's two
     # perturbed corners, from which one take assembles the step's points.
@@ -508,6 +517,11 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
 
     values_per_step = 2 * d if noise.kind != NONE else 0
     cap = _block_steps(n, values_per_step, horizon)
+    # One block draws from each stream once, so it builds, draws and drops
+    # each in turn; only several blocks keep every stream alive.
+    rngs = chain.from_iterable(lane.rngs for lane in lanes)
+    if cap < horizon:
+        rngs = list(rngs)
     # Row 0 holds the cumulative regret by row so far, and row 1 + j the
     # f(x), then the regret, of step j of the current block.
     regret = np.zeros((cap + 1, n))

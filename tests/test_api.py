@@ -33,11 +33,13 @@ REMOVED_ATTRIBUTES = (
     # auto tuning and the summary echo read alpha from the config document
     ("FixedStepConfig", "alpha"),
 )
-# Public names no production path calls yet: the bound evaluators that the
-# per-episode diagnostics are to wire in.
+# Public names no production path calls: the bound evaluators that the
+# per-episode diagnostics are to wire in, and ``replication_streams``, the
+# list form of the ``rng.StreamChunk`` that the engine iterates lazily.
 UNCALLED = (
     "expected_distance_bound",
     "fixed_step_normalized_bound",
+    "replication_streams",
     "sliding_window_episode_bound",
     "sliding_window_normalized_bound",
 )

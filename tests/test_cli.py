@@ -1,12 +1,20 @@
+import contextlib
+import copy
+import io
 import json
+import signal
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kwbandit import runner
 from kwbandit.cli import main
-from kwbandit.config import ExperimentConfig
+from kwbandit.config import MAX_REPLICATIONS, ExperimentConfig
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -221,6 +229,27 @@ EXIT_CODE_MATRIX = [
         1,
         ("sweep value 1000", "does not assemble"),
     ),
+    (
+        "replications-over-cap",
+        ["run", "--config", "{dir}/too-many-replications.json"],
+        1,
+        1,
+        ("config.replications", f"<= {MAX_REPLICATIONS}"),
+    ),
+    (
+        "replications-override-over-cap",
+        ["run", "--config", SHIPPED_SMOKE, "--replications", str(MAX_REPLICATIONS + 1)],
+        1,
+        1,
+        ("override.replications", f"<= {MAX_REPLICATIONS}"),
+    ),
+    (
+        "float-overflow-perturbation",
+        ["run", "--config", "{dir}/huge-c-window.json"],
+        1,
+        1,
+        ("overflow encountered", "float arithmetic"),
+    ),
     ("undominated-bounds-check", ["bounds", "--config", "{dir}/window.json", "--check"], 3, 0, ("check: FAIL",)),
 ]
 
@@ -244,6 +273,12 @@ def bad_inputs(tmp_path):
         # space, so its first allocation fails at once and takes nothing
         "huge-horizon.json": json.dumps({**smoke, "horizon": 10**15}).encode(),
         "a-file": b"",
+        # the central difference divides by 2c, which overflows
+        "huge-c-window.json": json.dumps(
+            {**window_doc(k5=1.8), "algorithm": {**window_doc(k5=1.8)["algorithm"], "c": 1e308}}
+        ).encode(),
+        # over the cap, a run would simulate chunk after chunk until memory ran out
+        "too-many-replications.json": json.dumps({**smoke, "replications": 10**400}).encode(),
         # json.loads takes NaN and Infinity, which no order check catches
         "nan-sweep.json": json.dumps(beta_sweep_doc([0.05, float("nan"), 0.2])).encode(),
         "infinite-sweep.json": json.dumps(beta_sweep_doc([0.05, 0.2, float("inf")])).encode(),
@@ -369,3 +404,125 @@ def test_each_experiment_builds_its_schedule_once(argv, builds, tmp_path, monkey
     monkeypatch.setattr(runner, "regret_samples", unit_regret)
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == builds
+
+
+# The CLI fuzz test: mutations of the shipped configs, each run by the
+# command that takes it.  The configs are first cut to 2 replications and
+# short horizons, and a mutation that would simulate more than
+# FUZZ_BUDGET replication-steps is skipped, so each example runs in
+# milliseconds; every other outcome must be a documented exit code with at
+# most one stderr line.
+FUZZ_BUDGET = 50_000
+SHIPPED_SWEEPS = ("stationary_sweep.json", "window_sweep.json")
+FUZZ_SECONDS = 20
+HUGE_INTEGERS = [2**64, 10**400, -(10**400), MAX_REPLICATIONS + 1]
+ODD_VALUES = [
+    None,
+    True,
+    "text",
+    "line\nbreak",
+    [],
+    {},
+    [1.0, "x"],
+    {"kind": 1},
+    0,
+    -1,
+    0.5,
+    float("nan"),
+    float("inf"),
+    -float("inf"),
+    1e308,
+    -1e308,
+    *HUGE_INTEGERS,
+]
+
+
+def _cut(doc: dict) -> dict:
+    doc = {**doc, "replications": min(doc["replications"], 2), "horizon": min(doc["horizon"], 1000)}
+    if doc.get("sweep", {}).get("axis") == "T":
+        doc["sweep"] = {"axis": "T", "values": [50, 100, 200]}
+    return doc
+
+
+def _paths(node, path=()):
+    """Every path below ``node``: dict keys and list indices."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*path, key)
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def mutated_configs(draw):
+    name = draw(st.sampled_from(sorted(path.name for path in CONFIGS.glob("*.json"))))
+    doc = _cut(json.loads((CONFIGS / name).read_text()))
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        doc = copy.deepcopy(doc)
+        parent, key = doc, path[-1]
+        for step in path[:-1]:
+            parent = parent[step]
+        mutation = draw(st.sampled_from(["delete", "odd value", "nest"]))
+        if mutation == "delete":
+            del parent[key]
+        elif mutation == "odd value":
+            parent[key] = draw(st.sampled_from(ODD_VALUES))
+        else:  # deep nesting: the old value inside up to 200 lists
+            for _ in range(draw(st.integers(1, 200))):
+                parent[key] = [parent[key]]
+    return name, doc
+
+
+def _fuzz_work(doc: dict) -> int:
+    """Replication-steps ``doc`` could simulate: 0 unless its horizons and
+    replications are integers in range."""
+
+    def size(value, most):
+        ok = isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= most
+        return value if ok else 0
+
+    horizons = [doc.get("horizon")]
+    sweep = doc.get("sweep")
+    if isinstance(sweep, dict) and sweep.get("axis") == "T" and isinstance(sweep.get("values"), list):
+        horizons += sweep["values"]
+    longest = max(size(h, 10**300) for h in horizons)
+    return longest * size(doc.get("replications"), MAX_REPLICATIONS) * len(horizons)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=mutated_configs(), command=st.sampled_from(["run", "verify", "bounds", "bounds --check"]))
+def test_mutated_shipped_configs_exit_with_one_line(case, command):
+    name, doc = case
+    assume(_fuzz_work(doc) <= FUZZ_BUDGET)
+    if name in SHIPPED_SWEEPS:
+        command = "sweep"
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / name
+        path.write_text(json.dumps(doc))
+        command, *flags = command.split()
+        argv = [command, "--config", str(path), "--out", f"{scratch}/out", *flags]
+        err = io.StringIO()
+
+        def too_slow(signum, frame):
+            raise TimeoutError(f"{argv[0]} on a mutated {name} ran over {FUZZ_SECONDS} s: {json.dumps(doc)[:500]}")
+
+        previous = signal.signal(signal.SIGALRM, too_slow)
+        signal.alarm(FUZZ_SECONDS)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("default")
+                    try:
+                        code = main(argv)
+                    except SystemExit as exc:  # argparse usage errors
+                        code = exc.code
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+    # a warning the CLI lets through prints its own lines on stderr
+    lines = err.getvalue().splitlines() + [
+        line for w in caught for line in warnings.formatwarning(w.message, w.category, w.filename, w.lineno).splitlines()
+    ]
+    assert code in (0, 1, 2, 3), (argv, doc)
+    assert "Traceback" not in err.getvalue()
+    assert len(lines) <= 1, (argv[0], lines, doc)

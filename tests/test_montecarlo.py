@@ -1,3 +1,4 @@
+import gc
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 import kwbandit.montecarlo as mc
+import kwbandit.trajectory as traj
 from kwbandit import (
     EnvironmentSchedule,
     Experiment,
@@ -116,3 +118,34 @@ def test_regret_lanes_batches_only_experiments_of_one_horizon(monkeypatch):
     unequal = [resolve_experiment(replace(sweep.base, horizon=horizon)) for horizon in (2000, 1000, 3000)]
     mc.regret_lanes([Experiment(p.policy, p.env, p.noise, 20, 902) for p in unequal])
     assert calls == [("batch", [(2000, 20)]), ("batch", [(1000, 20)]), ("batch", [(3000, 20)])]
+
+
+@pytest.mark.parametrize("block_values, alive", [(None, range(1, 4)), (1000, [64])], ids=["one-block", "several-blocks"])
+def test_a_one_block_batch_holds_one_stream_at_a_time(bowl, block_values, alive, monkeypatch):
+    """A batch whose noise fits one block draws from each stream once, so
+    it builds, draws and drops the streams one by one (a loop variable or
+    two may still hold the last); a batch of several blocks keeps all of
+    them until its last block."""
+    env = EnvironmentSchedule.stationary(40, bowl)
+    policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.2, constants=bowl.constants), x0=(1.0,))
+    fill, counts = NoiseModel.fill, []
+
+    def live_streams():
+        return sum(type(o) is np.random.Generator for o in gc.get_objects())
+
+    def counted_fill(self, rngs, out):
+        def streams():
+            for i, rng in enumerate(rngs):
+                if i == len(out) - 1:
+                    counts.append(live_streams() - before)
+                yield rng
+
+        return fill(self, streams(), out)
+
+    monkeypatch.setattr(mc, "REPLICATION_CHUNK", 64)
+    if block_values:  # 64 rows of 5 values a step: three steps a block
+        monkeypatch.setattr(traj, "_NOISE_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(NoiseModel, "fill", counted_fill)
+    before = live_streams()
+    regret_samples(policy, env, NoiseModel.gaussian(1.0), 64, base_seed=2)
+    assert counts and all(count in alive for count in counts)

@@ -98,3 +98,11 @@ def test_fill_equals_draw_bit_for_bit(noise):
     # both paths leave every stream at the same place
     for a, b in zip(fill_rngs, draw_rngs):
         assert a.integers(0, 2**62) == b.integers(0, 2**62)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel.gaussian(1.0), NoiseModel.uniform_bounded(0.5)], ids=["gaussian", "uniform"])
+@pytest.mark.parametrize("streams", [2, 4], ids=["too-few", "too-many"])
+def test_fill_needs_one_stream_per_row(noise, streams):
+    # a row without a stream would keep whatever the block held before
+    with pytest.raises(ValueError):
+        noise.fill(replication_streams(5, streams), np.zeros((3, 2)))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from kwbandit import replication_stream, replication_streams
 from kwbandit.montecarlo import REPLICATION_CHUNK
+from kwbandit.rng import StreamChunk, _SeedRows
 
 
 def reference_stream(seed, path, r):
@@ -39,10 +40,15 @@ starts = st.one_of(
 @settings(max_examples=200, deadline=None)
 @given(seed=seeds, path=paths, start=starts, width=st.integers(1, 8))
 def test_streams_match_seed_sequence(seed, path, start, width):
-    streams = replication_streams(seed, width, path, start)
-    assert len(streams) == width
-    for i, stream in enumerate(streams):
-        assert_same_stream(stream, reference_stream(seed, path, start + i))
+    chunk = StreamChunk(seed, width, path, start)
+    # a chunk builds its streams afresh on every pass
+    passes = [replication_streams(seed, width, path, start), list(chunk), list(chunk)]
+    assert len(chunk) == width
+    for streams in passes:
+        assert len(streams) == width
+        for i, stream in enumerate(streams):
+            assert_same_stream(stream, reference_stream(seed, path, start + i))
+    for i in range(width):
         assert_same_stream(replication_stream(seed, *path, start + i), reference_stream(seed, path, start + i))
 
 
@@ -59,7 +65,12 @@ def test_default_path_and_start():
 def test_negative_key_is_a_one_line_value_error(seed, path, r):
     with pytest.raises(ValueError):
         np.random.SeedSequence(entropy=seed, spawn_key=(*path, r))
-    for call in (lambda: replication_stream(seed, *path, r), lambda: replication_streams(seed, 2, path, r)):
+    calls = (
+        lambda: replication_stream(seed, *path, r),
+        lambda: replication_streams(seed, 2, path, r),
+        lambda: StreamChunk(seed, 2, path, r),
+    )
+    for call in calls:
         with pytest.raises(ValueError, match=">= 0") as info:
             call()
         assert "\n" not in str(info.value)
@@ -71,5 +82,24 @@ def test_stream_without_replication_index_is_a_value_error():
 
 
 def test_streams_cannot_spawn():
-    with pytest.raises(TypeError):
-        replication_stream(0, 0).spawn(1)
+    for stream in (replication_stream(0, 0), next(iter(StreamChunk(0, 2)))):
+        with pytest.raises(TypeError):
+            stream.spawn(1)
+
+
+@pytest.mark.parametrize(
+    ("n_words", "dtype"), [(8, np.uint32), (4, np.uint32), (2, np.uint64), (8, np.uint64)], ids=str
+)
+def test_seed_rows_give_only_four_uint64_words(n_words, dtype):
+    seeds = _SeedRows(np.zeros((2, 4), dtype=np.uint64))
+    with pytest.raises(ValueError, match="only 4 uint64 seed words") as info:
+        seeds.generate_state(n_words, dtype)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("build", [lambda: replication_stream(3, 1, 4), lambda: next(iter(StreamChunk(3, 2, (1,), 4)))])
+def test_jumped_streams_match_seed_sequence(build):
+    jumped = build().bit_generator.jumped()
+    expected = reference_stream(3, (1,), 4).bit_generator.jumped()
+    assert jumped.state == expected.state
+    assert np.random.Generator(jumped).random() == np.random.Generator(expected).random()

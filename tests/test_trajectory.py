@@ -30,6 +30,7 @@ from kwbandit import (
 )
 from kwbandit.algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA
 from kwbandit.config import ORACLE, STATIC
+from kwbandit.rng import StreamChunk
 
 
 def single_trace(policy, env, noise, rng):
@@ -181,6 +182,34 @@ class TestBatchSemantics:
         monkeypatch.setattr(traj, "_NOISE_BLOCK_VALUES", 10)
         tiny = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
         assert np.array_equal(full, tiny)
+
+    @pytest.mark.parametrize("block_values", [traj._NOISE_BLOCK_VALUES, 50], ids=["one-block", "several-blocks"])
+    def test_a_stream_chunk_gives_the_bytes_of_a_stream_list(self, bowl, fixed_policy, block_values, monkeypatch):
+        # one block builds, draws and drops each stream of a chunk in turn;
+        # several blocks keep them in a list
+        monkeypatch.setattr(traj, "_NOISE_BLOCK_VALUES", block_values)
+        env = EnvironmentSchedule.stationary(30, bowl)
+        noise = NoiseModel.gaussian(1.0)
+        window = SlidingWindowPolicy(config=SlidingWindowConfig(window=4, x0=(0.0,), c=0.5))
+        results = [
+            simulate_lanes(
+                [
+                    Lane(fixed_policy, env, streams(7, 3, (0,)), probe_steps=(5, 31), record_trace=True),
+                    Lane(fixed_policy, env, streams(7, 2, (1,), 3), probe_steps=(30,)),
+                ],
+                noise,
+            )
+            + [simulate_batch(window, env, noise, streams(8, 4))]
+            for streams in (replication_streams, StreamChunk)
+        ]
+        for listed, chunked in zip(*results):
+            assert listed.total_regret.tobytes() == chunked.total_regret.tobytes()
+            assert listed.distance_probes.keys() == chunked.distance_probes.keys()
+            for s, probe in listed.distance_probes.items():
+                assert probe.tobytes() == chunked.distance_probes[s].tobytes()
+            assert (listed.trace is None) == (chunked.trace is None)
+            if listed.trace is not None:
+                assert listed.trace.cum_regret.tobytes() == chunked.trace.cum_regret.tobytes()
 
     @pytest.mark.parametrize(
         "noise, fills",
