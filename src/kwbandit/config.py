@@ -34,6 +34,11 @@ SWEEP_AXES = ("T", "delta_T", "beta", "L")
 # The most replications a config or ``--replications`` may ask for: every
 # replication's total regret and probes are kept until the run ends.
 MAX_REPLICATIONS = 10**6
+# The most replication-steps (horizon x replications) one experiment may
+# ask for: about three hours at some 8 million replication-steps a second.
+# ``runner.resolve_experiment`` checks it on every experiment it assembles,
+# so on the document, on each point of a sweep and after the overrides.
+MAX_REP_STEPS = 10**11
 
 
 @dataclass(frozen=True)

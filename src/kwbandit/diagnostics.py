@@ -143,6 +143,6 @@ def calibrate_window_constant(
     ]
     best = 0.0
     for window, experiment, (_, probes, _) in zip(lengths, experiments, regret_lanes(experiments)):
-        average = float(np.mean([np.mean(probes[s]) for s in experiment.probe_steps]))
+        average = float(np.stack([probes[s] for s in experiment.probe_steps]).mean(axis=1).mean())
         best = max(best, float(np.sqrt(window)) * average)
     return best

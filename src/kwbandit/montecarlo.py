@@ -120,12 +120,14 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
         if batch:
             run(batch)
 
+    def join(arrays: list[np.ndarray]) -> np.ndarray:
+        # an experiment that ran in one piece needs no copy
+        return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
     samples = []
     for experiment, results in zip(experiments, pieces):
-        totals = np.concatenate([res.total_regret for res in results])
-        probes = {
-            int(s): np.concatenate([res.distance_probes[int(s)] for res in results]) for s in experiment.probe_steps
-        }
+        totals = join([res.total_regret for res in results])
+        probes = {int(s): join([res.distance_probes[int(s)] for res in results]) for s in experiment.probe_steps}
         samples.append((totals, probes, results[0].trace))
     return samples
 

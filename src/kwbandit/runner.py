@@ -20,9 +20,9 @@ import numpy as np
 
 from .algorithms import FIXED_STEP, RESTART, SLIDING_WINDOW, VANILLA, FixedStepConfig, SlidingWindowConfig
 from .bounds import BoundReport, fixed_step_regret_bound, sliding_window_regret_bound
-from .config import AUTO, ORACLE, STATIC, ExperimentConfig, SweepSpec, with_overrides
+from .config import AUTO, MAX_REP_STEPS, ORACLE, STATIC, ExperimentConfig, SweepSpec, with_overrides
 from .exceptions import ConfigValidationError
-from .montecarlo import MonteCarloEstimate, regret_samples
+from .montecarlo import Experiment, MonteCarloEstimate, regret_lanes, regret_samples
 from .noise import NoiseModel
 from .scaling import fit_scaling_exponent
 from .schedule import EnvironmentSchedule
@@ -128,8 +128,8 @@ def resolve_experiment(cfg: ExperimentConfig) -> ResolvedExperiment:
     """Assemble a parsed config: build schedule/noise/policy; auto tuning
     computes the rate or window from the schedule's change rate and echoes
     the values used.  Whatever does not assemble (a beta that breaks
-    contraction, or a horizon too large for a float, say) raises one
-    ConfigValidationError."""
+    contraction, or more than ``MAX_REP_STEPS`` replication-steps, say)
+    raises one ConfigValidationError."""
     try:
         return _assemble(cfg)
     except (ValueError, OverflowError) as exc:
@@ -137,6 +137,9 @@ def resolve_experiment(cfg: ExperimentConfig) -> ResolvedExperiment:
 
 
 def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
+    work = cfg.horizon * cfg.replications
+    if work > MAX_REP_STEPS:
+        raise ValueError(f"horizon * replications = {work} is over the cap of {MAX_REP_STEPS} replication-steps")
     env = cfg.build_schedule()
     domain = env.domain
     noise = NoiseModel(kind=cfg.noise_kind, sigma2=cfg.noise_sigma2)
@@ -340,10 +343,9 @@ def run_sweep(
     the normalized regret against the axis scale (the change rate
     episodes/horizon for the delta_T axis, the raw value otherwise).
 
-    Every point is resolved before the first one simulates.  The points
-    run one after another through ``regret_samples``, not together
-    through ``regret_lanes``: perfbench's tracer counts a sweep's engine
-    work only where one experiment enters the engine.
+    Every point is resolved before the first one simulates; then all run
+    through one ``regret_lanes`` call, so the points of one horizon share
+    batches.
     """
     sweep = replace(sweep, base=with_overrides(sweep.base, seed=seed, replications=replications))
     resolved_points, errors = [], []
@@ -355,40 +357,36 @@ def run_sweep(
     if errors:
         raise ConfigValidationError(errors)
 
-    def run_point(index: int, resolved: ResolvedExperiment) -> SweepRow:
-        cfg, value = resolved.config, sweep.values[index]
-        totals, _, _ = regret_samples(
-            resolved.policy,
-            resolved.env,
-            resolved.noise,
-            cfg.replications,
-            cfg.base_seed,
-            seed_path=(index,),
-        )
-        estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
-        echo, bound = resolved.echo, resolved.bound
-        return SweepRow(
-            axis=sweep.axis,
-            value=float(value),
-            scale=echo.delta_T / cfg.horizon if sweep.axis == "delta_T" else float(value),
-            horizon=echo.horizon,
-            delta_T=echo.delta_T,
-            variant=echo.variant,
-            tuning=echo.tuning,
-            beta=echo.beta,
-            c=echo.c,
-            window=echo.window,
-            replications=echo.replications,
-            base_seed=echo.base_seed,
-            mean_regret=estimate.mean,
-            stderr_regret=estimate.standard_error,
-            normalized_regret=estimate.mean / cfg.horizon,
-            bound_name=bound.name if bound else "",
-            bound_value=bound.value if bound else None,
-        )
-
     _make_out_dir(out_dir)
-    points = tuple(run_point(index, resolved) for index, resolved in enumerate(resolved_points))
+    experiments = [
+        Experiment(r.policy, r.env, r.noise, r.config.replications, r.config.base_seed, seed_path=(index,))
+        for index, r in enumerate(resolved_points)
+    ]
+    points = []
+    for value, resolved, (totals, _, _) in zip(sweep.values, resolved_points, regret_lanes(experiments)):
+        cfg, echo, bound = resolved.config, resolved.echo, resolved.bound
+        estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
+        points.append(
+            SweepRow(
+                axis=sweep.axis,
+                value=float(value),
+                scale=echo.delta_T / cfg.horizon if sweep.axis == "delta_T" else float(value),
+                horizon=echo.horizon,
+                delta_T=echo.delta_T,
+                variant=echo.variant,
+                tuning=echo.tuning,
+                beta=echo.beta,
+                c=echo.c,
+                window=echo.window,
+                replications=echo.replications,
+                base_seed=echo.base_seed,
+                mean_regret=estimate.mean,
+                stderr_regret=estimate.standard_error,
+                normalized_regret=estimate.mean / cfg.horizon,
+                bound_name=bound.name if bound else "",
+                bound_value=bound.value if bound else None,
+            )
+        )
 
     slope, r2 = fit_scaling_exponent([(p.scale, p.normalized_regret) for p in points])
 
@@ -401,7 +399,7 @@ def run_sweep(
         _write_rows(exponent_path, ExponentFitRow, [ExponentFitRow(sweep.axis, len(points), slope, r2)])
     return SweepResult(
         axis=sweep.axis,
-        points=points,
+        points=tuple(points),
         slope=slope,
         r_squared=r2,
         summary_path=summary_path,

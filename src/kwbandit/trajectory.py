@@ -49,8 +49,9 @@ clamped corners.
 
 Each step stores f(x) into a block buffer; the regret f(theta) - f(x) and
 its running sum, added strictly left to right, are settled once per noise
-block and before each event, so an episode change never meets unsettled
-steps.  The decaying schedule's tables are built once per noise block, and
+block and before each objective change, so an episode change never meets
+unsettled steps; a probe reads only x, so it settles nothing.  The
+decaying schedule's tables are built once per noise block, and
 ``NoiseModel.fill`` writes the block in place, one generator call per
 replication.  A lane's streams are a sized iterable, which a
 ``rng.StreamChunk`` builds only as it is iterated: a batch of one noise
@@ -461,12 +462,12 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
 
     The loop never branches on the rule or the lane, and every row runs
     every step.  Regret is settled from the stored f(x) at the end of each
-    noise block and before each event, and boundary contacts are derived
-    after each block's steps, from the recorded actions and the block's
-    perturbations.  The totals, the probes of step ``horizon + 1`` and the
-    trace are taken after the last block.  The lanes' streams are iterated
-    once: lazily by the only block's fill, or into a list that every block
-    reuses."""
+    noise block and before each objective change, and boundary contacts
+    are derived after each block's steps, from the recorded actions and the
+    block's perturbations.  The totals, the probes of step ``horizon + 1``
+    and the trace are taken after the last block.  The lanes' streams are
+    iterated once: lazily by the only block's fill, or into a list that
+    every block reuses."""
     domain, horizon = lanes[0].env.domain, lanes[0].env.horizon
     d = domain.dimension
     lo, hi = domain.lower_array, domain.upper_array
@@ -505,9 +506,11 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     # Each step's events: episode changes, then probes of the new episode's
     # objective.
     events = defaultdict(list)
+    changes = set()
     for k, lane in enumerate(lanes):
         for t, objective in zip(lane.env.change_times[1:], lane.env.objectives[1:]):
             events[t].append(partial(change, k, objective))
+            changes.add(t)
     for k, lane in enumerate(lanes):
         for t in lane.probe_steps:
             if t <= horizon:
@@ -590,8 +593,9 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         for j, k, f_x, noise_j in by_step:
             s = step + j
             if s == next_event:
-                settle(settled, j)
-                settled = j
+                if s in changes:
+                    settle(settled, j)
+                    settled = j
                 for event in events[s]:
                     event()
                 next_event = next(event_steps, 0)

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import signal
 import tempfile
 import warnings
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from kwbandit import runner
 from kwbandit.cli import main
-from kwbandit.config import MAX_REPLICATIONS, ExperimentConfig
+from kwbandit.config import MAX_REP_STEPS, MAX_REPLICATIONS, ExperimentConfig
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -56,6 +57,19 @@ def sweep_config(tmp_path):
         },
         name="sweep.json",
     )
+
+
+def wide_doc(d, horizon):
+    """The smoke config in ``d`` dimensions."""
+    return {
+        "domain": {"lower": [-2.0] * d, "upper": [2.0] * d},
+        "objectives": [{"kind": "quadratic-bowl", "theta": [0.0] * d, "b": 1.0}],
+        "noise": {"kind": "none"},
+        "algorithm": {"variant": "fixed-step", "beta": 0.1, "c": 0.1, "x0": [1.0] * d},
+        "horizon": horizon,
+        "replications": 1,
+        "base_seed": 7,
+    }
 
 
 def window_doc(k5):
@@ -243,6 +257,28 @@ EXIT_CODE_MATRIX = [
         1,
         ("override.replications", f"<= {MAX_REPLICATIONS}"),
     ),
+    ("rep-steps-over-cap-run", ["run", "--config", "{dir}/horizon-over-cap.json"], 1, 1, (f"cap of {MAX_REP_STEPS}",)),
+    (
+        "rep-steps-over-cap-bounds-check",
+        ["bounds", "--config", "{dir}/horizon-over-cap.json", "--check"],
+        1,
+        1,
+        ("horizon * replications = 2000000000000", f"cap of {MAX_REP_STEPS}"),
+    ),
+    (
+        "rep-steps-over-cap-sweep",
+        ["sweep", "--config", "{dir}/horizon-over-cap-sweep.json"],
+        1,
+        1,
+        ("sweep value 1000000000000", f"cap of {MAX_REP_STEPS}"),
+    ),
+    (
+        "rep-steps-override-over-cap",
+        ["run", "--config", "{dir}/huge-horizon.json", "--replications", "2"],
+        1,
+        1,
+        ("horizon * replications = 200000000000", f"cap of {MAX_REP_STEPS}"),
+    ),
     (
         "float-overflow-perturbation",
         ["run", "--config", "{dir}/huge-c-window.json"],
@@ -269,9 +305,11 @@ def bad_inputs(tmp_path):
         # beta = 0.6 exceeds k1/k2**2 = 0.5 of the unit bowl: no contraction
         "beta-0.6.json": json.dumps({**smoke, "algorithm": {**smoke["algorithm"], "beta": 0.6}}).encode(),
         "two-objectives.json": json.dumps({**smoke, "objectives": smoke["objectives"] + [SECOND_OBJECTIVE]}).encode(),
-        # the trace of 10**15 steps asks for 7.11 PiB, beyond any address
-        # space, so its first allocation fails at once and takes nothing
-        "huge-horizon.json": json.dumps({**smoke, "horizon": 10**15}).encode(),
+        # the trace of 10**11 steps in 500 dimensions, at the cap of
+        # replication-steps, asks for 364 TiB, beyond a 47-bit address space,
+        # so its first allocation fails at once
+        "huge-horizon.json": json.dumps(wide_doc(500, horizon=MAX_REP_STEPS)).encode(),
+        "horizon-over-cap.json": json.dumps({**smoke, "horizon": 10**12, "replications": 2}).encode(),
         "a-file": b"",
         # the central difference divides by 2c, which overflows
         "huge-c-window.json": json.dumps(
@@ -297,6 +335,9 @@ def bad_inputs(tmp_path):
         ).encode(),
         "overflow-horizon-sweep.json": json.dumps(
             {**beta_sweep_doc([0.05]), "sweep": {"axis": "T", "values": [10, 100, 10**400]}}
+        ).encode(),
+        "horizon-over-cap-sweep.json": json.dumps(
+            {**beta_sweep_doc([0.05]), "sweep": {"axis": "T", "values": [10, 100, 10**12]}}
         ).encode(),
     }
     for name, data in files.items():
@@ -331,6 +372,7 @@ def test_out_naming_a_file_fails_before_simulating(command, smoke, sweep_config,
         raise AssertionError("simulated before checking --out")
 
     monkeypatch.setattr(runner, "regret_samples", no_simulation)
+    monkeypatch.setattr(runner, "regret_lanes", no_simulation)
     a_file = tmp_path / "a-file"
     a_file.write_bytes(b"")
     config = sweep_config if command == "sweep" else smoke
@@ -374,6 +416,7 @@ def test_sweep_resolves_every_point_before_simulating(doc, names, tmp_path, caps
         raise AssertionError("simulated before every point resolved")
 
     monkeypatch.setattr(runner, "regret_samples", no_simulation)
+    monkeypatch.setattr(runner, "regret_lanes", no_simulation)
     assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
@@ -397,21 +440,22 @@ def test_each_experiment_builds_its_schedule_once(argv, builds, tmp_path, monkey
         calls.append(self)
         return build_schedule(self)
 
-    def unit_regret(policy, env, noise, replications, base_seed, **kwargs):
-        return np.ones(replications), None, None
+    def unit_regret(experiments):
+        return [(np.ones(e.replications), {}, None) for e in experiments]
 
     monkeypatch.setattr(ExperimentConfig, "build_schedule", counted)
-    monkeypatch.setattr(runner, "regret_samples", unit_regret)
+    monkeypatch.setattr(runner, "regret_lanes", unit_regret)
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == builds
 
 
 # The CLI fuzz test: mutations of the shipped configs, each run by the
 # command that takes it.  The configs are first cut to 2 replications and
-# short horizons, and a mutation that would simulate more than
-# FUZZ_BUDGET replication-steps is skipped, so each example runs in
-# milliseconds; every other outcome must be a documented exit code with at
-# most one stderr line.
+# short horizons.  A mutation whose experiments ask for more than
+# MAX_REP_STEPS replication-steps must exit 1; one that would simulate
+# more than FUZZ_BUDGET replication-steps but stays under the cap is
+# skipped, so each example runs in milliseconds.  Every outcome must be a
+# documented exit code with at most one stderr line.
 FUZZ_BUDGET = 50_000
 SHIPPED_SWEEPS = ("stationary_sweep.json", "window_sweep.json")
 FUZZ_SECONDS = 20
@@ -456,6 +500,12 @@ def _paths(node, path=()):
 def mutated_configs(draw):
     name = draw(st.sampled_from(sorted(path.name for path in CONFIGS.glob("*.json"))))
     doc = _cut(json.loads((CONFIGS / name).read_text()))
+    if draw(st.integers(0, 3)) == 0:  # a long run: at the cap with 2 replications, or over it
+        long = draw(st.integers(MAX_REP_STEPS // 2, 2 * MAX_REP_STEPS))
+        if _t_values(doc):
+            doc["sweep"]["values"][-1] = long
+        else:
+            doc["horizon"] = long
     for _ in range(draw(st.integers(1, 3))):
         path = draw(st.sampled_from(list(_paths(doc))))
         doc = copy.deepcopy(doc)
@@ -473,27 +523,42 @@ def mutated_configs(draw):
     return name, doc
 
 
+def _size(value, most) -> int:
+    """``value`` if it is an integer in [1, most], else 0."""
+    ok = isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= most
+    return value if ok else 0
+
+
+def _t_values(doc: dict) -> list:
+    """The values of a T-axis sweep, the horizons its experiments run; [] for any other document."""
+    sweep = doc.get("sweep")
+    if isinstance(sweep, dict) and sweep.get("axis") == "T" and isinstance(sweep.get("values"), list):
+        return sweep["values"]
+    return []
+
+
 def _fuzz_work(doc: dict) -> int:
     """Replication-steps ``doc`` could simulate: 0 unless its horizons and
     replications are integers in range."""
+    horizons = [doc.get("horizon"), *_t_values(doc)]
+    longest = max(_size(h, 10**300) for h in horizons)
+    return longest * _size(doc.get("replications"), MAX_REPLICATIONS) * len(horizons)
 
-    def size(value, most):
-        ok = isinstance(value, int) and not isinstance(value, bool) and 1 <= value <= most
-        return value if ok else 0
 
-    horizons = [doc.get("horizon")]
-    sweep = doc.get("sweep")
-    if isinstance(sweep, dict) and sweep.get("axis") == "T" and isinstance(sweep.get("values"), list):
-        horizons += sweep["values"]
-    longest = max(size(h, 10**300) for h in horizons)
-    return longest * size(doc.get("replications"), MAX_REPLICATIONS) * len(horizons)
+def _over_cap(doc: dict) -> bool:
+    """Whether an experiment of ``doc`` asks for more than MAX_REP_STEPS
+    replication-steps, its horizon and replications integers in range."""
+    replications = _size(doc.get("replications"), MAX_REPLICATIONS)
+    horizons = _t_values(doc) or [doc.get("horizon")]
+    return any(_size(h, math.inf) * replications > MAX_REP_STEPS for h in horizons)
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=mutated_configs(), command=st.sampled_from(["run", "verify", "bounds", "bounds --check"]))
 def test_mutated_shipped_configs_exit_with_one_line(case, command):
     name, doc = case
-    assume(_fuzz_work(doc) <= FUZZ_BUDGET)
+    over_cap = _over_cap(doc)
+    assume(over_cap or _fuzz_work(doc) <= FUZZ_BUDGET)
     if name in SHIPPED_SWEEPS:
         command = "sweep"
     with tempfile.TemporaryDirectory() as scratch:
@@ -524,5 +589,6 @@ def test_mutated_shipped_configs_exit_with_one_line(case, command):
         line for w in caught for line in warnings.formatwarning(w.message, w.category, w.filename, w.lineno).splitlines()
     ]
     assert code in (0, 1, 2, 3), (argv, doc)
+    assert code == 1 or not over_cap, (argv, doc)
     assert "Traceback" not in err.getvalue()
     assert len(lines) <= 1, (argv[0], lines, doc)

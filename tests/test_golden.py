@@ -41,6 +41,24 @@ def _window_sweep() -> dict:
     return doc
 
 
+def _beta_sweep() -> dict:
+    """Explicit fixed-step points at one horizon: lanes of different rates."""
+    doc = _load("stationary_sweep.json")
+    doc["algorithm"] = {"variant": "fixed-step", "beta": 0.1, "c": 0.5, "x0": [-0.5]}
+    doc["horizon"] = 2000
+    doc["sweep"] = {"axis": "beta", "values": [0.05, 0.1, 0.2]}
+    return doc
+
+
+def _window_length_sweep() -> dict:
+    """Explicit sliding-window points at one horizon: lanes of different windows."""
+    doc = _load("window_sweep.json")
+    doc["algorithm"] = {"variant": "sliding-window", "window": 100, "x0": [0.0], "c": 0.5}
+    doc["horizon"] = 4096
+    doc["sweep"] = {"axis": "L", "values": [50, 100, 200]}
+    return doc
+
+
 # case -> (command, document, {artifact: sha256})
 CASES = {
     "smoke": (
@@ -89,6 +107,22 @@ CASES = {
         {
             "sweep_summary.csv": "6f2afa5543739ed0b62d144b9818d74ca28150439364cf8f2e5b88859fa2cdff",
             "exponent_fit.csv": "4d620634dd12fd0f477f37584c97020ba647846123dcf0455d509356bb74045a",
+        },
+    ),
+    "beta_sweep": (
+        "sweep",
+        _beta_sweep,
+        {
+            "sweep_summary.csv": "00122e9b7500392cd073a329a3846148d5383d1be74e37c2b835be4d2f3ec6f8",
+            "exponent_fit.csv": "772be71d19ce0f0068a49a1f2ceb6dece14d5d9b7257e14410d2c1d74817f3a8",
+        },
+    ),
+    "window_length_sweep": (
+        "sweep",
+        _window_length_sweep,
+        {
+            "sweep_summary.csv": "edcf66efa3112124eaf0b7f749872a8905fa632979a9f132a4bc486ab6793765",
+            "exponent_fit.csv": "7105f25143c2dbb2a85dc787b1acb96722fd5d3070447803ee1b52b294768816",
         },
     ),
 }

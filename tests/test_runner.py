@@ -12,6 +12,8 @@ from kwbandit import (
     regret_samples,
     run_experiment,
     run_sweep,
+    simulate_batch,
+    simulate_lanes,
 )
 from kwbandit import montecarlo, runner
 from kwbandit.runner import resolve_experiment
@@ -128,10 +130,10 @@ class TestResolveExperiment:
 def stub_constant_totals(monkeypatch, total):
     """Every replication of a sweep point totals ``total(env)``, without simulating."""
 
-    def constant(policy, env, noise, replications, base_seed, **kwargs):
-        return np.full(replications, total(env)), None, None
+    def constant(experiments):
+        return [(np.full(e.replications, total(e.env)), {}, None) for e in experiments]
 
-    monkeypatch.setattr(runner, "regret_samples", constant)
+    monkeypatch.setattr(runner, "regret_lanes", constant)
 
 
 class TestRunSweep:
@@ -200,6 +202,63 @@ class TestRunSweep:
         split = regret_lanes(experiments)
         for samples in (together, split):
             assert [totals.tobytes() for totals, _, _ in samples] == [totals.tobytes() for totals in alone]
+
+    @pytest.mark.parametrize(
+        "axis, values, algorithm",
+        [
+            ("delta_T", [2, 4, 8], {"variant": "sliding-window", "tuning": "auto", "x0": [0.0], "c": 0.5}),
+            ("L", [20, 40, 80], {"variant": "sliding-window", "window": 40, "x0": [0.0], "c": 0.5}),
+        ],
+        ids=["delta_T", "L"],
+    )
+    def test_points_of_one_horizon_share_batches(self, axis, values, algorithm, tmp_path, monkeypatch):
+        """The points of a delta_T or an L sweep share one horizon, so their
+        rows run as one ``simulate_lanes`` call per batch, and the CSV bytes
+        are those of running each point alone, whatever the chunk size."""
+        doc = base_doc(
+            horizon=300,
+            schedule={"episodes": 1},
+            noise={"kind": "gaussian", "sigma2": 1.0},
+            objectives=[
+                {"kind": "quadratic-bowl", "theta": [-0.5], "b": 1.0, "k5": 2.0},
+                {"kind": "quartic-perturbed-bowl", "theta": [0.5], "b": 1.0, "q": 0.05, "k5": 2.0},
+            ],
+            algorithm=algorithm,
+            replications=10,
+        )
+        doc["sweep"] = {"axis": axis, "values": values}
+        sweep = parse_sweep(json.dumps(doc))
+
+        def artifacts(name):
+            run_sweep(sweep, out_dir=tmp_path / name)
+            return [(tmp_path / name / csv).read_bytes() for csv in ("sweep_summary.csv", "exponent_fit.csv")]
+
+        def one_at_a_time(experiments):
+            return [regret_samples(e.policy, e.env, e.noise, e.replications, e.base_seed, e.seed_path) for e in experiments]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(runner, "regret_lanes", one_at_a_time)
+            alone = artifacts("alone")
+
+        calls = []
+
+        def lanes_call(lanes, noise):
+            calls.append(("lanes", [len(lane.rngs) for lane in lanes]))
+            return simulate_lanes(lanes, noise)
+
+        def batch_call(policy, env, noise, rngs, *args):
+            calls.append(("batch", [len(rngs)]))
+            return simulate_batch(policy, env, noise, rngs, *args)
+
+        monkeypatch.setattr(montecarlo, "simulate_lanes", lanes_call)
+        monkeypatch.setattr(montecarlo, "simulate_batch", batch_call)
+        assert artifacts("together") == alone
+        assert calls == [("lanes", [10, 10, 10])]
+
+        calls.clear()
+        monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 7)  # 30 rows in batches of 7: pieces of lanes
+        assert artifacts("split") == alone
+        assert calls == [("batch", [7]), ("lanes", [3, 4]), ("lanes", [6, 1]), ("batch", [7]), ("batch", [2])]
 
     def test_delta_axis_scale_is_change_rate(self, tmp_path, monkeypatch):
         doc = base_doc(
