@@ -28,10 +28,10 @@ from .exceptions import (
     KWBanditError,
     MeanValueConditionError,
 )
-from .montecarlo import Experiment, MonteCarloEstimate, monte_carlo_regret, regret_lanes, regret_samples
+from .montecarlo import Experiment, MonteCarloEstimate, regret_lanes, regret_samples
 from .noise import NoiseModel
 from .objectives import ClassConstants, ObjectiveSpec, QuadraticBowl, QuarticPerturbedBowl
-from .rng import RandomStream, replication_stream, replication_streams
+from .rng import RandomStream, replication_stream
 from .runner import run_experiment, run_sweep
 from .scaling import fit_scaling_exponent
 from .schedule import EnvironmentSchedule
@@ -95,7 +95,6 @@ __all__ = [
     "fit_scaling_exponent",
     "fixed_step_normalized_bound",
     "fixed_step_regret_bound",
-    "monte_carlo_regret",
     "optimal_step_size",
     "optimal_window",
     "parse_config",
@@ -103,7 +102,6 @@ __all__ = [
     "regret_lanes",
     "regret_samples",
     "replication_stream",
-    "replication_streams",
     "run_experiment",
     "run_sweep",
     "simulate_batch",

@@ -20,14 +20,15 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .conditions import verify_conditions
-from .config import parse_config, parse_sweep, with_overrides
+from .config import ExperimentConfig, parse_config, parse_sweep, with_overrides
 from .exceptions import ConfigValidationError
-from .montecarlo import monte_carlo_regret
+from .montecarlo import MonteCarloEstimate, regret_samples
 from .runner import resolve_experiment, run_experiment, run_sweep
 
 EXIT_OK = 0
@@ -73,8 +74,14 @@ def _read(path: str) -> str:
         raise ConfigValidationError([f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
 
 
+def _overridden(args, cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` with ``--seed`` and ``--replications`` applied: the one place
+    every command applies them."""
+    return with_overrides(cfg, seed=args.seed, replications=args.replications)
+
+
 def _cmd_verify(args) -> int:
-    cfg = with_overrides(parse_config(_read(args.config)), seed=args.seed, replications=args.replications)
+    cfg = _overridden(args, parse_config(_read(args.config)))
     resolve_experiment(cfg)  # rejects every config that run rejects
     objectives = cfg.build_objectives()
     all_hold = True
@@ -87,8 +94,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = parse_config(_read(args.config))
-    result = run_experiment(cfg, out_dir=args.out, seed=args.seed, replications=args.replications)
+    result = run_experiment(_overridden(args, parse_config(_read(args.config))), out_dir=args.out)
     print(f"mean total regret: {result.mean_regret!r} (stderr {result.stderr_regret!r})")
     if result.bound is not None:
         print(f"bound {result.bound.name}: {result.bound.value!r}")
@@ -98,7 +104,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = parse_sweep(_read(args.config))
-    result = run_sweep(sweep, out_dir=args.out, seed=args.seed, replications=args.replications)
+    result = run_sweep(replace(sweep, base=_overridden(args, sweep.base)), out_dir=args.out)
     for point in result.points:
         print(
             f"{result.axis}={point.value:g}: mean regret {point.mean_regret!r}, "
@@ -110,7 +116,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    cfg = with_overrides(parse_config(_read(args.config)), seed=args.seed, replications=args.replications)
+    cfg = _overridden(args, parse_config(_read(args.config)))
     resolved = resolve_experiment(cfg)
     if resolved.bound is None:
         print(f"variant {cfg.algorithm.variant!r} has no theoretical bound to evaluate", file=sys.stderr)
@@ -123,7 +129,11 @@ def _cmd_bounds(args) -> int:
         print(f"  input {key} = {value!r}")
     if not args.check:
         return EXIT_OK
-    estimate = monte_carlo_regret(resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
+    if cfg.replications < 2:
+        # one replication has no standard error, so no tolerance applies
+        raise ValueError(f"bounds --check needs replications >= 2, got {cfg.replications}")
+    totals, _, _ = regret_samples(resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
+    estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
     floor = estimate.lower_confidence()
     print(f"monte-carlo mean = {estimate.mean!r} (stderr {estimate.standard_error!r}); mean - 3*SE = {floor!r}")
     if floor <= bound.value:

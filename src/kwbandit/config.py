@@ -116,18 +116,6 @@ class ExperimentConfig:
     base_seed: int
     schedule: ScheduleSpec | None = None
 
-    @property
-    def dimension(self) -> int:
-        return len(self.domain_lower)
-
-    @property
-    def num_episodes(self) -> int:
-        if self.schedule is None:
-            return 1
-        if self.schedule.episodes is not None:
-            return self.schedule.episodes
-        return len(self.schedule.change_times)
-
     def to_dict(self) -> dict:
         doc = {
             "domain": {"lower": list(self.domain_lower), "upper": list(self.domain_upper)},
@@ -148,7 +136,7 @@ class ExperimentConfig:
 
     def build_schedule(self) -> EnvironmentSchedule:
         objectives = list(self.build_objectives())
-        if self.schedule is None or (self.schedule.episodes is not None and self.schedule.episodes == 1):
+        if self.schedule is None:
             return EnvironmentSchedule.stationary(self.horizon, objectives[0])
         if self.schedule.episodes is not None:
             return EnvironmentSchedule.evenly_spaced(self.horizon, self.schedule.episodes, objectives)
@@ -564,6 +552,8 @@ def parse_sweep(source: str | dict) -> SweepSpec:
                     values = tuple(raw)
 
     base = _parse_document(doc, chk, extra_top_keys={"sweep"})
+    if base is not None and base.algorithm.variant == ORACLE:
+        chk.fail("sweep: variant 'oracle' has zero regret at every point, so no exponent can be fitted")
     if base is not None and axis is not None and values is not None:
         if axis == "delta_T" and (base.schedule is None or base.schedule.episodes is None):
             chk.fail("sweep: axis 'delta_T' requires a schedule given as {'episodes': N}")

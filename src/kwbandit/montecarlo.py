@@ -1,6 +1,8 @@
-"""Monte-Carlo estimation of expected total regret over replications,
-for one experiment (``regret_samples``) or many packed into shared batches
-(``regret_lanes``)."""
+"""Monte-Carlo estimation of expected total regret over replications:
+``regret_lanes`` packs many experiments into shared batches, and
+``regret_samples`` is its one-experiment case.  Both, and
+``simulate_batch`` for a batch of one lane, stay entry points because the
+benchmark's tracer counts the engine through them."""
 
 from __future__ import annotations
 
@@ -155,17 +157,3 @@ def regret_samples(
     experiment = Experiment(policy, env, noise, replications, base_seed, seed_path, probe_steps)
     return regret_lanes([experiment], record_first_trace)[0]
 
-
-def monte_carlo_regret(
-    policy: Policy,
-    env: EnvironmentSchedule,
-    noise: NoiseModel,
-    replications: int,
-    base_seed: int,
-    seed_path: tuple[int, ...] = (),
-) -> MonteCarloEstimate:
-    """Mean and standard error of total regret over independent replications."""
-    if replications < 2:
-        raise ValueError(f"monte_carlo_regret needs replications >= 2, got {replications}")
-    totals, _, _ = regret_samples(policy, env, noise, replications, base_seed, seed_path=seed_path)
-    return MonteCarloEstimate.from_samples(totals, base_seed)

@@ -21,7 +21,6 @@ condition verifier.
 
 from __future__ import annotations
 
-import warnings
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -132,20 +131,12 @@ class ObjectiveSpec(ABC):
     def max_value(self) -> float:
         return float(self._value(self.theta_array))
 
+    @abstractmethod
     def mean_value_offset(self, c: float) -> float:
         """Radius bound on the offset between the exact central difference
         vector and the gradient, expressed as grad f evaluated at a shifted
         point: there is eps_x with ||eps_x|| <= mean_value_offset(c) such
-        that the difference vector equals grad f(x + eps_x).
-
-        Subclasses with an analytic bound override this; the fallback is
-        c**2 / 2 with a warning.
-        """
-        warnings.warn(
-            f"no analytic gradient-offset bound for kind {self.kind!r}; defaulting to c**2/2",
-            stacklevel=2,
-        )
-        return 0.5 * float(c) ** 2
+        that the difference vector equals grad f(x + eps_x)."""
 
     def _squared_distance(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """||x - theta||**2, shape (..., d) -> (...)."""

@@ -20,8 +20,11 @@ A stream then costs only NumPy's ``PCG64`` and ``Generator`` construction:
 one ``_SeedRows`` per chunk hands each ``PCG64`` built from it the next
 row of the chunk's seed words.  ``StreamChunk`` builds a chunk's streams
 one at a time as it is iterated, so the engine can draw from each stream
-and drop it before it builds the next (see ``trajectory``);
-``replication_streams`` returns them as a list.
+and drop it before it builds the next (see ``trajectory``); take
+``list(StreamChunk(...))`` to hold a chunk's streams at once.
+``replication_stream`` builds one stream by its key; the engine never
+calls it, and it stays public because the benchmark builds its streams
+and counts ``rng.streams`` through it.
 """
 
 from __future__ import annotations
@@ -190,14 +193,6 @@ class StreamChunk:
             seeds = _SeedRows(_seed_words(self._prefix, index_words))
             yield from map(RandomStream, map(np.random.PCG64, itertools.repeat(seeds, end - start)))
             start = end
-
-
-def replication_streams(
-    base_seed: int, count: int, path: tuple[int, ...] = (), start: int = 0
-) -> list[RandomStream]:
-    """Streams for replications ``path + (start,) .. path + (start+count-1,)``,
-    derived together: a ``StreamChunk``'s streams as a list."""
-    return list(StreamChunk(base_seed, count, path, start))
 
 
 def replication_stream(base_seed: int, *path: int) -> RandomStream:

@@ -10,7 +10,6 @@ order.
 
 from __future__ import annotations
 
-import csv
 from collections.abc import Iterator
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from itertools import chain
@@ -20,7 +19,7 @@ import numpy as np
 
 from .algorithms import FIXED_STEP, RESTART, SLIDING_WINDOW, VANILLA, FixedStepConfig, SlidingWindowConfig
 from .bounds import BoundReport, fixed_step_regret_bound, sliding_window_regret_bound
-from .config import AUTO, MAX_REP_STEPS, ORACLE, STATIC, ExperimentConfig, SweepSpec, with_overrides
+from .config import AUTO, MAX_REP_STEPS, ORACLE, STATIC, ExperimentConfig, SweepSpec
 from .exceptions import ConfigValidationError
 from .montecarlo import Experiment, MonteCarloEstimate, regret_lanes, regret_samples
 from .noise import NoiseModel
@@ -231,19 +230,15 @@ def _make_out_dir(out_dir: str | Path | None) -> None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
 
 
-def _write_csv(path: Path, header: list[str], rows, numerals: bool = False) -> None:
-    """Write a header and rows of already formatted cells.  With
-    ``numerals``, every cell is a number and every header a plain name,
-    which the csv module never quotes, so the rows are joined directly, at
-    a fraction of its cost."""
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write a header and rows of already formatted cells, joined with
+    commas.  Every header is a field name and every cell a number, an empty
+    cell or a word from a fixed set (a variant, tuning, refresh rule, axis
+    or bound name), none of which RFC 4180 quotes, so the join writes the
+    bytes a ``csv.writer`` would."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        if numerals:
-            handle.write(",".join(header) + "\n")
-            handle.writelines(",".join(row) + "\n" for row in rows)
-        else:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _write_rows(path: Path, row_type: type, rows) -> None:
@@ -270,19 +265,13 @@ def _write_trace(path: Path, trace: RegretTrace) -> None:
         + [_cells(column, repr) for column in floats]
         + [_cells(trace.boundary_contact.view(np.uint8), str)]
     )
-    _write_csv(path, header, zip(*columns), numerals=True)
+    _write_csv(path, header, zip(*columns))
 
 
-def run_experiment(
-    cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    seed: int | None = None,
-    replications: int | None = None,
-) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Execute a config: per-step trace CSV for replication 0 plus a
     one-row summary CSV with the Monte-Carlo estimate, the evaluated
     bound, and the tuning values used."""
-    cfg = with_overrides(cfg, seed=seed, replications=replications)
     resolved = resolve_experiment(cfg)
     env = resolved.env
     _make_out_dir(out_dir)
@@ -333,21 +322,16 @@ class SweepResult:
     exponent_path: Path | None
 
 
-def run_sweep(
-    sweep: SweepSpec,
-    out_dir: str | Path | None = None,
-    seed: int | None = None,
-    replications: int | None = None,
-) -> SweepResult:
+def run_sweep(sweep: SweepSpec, out_dir: str | Path | None = None) -> SweepResult:
     """Run one experiment per sweep value and fit the power-law exponent of
     the normalized regret against the axis scale (the change rate
     episodes/horizon for the delta_T axis, the raw value otherwise).
 
     Every point is resolved before the first one simulates; then all run
     through one ``regret_lanes`` call, so the points of one horizon share
-    batches.
+    batches.  sweep_summary.csv is written before the fit, so a fit that
+    fails (a point of zero regret has no logarithm) keeps the points.
     """
-    sweep = replace(sweep, base=with_overrides(sweep.base, seed=seed, replications=replications))
     resolved_points, errors = [], []
     for value in sweep.values:
         try:
@@ -388,14 +372,13 @@ def run_sweep(
             )
         )
 
-    slope, r2 = fit_scaling_exponent([(p.scale, p.normalized_regret) for p in points])
-
     summary_path = exponent_path = None
     if out_dir is not None:
-        out = Path(out_dir)
-        summary_path = out / "sweep_summary.csv"
-        exponent_path = out / "exponent_fit.csv"
+        summary_path = Path(out_dir) / "sweep_summary.csv"
         _write_rows(summary_path, SweepRow, points)
+    slope, r2 = fit_scaling_exponent([(p.scale, p.normalized_regret) for p in points])
+    if out_dir is not None:
+        exponent_path = Path(out_dir) / "exponent_fit.csv"
         _write_rows(exponent_path, ExponentFitRow, [ExponentFitRow(sweep.axis, len(points), slope, r2)])
     return SweepResult(
         axis=sweep.axis,

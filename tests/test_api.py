@@ -22,6 +22,11 @@ REMOVED = (
     "step_vanilla",
     # library code that no command, documented path or benchmark reached
     "adversarial_corpus",
+    # second ways in: ``bounds --check`` takes its estimate as ``run`` does,
+    # from ``regret_samples`` and ``MonteCarloEstimate.from_samples``, and a
+    # chunk's streams as a list are ``list(rng.StreamChunk(...))``
+    "monte_carlo_regret",
+    "replication_streams",
 )
 REMOVED_ATTRIBUTES = (
     ("schedule", "adversarial_corpus"),
@@ -32,14 +37,15 @@ REMOVED_ATTRIBUTES = (
     ("RegretTrace", "episode_regret_totals"),
     # auto tuning and the summary echo read alpha from the config document
     ("FixedStepConfig", "alpha"),
+    # the schedule and the box count episodes and dimensions
+    ("ExperimentConfig", "dimension"),
+    ("ExperimentConfig", "num_episodes"),
 )
 # Public names no production path calls: the bound evaluators that the
-# per-episode diagnostics are to wire in, and ``replication_streams``, the
-# list form of the ``rng.StreamChunk`` that the engine iterates lazily.
+# per-episode diagnostics are to wire in.
 UNCALLED = (
     "expected_distance_bound",
     "fixed_step_normalized_bound",
-    "replication_streams",
     "sliding_window_episode_bound",
     "sliding_window_normalized_bound",
 )
@@ -68,6 +74,12 @@ def test_removed_attributes_are_gone(owner, name):
 
 def test_run_sweep_takes_no_testing_hook():
     assert "value_source" not in inspect.signature(kwbandit.run_sweep).parameters
+
+
+@pytest.mark.parametrize("driver", [kwbandit.run_experiment, kwbandit.run_sweep], ids=lambda f: f.__name__)
+def test_drivers_take_no_overrides(driver):
+    # the CLI applies --seed and --replications to the config, for every command
+    assert {"seed", "replications"}.isdisjoint(inspect.signature(driver).parameters)
 
 
 def _referenced_names(path: Path) -> set[str]:

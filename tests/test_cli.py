@@ -287,6 +287,8 @@ EXIT_CODE_MATRIX = [
         ("overflow encountered", "float arithmetic"),
     ),
     ("undominated-bounds-check", ["bounds", "--config", "{dir}/window.json", "--check"], 3, 0, ("check: FAIL",)),
+    ("sweep-oracle", ["sweep", "--config", "{dir}/oracle-sweep.json"], 1, 1, ("variant 'oracle'", "zero regret")),
+    ("sweep-zero-regret", ["sweep", "--config", "{dir}/zero-regret-sweep.json"], 1, 1, ("log-log fit",)),
 ]
 
 
@@ -339,6 +341,10 @@ def bad_inputs(tmp_path):
         "horizon-over-cap-sweep.json": json.dumps(
             {**beta_sweep_doc([0.05]), "sweep": {"axis": "T", "values": [10, 100, 10**12]}}
         ).encode(),
+        # the oracle has zero regret at every point, and so has a static
+        # rule that plays theta: neither has a log-log exponent
+        "oracle-sweep.json": json.dumps(t_sweep_doc({"variant": "oracle"})).encode(),
+        "zero-regret-sweep.json": json.dumps(t_sweep_doc(ZERO_REGRET_STATIC)).encode(),
     }
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
@@ -393,6 +399,44 @@ def beta_sweep_doc(values):
         "base_seed": 3,
         "sweep": {"axis": "beta", "values": values},
     }
+
+
+ZERO_REGRET_STATIC = {"variant": "static", "x0": [0.0]}
+
+
+def t_sweep_doc(algorithm):
+    return {**beta_sweep_doc([0.05]), "algorithm": algorithm, "sweep": {"axis": "T", "values": [10, 20, 40]}}
+
+
+def test_a_sweep_that_cannot_be_fitted_keeps_its_points(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", write_config(tmp_path, t_sweep_doc(ZERO_REGRET_STATIC)), "--out", str(out)]) == 1
+    assert "log-log fit" in capsys.readouterr().err
+    lines = (out / "sweep_summary.csv").read_text().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [["T", "10.0"], ["T", "20.0"], ["T", "40.0"]]
+    assert {line.split(",")[12] for line in lines[1:]} == {"0.0"}  # mean_regret
+    assert not (out / "exponent_fit.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "bounds --check"])
+def test_overrides_give_the_outputs_of_a_document_that_declares_them(command, tmp_path, capsys):
+    command, *check = command.split()
+    doc = {**beta_sweep_doc([0.05, 0.1, 0.2]), "horizon": 200}
+    if command != "sweep":
+        del doc["sweep"]
+    declared = write_config(tmp_path, {**doc, "base_seed": 11, "replications": 4}, "declared.json")
+    overridden = [write_config(tmp_path, doc, "overridden.json"), "--seed", "11", "--replications", "4"]
+    outputs = []
+    for config in ([declared], overridden):
+        out = tmp_path / "out"  # one directory, so "wrote ..." lines match too
+        code = main([command, *check, "--config", *config, "--out", str(out)])
+        csvs = {path.name: path.read_bytes() for path in out.glob("*.csv")} if out.exists() else {}
+        outputs.append((code, capsys.readouterr().out, csvs))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert len(outputs[0][2]) == (0 if check else 2)
+    if check:
+        assert "monte-carlo mean = " in outputs[0][1]
 
 
 def unbuildable_last_point_sweeps():

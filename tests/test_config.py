@@ -26,9 +26,12 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(smoke_doc()))
         assert cfg.horizon == 100
         assert cfg.algorithm.variant == "fixed-step"
-        assert cfg.num_episodes == 1
         env = cfg.build_schedule()
         assert env.num_episodes == 1
+
+    def test_one_episode_schedule_is_the_stationary_one(self):
+        stationary = parse_config(json.dumps(smoke_doc())).build_schedule()
+        assert parse_config(json.dumps(smoke_doc(schedule={"episodes": 1}))).build_schedule() == stationary
 
     def test_theta_outside_domain_names_the_field(self):
         doc = smoke_doc(objectives=[{"kind": "quadratic-bowl", "theta": [5.0], "b": 1.0}])

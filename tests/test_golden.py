@@ -2,11 +2,14 @@
 
 Output bytes are a pure function of (config document, seed), so any change
 to the engine, the step rules, the tuning or the CSV layout that alters a
-single byte shows up here.  Every case runs at 3 replications, and the
+single byte shows up here.  The same artifacts show that the comma-join
+writer needs no quoting.  Every case runs at 3 replications, and the
 sweep documents at reduced horizons, so the whole file takes a few seconds.
 """
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -128,12 +131,39 @@ CASES = {
 }
 
 
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """The output directory of a case, which runs once per module."""
+    outs = {}
+
+    def run(case: str) -> Path:
+        if case not in outs:
+            command, document, _ = CASES[case]
+            work = tmp_path_factory.mktemp(case)
+            config = work / "config.json"
+            config.write_text(json.dumps(document()), encoding="utf-8")
+            assert main([command, "--config", str(config), "--replications", "3", "--out", str(work / "out")]) == 0
+            outs[case] = work / "out"
+        return outs[case]
+
+    return run
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_artifact_digests(case, tmp_path):
-    command, document, expected = CASES[case]
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(document()), encoding="utf-8")
-    out = tmp_path / "out"
-    assert main([command, "--config", str(config), "--replications", "3", "--out", str(out)]) == 0
+def test_artifact_digests(case, artifacts):
+    out, expected = artifacts(case), CASES[case][2]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
     assert digests == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_cells_need_no_quoting(case, artifacts):
+    # the writer joins cells with commas; that is RFC 4180 only while no
+    # cell holds a comma, a quote or a line break
+    for name in CASES[case][2]:
+        text = (artifacts(case) / name).read_bytes().decode("utf-8")
+        rows = list(csv.reader(io.StringIO(text)))
+        assert "".join(",".join(row) + "\n" for row in rows) == text
+        rewritten = io.StringIO()
+        csv.writer(rewritten, lineterminator="\n").writerows(rows)
+        assert rewritten.getvalue() == text

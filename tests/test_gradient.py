@@ -12,9 +12,9 @@ from kwbandit import (
     QuadraticBowl,
     SlidingWindowConfig,
     replication_stream,
-    replication_streams,
     simulate_batch,
 )
+from kwbandit.rng import StreamChunk
 
 BETA = 0.0625
 
@@ -95,7 +95,7 @@ def test_noisy_estimates_are_unbiased(box1d):
     n = 100_000
     policy = FixedStepPolicy(config=FixedStepConfig(beta=BETA, c=c, constants=f.constants), x0=(x,))
     env = EnvironmentSchedule.stationary(1, f)
-    probe = simulate_batch(policy, env, noise, replication_streams(42, n), probe_steps=(2,)).distance_probes[2]
+    probe = simulate_batch(policy, env, noise, list(StreamChunk(42, n)), probe_steps=(2,)).distance_probes[2]
     draws = (f.theta[0] + np.sqrt(probe) - x) / BETA
     # per-estimate noise variance is 2*sigma^2/(2c)^2
     se = np.sqrt(2.0 / (2 * c) ** 2 / n)

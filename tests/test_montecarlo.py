@@ -13,8 +13,8 @@ from kwbandit import (
     Experiment,
     FixedStepConfig,
     FixedStepPolicy,
+    MonteCarloEstimate,
     NoiseModel,
-    monte_carlo_regret,
     parse_sweep,
     regret_samples,
     simulate_batch,
@@ -30,9 +30,15 @@ def setup(bowl):
     return policy, env
 
 
+def monte_carlo_estimate(policy, env, noise, replications, base_seed):
+    """The mean and standard error of ``regret_samples``, as ``run`` and ``bounds --check`` take them."""
+    totals, _, _ = regret_samples(policy, env, noise, replications, base_seed)
+    return MonteCarloEstimate.from_samples(totals, base_seed)
+
+
 def test_noiseless_runs_have_zero_standard_error(setup, no_noise):
     policy, env = setup
-    estimate = monte_carlo_regret(policy, env, no_noise, replications=8, base_seed=1)
+    estimate = monte_carlo_estimate(policy, env, no_noise, replications=8, base_seed=1)
     assert estimate.standard_error == 0.0
     assert estimate.replications == 8
 
@@ -40,8 +46,8 @@ def test_noiseless_runs_have_zero_standard_error(setup, no_noise):
 def test_bitwise_reproducibility(setup):
     policy, env = setup
     noise = NoiseModel.gaussian(1.0)
-    a = monte_carlo_regret(policy, env, noise, replications=16, base_seed=5)
-    b = monte_carlo_regret(policy, env, noise, replications=16, base_seed=5)
+    a = monte_carlo_estimate(policy, env, noise, replications=16, base_seed=5)
+    b = monte_carlo_estimate(policy, env, noise, replications=16, base_seed=5)
     assert a.mean == b.mean and a.standard_error == b.standard_error
 
 
@@ -74,20 +80,14 @@ def test_mean_matches_sample_average(setup):
     policy, env = setup
     noise = NoiseModel.gaussian(1.0)
     samples, _, _ = regret_samples(policy, env, noise, 25, base_seed=3)
-    estimate = monte_carlo_regret(policy, env, noise, replications=25, base_seed=3)
+    estimate = monte_carlo_estimate(policy, env, noise, replications=25, base_seed=3)
     assert estimate.mean == float(np.mean(samples))
     assert estimate.standard_error == pytest.approx(np.std(samples, ddof=1) / 5.0, rel=1e-12)
 
 
-def test_requires_two_replications(setup, no_noise):
-    policy, env = setup
-    with pytest.raises(ValueError, match=">= 2"):
-        monte_carlo_regret(policy, env, no_noise, replications=1, base_seed=0)
-
-
 def test_confidence_helpers(setup, no_noise):
     policy, env = setup
-    estimate = monte_carlo_regret(policy, env, no_noise, replications=2, base_seed=0)
+    estimate = monte_carlo_estimate(policy, env, no_noise, replications=2, base_seed=0)
     assert estimate.lower_confidence() == estimate.mean
 
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kwbandit import NoiseModel, replication_stream, replication_streams
+from kwbandit import NoiseModel, replication_stream
+from kwbandit.rng import StreamChunk
 
 
 def test_none_noise_is_exact(bowl):
@@ -88,7 +89,7 @@ def test_fill_equals_draw_bit_for_bit(noise):
     # into the rows of a strided slice buf[:, :k] of a larger block; the
     # sign bits catch a -0.0 where draw gives 0.0 (sigma2 = 0)
     reps, width, split = 4, 3, (7, 300, 693)
-    fill_rngs, draw_rngs = replication_streams(5, reps), replication_streams(5, reps)
+    fill_rngs, draw_rngs = list(StreamChunk(5, reps)), list(StreamChunk(5, reps))
     for k in split:
         buf = np.full((reps, k + 2, width), np.nan)
         noise.fill(fill_rngs, buf[:, :k])
@@ -105,4 +106,4 @@ def test_fill_equals_draw_bit_for_bit(noise):
 def test_fill_needs_one_stream_per_row(noise, streams):
     # a row without a stream would keep whatever the block held before
     with pytest.raises(ValueError):
-        noise.fill(replication_streams(5, streams), np.zeros((3, 2)))
+        noise.fill(list(StreamChunk(5, streams)), np.zeros((3, 2)))

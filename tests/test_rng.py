@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwbandit import replication_stream, replication_streams
+from kwbandit import replication_stream
 from kwbandit.montecarlo import REPLICATION_CHUNK
 from kwbandit.rng import StreamChunk, _SeedRows
 
@@ -42,7 +42,7 @@ starts = st.one_of(
 def test_streams_match_seed_sequence(seed, path, start, width):
     chunk = StreamChunk(seed, width, path, start)
     # a chunk builds its streams afresh on every pass
-    passes = [replication_streams(seed, width, path, start), list(chunk), list(chunk)]
+    passes = [list(chunk), list(chunk)]
     assert len(chunk) == width
     for streams in passes:
         assert len(streams) == width
@@ -53,7 +53,7 @@ def test_streams_match_seed_sequence(seed, path, start, width):
 
 
 def test_default_path_and_start():
-    for r, stream in enumerate(replication_streams(7, 3)):
+    for r, stream in enumerate(StreamChunk(7, 3)):
         assert_same_stream(stream, reference_stream(7, (), r))
 
 
@@ -67,7 +67,6 @@ def test_negative_key_is_a_one_line_value_error(seed, path, r):
         np.random.SeedSequence(entropy=seed, spawn_key=(*path, r))
     calls = (
         lambda: replication_stream(seed, *path, r),
-        lambda: replication_streams(seed, 2, path, r),
         lambda: StreamChunk(seed, 2, path, r),
     )
     for call in calls:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from kwbandit import (
     simulate_lanes,
 )
 from kwbandit import montecarlo, runner
+from kwbandit.config import with_overrides
 from kwbandit.runner import resolve_experiment
 
 
@@ -54,7 +56,7 @@ class TestRunExperiment:
         doc = base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, replications=4)
         cfg = parse_config(json.dumps(doc))
         a = run_experiment(cfg, out_dir=None)
-        b = run_experiment(cfg, out_dir=None, seed=99)
+        b = run_experiment(with_overrides(cfg, seed=99), out_dir=None)
         assert a.mean_regret != b.mean_regret
 
     def test_oracle_trace_all_zero(self, tmp_path):
@@ -163,9 +165,10 @@ class TestRunSweep:
 
     def test_chunk_invariance(self, tmp_path, monkeypatch):
         sweep = self.sweep()
-        a = run_sweep(sweep, out_dir=tmp_path / "a", replications=20)
+        sweep = replace(sweep, base=with_overrides(sweep.base, replications=20))
+        a = run_sweep(sweep, out_dir=tmp_path / "a")
         monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 8)
-        b = run_sweep(sweep, out_dir=tmp_path / "b", replications=20)
+        b = run_sweep(sweep, out_dir=tmp_path / "b")
         assert (tmp_path / "a/sweep_summary.csv").read_bytes() == (tmp_path / "b/sweep_summary.csv").read_bytes()
         assert a.slope == b.slope
 

@@ -24,7 +24,6 @@ from kwbandit import (
     StaticPolicy,
     VanillaPolicy,
     replication_stream,
-    replication_streams,
     simulate_batch,
     simulate_lanes,
 )
@@ -168,7 +167,7 @@ class TestBatchSemantics:
     def test_batch_replications_match_individual_runs(self, bowl, fixed_policy):
         noise = NoiseModel.gaussian(1.0)
         env = EnvironmentSchedule.stationary(30, bowl)
-        batch = simulate_batch(fixed_policy, env, noise, replication_streams(7, 5))
+        batch = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 5)))
         for r in range(5):
             solo = single_trace(fixed_policy, env, noise, replication_stream(7, r))
             assert solo.total_regret == batch.total_regret[r]
@@ -176,11 +175,11 @@ class TestBatchSemantics:
     def test_block_size_does_not_change_results(self, bowl, fixed_policy, monkeypatch):
         noise = NoiseModel.gaussian(1.0)
         env = EnvironmentSchedule.stationary(50, bowl)
-        full = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
+        full = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
         import kwbandit.trajectory as traj
 
         monkeypatch.setattr(traj, "_NOISE_BLOCK_VALUES", 10)
-        tiny = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
+        tiny = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
         assert np.array_equal(full, tiny)
 
     @pytest.mark.parametrize("block_values", [traj._NOISE_BLOCK_VALUES, 50], ids=["one-block", "several-blocks"])
@@ -200,7 +199,7 @@ class TestBatchSemantics:
                 noise,
             )
             + [simulate_batch(window, env, noise, streams(8, 4))]
-            for streams in (replication_streams, StreamChunk)
+            for streams in (lambda *key: list(StreamChunk(*key)), StreamChunk)
         ]
         for listed, chunked in zip(*results):
             assert listed.total_regret.tobytes() == chunked.total_regret.tobytes()
@@ -218,7 +217,7 @@ class TestBatchSemantics:
     )
     def test_noise_comes_from_one_fill_per_block(self, bowl, fixed_policy, noise, fills, monkeypatch):
         env = EnvironmentSchedule.stationary(50, bowl)
-        default = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
+        default = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
         blocks, draws = [], []
         fill, draw = NoiseModel.fill, NoiseModel.draw
 
@@ -233,7 +232,7 @@ class TestBatchSemantics:
         monkeypatch.setattr(NoiseModel, "fill", counted_fill)
         monkeypatch.setattr(NoiseModel, "draw", counted_draw)
         monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
-        blocked = simulate_batch(fixed_policy, env, noise, replication_streams(7, 3)).total_regret
+        blocked = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
         assert len(blocks) == fills and draws == []
         if fills:
             # 7 blocks of 7 steps, each one contiguous array, then one step:
@@ -243,7 +242,7 @@ class TestBatchSemantics:
 
     def test_distance_probes(self, bowl, fixed_policy, no_noise):
         env = EnvironmentSchedule.stationary(5, bowl)
-        result = simulate_batch(fixed_policy, env, no_noise, replication_streams(0, 2), probe_steps=(1, 3, 6))
+        result = simulate_batch(fixed_policy, env, no_noise, list(StreamChunk(0, 2)), probe_steps=(1, 3, 6))
         # X_1 = 1, X_3 = 0.64, X_6 = 0.8^5 (probe horizon+1 hits the final iterate)
         assert result.distance_probes[1] == pytest.approx([1.0, 1.0], abs=0.0)
         assert result.distance_probes[3] == pytest.approx([0.64**2] * 2, abs=1e-12)
@@ -252,7 +251,7 @@ class TestBatchSemantics:
     def test_probe_out_of_range_rejected(self, bowl, fixed_policy, no_noise):
         env = EnvironmentSchedule.stationary(5, bowl)
         with pytest.raises(ValueError, match="probe steps"):
-            simulate_batch(fixed_policy, env, no_noise, replication_streams(0, 1), probe_steps=(7,))
+            simulate_batch(fixed_policy, env, no_noise, list(StreamChunk(0, 1)), probe_steps=(7,))
 
 
 @pytest.mark.parametrize(
@@ -296,7 +295,7 @@ def test_each_step_evaluates_all_its_points_in_one_objective_call(variant, d):
     env = EnvironmentSchedule.stationary(horizon, f)
     value_of = QuadraticBowl._value
     with mock.patch.object(QuadraticBowl, "_value", autospec=True, side_effect=value_of) as value:
-        simulate_batch(policy, env, NoiseModel.gaussian(1.0), replication_streams(0, reps))
+        simulate_batch(policy, env, NoiseModel.gaussian(1.0), list(StreamChunk(0, reps)))
     assert value.call_count == horizon
     for call in value.call_args_list:
         assert call.args[1].shape == ((1 + 2 * d) * reps, d)
@@ -320,7 +319,7 @@ def test_returned_arrays_own_their_memory_and_outlive_the_next_call(variant, box
 
     def returned(seed):
         result = simulate_batch(
-            policy, env, NoiseModel.gaussian(1.0), replication_streams(seed, 3), record_trace=True, probe_steps=(1, 12, 31)
+            policy, env, NoiseModel.gaussian(1.0), list(StreamChunk(seed, 3)), record_trace=True, probe_steps=(1, 12, 31)
         )
         trace = result.trace
         columns = (trace.actions, trace.inst_regret, trace.cum_regret, trace.episode, trace.boundary_contact)
@@ -412,7 +411,7 @@ def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
     variant, policy, env, noise, probes = case
     horizon = env.horizon
     with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", 48):
-        batch = simulate_batch(policy, env, noise, replication_streams(seed, reps), probe_steps=probes)
+        batch = simulate_batch(policy, env, noise, list(StreamChunk(seed, reps)), probe_steps=probes)
         for r in range(reps):
             trace = single_trace(policy, env, noise, replication_stream(seed, r))
             assert batch.total_regret[r] == trace.total_regret
@@ -495,12 +494,12 @@ def test_each_lane_equals_its_solo_batch(batch, seed, block_values):
     specs, noise = batch
     with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", block_values):
         lanes = [
-            Lane(policy, env, replication_streams(seed, reps, (k,)), probes, record_trace=k == 0)
+            Lane(policy, env, list(StreamChunk(seed, reps, (k,))), probes, record_trace=k == 0)
             for k, (policy, env, reps, probes) in enumerate(specs)
         ]
         together = simulate_lanes(lanes, noise)
         for k, (policy, env, reps, probes) in enumerate(specs):
-            solo = simulate_batch(policy, env, noise, replication_streams(seed, reps, (k,)), k == 0, probes)
+            solo = simulate_batch(policy, env, noise, list(StreamChunk(seed, reps, (k,))), k == 0, probes)
             assert np.array_equal(together[k].total_regret, solo.total_regret)
             assert together[k].distance_probes.keys() == solo.distance_probes.keys()
             for s, distances in solo.distance_probes.items():
@@ -517,7 +516,7 @@ def test_lanes_must_share_the_rule_and_the_domain(bowl, fixed_policy):
     wider = Domain(lower=(-3.0,), upper=(3.0,))
     other_box = EnvironmentSchedule.stationary(5, QuadraticBowl(domain=wider, theta=(0.0,), b=1.0))
     longer = EnvironmentSchedule.stationary(6, bowl)
-    streams, noise = replication_streams(0, 2), NoiseModel.gaussian(1.0)
+    streams, noise = list(StreamChunk(0, 2)), NoiseModel.gaussian(1.0)
     mixed = (
         Lane(VanillaPolicy(x0=(1.0,)), env, streams),
         Lane(fixed_policy, other_box, streams),
@@ -558,7 +557,7 @@ def test_block_buffers_stay_within_the_noise_block_budget():
     f = QuadraticBowl(domain=box, theta=(0.3,), b=1.0)
     policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.1, constants=f.constants), x0=(1.0,))
     env = EnvironmentSchedule.stationary(1000, f)
-    rngs = replication_streams(0, 192)
+    rngs = list(StreamChunk(0, 192))
     tracemalloc.start()
     try:
         simulate_batch(policy, env, NoiseModel.gaussian(0.5), rngs)
