@@ -126,7 +126,7 @@ def verify_conditions(
     grads = objective._gradient(pts)
     values = objective._value(pts)
     u = pts - objective.theta_array
-    r2 = np.sum(u * u, axis=-1)
+    r2 = objective._squared_distance(pts)
     scale = max(domain.diameter, 1.0)
     away = r2 > (1e-8 * scale) ** 2
 

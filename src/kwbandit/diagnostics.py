@@ -49,25 +49,17 @@ def distance_recursion_check(
     probe_step: int,
     replications: int,
     base_seed: int,
-    seed_path: tuple[int, ...] = (),
 ) -> RecursionCheckReport:
     """Estimate both sides of the one-step squared-distance recursion on a
-    stationary objective by independent replications."""
+    stationary objective by independent replications, replication r drawing
+    from the stream keyed ``(base_seed, r)``."""
     if probe_step < 1:
         raise ValueError(f"probe_step must be >= 1, got {probe_step}")
     if replications < 2:
         raise ValueError(f"replications must be >= 2, got {replications}")
     env = EnvironmentSchedule.stationary(horizon=probe_step, objective=objective)
     policy = FixedStepPolicy(config=config, x0=tuple(np.atleast_1d(np.asarray(x0, dtype=float))))
-    _, probes, _ = regret_samples(
-        policy,
-        env,
-        noise,
-        replications,
-        base_seed,
-        seed_path=seed_path,
-        probe_steps=(probe_step, probe_step + 1),
-    )
+    _, probes, _ = regret_samples(policy, env, noise, replications, base_seed, probe_steps=(probe_step, probe_step + 1))
     dist_s = probes[probe_step]
     dist_next = probes[probe_step + 1]
     gamma = config.gamma

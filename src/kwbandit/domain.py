@@ -4,17 +4,30 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
 from .exceptions import DomainViolationError
 
 
+def add_left_to_right(terms: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
+    """``terms[0] + terms[1] + ...``, added strictly left to right (into
+    ``out`` when given): every squared length in kwbandit sums its squares
+    here, so no memory layout, NumPy reduction or BLAS kernel moves a bit."""
+    if len(terms) == 1:
+        return np.positive(terms[0], out=out)
+    total = np.add(terms[0], terms[1], out=out)
+    for term in terms[2:]:
+        total = np.add(total, term, out=out)
+    return total
+
+
 @dataclass(frozen=True)
 class Domain:
     """Axis-aligned box in R^d with nonempty interior.
 
-    ``diameter`` is the Euclidean norm of ``upper - lower``; projection is
+    ``diameter`` is the Euclidean length of ``upper - lower``; projection is
     the componentwise clamp, which is the Euclidean projection onto a box.
     """
 
@@ -54,7 +67,8 @@ class Domain:
 
     @cached_property
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.upper_array - self.lower_array))
+        side = self.upper_array - self.lower_array
+        return float(np.sqrt(add_left_to_right(side * side)))
 
     def contains(self, x) -> bool:
         arr = np.asarray(x, dtype=float)
@@ -66,7 +80,7 @@ class Domain:
             raise DomainViolationError(
                 f"{what} has dimension {arr.shape[-1]}, domain has dimension {self.dimension}"
             )
-        if np.any(arr < self.lower_array) or np.any(arr > self.upper_array):
+        if not self.contains(arr):  # a NaN coordinate fails both comparisons
             raise DomainViolationError(f"{what} {arr.tolist()} lies outside the box {self.lower}..{self.upper}")
 
     def project(self, x) -> np.ndarray:
@@ -81,4 +95,4 @@ class Domain:
         """
         p = np.asarray(point, dtype=float)
         per_axis = np.maximum(np.abs(p - self.lower_array), np.abs(self.upper_array - p))
-        return float(np.linalg.norm(per_axis))
+        return float(np.sqrt(add_left_to_right(per_axis * per_axis)))

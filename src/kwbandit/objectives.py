@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .domain import Domain
+from .domain import Domain, add_left_to_right
 
 QUADRATIC_BOWL = "quadratic-bowl"
 QUARTIC_PERTURBED_BOWL = "quartic-perturbed-bowl"
@@ -142,7 +142,7 @@ class ObjectiveSpec(ABC):
         """||x - theta||**2, shape (..., d) -> (...)."""
         u = np.subtract(x, self.theta_array)
         np.multiply(u, u, out=u)
-        return np.add.reduce(u, axis=-1, out=out)
+        return add_left_to_right(np.moveaxis(u, -1, 0), out=out)
 
     def _check_common(self):
         if len(self.theta) != self.domain.dimension:
@@ -254,9 +254,8 @@ class QuarticPerturbedBowl(ObjectiveSpec):
         return np.subtract(value, quartic, out=out)
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
-        u = x - self.theta_array
-        r2 = np.sum(u * u, axis=-1, keepdims=True)
-        return -(2.0 * self.b + 4.0 * self.q * r2) * u
+        r2 = self._squared_distance(x)[..., None]
+        return -(2.0 * self.b + 4.0 * self.q * r2) * (x - self.theta_array)
 
     def mean_value_offset(self, c: float) -> float:
         return 2.0 * self.q * float(c) ** 2 * self.max_radius / self.b

@@ -82,6 +82,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .algorithms import FixedStepConfig, SlidingWindowConfig, vanilla_perturbation, vanilla_step_size
+from .domain import add_left_to_right
 from .noise import NONE, NoiseModel
 from .objectives import ObjectiveSpec, shared_kind
 from .rng import RandomStream
@@ -226,21 +227,15 @@ class _ObjectiveRows:
     are; ``max_value`` is f(theta) by row."""
 
     def _squared_distance(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``ObjectiveSpec._squared_distance``, bit for bit, of points x,
-        (points, d), whose transpose is C-contiguous.  For d <= 2 the
-        squares are added as coordinate rows, since a reduction over a short
-        last axis runs one loop per point; two terms give the same sum in
-        either order.  For d >= 3 the squares are reduced in the
-        objective's own layout, so the sum is associated as there."""
-        d = x.shape[-1]
-        if d == 1:
+        """||x - theta||**2 of points x, (points, d), whose transpose is
+        C-contiguous: the squares are formed as coordinate rows, and added
+        left to right by ``domain.add_left_to_right``."""
+        if x.shape[-1] == 1:
             u = np.subtract(x[:, 0], self.theta_cols[0], out=self.square_rows[0])
             return np.multiply(u, u, out=out)
         u = np.subtract(x.T, self.theta_cols, out=self.squares)
         np.multiply(u, u, out=u)
-        if d == 2:
-            return np.add(*self.square_rows, out=out)
-        return np.add.reduce(np.ascontiguousarray(u.T), axis=-1, out=out)
+        return add_left_to_right(self.square_rows, out=out)
 
     def __init__(self, kind: type[ObjectiveSpec], slabs: int, rows: int, d: int):
         self.coefficients = kind.coefficients
@@ -493,8 +488,7 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     probe_out: list[dict[int, np.ndarray]] = [{} for _ in lanes]
 
     def distances(k: int) -> np.ndarray:
-        # the objective's own layout, (rows, d) C-ordered, gives its own bits
-        return current[k]._squared_distance(np.ascontiguousarray(x[:, lane_rows[k]].T))
+        return current[k]._squared_distance(x[:, lane_rows[k]].T)
 
     def change(k: int, objective: ObjectiveSpec) -> None:
         current[k] = objective

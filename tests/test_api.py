@@ -76,6 +76,11 @@ def test_run_sweep_takes_no_testing_hook():
     assert "value_source" not in inspect.signature(kwbandit.run_sweep).parameters
 
 
+def test_distance_recursion_check_takes_no_seed_path():
+    # its streams are keyed (base_seed, r); no caller passed a path
+    assert "seed_path" not in inspect.signature(kwbandit.distance_recursion_check).parameters
+
+
 @pytest.mark.parametrize("driver", [kwbandit.run_experiment, kwbandit.run_sweep], ids=lambda f: f.__name__)
 def test_drivers_take_no_overrides(driver):
     # the CLI applies --seed and --replications to the config, for every command

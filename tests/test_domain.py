@@ -3,13 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kwbandit import Domain, DomainViolationError
+from kwbandit import (
+    Domain,
+    DomainViolationError,
+    EnvironmentSchedule,
+    FixedStepConfig,
+    FixedStepPolicy,
+    NoiseModel,
+    QuadraticBowl,
+    simulate_batch,
+)
+from kwbandit.rng import StreamChunk
 
 
 def test_diameter_is_norm_of_side_lengths():
     dom = Domain(lower=(-1.0, 0.0), upper=(1.0, 3.0))
     assert dom.diameter == pytest.approx(np.hypot(2.0, 3.0), abs=1e-15)
     assert dom.dimension == 2
+    # squares added left to right; BLAS's ddot, with a fused multiply-add,
+    # rounds this one to ...796
+    assert Domain(lower=(-2.84, -1.89), upper=(1.28, 0.23)).diameter == 4.633443643770797
 
 
 def test_rejects_empty_interior():
@@ -61,3 +74,15 @@ def test_projection_idempotent_and_nonexpansive(x, y):
     assert np.array_equal(dom.project(px), px)
     # nonexpansive toward any point already in the box
     assert np.linalg.norm(px - np.asarray(y)) <= np.linalg.norm(np.asarray(x) - np.asarray(y)) + 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coordinates_are_outside_the_box(bad):
+    box = Domain(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+    f = QuadraticBowl(domain=box, theta=(0.0, 0.0), b=1.0)
+    with pytest.raises(DomainViolationError, match="outside the box"):
+        f.evaluate([0.5, bad])
+    policy = FixedStepPolicy(FixedStepConfig(beta=0.1, c=0.1, constants=f.constants), x0=(bad, 0.5))
+    env = EnvironmentSchedule.stationary(5, f)
+    with pytest.raises(DomainViolationError, match="starting point x0"):
+        simulate_batch(policy, env, NoiseModel.gaussian(1.0), list(StreamChunk(0, 3)))

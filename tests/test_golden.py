@@ -11,13 +11,17 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from kwbandit.cli import main
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def _load(name: str) -> dict:
@@ -60,6 +64,41 @@ def _window_length_sweep() -> dict:
     doc["horizon"] = 4096
     doc["sweep"] = {"axis": "L", "values": [50, 100, 200]}
     return doc
+
+
+def _quartic_window_3d() -> dict:
+    """A sliding window on alternating quartic bowls in a 3-D box."""
+    return {
+        "domain": {"lower": [-2.0] * 3, "upper": [2.0] * 3},
+        "objectives": [
+            {"kind": "quartic-perturbed-bowl", "theta": [0.5, -0.5, 0.25], "b": 1.0, "q": 0.05},
+            {"kind": "quartic-perturbed-bowl", "theta": [-0.5, 0.25, 0.5], "b": 1.0, "q": 0.05},
+        ],
+        "schedule": {"episodes": 4},
+        "noise": {"kind": "gaussian", "sigma2": 1.0},
+        "algorithm": {"variant": "sliding-window", "window": 40, "c": 0.5, "x0": [1.0, -1.0, 0.0]},
+        "horizon": 2000,
+        "replications": 3,
+        "base_seed": 11,
+    }
+
+
+def _tuned_fixed_step_2d() -> dict:
+    """Auto tuning on a box whose diameter BLAS's ddot rounds differently
+    from a left-to-right sum on a kernel that fuses multiply-adds."""
+    return {
+        "domain": {"lower": [-2.84, -1.89], "upper": [1.28, 0.23]},
+        "objectives": [
+            {"kind": "quadratic-bowl", "theta": [-0.5, -0.5], "b": 1.0},
+            {"kind": "quadratic-bowl", "theta": [0.5, -1.0], "b": 1.0},
+        ],
+        "schedule": {"episodes": 2},
+        "noise": {"kind": "gaussian", "sigma2": 1.0},
+        "algorithm": {"variant": "fixed-step", "tuning": "auto", "x0": [1.0, 0.0]},
+        "horizon": 1000,
+        "replications": 3,
+        "base_seed": 5,
+    }
 
 
 # case -> (command, document, {artifact: sha256})
@@ -128,6 +167,22 @@ CASES = {
             "exponent_fit.csv": "7105f25143c2dbb2a85dc787b1acb96722fd5d3070447803ee1b52b294768816",
         },
     ),
+    "quartic_window_3d": (
+        "run",
+        _quartic_window_3d,
+        {
+            "trace.csv": "642cd6cfccf2b58e7ffaf67074163fe3006f687e4e163f65c7966f427c47ee63",
+            "summary.csv": "7c552760eeb20f5272ae192c5696fef59a892b57b467770b9c7e9bd2af1496ca",
+        },
+    ),
+    "tuned_fixed_step_2d": (
+        "run",
+        _tuned_fixed_step_2d,
+        {
+            "trace.csv": "3b90cadddb819db9aac2b481eeafcf290d00fe09bfbb83fc5cbd133847a79b23",
+            "summary.csv": "b927909d0346a3557796a996eae88f1b50cd7dc01f9cfa9529c7fec5c76f13a7",
+        },
+    ),
 }
 
 
@@ -167,3 +222,17 @@ def test_csv_cells_need_no_quoting(case, artifacts):
         rewritten = io.StringIO()
         csv.writer(rewritten, lineterminator="\n").writerows(rows)
         assert rewritten.getvalue() == text
+
+
+def test_bytes_do_not_depend_on_the_blas_kernel(artifacts, tmp_path):
+    """``run`` in a child process on OpenBLAS's Prescott kernel, which fuses
+    no multiply-add, writes the bytes of the in-process run.  Without
+    OpenBLAS the variable does nothing."""
+    expected = artifacts("tuned_fixed_step_2d")
+    src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott", PYTHONPATH=src)
+    args = ["run", "--config", str(expected.parent / "config.json"), "--replications", "3", "--out", str(tmp_path)]
+    entry = "import sys; from kwbandit.cli import main; sys.exit(main())"
+    subprocess.run([sys.executable, "-c", entry, *args], env=env, check=True, capture_output=True, timeout=120)
+    for name in ("summary.csv", "trace.csv"):
+        assert (tmp_path / name).read_bytes() == (expected / name).read_bytes()

@@ -345,10 +345,10 @@ VARIANTS = (VANILLA, FIXED_STEP, SLIDING_WINDOW, ORACLE, STATIC)
 
 @st.composite
 def engine_cases(draw):
-    """A random d <= 4 box, 2-3 objectives with random change times, a
+    """A random d <= 12 box, 2-3 objectives with random change times, a
     policy of each variant starting on a box face, noise, and two probe
     steps."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 12))
     half = [draw(st.floats(0.5, 3.0)) for _ in range(d)]
     domain = Domain(lower=tuple(-h for h in half), upper=tuple(half))
     horizon = draw(st.integers(10, 40))
@@ -396,8 +396,12 @@ def engine_cases(draw):
 
 
 def _squared_distance(x, theta):
-    diff = x - theta
-    return np.sum(diff * diff)
+    """||x - theta||**2 with its squares added left to right, as every
+    squared length in kwbandit is; np.sum picks its own order from d = 8."""
+    total = 0.0
+    for a, b in zip(x, theta):
+        total = total + (a - b) * (a - b)
+    return total
 
 
 @settings(max_examples=30, deadline=None)
@@ -529,22 +533,26 @@ def test_lanes_must_share_the_rule_and_the_domain(bowl, fixed_policy):
         simulate_lanes([Lane(fixed_policy, env, streams, record_trace=True)] * 2, noise)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("d", range(1, 13))
 def test_engine_squared_distance_equals_the_objectives_bit_for_bit(d):
+    """The engine's coordinate rows, the objective's points in either memory
+    layout and a plain left-to-right loop give the same bits."""
     rng = np.random.default_rng(d)
     box = Domain(lower=(-2.0,) * d, upper=(2.0,) * d)
     kind = QuarticPerturbedBowl
-    f = kind(domain=box, theta=tuple(rng.uniform(-1.0, 1.0, d)), b=1.0, q=0.05)
-    x = rng.uniform(-2.0, 2.0, (3 * 50, d))
-    x[::7] = f.theta_array  # exact zeros
-    x[1::7] = -0.0
+    # b grows with d, which keeps 2*q*R/b < 1 for the quartic term
+    f = kind(domain=box, theta=tuple(rng.uniform(-1.0, 1.0, d)), b=float(d), q=0.05)
+    coordinates = rng.uniform(-2.0, 2.0, (d, 3 * 50))
+    coordinates[:, ::7] = f.theta_array[:, None]  # exact zeros
+    coordinates[:, 1::7] = -0.0
+    x = coordinates.T  # as the engine hands its points over: not C-contiguous
     rows = traj._ObjectiveRows(kind, 3, 50, d)
     rows.set(slice(0, 50), f)
-    expected = f._squared_distance(x)
+    expected = np.array([_squared_distance(point, f.theta_array) for point in x])
     got = rows._squared_distance(x)
     out = np.empty(len(x))
     assert rows._squared_distance(x, out=out) is out
-    for value in (got, out):
+    for value in (got, out, f._squared_distance(x), f._squared_distance(np.ascontiguousarray(x))):
         assert value.tobytes() == expected.tobytes()
 
 
