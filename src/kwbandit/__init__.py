@@ -35,11 +35,11 @@ from .rng import RandomStream, replication_stream
 from .runner import run_experiment, run_sweep
 from .scaling import fit_scaling_exponent
 from .schedule import EnvironmentSchedule
+from .traces import RegretTrace
 from .trajectory import (
     FixedStepPolicy,
     Lane,
     OraclePolicy,
-    RegretTrace,
     SlidingWindowPolicy,
     StaticPolicy,
     VanillaPolicy,

@@ -132,7 +132,7 @@ def _cmd_bounds(args) -> int:
     if cfg.replications < 2:
         # one replication has no standard error, so no tolerance applies
         raise ValueError(f"bounds --check needs replications >= 2, got {cfg.replications}")
-    totals, _, _ = regret_samples(resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
+    totals, _ = regret_samples(resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
     estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
     floor = estimate.lower_confidence()
     print(f"monte-carlo mean = {estimate.mean!r} (stderr {estimate.standard_error!r}); mean - 3*SE = {floor!r}")

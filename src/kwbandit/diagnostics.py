@@ -59,7 +59,7 @@ def distance_recursion_check(
         raise ValueError(f"replications must be >= 2, got {replications}")
     env = EnvironmentSchedule.stationary(horizon=probe_step, objective=objective)
     policy = FixedStepPolicy(config=config, x0=tuple(np.atleast_1d(np.asarray(x0, dtype=float))))
-    _, probes, _ = regret_samples(policy, env, noise, replications, base_seed, probe_steps=(probe_step, probe_step + 1))
+    _, probes = regret_samples(policy, env, noise, replications, base_seed, probe_steps=(probe_step, probe_step + 1))
     dist_s = probes[probe_step]
     dist_next = probes[probe_step + 1]
     gamma = config.gamma
@@ -134,7 +134,7 @@ def calibrate_window_constant(
         for index, window in enumerate(lengths)
     ]
     best = 0.0
-    for window, experiment, (_, probes, _) in zip(lengths, experiments, regret_lanes(experiments)):
+    for window, experiment, (_, probes) in zip(lengths, experiments, regret_lanes(experiments)):
         average = float(np.stack([probes[s] for s in experiment.probe_steps]).mean(axis=1).mean())
         best = max(best, float(np.sqrt(window)) * average)
     return best

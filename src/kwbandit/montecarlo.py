@@ -15,7 +15,8 @@ from .noise import NoiseModel
 from .objectives import shared_kind
 from .rng import StreamChunk
 from .schedule import EnvironmentSchedule
-from .trajectory import BatchResult, Lane, Policy, RegretTrace, simulate_batch, simulate_lanes
+from .traces import TraceSink
+from .trajectory import BatchResult, Lane, Policy, simulate_batch, simulate_lanes
 
 # Upper bound on the rows (replications, over all lanes) simulated together,
 # which bounds the generator states alive at once.  Results do not depend on it.
@@ -65,10 +66,10 @@ class Experiment:
         return type(self.policy), self.env.domain, self.env.horizon, shared_kind(self.env.objectives), self.noise
 
 
-Samples = tuple[np.ndarray, dict[int, np.ndarray], RegretTrace | None]
+Samples = tuple[np.ndarray, dict[int, np.ndarray]]
 
 
-def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = False) -> list[Samples]:
+def regret_lanes(experiments: Sequence[Experiment], trace: TraceSink | None = None) -> list[Samples]:
     """``regret_samples`` of every experiment, in experiment order, from
     batches that run several experiments in one step loop.
 
@@ -79,8 +80,8 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
     streams only when the engine iterates it.  Every result is a pure
     function of its experiment: the packing only bounds memory and never
     changes a result.  A batch of one lane runs through ``simulate_batch``.
-    ``record_first_trace`` keeps the trace of replication 0 of the first
-    experiment.
+    ``trace`` receives the trace of replication 0 of the first experiment,
+    block by block, as the engine runs.
     """
     groups: dict[tuple, list[int]] = {}
     for i, experiment in enumerate(experiments):
@@ -94,7 +95,7 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
                 experiments[i].env,
                 StreamChunk(experiments[i].base_seed, count, experiments[i].seed_path, start),
                 experiments[i].probe_steps,
-                record_trace=record_first_trace and i == 0 and start == 0,
+                record_trace=trace if trace is not None and i == start == 0 else False,
             )
             for i, start, count in batch
         ]
@@ -130,7 +131,7 @@ def regret_lanes(experiments: Sequence[Experiment], record_first_trace: bool = F
     for experiment, results in zip(experiments, pieces):
         totals = join([res.total_regret for res in results])
         probes = {int(s): join([res.distance_probes[int(s)] for res in results]) for s in experiment.probe_steps}
-        samples.append((totals, probes, results[0].trace))
+        samples.append((totals, probes))
     return samples
 
 
@@ -142,11 +143,11 @@ def regret_samples(
     base_seed: int,
     seed_path: tuple[int, ...] = (),
     probe_steps: tuple[int, ...] = (),
-    record_first_trace: bool = False,
+    trace: TraceSink | None = None,
 ) -> Samples:
     """Total regret of every replication, ordered by replication index,
-    with the requested distance probes and, with ``record_first_trace``,
-    the trace of replication 0.
+    and the requested distance probes; ``trace`` receives the trace of
+    replication 0 block by block.
 
     Replication ``r`` draws from the stream keyed by
     ``(base_seed, *seed_path, r)``; results are a pure function of that
@@ -155,5 +156,5 @@ def regret_samples(
     ``regret_lanes``.
     """
     experiment = Experiment(policy, env, noise, replications, base_seed, seed_path, probe_steps)
-    return regret_lanes([experiment], record_first_trace)[0]
+    return regret_lanes([experiment], trace)[0]
 

@@ -142,7 +142,7 @@ class ObjectiveSpec(ABC):
         """||x - theta||**2, shape (..., d) -> (...)."""
         u = np.subtract(x, self.theta_array)
         np.multiply(u, u, out=u)
-        return add_left_to_right(np.moveaxis(u, -1, 0), out=out)
+        return add_left_to_right([u[..., i] for i in range(u.shape[-1])], out=out)
 
     def _check_common(self):
         if len(self.theta) != self.domain.dimension:

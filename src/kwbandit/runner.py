@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import asdict, astuple, dataclass, fields, replace
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -25,11 +26,11 @@ from .montecarlo import Experiment, MonteCarloEstimate, regret_lanes, regret_sam
 from .noise import NoiseModel
 from .scaling import fit_scaling_exponent
 from .schedule import EnvironmentSchedule
+from .traces import TraceBlock
 from .trajectory import (
     FixedStepPolicy,
     OraclePolicy,
     Policy,
-    RegretTrace,
     SlidingWindowPolicy,
     StaticPolicy,
     VanillaPolicy,
@@ -205,7 +206,6 @@ class ExperimentResult:
     mean_regret: float
     stderr_regret: float
     bound: BoundReport | None
-    trace: RegretTrace
     echo: TuningEcho
     trace_path: Path | None
     summary_path: Path | None
@@ -237,8 +237,13 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     or bound name), none of which RFC 4180 quotes, so the join writes the
     bytes a ``csv.writer`` would."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(row) + "\n" for row in rows)
+        _write_lines(handle, [header])
+        _write_lines(handle, rows)
+
+
+def _write_lines(handle, rows) -> None:
+    """Write rows of formatted cells to an open file, as ``_write_csv`` does."""
+    handle.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _write_rows(path: Path, row_type: type, rows) -> None:
@@ -253,45 +258,52 @@ def _cells(column: np.ndarray, fmt) -> Iterator[str]:
     return chain.from_iterable(map(fmt, chunk) for chunk in chunks)
 
 
-def _write_trace(path: Path, trace: RegretTrace) -> None:
-    """Write trace.csv one column at a time, formatting each cell as
-    ``_fmt`` would.  The columns are lazy: one chunk of rows is held as
-    Python values, and no row's cells beyond it."""
-    d = trace.actions.shape[1]
-    header = TRACE_COLUMNS_FIXED[:2] + [f"action_{i}" for i in range(d)] + TRACE_COLUMNS_FIXED[2:]
-    floats = [trace.actions[:, i] for i in range(d)] + [trace.inst_regret, trace.cum_regret]
+def _write_trace_block(handle, block: TraceBlock) -> None:
+    """Append a block's rows to trace.csv one column at a time, formatting
+    each cell as ``_fmt`` would.  The columns are lazy: one chunk of rows
+    is held as Python values, and no row's cells beyond it."""
+    d = block.actions.shape[1]
+    floats = [block.actions[:, i] for i in range(d)] + [block.inst_regret, block.cum_regret]
     columns = (
-        [map(str, range(1, trace.horizon + 1)), _cells(trace.episode, str)]
+        [map(str, range(block.first, block.first + len(block.episode))), _cells(block.episode, str)]
         + [_cells(column, repr) for column in floats]
-        + [_cells(trace.boundary_contact.view(np.uint8), str)]
+        + [_cells(block.boundary_contact.view(np.uint8), str)]
     )
-    _write_csv(path, header, zip(*columns))
+    _write_lines(handle, zip(*columns))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
     """Execute a config: per-step trace CSV for replication 0 plus a
     one-row summary CSV with the Monte-Carlo estimate, the evaluated
-    bound, and the tuning values used."""
+    bound, and the tuning values used.
+
+    The trace is written block by block as the engine runs, to a partial
+    file that becomes trace.csv only once every replication has run; a run
+    that fails while it simulates leaves neither CSV.  Without ``out_dir``
+    no trace is kept."""
     resolved = resolve_experiment(cfg)
     env = resolved.env
     _make_out_dir(out_dir)
 
-    totals, _, trace = regret_samples(
-        resolved.policy,
-        env,
-        resolved.noise,
-        cfg.replications,
-        cfg.base_seed,
-        record_first_trace=True,
-    )
+    simulate = partial(regret_samples, resolved.policy, env, resolved.noise, cfg.replications, cfg.base_seed)
+    trace_path = summary_path = None
+    if out_dir is None:
+        totals, _ = simulate()
+    else:
+        out = Path(out_dir)
+        trace_path, summary_path = out / "trace.csv", out / "summary.csv"
+        unfinished = out / "trace.csv.partial"
+        actions = [f"action_{i}" for i in range(env.domain.dimension)]
+        try:
+            with open(unfinished, "w", newline="", encoding="utf-8") as handle:
+                _write_lines(handle, [TRACE_COLUMNS_FIXED[:2] + actions + TRACE_COLUMNS_FIXED[2:]])
+                totals, _ = simulate(trace=partial(_write_trace_block, handle))
+            unfinished.replace(trace_path)
+        finally:
+            unfinished.unlink(missing_ok=True)
     estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
 
-    trace_path = summary_path = None
-    if out_dir is not None:
-        out = Path(out_dir)
-        trace_path = out / "trace.csv"
-        summary_path = out / "summary.csv"
-        _write_trace(trace_path, trace)
+    if summary_path is not None:
         bound = resolved.bound
         row = SummaryRow(
             **asdict(resolved.echo),
@@ -305,7 +317,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         mean_regret=estimate.mean,
         stderr_regret=estimate.standard_error,
         bound=resolved.bound,
-        trace=trace,
         echo=resolved.echo,
         trace_path=trace_path,
         summary_path=summary_path,
@@ -347,7 +358,7 @@ def run_sweep(sweep: SweepSpec, out_dir: str | Path | None = None) -> SweepResul
         for index, r in enumerate(resolved_points)
     ]
     points = []
-    for value, resolved, (totals, _, _) in zip(sweep.values, resolved_points, regret_lanes(experiments)):
+    for value, resolved, (totals, _) in zip(sweep.values, resolved_points, regret_lanes(experiments)):
         cfg, echo, bound = resolved.config, resolved.echo, resolved.bound
         estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
         points.append(

@@ -60,12 +60,17 @@ is built, drawn from and dropped before the next is built, and only a
 batch of several blocks keeps its streams in a list.  A block's noise as
 drawn, its step-major copy and the stored f(x) hold at most
 ``_NOISE_BLOCK_VALUES`` values over all rows together.
-With ``record_trace`` the loop stores the traced row's action; its regret
-and cumulative regret are copied from the block's settled rows, and the
-boundary-contact and episode columns are derived after the loop.
+With ``record_trace`` the loop stores the traced row's action in a
+block-sized ``TraceBlock``; its regret and cumulative regret are copied
+from the block's settled rows, its episode column comes from the
+schedule's change times, and its boundary contacts are derived after the
+block's steps.  The block then goes to a ``TraceSink``, which writes it or
+keeps it, so the engine holds no horizon-sized array: a traced run's
+memory is bounded by the block budget, whatever the horizon.
 
 The oracle and static policies never measure: their action changes only
-at an episode start, so each episode's regret is evaluated once.
+at an episode start, so each episode's regret is evaluated once.  Their
+steps run in blocks too, summed and traced as a measuring rule's are.
 
 ``simulate_lanes`` is the only implementation of the three step rules;
 ``algorithms`` holds their configs and the decaying schedule.
@@ -73,6 +78,7 @@ at an episode start, so each episode's regret is evaluated once.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
@@ -87,6 +93,7 @@ from .noise import NONE, NoiseModel
 from .objectives import ObjectiveSpec, shared_kind
 from .rng import RandomStream
 from .schedule import EnvironmentSchedule
+from .traces import RegretTrace, TraceBlock, TraceSink, sink_for
 
 # A noise block holds at most this many values over all its rows (2 MB,
 # however many lanes share the batch): the noise as drawn, its step-major
@@ -143,31 +150,6 @@ Policy = Union[VanillaPolicy, FixedStepPolicy, SlidingWindowPolicy, OraclePolicy
 
 
 @dataclass(frozen=True)
-class RegretTrace:
-    """Per-step record of one trajectory.
-
-    ``actions[s-1]`` is the action taken at step s (the initial point for
-    s = 1); ``inst_regret[s-1] = f_s(theta_s) - f_s(X_s)`` measured against
-    the true objective, which the algorithm itself never sees.
-    """
-
-    actions: np.ndarray
-    inst_regret: np.ndarray
-    cum_regret: np.ndarray
-    episode: np.ndarray
-    boundary_contact: np.ndarray
-    final_x: np.ndarray
-
-    @property
-    def horizon(self) -> int:
-        return self.actions.shape[0]
-
-    @property
-    def total_regret(self) -> float:
-        return float(self.cum_regret[-1])
-
-
-@dataclass(frozen=True)
 class BatchResult:
     """Outcome of a batch of replications."""
 
@@ -183,14 +165,16 @@ class Lane:
     ``rng.StreamChunk``, which builds its streams when iterated, and is
     iterated at most once per batch), squared distances probed at
     ``probe_steps`` and, with ``record_trace``, the per-step trace of its
-    first replication.  The lanes of one batch run the same number of
-    steps, ``env.horizon`` (see ``simulate_lanes``)."""
+    first replication: True keeps it in the lane's result, and a
+    ``TraceSink`` receives it block by block instead.  The lanes of one
+    batch run the same number of steps, ``env.horizon`` (see
+    ``simulate_lanes``)."""
 
     policy: Policy
     env: EnvironmentSchedule
     rngs: Iterable[RandomStream]
     probe_steps: tuple[int, ...] = ()
-    record_trace: bool = False
+    record_trace: bool | TraceSink = False
 
     def __post_init__(self):
         if len(self.rngs) < 1:
@@ -359,30 +343,6 @@ class _SlidingWindow(_Rule):
 _RULES = {VanillaPolicy: _DecayingStep, FixedStepPolicy: _FixedStep, SlidingWindowPolicy: _SlidingWindow}
 
 
-class _TraceColumns:
-    """The traced row's per-step columns, as the step loops fill them."""
-
-    def __init__(self, horizon: int, d: int):
-        self.actions = np.empty((horizon, d))
-        self.inst = np.empty(horizon)
-        self.cum = np.empty(horizon)
-        self.contact = np.zeros(horizon, dtype=bool)
-
-    def finish(self, env: EnvironmentSchedule, final_x: np.ndarray) -> RegretTrace:
-        episode = np.repeat(np.arange(1, env.num_episodes + 1), env.episode_lengths)
-        trace = RegretTrace(
-            actions=self.actions,
-            inst_regret=self.inst,
-            cum_regret=self.cum,
-            episode=episode,
-            boundary_contact=self.contact,
-            final_x=final_x.copy(),
-        )
-        for column in (trace.actions, trace.inst_regret, trace.cum_regret, episode, trace.boundary_contact, trace.final_x):
-            column.flags.writeable = False
-        return trace
-
-
 def _block_steps(rows: int, values_per_step: int, length: int) -> int:
     """Steps per noise block for ``rows`` rows over a run of ``length``
     steps.  Each step of a row holds ``values_per_step`` noise values as
@@ -421,7 +381,7 @@ def simulate_batch(
     env: EnvironmentSchedule,
     noise: NoiseModel,
     rngs: Iterable[RandomStream],
-    record_trace: bool = False,
+    record_trace: bool | TraceSink = False,
     probe_steps: tuple[int, ...] = (),
 ) -> BatchResult:
     """Run one trajectory per stream in ``rngs``, a sized iterable as in
@@ -430,8 +390,9 @@ def simulate_batch(
 
     ``probe_steps`` requests per-replication squared distances
     ``||X_s - theta_s||**2`` at the listed steps (``horizon + 1`` probes the
-    iterate left after the final update).  When ``record_trace`` is set,
-    the full per-step trace of replication 0 is returned.  Every returned
+    iterate left after the final update).  When ``record_trace`` is True,
+    the full per-step trace of replication 0 is returned; a ``TraceSink``
+    receives it block by block instead, and the result holds none.  Every returned
     array is new and owns its memory.  This is the one-lane case of
     ``simulate_lanes``.
     """
@@ -457,10 +418,11 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
 
     The loop never branches on the rule or the lane, and every row runs
     every step.  Regret is settled from the stored f(x) at the end of each
-    noise block and before each objective change, and boundary contacts
-    are derived after each block's steps, from the recorded actions and the
-    block's perturbations.  The totals, the probes of step ``horizon + 1``
-    and the trace are taken after the last block.  The lanes' streams are
+    noise block and before each objective change.  The traced row's block
+    of trace rows gets its boundary contacts after the block's steps, from
+    the recorded actions and the block's perturbations, and goes to the
+    consumer then.  The totals and the probes of step ``horizon + 1`` are
+    taken after the last block.  The lanes' streams are
     iterated once: lazily by the only block's fill, or into a list that
     every block reuses."""
     domain, horizon = lanes[0].env.domain, lanes[0].env.horizon
@@ -527,10 +489,10 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         step_noise = np.empty((cap, values_per_step, n))
 
     traced = next((k for k, lane in enumerate(lanes) if lane.record_trace), None)
-    columns = None
+    sink = blocks = columns = None
     if traced is not None:
-        columns = _TraceColumns(horizon, d)
-        tr_actions = columns.actions
+        sink, blocks = sink_for(lanes[traced].record_trace)
+        change_times = np.asarray(lanes[traced].env.change_times)
         t_row = bounds[traced]
         x_traced = x[:, t_row]
 
@@ -540,11 +502,11 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         fx = regret[1 + first : 1 + end]
         np.subtract(f_at_theta, fx, out=fx)
         if columns is not None:
-            columns.inst[step - 1 + first : step - 1 + end] = fx[:, t_row]
+            columns.inst_regret[first:end] = fx[:, t_row]
         running = regret[first : 1 + end]
         np.add.accumulate(running, axis=0, out=running)
         if columns is not None:
-            columns.cum[step - 1 + first : step - 1 + end] = fx[:, t_row]
+            columns.cum_regret[first:end] = fx[:, t_row]
 
     # The 1 + 2d points of a step, coordinate-major as (d, 1 + 2d, n) and
     # handed to the objective as (points, d): slab 0 is x, slab 1 + i is
@@ -575,6 +537,9 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
             # j's values of every row become one sign-major slab.
             by_sign = drawn.reshape(n, block, d, 2).transpose(1, 3, 2, 0)
             np.copyto(step_noise[:block].reshape(block, 2, d, n), by_sign)
+        if sink is not None:
+            columns = TraceBlock.empty(change_times, step, block, d)
+            tr_actions = columns.actions
         settled = 0
         # step + j stores f(x) into f_x, row 1 + j of the regret, and adds
         # the noise slab noise_j
@@ -606,7 +571,7 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
             evaluate(objectives, at_points, out=flat_values)
             f_x[...] = at_x
             if columns is not None:
-                tr_actions[s - 1] = x_traced
+                tr_actions[j] = x_traced
 
             if values_per_step:
                 np.add(samples, noise_j, out=samples)
@@ -617,16 +582,15 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         regret[0] = regret[block]
 
         if columns is not None:
-            rows = slice(step - 1, step - 1 + block)
-            actions = tr_actions[rows]
             c_col = cs[:, None] if cs.ndim == 1 else cs[0, :, t_row]
-            np.any((actions + c_col > hi) | (actions - c_col < lo), axis=1, out=columns.contact[rows])
+            np.any((tr_actions + c_col > hi) | (tr_actions - c_col < lo), axis=1, out=columns.boundary_contact)
+            sink(columns)
         step += block
 
     for k, lane in enumerate(lanes):
         if horizon + 1 in lane.probe_steps:
             probe_out[k][horizon + 1] = distances(k)
-    trace = columns.finish(lanes[traced].env, x_traced) if columns is not None else None
+    trace = RegretTrace.join(blocks, x_traced) if blocks is not None else None
     return [
         BatchResult(total_regret=regret[0, rows].copy(), trace=trace if k == traced else None, distance_probes=probes)
         for k, (rows, probes) in enumerate(zip(lane_rows, probe_out))
@@ -635,28 +599,48 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
 
 def _hold(lane: Lane) -> BatchResult:
     """Oracle and static play: the action changes only when the oracle
-    moves to a new episode's maximizer, so an episode's regret is one value."""
-    env, probes = lane.env, set(lane.probe_steps)
+    moves to a new episode's maximizer, so an episode's regret is one value
+    by row.  The steps run in blocks, as a measuring rule's do: each step's
+    row of a block takes its episode's regret, and one accumulate adds the
+    rows strictly step by step onto the running sum."""
+    env, horizon, probes = lane.env, lane.env.horizon, lane.probe_steps
     oracle = isinstance(lane.policy, OraclePolicy)
     x = np.tile(_policy_start(lane.policy, env), (len(lane.rngs), 1))
-    columns = _TraceColumns(env.horizon, env.domain.dimension) if lane.record_trace else None
+    d = env.domain.dimension
+    sink, blocks = sink_for(lane.record_trace)
+    change_times = np.asarray(env.change_times)
     probe_out: dict[int, np.ndarray] = {}
-    cum = np.zeros(len(x))
-    ends = env.change_times[1:] + (env.horizon + 1,)
+    cap = _block_steps(len(x), 0, horizon)
+    # Row 0 holds the cumulative regret by row so far, and row 1 + j the
+    # regret of step j of the current block.
+    regret = np.zeros((cap + 1, len(x)))
+    step, block = 1, cap
+    columns = TraceBlock.empty(change_times, step, block, d) if sink is not None else None
+    ends = env.change_times[1:] + (horizon + 1,)
     for objective, first, end in zip(env.objectives, env.change_times, ends):
         if oracle:
             x[...] = objective.theta_array
         inst = objective.max_value - objective._value(x)
-        for s in range(first, end):
-            np.add(cum, inst, out=cum)
-            if s in probes:
-                probe_out[s] = objective._squared_distance(x)
+        for s in probes[bisect_left(probes, first) : bisect_left(probes, end)]:
+            probe_out[s] = objective._squared_distance(x)
+        while first < end:
+            stop = min(end, step + block)
+            regret[1 + first - step : 1 + stop - step] = inst
             if columns is not None:
-                columns.cum[s - 1] = cum[0]
-        if columns is not None:
-            columns.actions[first - 1 : end - 1] = x[0]
-            columns.inst[first - 1 : end - 1] = inst[0]
-    if env.horizon + 1 in probes:
-        probe_out[env.horizon + 1] = env.objectives[-1]._squared_distance(x)
-    trace = columns.finish(env, x[0]) if columns is not None else None
-    return BatchResult(total_regret=cum, trace=trace, distance_probes=probe_out)
+                columns.actions[first - step : stop - step] = x[0]
+                columns.inst_regret[first - step : stop - step] = inst[0]
+            first = stop
+            if stop == step + block:
+                running = regret[: 1 + block]
+                np.add.accumulate(running, axis=0, out=running)
+                regret[0] = regret[block]
+                if columns is not None:
+                    columns.cum_regret[...] = regret[1 : 1 + block, 0]
+                    sink(columns)
+                step, block = stop, min(cap, horizon - stop + 1)
+                if columns is not None and block:
+                    columns = TraceBlock.empty(change_times, step, block, d)
+    if horizon + 1 in probes:
+        probe_out[horizon + 1] = env.objectives[-1]._squared_distance(x)
+    trace = RegretTrace.join(blocks, x[0]) if blocks is not None else None
+    return BatchResult(total_regret=regret[0].copy(), trace=trace, distance_probes=probe_out)

@@ -219,7 +219,7 @@ def test_criterion_05_bound_domination(calibrated_k5):
     samples = regret_lanes(experiments)
 
     worst_margin = np.inf
-    for (sigma2, horizon, episodes, window), (fixed_totals, _, _), (sliding_totals, _, _) in zip(
+    for (sigma2, horizon, episodes, window), (fixed_totals, _), (sliding_totals, _) in zip(
         cells, samples[0::2], samples[1::2]
     ):
         sigma_tilde2 = NoiseModel.gaussian(sigma2).sigma_tilde2(1)

@@ -218,7 +218,7 @@ EXIT_CODE_MATRIX = [
     ("bounds-check-one-replication", ["bounds", "--config", SHIPPED_SMOKE, "--check"], 1, 1, ("replications >= 2",)),
     ("unknown-flag", ["run", "--config", SHIPPED_SMOKE, "--threads", "2"], 2, 2, ("unrecognized arguments: --threads",)),
     ("out-names-a-file", ["run", "--config", SHIPPED_SMOKE, "--out", "{dir}/a-file"], 2, 1, ("File exists",)),
-    ("out-of-memory", ["run", "--config", "{dir}/huge-horizon.json"], 2, 1, ("out of memory",)),
+    ("out-of-memory", ["run", "--config", "{dir}/huge-window.json"], 2, 1, ("out of memory",)),
     ("sweep-nan-value", ["sweep", "--config", "{dir}/nan-sweep.json"], 1, 1, ("sweep.values", "finite")),
     ("sweep-infinite-value", ["sweep", "--config", "{dir}/infinite-sweep.json"], 1, 1, ("sweep.values", "finite")),
     ("sweep-huge-integer-beta", ["sweep", "--config", "{dir}/huge-beta-sweep.json"], 1, 1, ("sweep.values", "finite")),
@@ -307,10 +307,14 @@ def bad_inputs(tmp_path):
         # beta = 0.6 exceeds k1/k2**2 = 0.5 of the unit bowl: no contraction
         "beta-0.6.json": json.dumps({**smoke, "algorithm": {**smoke["algorithm"], "beta": 0.6}}).encode(),
         "two-objectives.json": json.dumps({**smoke, "objectives": smoke["objectives"] + [SECOND_OBJECTIVE]}).encode(),
-        # the trace of 10**11 steps in 500 dimensions, at the cap of
-        # replication-steps, asks for 364 TiB, beyond a 47-bit address space,
-        # so its first allocation fails at once
+        # 10**11 steps in 500 dimensions, at the cap of replication-steps:
+        # a second replication takes it over the cap
         "huge-horizon.json": json.dumps(wide_doc(500, horizon=MAX_REP_STEPS)).encode(),
+        # the weights of a 10**15-step window take 7.1 PiB, beyond a 47-bit
+        # address space, so the first block's table fails before step 1
+        "huge-window.json": json.dumps(
+            {**window_doc(k5=1.8), "algorithm": {**window_doc(k5=1.8)["algorithm"], "window": 10**15}}
+        ).encode(),
         "horizon-over-cap.json": json.dumps({**smoke, "horizon": 10**12, "replications": 2}).encode(),
         "a-file": b"",
         # the central difference divides by 2c, which overflows
@@ -485,7 +489,7 @@ def test_each_experiment_builds_its_schedule_once(argv, builds, tmp_path, monkey
         return build_schedule(self)
 
     def unit_regret(experiments):
-        return [(np.ones(e.replications), {}, None) for e in experiments]
+        return [(np.ones(e.replications), {}) for e in experiments]
 
     monkeypatch.setattr(ExperimentConfig, "build_schedule", counted)
     monkeypatch.setattr(runner, "regret_lanes", unit_regret)

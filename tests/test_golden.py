@@ -101,6 +101,54 @@ def _tuned_fixed_step_2d() -> dict:
     }
 
 
+def _held_run(variant: dict) -> dict:
+    """Five alternating episodes over 10,000 steps: at 3 replications the
+    oracle's or the static rule's trace spans three 4,096-step blocks, and
+    every episode change falls inside a block."""
+    doc = _load("window_sweep.json")
+    del doc["sweep"]
+    doc["algorithm"] = variant
+    doc["schedule"] = {"episodes": 5}
+    doc["horizon"] = 10_000
+    return doc
+
+
+def _vanilla_2d_run() -> dict:
+    """The decaying rule in 2-D over 10,000 steps, with seven episodes whose
+    changes fall inside its 4,096-step blocks."""
+    return {
+        "domain": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
+        "objectives": [
+            {"kind": "quartic-perturbed-bowl", "theta": [0.5, -0.25], "b": 1.0, "q": 0.05},
+            {"kind": "quartic-perturbed-bowl", "theta": [-0.75, 0.5], "b": 1.0, "q": 0.05},
+        ],
+        "schedule": {"episodes": 7},
+        "noise": {"kind": "uniform-bounded", "sigma2": 0.3},
+        "algorithm": {"variant": "vanilla", "x0": [1.0, -1.0]},
+        "horizon": 10_000,
+        "replications": 3,
+        "base_seed": 17,
+    }
+
+
+def _fixed_step_8d() -> dict:
+    """A fixed step in an 8-D box, where every squared length adds eight
+    squares left to right."""
+    return {
+        "domain": {"lower": [-2.0] * 8, "upper": [2.0] * 8},
+        "objectives": [
+            {"kind": "quadratic-bowl", "theta": [0.5, -0.5, 0.25, -0.25, 0.75, -0.75, 0.1, -0.1], "b": 1.0},
+            {"kind": "quadratic-bowl", "theta": [-0.5, 0.5, -0.25, 0.25, -0.75, 0.75, -0.1, 0.1], "b": 1.0},
+        ],
+        "schedule": {"episodes": 3},
+        "noise": {"kind": "gaussian", "sigma2": 1.0},
+        "algorithm": {"variant": "fixed-step", "beta": 0.1, "c": 0.5, "x0": [1.0, -1.0] * 4},
+        "horizon": 1000,
+        "replications": 3,
+        "base_seed": 23,
+    }
+
+
 # case -> (command, document, {artifact: sha256})
 CASES = {
     "smoke": (
@@ -181,6 +229,38 @@ CASES = {
         {
             "trace.csv": "3b90cadddb819db9aac2b481eeafcf290d00fe09bfbb83fc5cbd133847a79b23",
             "summary.csv": "b927909d0346a3557796a996eae88f1b50cd7dc01f9cfa9529c7fec5c76f13a7",
+        },
+    ),
+    "oracle_episodes": (
+        "run",
+        lambda: _held_run({"variant": "oracle"}),
+        {
+            "trace.csv": "19fe805e9878f0bd10d1c790d71768c6e3e3dff96a310d7ee2fa0f2a1f583900",
+            "summary.csv": "c501b8504962dda932be73d9705850025c5ac39fc15d3288940613c8978a2177",
+        },
+    ),
+    "static_episodes": (
+        "run",
+        lambda: _held_run({"variant": "static", "x0": [1.0]}),
+        {
+            "trace.csv": "90ccff903be356435050c20fab345b5223527babd87fc37db4895e97eacd0d5e",
+            "summary.csv": "6641c0f345226d53f607002246d6ebbdf6bf47b62d901b25e1fb340fd61b35cc",
+        },
+    ),
+    "vanilla_2d": (
+        "run",
+        _vanilla_2d_run,
+        {
+            "trace.csv": "ff8ef2789d8433f7aa8fa1fbf82cf6d99a32ffa42bcd3674073d720e94cf89c2",
+            "summary.csv": "b710d5064b9eaf77bfa526ea2fddc8242db6cb3e969661b4ec076b0c0616ad42",
+        },
+    ),
+    "fixed_step_8d": (
+        "run",
+        _fixed_step_8d,
+        {
+            "trace.csv": "d9f0e1540747b7d575f600f4fae0dbc8cd5fb35989e89fe3459ebe96d105e68d",
+            "summary.csv": "4449a794251987d07660c99037f0e78ae7377a7dc3288a166751abb07a2de579",
         },
     ),
 }

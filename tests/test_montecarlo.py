@@ -32,7 +32,7 @@ def setup(bowl):
 
 def monte_carlo_estimate(policy, env, noise, replications, base_seed):
     """The mean and standard error of ``regret_samples``, as ``run`` and ``bounds --check`` take them."""
-    totals, _, _ = regret_samples(policy, env, noise, replications, base_seed)
+    totals, _ = regret_samples(policy, env, noise, replications, base_seed)
     return MonteCarloEstimate.from_samples(totals, base_seed)
 
 
@@ -54,32 +54,32 @@ def test_bitwise_reproducibility(setup):
 def test_doubling_replications_preserves_prefix(setup):
     policy, env = setup
     noise = NoiseModel.gaussian(1.0)
-    small, _, _ = regret_samples(policy, env, noise, 20, base_seed=5)
-    large, _, _ = regret_samples(policy, env, noise, 40, base_seed=5)
+    small, _ = regret_samples(policy, env, noise, 20, base_seed=5)
+    large, _ = regret_samples(policy, env, noise, 40, base_seed=5)
     assert np.array_equal(small, large[:20])
 
 
 def test_chunk_size_does_not_change_samples(setup, monkeypatch):
     policy, env = setup
     noise = NoiseModel.gaussian(1.0)
-    full, _, _ = regret_samples(policy, env, noise, 30, base_seed=5)
+    full, _ = regret_samples(policy, env, noise, 30, base_seed=5)
     monkeypatch.setattr(mc, "REPLICATION_CHUNK", 7)
-    chunked, _, _ = regret_samples(policy, env, noise, 30, base_seed=5)
+    chunked, _ = regret_samples(policy, env, noise, 30, base_seed=5)
     assert np.array_equal(full, chunked)
 
 
 def test_seed_paths_give_independent_streams(setup):
     policy, env = setup
     noise = NoiseModel.gaussian(1.0)
-    a, _, _ = regret_samples(policy, env, noise, 5, base_seed=5, seed_path=(0,))
-    b, _, _ = regret_samples(policy, env, noise, 5, base_seed=5, seed_path=(1,))
+    a, _ = regret_samples(policy, env, noise, 5, base_seed=5, seed_path=(0,))
+    b, _ = regret_samples(policy, env, noise, 5, base_seed=5, seed_path=(1,))
     assert not np.array_equal(a, b)
 
 
 def test_mean_matches_sample_average(setup):
     policy, env = setup
     noise = NoiseModel.gaussian(1.0)
-    samples, _, _ = regret_samples(policy, env, noise, 25, base_seed=3)
+    samples, _ = regret_samples(policy, env, noise, 25, base_seed=3)
     estimate = monte_carlo_estimate(policy, env, noise, replications=25, base_seed=3)
     assert estimate.mean == float(np.mean(samples))
     assert estimate.standard_error == pytest.approx(np.std(samples, ddof=1) / 5.0, rel=1e-12)

@@ -1,5 +1,6 @@
 import json
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -17,8 +18,11 @@ from kwbandit import (
     simulate_lanes,
 )
 from kwbandit import montecarlo, runner
+from kwbandit.cli import main
 from kwbandit.config import with_overrides
+from kwbandit.rng import StreamChunk
 from kwbandit.runner import resolve_experiment
+from kwbandit.traces import TraceBlock
 
 
 def base_doc(**overrides):
@@ -71,10 +75,88 @@ class TestRunExperiment:
 
     def test_trace_csv_round_trips_floats(self, tmp_path):
         cfg = parse_config(json.dumps(base_doc()))
-        result = run_experiment(cfg, out_dir=tmp_path)
+        run_experiment(cfg, out_dir=tmp_path)
         lines = (tmp_path / "trace.csv").read_text().splitlines()
         actions = np.array([float(line.split(",")[2]) for line in lines[1:]])
-        assert np.array_equal(actions, result.trace.actions[:, 0])
+        resolved = resolve_experiment(cfg)
+        trace = simulate_batch(
+            resolved.policy, resolved.env, resolved.noise, StreamChunk(cfg.base_seed, 1), record_trace=True
+        ).trace
+        assert np.array_equal(actions, trace.actions[:, 0])
+
+    def test_result_holds_no_trace(self):
+        # the trace streams to trace.csv; holding it would grow with the horizon
+        assert "trace" not in {f.name for f in fields(runner.ExperimentResult)}
+
+    def test_trace_csv_does_not_depend_on_the_batch_width(self, tmp_path):
+        """At 1,100 replications the traced row shares a 1,024-row batch,
+        whose noise blocks span 28 steps, against 4,096 at one replication:
+        trace.csv is the same bytes."""
+        doc = base_doc(
+            domain={"lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
+            objectives=[
+                {"kind": "quadratic-bowl", "theta": [0.5, -0.5], "b": 1.0},
+                {"kind": "quartic-perturbed-bowl", "theta": [-0.5, 0.25], "b": 1.0, "q": 0.05},
+            ],
+            schedule={"episodes": 5},
+            noise={"kind": "uniform-bounded", "sigma2": 0.3},
+            algorithm={"variant": "vanilla", "x0": [1.0, -1.0]},
+            horizon=4500,
+        )
+        cfg = parse_config(json.dumps(doc))
+        run_experiment(cfg, out_dir=tmp_path / "one")
+        run_experiment(with_overrides(cfg, replications=1100), out_dir=tmp_path / "wide")
+        assert (tmp_path / "one/trace.csv").read_bytes() == (tmp_path / "wide/trace.csv").read_bytes()
+
+    @pytest.mark.parametrize("variant", ["fixed-step", "static"])
+    def test_traced_memory_does_not_grow_with_the_horizon(self, variant, tmp_path):
+        """A traced one-replication run at 8,000 and at 40,000 steps peaks
+        within 64 KiB: the trace streams out block by block."""
+        algorithm = {"variant": "fixed-step", "beta": 0.1, "c": 0.1, "x0": [1.0]}
+        if variant == "static":
+            algorithm = {"variant": "static", "x0": [1.0]}
+        doc = base_doc(
+            objectives=[
+                {"kind": "quadratic-bowl", "theta": [0.5], "b": 1.0},
+                {"kind": "quadratic-bowl", "theta": [-0.5], "b": 1.0},
+            ],
+            schedule={"episodes": 4},
+            noise={"kind": "gaussian", "sigma2": 1.0},
+            algorithm=algorithm,
+        )
+        peaks = []
+        for horizon in (8000, 40_000):
+            cfg = parse_config(json.dumps({**doc, "horizon": horizon}))
+            tracemalloc.start()
+            try:
+                run_experiment(cfg, out_dir=tmp_path / str(horizon))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 64 * 1024, peaks
+
+    def test_failed_run_leaves_no_csv(self, tmp_path, monkeypatch, capsys):
+        """The engine runs out of memory after handing over its first trace
+        block: the run exits 2 with one line, and --out holds no CSV, not
+        even the partial trace."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_doc(horizon=10_000)))
+        blocks = []
+
+        def second_block_fails(*args):
+            blocks.append(args)
+            if len(blocks) == 2:
+                raise MemoryError("no room for the second block")
+            return empty(*args)
+
+        empty = TraceBlock.empty
+        monkeypatch.setattr(TraceBlock, "empty", second_block_fails)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["out of memory: no room for the second block"]
+        assert len(blocks) == 2
+        assert list(out.iterdir()) == []
 
     def test_summary_has_bound_and_tuning(self, tmp_path):
         doc = base_doc(
@@ -133,7 +215,7 @@ def stub_constant_totals(monkeypatch, total):
     """Every replication of a sweep point totals ``total(env)``, without simulating."""
 
     def constant(experiments):
-        return [(np.full(e.replications, total(e.env)), {}, None) for e in experiments]
+        return [(np.full(e.replications, total(e.env)), {}) for e in experiments]
 
     monkeypatch.setattr(runner, "regret_lanes", constant)
 
@@ -204,7 +286,7 @@ class TestRunSweep:
         monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 7)  # 30 rows in batches of 7: pieces of lanes
         split = regret_lanes(experiments)
         for samples in (together, split):
-            assert [totals.tobytes() for totals, _, _ in samples] == [totals.tobytes() for totals in alone]
+            assert [totals.tobytes() for totals, _ in samples] == [totals.tobytes() for totals in alone]
 
     @pytest.mark.parametrize(
         "axis, values, algorithm",

@@ -19,6 +19,7 @@ from kwbandit import (
     OraclePolicy,
     QuadraticBowl,
     QuarticPerturbedBowl,
+    RegretTrace,
     SlidingWindowConfig,
     SlidingWindowPolicy,
     StaticPolicy,
@@ -181,6 +182,33 @@ class TestBatchSemantics:
         monkeypatch.setattr(traj, "_NOISE_BLOCK_VALUES", 10)
         tiny = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
         assert np.array_equal(full, tiny)
+
+    @pytest.mark.parametrize("variant", [ORACLE, STATIC, VANILLA])
+    def test_trace_blocks_join_to_the_trace_at_any_block_size(self, two_bowls, variant, monkeypatch):
+        """A sink gets the trace in blocks of consecutive steps.  In blocks of
+        7 steps, whose seams cut episodes, they join to the bytes of the
+        one-block trace, and the totals and probes do not move."""
+        env = EnvironmentSchedule.evenly_spaced(50, 4, list(two_bowls))
+        policy = {ORACLE: OraclePolicy(), STATIC: StaticPolicy(x0=(1.0,)), VANILLA: VanillaPolicy(x0=(1.0,))}[variant]
+
+        def run(record_trace):
+            streams = list(StreamChunk(7, 3))
+            return simulate_batch(policy, env, NoiseModel.gaussian(1.0), streams, record_trace, (1, 13, 51))
+
+        whole = run(True)
+        monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
+        blocks = []
+        streamed = run(blocks.append)
+        assert streamed.trace is None
+        assert [block.first for block in blocks] == list(range(1, 51, 7))
+        for result in (streamed, run(True)):
+            assert result.total_regret.tobytes() == whole.total_regret.tobytes()
+            assert {s: p.tobytes() for s, p in result.distance_probes.items()} == {
+                s: p.tobytes() for s, p in whole.distance_probes.items()
+            }
+        for trace in (RegretTrace.join(blocks, whole.trace.final_x), run(True).trace):
+            for name in ("actions", "inst_regret", "cum_regret", "episode", "boundary_contact", "final_x"):
+                assert getattr(trace, name).tobytes() == getattr(whole.trace, name).tobytes(), name
 
     @pytest.mark.parametrize("block_values", [traj._NOISE_BLOCK_VALUES, 50], ids=["one-block", "several-blocks"])
     def test_a_stream_chunk_gives_the_bytes_of_a_stream_list(self, bowl, fixed_policy, block_values, monkeypatch):
