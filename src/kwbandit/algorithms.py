@@ -10,7 +10,6 @@ preserves every distance argument the tuning formulas rest on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -103,9 +102,9 @@ class SlidingWindowConfig:
         if c <= 0:
             raise ValueError(f"c must be > 0, got {c}")
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """Strictly decreasing weights n**(-1/2), n = 1..window."""
-        w = np.arange(1, self.window + 1, dtype=float) ** -0.5
-        w.flags.writeable = False
-        return w
+    def weights(self, filled: np.ndarray) -> np.ndarray:
+        """The weight n**(-1/2) of the estimate that follows ``filled``
+        estimates of a run, integers >= 0: n = filled % window + 1, since
+        the buffer empties after each ``window`` estimates.  Only the
+        requested weights are computed, however long the window."""
+        return ((filled % self.window) + 1.0) ** -0.5

@@ -107,7 +107,8 @@ class ObjectiveSpec(ABC):
         """Objective value at x, shape (..., d) -> (...); no domain check.
 
         With ``out`` (shape (...)), the value is written into it and
-        returned; subclasses must honour it, since the engine reads ``out``.
+        returned; subclasses must honour it, since the engine reads ``out``,
+        which it passes by position.
         """
 
     @abstractmethod
@@ -180,8 +181,8 @@ class QuadraticBowl(ObjectiveSpec):
         return ClassConstants(k1=2 * self.b, k2=2 * self.b, k3=self.b, k4=2 * self.b, k5=self.k5, s0=self.s0)
 
     def _value(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        r2 = self._squared_distance(x, out=out)
-        return np.subtract(self.a, np.multiply(self.b, r2, out=out), out=out)
+        r2 = self._squared_distance(x, out)
+        return np.subtract(self.a, np.multiply(self.b, r2, out), out)
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         return -2.0 * self.b * (x - self.theta_array)
@@ -250,8 +251,8 @@ class QuarticPerturbedBowl(ObjectiveSpec):
         r2 = self._squared_distance(x)
         quartic = np.multiply(self.q, r2)
         quartic *= r2
-        value = np.subtract(self.a, np.multiply(self.b, r2, out=out), out=out)
-        return np.subtract(value, quartic, out=out)
+        value = np.subtract(self.a, np.multiply(self.b, r2, out), out)
+        return np.subtract(value, quartic, out)
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         r2 = self._squared_distance(x)[..., None]

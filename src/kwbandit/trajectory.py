@@ -31,21 +31,35 @@ noisy values give the central-difference gradient estimate.  The
 plus and the minus samples are then each one contiguous slab.  Only the
 slabs are sign-major: each stream is still consumed axis-major, plus before
 minus, and each noise block is permuted once into step-major, sign-major
-order, so that a step adds one contiguous (2d, rows) slab of noise.
+order, so that a step adds one contiguous (2d, rows) slab of noise.  The
+points are formed from x and its two clamped corners, min(x + c, hi) and
+max(x - c, lo), held as one (3, d, rows) array.  At d = 1 that array is
+the step's points, slab for slab, and the objective reads it in place; at
+d > 1 one ``take`` gathers the points from it, coordinate-major.
 
-Every array the loop writes is allocated once per batch, and every view it
-uses is built once per batch too.  Each per-step ufunc writes into one of
-them with ``out=`` and takes NumPy's trivial loop: every operand is 0-d, or
-has exactly the output's shape and is contiguous (a 1-D operand may be
-strided).  A broadcast or a strided N-d operand makes NumPy build its
-general iterator, which at one row costs an operation 2-3 us against about
-0.9 us (numpy 2.4, 2.1 GHz Xeon).  So x and all rule state are
+A step is one NumPy call per arithmetic operation, plus the copy of f(x)
+into the block buffer and the sliding window's gather of its weights.
+Every array the loop writes is allocated once per batch.  Every view it
+reads is built once per batch, or once per block for a perturbation that
+varies by row, except the step's rows of the block buffers, which the loop
+iterates, and the decaying rule's tables, which it indexes.  A step goes
+through three Python frames: the objective's ``_value``, the
+``_squared_distance`` it calls, and the rule's ``update``.  Each ufunc is
+passed its output by position, which costs about 40 ns less a call than
+``out=``; ``maximum`` and ``minimum`` keep ``out=``, since NumPy 2.4
+deprecates a positional output for them.  Each takes NumPy's trivial loop:
+every operand is 0-d, or has exactly the output's shape and is contiguous
+(a 1-D operand may be strided).  A broadcast or a strided N-d operand makes
+NumPy build its general iterator, which at 192 rows more than doubles an
+operation's cost, from about 0.45 to 1.0 us at the machine's fastest
+(numpy 2.4.6, Python 3.11, 2-vCPU Xeon with AVX-512; its speed drifted by
+up to 2x, the ratio did not).  So x and all rule state are
 coordinate-major, C-contiguous (d, rows) arrays, the box bounds repeated by
-row; a rate or perturbation that varies by step is a 0-d array; and an
-operation runs in place only through the identical array object, since one
-through a second view of the same memory pays NumPy's overlap solver.  One
-``take`` gathers the step's points, coordinate-major, from x and its two
-clamped corners.
+row; a rate or perturbation that varies by step is a 0-d array, which
+costs what a same-shaped operand does, where a float costs about half as
+much again; and an operation runs in place only through the identical
+array object, since one through a second view of the same memory pays
+NumPy's overlap solver.
 
 Each step stores f(x) into a block buffer; the regret f(theta) - f(x) and
 its running sum, added strictly left to right, are settled once per noise
@@ -208,28 +222,34 @@ class _ObjectiveRows:
     points: the shared kind's ``_value`` reads its coefficients from here as
     from one objective, one entry per point, (1 + 2d) slabs of the rows
     flattened.  Theta is held coordinate-major, (d, points), as the points
-    are; ``max_value`` is f(theta) by row."""
+    are; ``max_value`` is f(theta) by row.
 
-    def _squared_distance(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """||x - theta||**2 of points x, (points, d), whose transpose is
-        C-contiguous: the squares are formed as coordinate rows, and added
-        left to right by ``domain.add_left_to_right``."""
-        if x.shape[-1] == 1:
-            u = np.subtract(x[:, 0], self.theta_cols[0], out=self.square_rows[0])
-            return np.multiply(u, u, out=out)
-        u = np.subtract(x.T, self.theta_cols, out=self.squares)
-        np.multiply(u, u, out=u)
-        return add_left_to_right(self.square_rows, out=out)
+    ``coordinates`` is the (d, points) array that holds the points of every
+    step, whose transpose the engine hands to ``_value``; its coordinate
+    rows are taken once, here."""
 
-    def __init__(self, kind: type[ObjectiveSpec], slabs: int, rows: int, d: int):
+    def __init__(self, kind: type[ObjectiveSpec], slabs: int, rows: int, coordinates: np.ndarray):
         self.coefficients = kind.coefficients
         self.slabbed = (slabs, rows)
-        self.theta_cols = np.empty((d, slabs * rows))
+        self.coordinates = coordinates
+        self.theta_cols = np.empty_like(coordinates)
         for name in self.coefficients:
             setattr(self, name, np.empty(slabs * rows))
         self.max_value = np.empty(rows)
-        self.squares = np.empty_like(self.theta_cols)
+        self.squares = np.empty_like(coordinates)
         self.square_rows = list(self.squares)
+        self.one_square = self.square_rows[0] if len(coordinates) == 1 else None
+
+    def _squared_distance(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """||x - theta||**2 of the points x, (points, d), which are the
+        transpose of ``coordinates``: the squares are formed from those
+        coordinate rows, and added left to right by
+        ``domain.add_left_to_right``."""
+        u = np.subtract(self.coordinates, self.theta_cols, self.squares)
+        if self.one_square is not None:
+            return np.multiply(self.one_square, self.one_square, out)
+        np.multiply(u, u, u)
+        return add_left_to_right(self.square_rows, out=out)
 
     def set(self, rows: slice, objective: ObjectiveSpec) -> None:
         """The rows ``rows`` now see ``objective``; a coefficient it lacks is 0."""
@@ -248,31 +268,22 @@ class _Rule:
     .. first + count - 1: a (count,) table when it varies by step, or a
     (1, d, rows) one when it varies by row.  ``update(x, g, s)`` overwrites
     x with the iterates that follow step s, given its gradient estimates g,
-    (d, rows).  The box bounds are repeated by row and ``step`` and
-    ``trial`` are scratch arrays, so that every operand of the update's
-    ufuncs is 0-d or has the output's shape, which keeps them on NumPy's
-    trivial loop (see the module docstring)."""
+    (d, rows): it forms a point and projects it onto the box, ties going to
+    the bound, as in np.clip.  The box bounds are repeated by row and
+    ``step`` and ``trial`` are scratch arrays, so that every operand of the
+    update's ufuncs is 0-d or has the output's shape, which keeps them on
+    NumPy's trivial loop (see the module docstring)."""
 
     def __init__(self, policies: list[Policy], counts: list[int], x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         self.lo, self.hi = np.empty_like(x), np.empty_like(x)
         self.lo[...], self.hi[...] = lo[:, None], hi[:, None]
         self.step, self.trial = np.empty_like(x), np.empty_like(x)
 
-    def _project(self, x: np.ndarray, point: np.ndarray) -> None:
-        """x <- project(point); ties go to the bound, as in np.clip."""
-        np.maximum(point, self.lo, out=self.step)
-        np.minimum(self.step, self.hi, out=x)
-
-    def _ascend(self, x: np.ndarray, g: np.ndarray, rate: np.ndarray) -> None:
-        """x <- project(x + rate * g)."""
-        np.multiply(g, rate, out=self.step)
-        self._project(x, np.add(x, self.step, out=self.trial))
-
 
 class _DecayingStep(_Rule):
-    """Rate s**(-1/2) and perturbation s**(-1/4), tabulated per block; each
-    step passes its rate to the ufuncs as a 0-d array, which they take as
-    fast as a same-shaped operand and faster than a float."""
+    """x <- project(x + s**(-1/2) g), with perturbation s**(-1/4); both are
+    tabulated per block, and each step passes its rate to the ufuncs as a
+    0-d array (see the module docstring)."""
 
     def perturbations(self, first: int, count: int) -> np.ndarray:
         steps = range(first, first + count)
@@ -281,11 +292,16 @@ class _DecayingStep(_Rule):
         return np.fromiter(map(vanilla_perturbation, steps), float, count)
 
     def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
-        self._ascend(x, g, self.rates[s - self.first, ...])
+        step, trial = self.step, self.trial
+        np.multiply(g, self.rates[s - self.first, ...], step)
+        np.add(x, step, trial)
+        np.maximum(trial, self.lo, out=step)
+        np.minimum(step, self.hi, out=x)
 
 
 class _FixedStep(_Rule):
-    """Constant rate beta and perturbation c, by row."""
+    """x <- project(x + beta g), with constant rate beta and perturbation c,
+    by row."""
 
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
@@ -296,16 +312,21 @@ class _FixedStep(_Rule):
         return self.c[None]
 
     def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
-        self._ascend(x, g, self.beta)
+        step, trial = self.step, self.trial
+        np.multiply(g, self.beta, step)
+        np.add(x, step, trial)
+        np.maximum(trial, self.lo, out=step)
+        np.minimum(step, self.hi, out=x)
 
 
 class _SlidingWindow(_Rule):
     """x <- project(anchor + sum_n n**(-1/2) y_n) over the estimates since
     the last restart; lane k's sum empties after each ``window`` estimates.
-    Step s on lane k's rows has n = (s - 1) % window + 1: the weights are
-    tabulated per block by lane and gathered per step with one ``take``
-    over the (d, rows) lane index, and the block's restarts are listed by
-    step."""
+    Step s on lane k's rows has n = (s - 1) % window + 1: each block's
+    weights are computed by lane (``SlidingWindowConfig.weights``), so no
+    table of ``window`` weights is built, and gathered per step with one
+    ``take`` over the (d, rows) lane index; the block's restarts are listed
+    by step."""
 
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
@@ -321,7 +342,7 @@ class _SlidingWindow(_Rule):
     def perturbations(self, first: int, count: int) -> np.ndarray:
         filled = np.arange(first - 1, first - 1 + count)
         self.first = first
-        self.weights = np.stack([config.weights[filled % config.window] for config in self.configs], axis=1)
+        self.weights = np.stack([config.weights(filled) for config in self.configs], axis=1)
         self.restarts = defaultdict(list)
         for rows, config in zip(self.lane_rows, self.configs):
             window = config.window
@@ -331,13 +352,16 @@ class _SlidingWindow(_Rule):
         return self.c[None]
 
     def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
+        step, trial, action_sum = self.step, self.trial, self.action_sum
         if s in self.restarts:
             for rows in self.restarts[s]:
-                self.action_sum[:, rows] = 0.0
-        self.weights[s - self.first].take(self.lane_index, out=self.weight, mode="clip")
-        np.multiply(g, self.weight, out=self.step)
-        np.add(self.action_sum, self.step, out=self.action_sum)
-        self._project(x, np.add(self.anchor, self.action_sum, out=self.trial))
+                action_sum[:, rows] = 0.0
+        self.weights[s - self.first].take(self.lane_index, None, self.weight, "clip")
+        np.multiply(g, self.weight, step)
+        np.add(action_sum, step, action_sum)
+        np.add(self.anchor, action_sum, trial)
+        np.maximum(trial, self.lo, out=step)
+        np.minimum(step, self.hi, out=x)
 
 
 _RULES = {VanillaPolicy: _DecayingStep, FixedStepPolicy: _FixedStep, SlidingWindowPolicy: _SlidingWindow}
@@ -412,6 +436,16 @@ def _gather_index(d: int, n: int) -> np.ndarray:
     return (((corner * d + axes[:, None]) * n)[:, :, None] + np.arange(n)).ravel()
 
 
+def _by_step(table: np.ndarray, count: int) -> Iterable[np.ndarray]:
+    """The operand of each of ``count`` steps from a table of
+    ``_Rule.perturbations``' shape: entry j of a (count,) table by step, as
+    a 0-d array, or the one (d, rows) slab of a (1, d, rows) table by row,
+    every step."""
+    if table.ndim == 1:
+        return map(table.__getitem__, zip(range(count), repeat(Ellipsis)))
+    return repeat(table[0], count)
+
+
 def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     """The step loop of a measuring rule over lanes of one horizon, with
     sorted probe steps; returns their results.
@@ -435,14 +469,25 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     n = bounds[-1]
 
     # The iterates x, coordinate-major, stacked with the step's two
-    # perturbed corners, from which one take assembles the step's points.
+    # perturbed corners.  The 1 + 2d points of a step, coordinate-major as
+    # (d, 1 + 2d, n), are handed to the objective as (points, d): slab 0 is
+    # x, slab 1 + i is x + c e_i and slab 1 + d + i is x - c e_i.  At d = 1
+    # they are the corners themselves, slab for slab; otherwise one take
+    # gathers them from the corners.  Their values are sign-major too, so
+    # the plus and the minus samples are each one contiguous (d, n) slab.
     corners = np.empty((3, d, n))
     x, plus, minus = corners
     x[...] = np.array([_policy_start(lane.policy, lane.env) for lane in lanes]).repeat(counts, axis=0).T
+    if d == 1:
+        points, gather = corners, None
+    else:
+        points, gather = np.empty(d * slabs * n), _gather_index(d, n)
+    coordinates = points.reshape(d, slabs * n)
+    at_points = coordinates.T
     rule = _RULES[type(lanes[0].policy)]([lane.policy for lane in lanes], counts, x, lo, hi)
     kind = shared_kind([o for lane in lanes for o in lane.env.objectives])
     evaluate = kind._value
-    objectives = _ObjectiveRows(kind, slabs, n, d)
+    objectives = _ObjectiveRows(kind, slabs, n, coordinates)
     current = [lane.env.objectives[0] for lane in lanes]
     for rows, objective in zip(lane_rows, current):
         objectives.set(rows, objective)
@@ -508,26 +553,20 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         if columns is not None:
             columns.cum_regret[first:end] = fx[:, t_row]
 
-    # The 1 + 2d points of a step, coordinate-major as (d, 1 + 2d, n) and
-    # handed to the objective as (points, d): slab 0 is x, slab 1 + i is
-    # x + c e_i and slab 1 + d + i is x - c e_i.  Their values are
-    # sign-major too, so the plus and the minus samples are each one
-    # contiguous (d, n) slab.
-    gather = _gather_index(d, n)
-    points = np.empty(d * slabs * n)
-    at_points = points.reshape(d, slabs * n).T
     values = np.empty((slabs, n))
     flat_values = values.reshape(-1)
     at_x, samples = values[0], values[1:]
     plus_samples, minus_samples = values[1 : 1 + d], values[1 + d :]
     grad = np.empty((d, n))
     lo_rows, hi_rows = rule.lo, rule.hi
+    # Bound once: looking each up on every step costs about 2% of a step
+    add, subtract, divide, minimum, maximum = np.add, np.subtract, np.divide, np.minimum, np.maximum
+    take, update = corners.take, rule.update
 
     step = 1
     while step <= horizon:
         block = min(cap, horizon - step + 1)
-        # c by step, (block,), or by row, (1, d, n): step + j reads entry k
-        # of the tables, k = j or 0
+        # c by step, (block,), or by row, (1, d, n), and the spans 2c
         cs = rule.perturbations(step, block)
         spans = 2.0 * cs
         if values_per_step:
@@ -541,15 +580,16 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
             columns = TraceBlock.empty(change_times, step, block, d)
             tr_actions = columns.actions
         settled = 0
-        # step + j stores f(x) into f_x, row 1 + j of the regret, and adds
-        # the noise slab noise_j
+        # step + j perturbs by c and divides by span, stores f(x) into f_x,
+        # row 1 + j of the regret, and adds the noise slab noise_j
         by_step = zip(
             range(block),
-            range(block) if cs.ndim == 1 else repeat(0),
+            _by_step(cs, block),
+            _by_step(spans, block),
             regret[1:],
             step_noise if values_per_step else repeat(None),
         )
-        for j, k, f_x, noise_j in by_step:
+        for j, c, span, f_x, noise_j in by_step:
             s = step + j
             if s == next_event:
                 if s in changes:
@@ -562,22 +602,22 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
             # One-sided clamps: x lies in the box and c > 0, so x + c never
             # falls below lo nor x - c rises above hi, and the clamp on that
             # side would return its input bit for bit.
-            c = cs[k, ...]
-            np.add(x, c, out=plus)
-            np.minimum(plus, hi_rows, out=plus)
-            np.subtract(x, c, out=minus)
-            np.maximum(minus, lo_rows, out=minus)
-            corners.take(gather, out=points, mode="clip")
-            evaluate(objectives, at_points, out=flat_values)
+            add(x, c, plus)
+            minimum(plus, hi_rows, out=plus)
+            subtract(x, c, minus)
+            maximum(minus, lo_rows, out=minus)
+            if gather is not None:
+                take(gather, None, points, "clip")
+            evaluate(objectives, at_points, flat_values)
             f_x[...] = at_x
             if columns is not None:
                 tr_actions[j] = x_traced
 
             if values_per_step:
-                np.add(samples, noise_j, out=samples)
-            np.subtract(plus_samples, minus_samples, out=grad)
-            np.divide(grad, spans[k, ...], out=grad)
-            rule.update(x, grad, s)
+                add(samples, noise_j, samples)
+            subtract(plus_samples, minus_samples, grad)
+            divide(grad, span, grad)
+            update(x, grad, s)
         settle(settled, block)
         regret[0] = regret[block]
 

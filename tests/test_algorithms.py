@@ -114,8 +114,12 @@ class TestSlidingWindow:
 
     def test_weights_strictly_decreasing(self):
         cfg = SlidingWindowConfig(window=5, x0=(0.0,))
-        assert np.all(np.diff(cfg.weights) < 0)
-        assert cfg.weights[0] == 1.0
+        weights = cfg.weights(np.arange(10))
+        assert np.all(np.diff(weights[:5]) < 0)
+        assert weights[0] == 1.0
+        assert np.array_equal(weights[5:], weights[:5])  # the buffer restarts
+        # the reference's table of n**(-1/2), n = 1..window, bit for bit
+        assert weights[:5].tobytes() == (np.arange(1, 6, dtype=float) ** -0.5).tobytes()
 
     def test_default_perturbation(self):
         assert SlidingWindowConfig(window=16, x0=(0.0,)).c == pytest.approx(16**-0.25)
@@ -156,7 +160,7 @@ class TestSlidingWindow:
         trace = noiseless_trace(SlidingWindowPolicy(config=cfg), f, horizon=7)
         buffer = [reference.central_difference(f, NoiseModel.none(), x, cfg.c, None)[0] for x in trace.actions[4:]]
         total = np.zeros(1)
-        for weight, y in zip(cfg.weights, buffer):
+        for weight, y in zip(cfg.weights(np.arange(cfg.window)), buffer):
             total = total + weight * y
         assert np.array_equal(box1d.project(np.asarray(cfg.x0) + total), trace.final_x)
 

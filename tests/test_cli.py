@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from kwbandit import runner
 from kwbandit.cli import main
 from kwbandit.config import MAX_REP_STEPS, MAX_REPLICATIONS, ExperimentConfig
+from kwbandit.noise import NoiseModel
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -218,7 +219,6 @@ EXIT_CODE_MATRIX = [
     ("bounds-check-one-replication", ["bounds", "--config", SHIPPED_SMOKE, "--check"], 1, 1, ("replications >= 2",)),
     ("unknown-flag", ["run", "--config", SHIPPED_SMOKE, "--threads", "2"], 2, 2, ("unrecognized arguments: --threads",)),
     ("out-names-a-file", ["run", "--config", SHIPPED_SMOKE, "--out", "{dir}/a-file"], 2, 1, ("File exists",)),
-    ("out-of-memory", ["run", "--config", "{dir}/huge-window.json"], 2, 1, ("out of memory",)),
     ("sweep-nan-value", ["sweep", "--config", "{dir}/nan-sweep.json"], 1, 1, ("sweep.values", "finite")),
     ("sweep-infinite-value", ["sweep", "--config", "{dir}/infinite-sweep.json"], 1, 1, ("sweep.values", "finite")),
     ("sweep-huge-integer-beta", ["sweep", "--config", "{dir}/huge-beta-sweep.json"], 1, 1, ("sweep.values", "finite")),
@@ -310,11 +310,6 @@ def bad_inputs(tmp_path):
         # 10**11 steps in 500 dimensions, at the cap of replication-steps:
         # a second replication takes it over the cap
         "huge-horizon.json": json.dumps(wide_doc(500, horizon=MAX_REP_STEPS)).encode(),
-        # the weights of a 10**15-step window take 7.1 PiB, beyond a 47-bit
-        # address space, so the first block's table fails before step 1
-        "huge-window.json": json.dumps(
-            {**window_doc(k5=1.8), "algorithm": {**window_doc(k5=1.8)["algorithm"], "window": 10**15}}
-        ).encode(),
         "horizon-over-cap.json": json.dumps({**smoke, "horizon": 10**12, "replications": 2}).encode(),
         "a-file": b"",
         # the central difference divides by 2c, which overflows
@@ -374,6 +369,38 @@ def test_bad_input_exit_code(argv, code, lines, texts, bad_inputs, capsys):
     report = captured.out if code == 3 else captured.err
     for text in texts:
         assert text.replace("{dir}", str(bad_inputs)) in report
+
+
+def test_out_of_memory_is_one_line(sweep_config, tmp_path, capsys, monkeypatch):
+    """An allocation that fails in the engine, here each noise block's,
+    exits 2 with one line, in a run and in a sweep.  No valid input
+    exhausts memory at once: every table the engine builds is bounded by
+    its block budget or by the rep-step cap."""
+
+    def no_room(*args):
+        raise MemoryError("Unable to allocate the noise block")
+
+    monkeypatch.setattr(NoiseModel, "fill", no_room)
+    configs = {"run": write_config(tmp_path, window_doc(k5=1.8)), "sweep": sweep_config}
+    for command, config in configs.items():
+        assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["out of memory: Unable to allocate the noise block"]
+
+
+def test_a_window_longer_than_the_run_builds_no_weight_table(tmp_path, capsys):
+    """A window of 10**15 steps never restarts within 3,000 steps, so its
+    run is that of a 3,000-step window; the weights of the steps run are
+    computed, not a table of 10**15 of them."""
+    traces = []
+    for window in (10**15, 3000):
+        doc = window_doc(k5=1.8)
+        doc["algorithm"]["window"] = window
+        out = tmp_path / str(window)
+        assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])

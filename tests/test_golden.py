@@ -131,6 +131,12 @@ def _vanilla_2d_run() -> dict:
     }
 
 
+def _vanilla_1d_run() -> dict:
+    """The decaying rule in 1-D over 10,000 steps from near the wall, with
+    five episodes whose changes fall inside its 4,096-step blocks."""
+    return _held_run({"variant": "vanilla", "x0": [1.5]})
+
+
 def _fixed_step_8d() -> dict:
     """A fixed step in an 8-D box, where every squared length adds eight
     squares left to right."""
@@ -253,6 +259,14 @@ CASES = {
         {
             "trace.csv": "ff8ef2789d8433f7aa8fa1fbf82cf6d99a32ffa42bcd3674073d720e94cf89c2",
             "summary.csv": "b710d5064b9eaf77bfa526ea2fddc8242db6cb3e969661b4ec076b0c0616ad42",
+        },
+    ),
+    "vanilla_1d": (
+        "run",
+        _vanilla_1d_run,
+        {
+            "trace.csv": "2f21b1985fd159ab7e17ce9a146f5e8a100865afe379c674c0722005d622444a",
+            "summary.csv": "c47c3a4c3ca388b07b5917bba5c60e0655d957f252794b285293292053f7aacb",
         },
     ),
     "fixed_step_8d": (

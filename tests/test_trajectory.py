@@ -564,7 +564,9 @@ def test_lanes_must_share_the_rule_and_the_domain(bowl, fixed_policy):
 @pytest.mark.parametrize("d", range(1, 13))
 def test_engine_squared_distance_equals_the_objectives_bit_for_bit(d):
     """The engine's coordinate rows, the objective's points in either memory
-    layout and a plain left-to-right loop give the same bits."""
+    layout and a plain left-to-right loop give the same bits.  At d = 1 the
+    engine's points are also its corners (x, min(x + c, hi), max(x - c, lo)),
+    (3, 1, rows), read in place."""
     rng = np.random.default_rng(d)
     box = Domain(lower=(-2.0,) * d, upper=(2.0,) * d)
     kind = QuarticPerturbedBowl
@@ -573,15 +575,25 @@ def test_engine_squared_distance_equals_the_objectives_bit_for_bit(d):
     coordinates = rng.uniform(-2.0, 2.0, (d, 3 * 50))
     coordinates[:, ::7] = f.theta_array[:, None]  # exact zeros
     coordinates[:, 1::7] = -0.0
-    x = coordinates.T  # as the engine hands its points over: not C-contiguous
-    rows = traj._ObjectiveRows(kind, 3, 50, d)
-    rows.set(slice(0, 50), f)
-    expected = np.array([_squared_distance(point, f.theta_array) for point in x])
-    got = rows._squared_distance(x)
-    out = np.empty(len(x))
-    assert rows._squared_distance(x, out=out) is out
-    for value in (got, out, f._squared_distance(x), f._squared_distance(np.ascontiguousarray(x))):
-        assert value.tobytes() == expected.tobytes()
+    layouts = [coordinates]
+    if d == 1:
+        corners = np.empty((3, 1, 50))
+        x, plus, minus = corners
+        x[...] = coordinates[:, :50]
+        np.minimum(x + 0.3, 2.0, out=plus)
+        np.maximum(x - 0.3, -2.0, out=minus)
+        minus[:, ::5] = f.theta_array[0]  # exact zeros in the minus corner too
+        layouts.append(corners.reshape(1, 3 * 50))
+    for layout in layouts:
+        x = layout.T  # as the engine hands its points over: not C-contiguous
+        rows = traj._ObjectiveRows(kind, 3, 50, layout)
+        rows.set(slice(0, 50), f)
+        expected = np.array([_squared_distance(point, f.theta_array) for point in x])
+        got = rows._squared_distance(x)
+        out = np.empty(len(x))
+        assert rows._squared_distance(x, out) is out
+        for value in (got, out, f._squared_distance(x), f._squared_distance(np.ascontiguousarray(x))):
+            assert value.tobytes() == expected.tobytes()
 
 
 def test_block_buffers_stay_within_the_noise_block_budget():
