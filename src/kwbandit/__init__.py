@@ -7,7 +7,7 @@ replication, and evaluating the matching theoretical bounds and tuning
 formulas.
 """
 
-from .algorithms import FixedStepConfig, SlidingWindowConfig, vanilla_perturbation, vanilla_step_size
+from .algorithms import FixedStepConfig, SlidingWindowConfig, decaying_schedule
 from .bounds import (
     BoundReport,
     expected_distance_bound,
@@ -89,6 +89,7 @@ __all__ = [
     "calibrate_window_constant",
     "contraction_factor",
     "coupled_perturbation",
+    "decaying_schedule",
     "distance_recursion_check",
     "error_floor",
     "expected_distance_bound",
@@ -109,7 +110,5 @@ __all__ = [
     "sliding_window_episode_bound",
     "sliding_window_normalized_bound",
     "sliding_window_regret_bound",
-    "vanilla_perturbation",
-    "vanilla_step_size",
     "verify_conditions",
 ]

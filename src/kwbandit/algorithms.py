@@ -1,15 +1,18 @@
 """Configs of the three allocation rules and the decaying schedule.
 
-The rules themselves (decaying-step, fixed-step and windowed ascent) run
-in ``trajectory.simulate_lanes``.  All three share the same measurement
-primitive (central differences) and keep every iterate inside the domain
-by Euclidean projection, which is nonexpansive on a box and therefore
-preserves every distance argument the tuning formulas rest on.
+The rules themselves (decaying-step, fixed-step and windowed ascent) run in
+``trajectory.simulate_lanes``, which reads each rule's perturbation and
+rate from tables built once per block of steps, such as
+``decaying_schedule``'s.  All three share the same measurement primitive
+(central differences) and keep every iterate inside the domain by Euclidean
+projection, which is nonexpansive on a box and therefore preserves every
+distance argument the tuning formulas rest on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -24,18 +27,15 @@ SLIDING_WINDOW = "sliding-window"
 RESTART = "restart"
 
 
-def vanilla_step_size(step: int) -> float:
-    """Decaying learning rate step**(-1/2) of the classic schedule."""
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    return float(step) ** -0.5
-
-
-def vanilla_perturbation(step: int) -> float:
-    """Decaying perturbation step**(-1/4) of the classic schedule."""
-    if step < 1:
-        raise ValueError(f"step must be >= 1, got {step}")
-    return float(step) ** -0.25
+def decaying_schedule(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The perturbations s**(-1/4) and the rates s**(-1/2) of steps first ..
+    first + count - 1, each (count,).  Every entry is Python's
+    ``float(s) ** p`` (NumPy's ``power`` can round differently)."""
+    if first < 1:
+        raise ValueError(f"step must be >= 1, got {first}")
+    steps = list(map(float, range(first, first + count)))
+    perturbations = np.fromiter(map(float.__pow__, steps, repeat(-0.25)), float, count)
+    return perturbations, np.fromiter(map(float.__pow__, steps, repeat(-0.5)), float, count)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,6 @@ from .trajectory import (
 )
 from .tuning import coupled_perturbation, optimal_step_size, optimal_window
 
-TRACE_COLUMNS_FIXED = ["step", "episode", "inst_regret", "cum_regret", "boundary_contact"]
 # trace.csv rows whose cells are converted to Python values at once
 _TRACE_CHUNK = 1024
 
@@ -259,17 +258,21 @@ def _cells(column: np.ndarray, fmt) -> Iterator[str]:
 
 
 def _write_trace_block(handle, block: TraceBlock) -> None:
-    """Append a block's rows to trace.csv one column at a time, formatting
-    each cell as ``_fmt`` would.  The columns are lazy: one chunk of rows
-    is held as Python values, and no row's cells beyond it."""
-    d = block.actions.shape[1]
-    floats = [block.actions[:, i] for i in range(d)] + [block.inst_regret, block.cum_regret]
-    columns = (
-        [map(str, range(block.first, block.first + len(block.episode))), _cells(block.episode, str)]
-        + [_cells(column, repr) for column in floats]
-        + [_cells(block.boundary_contact.view(np.uint8), str)]
-    )
-    _write_lines(handle, zip(*columns))
+    """Append a block's rows to trace.csv, after its header when the block
+    is the first: trace.csv's one schema, its column names in order.  Each
+    column is lazy, holding one chunk of rows as Python values, and formats
+    each cell as ``_fmt`` would."""
+    columns = {
+        "step": map(str, range(block.first, block.first + len(block.episode))),
+        "episode": _cells(block.episode, str),
+        **{f"action_{i}": _cells(column, repr) for i, column in enumerate(block.actions.T)},
+        "inst_regret": _cells(block.inst_regret, repr),
+        "cum_regret": _cells(block.cum_regret, repr),
+        "boundary_contact": _cells(block.boundary_contact.view(np.uint8), str),
+    }
+    if block.first == 1:
+        _write_lines(handle, [list(columns)])
+    _write_lines(handle, zip(*columns.values()))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
@@ -293,10 +296,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         out = Path(out_dir)
         trace_path, summary_path = out / "trace.csv", out / "summary.csv"
         unfinished = out / "trace.csv.partial"
-        actions = [f"action_{i}" for i in range(env.domain.dimension)]
         try:
             with open(unfinished, "w", newline="", encoding="utf-8") as handle:
-                _write_lines(handle, [TRACE_COLUMNS_FIXED[:2] + actions + TRACE_COLUMNS_FIXED[2:]])
                 totals, _ = simulate(trace=partial(_write_trace_block, handle))
             unfinished.replace(trace_path)
         finally:

@@ -19,72 +19,75 @@ steps, precomputed into one table that the loop checks with one integer
 comparison per step; window restarts are listed per noise block.
 ``simulate_batch`` is the one-lane case.
 
-Each measuring rule (decaying-step, fixed-step, sliding-window) is two
-operations: ``perturbations(first, count)`` gives the perturbation c of a
-block of steps, and ``update(x, g, s)`` overwrites the iterates x with those
-that follow step s, given its gradient estimates g.  One loop, which never
-asks which rule it runs, evaluates the objective once per step on one
-stacked array of the step's 1 + 2d points for every row, in sign-major
-slabs: x itself, whose value gives the step's regret, then x + c e_i for
-every axis i, then x - c e_i for every axis i, clamped into the box, whose
-noisy values give the central-difference gradient estimate.  The
-plus and the minus samples are then each one contiguous slab.  Only the
-slabs are sign-major: each stream is still consumed axis-major, plus before
-minus, and each noise block is permuted once into step-major, sign-major
-order, so that a step adds one contiguous (2d, rows) slab of noise.  The
-points are formed from x and its two clamped corners, min(x + c, hi) and
-max(x - c, lo), held as one (3, d, rows) array.  At d = 1 that array is
-the step's points, slab for slab, and the objective reads it in place; at
-d > 1 one ``take`` gathers the points from it, coordinate-major.
+Each measuring rule is two operations: ``tables(first, count)`` gives the
+perturbation c and the rate of a block of steps, and ``update(x, g, s,
+rate)`` overwrites the iterates x with those that follow step s, given its
+gradient estimates g and its rate; the decaying and fixed-step rules share
+one update and differ only in their tables.  One loop, which never asks
+which rule it runs, evaluates the objective once per step on one stacked
+array of the step's 1 + 2d points for every row, in sign-major slabs: x
+itself, whose value gives the step's regret, then x + c e_i for every axis
+i, then x - c e_i for every axis i, clamped into the box, whose noisy
+values give the central-difference gradient estimate.  The plus and the
+minus samples are then each one contiguous slab.  Only the slabs are
+sign-major: each stream is still consumed axis-major, plus before minus,
+and each noise block is permuted once into step-major, sign-major order, so
+that a step adds one contiguous (2d, rows) slab of noise.  The points are
+formed from x and its two clamped corners, min(x + c, hi) and max(x - c,
+lo), held as one (3, d, rows) array.  At d = 1 that array is the step's
+points, slab for slab, and the objective reads it in place; at d > 1 one
+``take`` gathers the points from it, coordinate-major.
 
 A step is one NumPy call per arithmetic operation, plus the copy of f(x)
 into the block buffer and the sliding window's gather of its weights.
 Every array the loop writes is allocated once per batch.  Every view it
-reads is built once per batch, or once per block for a perturbation that
-varies by row, except the step's rows of the block buffers, which the loop
-iterates, and the decaying rule's tables, which it indexes.  A step goes
-through three Python frames: the objective's ``_value``, the
-``_squared_distance`` it calls, and the rule's ``update``.  Each ufunc is
-passed its output by position, which costs about 40 ns less a call than
-``out=``; ``maximum`` and ``minimum`` keep ``out=``, since NumPy 2.4
-deprecates a positional output for them.  Each takes NumPy's trivial loop:
-every operand is 0-d, or has exactly the output's shape and is contiguous
-(a 1-D operand may be strided).  A broadcast or a strided N-d operand makes
-NumPy build its general iterator, which at 192 rows more than doubles an
-operation's cost, from about 0.45 to 1.0 us at the machine's fastest
-(numpy 2.4.6, Python 3.11, 2-vCPU Xeon with AVX-512; its speed drifted by
-up to 2x, the ratio did not).  So x and all rule state are
-coordinate-major, C-contiguous (d, rows) arrays, the box bounds repeated by
-row; a rate or perturbation that varies by step is a 0-d array, which
-costs what a same-shaped operand does, where a float costs about half as
-much again; and an operation runs in place only through the identical
-array object, since one through a second view of the same memory pays
-NumPy's overlap solver.
+reads is built once per batch, or once per block for a table by row, except
+the step's rows of the block buffers and its entries of the tables by step,
+which the loop iterates and hands the step: c, 2c and the rate.  A step
+goes through three Python frames: the objective's ``_value``, the
+``_squared_distance`` it calls, and the rule's ``update``; at d > 1 a
+fourth, ``domain.add_left_to_right``.  The decaying schedule's tables,
+built per block, run no Python frame per step.  Each ufunc is passed its
+output by position, which costs about 40 ns less a call than ``out=``;
+``maximum`` and ``minimum`` keep ``out=``, since NumPy 2.4 deprecates a
+positional output for them.  Each takes NumPy's trivial loop: every operand
+is 0-d, or has exactly the output's shape and is contiguous (a 1-D operand
+may be strided).  A broadcast or a strided N-d operand makes NumPy build
+its general iterator, which at 192 rows more than doubles an operation's
+cost, from about 0.45 to 1.0 us at the machine's fastest (numpy 2.4.6,
+Python 3.11, 2-vCPU Xeon with AVX-512; its speed drifted by up to 2x, the
+ratio did not).  So x and all rule state are coordinate-major, C-contiguous
+(d, rows) arrays, the box bounds repeated by row; a rate or perturbation
+that varies by step is a 0-d array, which costs what a same-shaped operand
+does, where a float costs about half as much again; and an operation runs
+in place only through the identical array object, since one through a
+second view of the same memory pays NumPy's overlap solver.
 
-Each step stores f(x) into a block buffer; the regret f(theta) - f(x) and
-its running sum, added strictly left to right, are settled once per noise
-block and before each objective change, so an episode change never meets
-unsettled steps; a probe reads only x, so it settles nothing.  The
-decaying schedule's tables are built once per noise block, and
-``NoiseModel.fill`` writes the block in place, one generator call per
-replication.  A lane's streams are a sized iterable, which a
-``rng.StreamChunk`` builds only as it is iterated: a batch of one noise
-block hands ``fill`` the lanes' streams as one lazy chain, so each stream
-is built, drawn from and dropped before the next is built, and only a
-batch of several blocks keeps its streams in a list.  A block's noise as
+Each step stores f(x) into a block buffer of one ledger (``_Ledger``),
+which every policy shares: the regret f(theta) - f(x) and its running sum,
+added strictly left to right, are settled once per noise block and before
+each objective change, so an episode change never meets unsettled steps; a
+probe reads only x, so it settles nothing.  The rules' tables are built
+once per noise block, and ``NoiseModel.fill`` writes the block in place,
+one generator call per replication.  A lane's streams are a sized iterable,
+which a ``rng.StreamChunk`` builds only as it is iterated: a batch of one
+noise block hands ``fill`` the lanes' streams as one lazy chain, so each
+stream is built, drawn from and dropped before the next is built, and only
+a batch of several blocks keeps its streams in a list.  A block's noise as
 drawn, its step-major copy and the stored f(x) hold at most
-``_NOISE_BLOCK_VALUES`` values over all rows together.
-With ``record_trace`` the loop stores the traced row's action in a
-block-sized ``TraceBlock``; its regret and cumulative regret are copied
-from the block's settled rows, its episode column comes from the
-schedule's change times, and its boundary contacts are derived after the
-block's steps.  The block then goes to a ``TraceSink``, which writes it or
-keeps it, so the engine holds no horizon-sized array: a traced run's
-memory is bounded by the block budget, whatever the horizon.
+``_NOISE_BLOCK_VALUES`` values over all rows together.  With
+``record_trace`` the ledger opens a block-sized ``TraceBlock``, in which
+the loop stores the traced row's action; the ledger copies its regret and
+cumulative regret from the block's settled rows, its episode column comes
+from the schedule's change times, and the loop derives its boundary
+contacts after the block's steps.  The ledger then hands it to a
+``TraceSink``, which writes it or keeps it, so the engine holds no
+horizon-sized array: a traced run's memory is bounded by the block budget,
+whatever the horizon.
 
 The oracle and static policies never measure: their action changes only
-at an episode start, so each episode's regret is evaluated once.  Their
-steps run in blocks too, summed and traced as a measuring rule's are.
+at an episode start, so f(x) is evaluated once per episode and stored on
+each of its steps.  The same ledger settles, sums and traces them.
 
 ``simulate_lanes`` is the only implementation of the three step rules;
 ``algorithms`` holds their configs and the decaying schedule.
@@ -97,11 +100,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, repeat
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .algorithms import FixedStepConfig, SlidingWindowConfig, vanilla_perturbation, vanilla_step_size
+from .algorithms import FixedStepConfig, SlidingWindowConfig, decaying_schedule
 from .domain import add_left_to_right
 from .noise import NONE, NoiseModel
 from .objectives import ObjectiveSpec, shared_kind
@@ -264,15 +267,16 @@ class _Rule:
     """A measuring rule over a batch's rows, its state held coordinate-major
     as C-contiguous (d, rows) arrays, like the iterates x.
 
-    ``perturbations(first, count)`` gives the perturbation c of steps first
-    .. first + count - 1: a (count,) table when it varies by step, or a
-    (1, d, rows) one when it varies by row.  ``update(x, g, s)`` overwrites
-    x with the iterates that follow step s, given its gradient estimates g,
-    (d, rows): it forms a point and projects it onto the box, ties going to
-    the bound, as in np.clip.  The box bounds are repeated by row and
-    ``step`` and ``trial`` are scratch arrays, so that every operand of the
-    update's ufuncs is 0-d or has the output's shape, which keeps them on
-    NumPy's trivial loop (see the module docstring)."""
+    ``tables(first, count)`` gives the perturbations c and the rates of
+    steps first .. first + count - 1, each a table by step, (count, ...), or
+    by row, (1, d, rows), whose one entry serves every step (``_by_step``).
+    ``update(x, g, s, rate)`` overwrites x with the iterates that follow step
+    s, given its gradient estimates g, (d, rows), and its entry of the rate
+    table: it forms a point and projects it onto the box, ties going to the
+    bound, as in np.clip.  The box bounds are repeated by row and ``step``
+    and ``trial`` are scratch arrays, so that every operand of the update's
+    ufuncs is 0-d or has the output's shape, which keeps them on NumPy's
+    trivial loop (see the module docstring)."""
 
     def __init__(self, policies: list[Policy], counts: list[int], x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         self.lo, self.hi = np.empty_like(x), np.empty_like(x)
@@ -280,40 +284,25 @@ class _Rule:
         self.step, self.trial = np.empty_like(x), np.empty_like(x)
 
 
-class _DecayingStep(_Rule):
-    """x <- project(x + s**(-1/2) g), with perturbation s**(-1/4); both are
-    tabulated per block, and each step passes its rate to the ufuncs as a
-    0-d array (see the module docstring)."""
-
-    def perturbations(self, first: int, count: int) -> np.ndarray:
-        steps = range(first, first + count)
-        self.first = first
-        self.rates = np.fromiter(map(vanilla_step_size, steps), float, count)
-        return np.fromiter(map(vanilla_perturbation, steps), float, count)
-
-    def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
-        step, trial = self.step, self.trial
-        np.multiply(g, self.rates[s - self.first, ...], step)
-        np.add(x, step, trial)
-        np.maximum(trial, self.lo, out=step)
-        np.minimum(step, self.hi, out=x)
-
-
-class _FixedStep(_Rule):
-    """x <- project(x + beta g), with constant rate beta and perturbation c,
-    by row."""
+class _Ascent(_Rule):
+    """x <- project(x + rate g): the decaying rule's rate s**(-1/2) and
+    perturbation s**(-1/4), tabulated by step (``decaying_schedule``), or
+    the fixed rule's beta and c, by row."""
 
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
-        self.beta = _by_row([policy.config.beta for policy in policies], counts, len(x))
-        self.c = _by_row([policy.config.c for policy in policies], counts, len(x))
+        self.by_row = None
+        if isinstance(policies[0], FixedStepPolicy):
+            c = _by_row([policy.config.c for policy in policies], counts, len(x))
+            beta = _by_row([policy.config.beta for policy in policies], counts, len(x))
+            self.by_row = c[None], beta[None]
 
-    def perturbations(self, first: int, count: int) -> np.ndarray:
-        return self.c[None]
+    def tables(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.by_row or decaying_schedule(first, count)
 
-    def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
+    def update(self, x: np.ndarray, g: np.ndarray, s: int, rate: np.ndarray) -> None:
         step, trial = self.step, self.trial
-        np.multiply(g, self.beta, step)
+        np.multiply(g, rate, step)
         np.add(x, step, trial)
         np.maximum(trial, self.lo, out=step)
         np.minimum(step, self.hi, out=x)
@@ -324,39 +313,37 @@ class _SlidingWindow(_Rule):
     the last restart; lane k's sum empties after each ``window`` estimates.
     Step s on lane k's rows has n = (s - 1) % window + 1: each block's
     weights are computed by lane (``SlidingWindowConfig.weights``), so no
-    table of ``window`` weights is built, and gathered per step with one
-    ``take`` over the (d, rows) lane index; the block's restarts are listed
-    by step."""
+    table of ``window`` weights is built, and a step's row of them is
+    gathered with one ``take`` over the (d, rows) lane index; the block's
+    restarts are listed by step."""
 
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
         self.configs = [policy.config for policy in policies]
         bounds = list(accumulate(counts, initial=0))
         self.lane_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-        self.c = _by_row([config.c for config in self.configs], counts, len(x))
+        self.c = _by_row([config.c for config in self.configs], counts, len(x))[None]
         self.anchor = x.copy()
         self.action_sum = np.zeros_like(x)
         self.lane_index = np.tile(np.arange(len(policies)).repeat(counts), (len(x), 1))
         self.weight = np.empty_like(x)
 
-    def perturbations(self, first: int, count: int) -> np.ndarray:
+    def tables(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         filled = np.arange(first - 1, first - 1 + count)
-        self.first = first
-        self.weights = np.stack([config.weights(filled) for config in self.configs], axis=1)
         self.restarts = defaultdict(list)
         for rows, config in zip(self.lane_rows, self.configs):
             window = config.window
             for s in range(first + (1 - first) % window, first + count, window):
                 if s > 1:
                     self.restarts[s].append(rows)
-        return self.c[None]
+        return self.c, np.stack([config.weights(filled) for config in self.configs], axis=1)
 
-    def update(self, x: np.ndarray, g: np.ndarray, s: int) -> None:
+    def update(self, x: np.ndarray, g: np.ndarray, s: int, rate: np.ndarray) -> None:
         step, trial, action_sum = self.step, self.trial, self.action_sum
         if s in self.restarts:
             for rows in self.restarts[s]:
                 action_sum[:, rows] = 0.0
-        self.weights[s - self.first].take(self.lane_index, None, self.weight, "clip")
+        rate.take(self.lane_index, None, self.weight, "clip")
         np.multiply(g, self.weight, step)
         np.add(action_sum, step, action_sum)
         np.add(self.anchor, action_sum, trial)
@@ -364,7 +351,7 @@ class _SlidingWindow(_Rule):
         np.minimum(step, self.hi, out=x)
 
 
-_RULES = {VanillaPolicy: _DecayingStep, FixedStepPolicy: _FixedStep, SlidingWindowPolicy: _SlidingWindow}
+_RULES = {VanillaPolicy: _Ascent, FixedStepPolicy: _Ascent, SlidingWindowPolicy: _SlidingWindow}
 
 
 def _block_steps(rows: int, values_per_step: int, length: int) -> int:
@@ -438,12 +425,72 @@ def _gather_index(d: int, n: int) -> np.ndarray:
 
 def _by_step(table: np.ndarray, count: int) -> Iterable[np.ndarray]:
     """The operand of each of ``count`` steps from a table of
-    ``_Rule.perturbations``' shape: entry j of a (count,) table by step, as
-    a 0-d array, or the one (d, rows) slab of a (1, d, rows) table by row,
-    every step."""
-    if table.ndim == 1:
-        return map(table.__getitem__, zip(range(count), repeat(Ellipsis)))
-    return repeat(table[0], count)
+    ``_Rule.tables``: the one (d, rows) entry of a table by row, (1, d,
+    rows), every step, or entry j of a table by step, (count, ...), which is
+    a 0-d array when the table is (count,)."""
+    if len(table) == 1:
+        return repeat(table[0, ...], count)
+    return map(table.__getitem__, zip(range(count), repeat(Ellipsis)))
+
+
+class _Ledger:
+    """The regret of a batch's rows, kept block by block, and the trace of
+    the one lane that records it.  Row 0 of ``regret`` holds the cumulative
+    regret by row so far (``running``), and row 1 + j the f(x), then the
+    regret, of step j of the open block: the caller stores f(x) in
+    ``f_x[j]`` and the traced row's action in ``columns.actions[j]``.
+    ``settle(end)`` turns the unsettled f(x) of the block's steps before
+    ``end`` into regret, ``f_at_theta`` - f(x), added strictly step by step
+    onto the running sum; the caller settles before each objective change."""
+
+    def __init__(self, lanes: Sequence[Lane], lane_rows: list[slice], f_at_theta: np.ndarray, cap: int):
+        self.lane_rows, self.f_at_theta, self.cap, self.horizon = lane_rows, f_at_theta, cap, lanes[0].env.horizon
+        self.regret = np.zeros((cap + 1, len(f_at_theta)))
+        self.running, self.f_x = self.regret[0], self.regret[1:]
+        self.traced = next((k for k, lane in enumerate(lanes) if lane.record_trace), None)
+        # lane 0 stands in when no lane records a trace: its sink is None
+        lane, self.t_row = lanes[self.traced or 0], lane_rows[self.traced or 0].start
+        self.sink, self.kept = sink_for(lane.record_trace)
+        self.env, self.columns = lane.env, None
+
+    def blocks(self) -> Iterator[tuple[int, int]]:
+        """Each block's first step and step count.  While the caller fills
+        it, ``columns`` is the traced row's ``TraceBlock``; then the block is
+        settled, its sums carry into row 0, and its trace goes to the sink."""
+        step = 1
+        while step <= self.horizon:
+            count = min(self.cap, self.horizon - step + 1)
+            self.settled = 0
+            if self.sink is not None:
+                change_times = np.asarray(self.env.change_times)
+                self.columns = TraceBlock.empty(change_times, step, count, self.env.domain.dimension)
+            yield step, count
+            self.settle(count)
+            self.running[...] = self.regret[count]
+            if self.sink is not None:
+                self.sink(self.columns)
+            step += count
+
+    def settle(self, end: int) -> None:
+        first, self.settled = self.settled, end
+        fx = self.regret[1 + first : 1 + end]
+        np.subtract(self.f_at_theta, fx, out=fx)
+        if self.columns is not None:
+            self.columns.inst_regret[first:end] = fx[:, self.t_row]
+        running = self.regret[first : 1 + end]
+        np.add.accumulate(running, axis=0, out=running)
+        if self.columns is not None:
+            self.columns.cum_regret[first:end] = fx[:, self.t_row]
+
+    def results(self, probes: list[dict[int, np.ndarray]], final_x: np.ndarray) -> list[BatchResult]:
+        """Each lane's result, with its ``probes``; a kept trace ends at ``final_x``."""
+        trace = RegretTrace.join(self.kept, final_x) if self.kept is not None else None
+        return [
+            BatchResult(
+                total_regret=self.running[rows].copy(), trace=trace if k == self.traced else None, distance_probes=p
+            )
+            for k, (rows, p) in enumerate(zip(self.lane_rows, probes))
+        ]
 
 
 def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
@@ -451,14 +498,12 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     sorted probe steps; returns their results.
 
     The loop never branches on the rule or the lane, and every row runs
-    every step.  Regret is settled from the stored f(x) at the end of each
-    noise block and before each objective change.  The traced row's block
-    of trace rows gets its boundary contacts after the block's steps, from
-    the recorded actions and the block's perturbations, and goes to the
-    consumer then.  The totals and the probes of step ``horizon + 1`` are
-    taken after the last block.  The lanes' streams are
-    iterated once: lazily by the only block's fill, or into a list that
-    every block reuses."""
+    every step.  The traced row's block of trace rows gets its boundary
+    contacts after the block's steps, from the recorded actions and the
+    block's perturbations.  The totals and the probes of step ``horizon +
+    1`` are taken after the last block.  The lanes' streams are iterated
+    once: lazily by the only block's fill, or into a list that every block
+    reuses."""
     domain, horizon = lanes[0].env.domain, lanes[0].env.horizon
     d = domain.dimension
     lo, hi = domain.lower_array, domain.upper_array
@@ -491,7 +536,6 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     current = [lane.env.objectives[0] for lane in lanes]
     for rows, objective in zip(lane_rows, current):
         objectives.set(rows, objective)
-    f_at_theta = objectives.max_value
     probe_out: list[dict[int, np.ndarray]] = [{} for _ in lanes]
 
     def distances(k: int) -> np.ndarray:
@@ -526,32 +570,11 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     rngs = chain.from_iterable(lane.rngs for lane in lanes)
     if cap < horizon:
         rngs = list(rngs)
-    # Row 0 holds the cumulative regret by row so far, and row 1 + j the
-    # f(x), then the regret, of step j of the current block.
-    regret = np.zeros((cap + 1, n))
+    ledger = _Ledger(lanes, lane_rows, objectives.max_value, cap)
+    x_traced = x[:, ledger.t_row]
     if values_per_step:
         noise_block = np.empty((n, cap, values_per_step))
         step_noise = np.empty((cap, values_per_step, n))
-
-    traced = next((k for k, lane in enumerate(lanes) if lane.record_trace), None)
-    sink = blocks = columns = None
-    if traced is not None:
-        sink, blocks = sink_for(lanes[traced].record_trace)
-        change_times = np.asarray(lanes[traced].env.change_times)
-        t_row = bounds[traced]
-        x_traced = x[:, t_row]
-
-    def settle(first: int, end: int) -> None:
-        """Regret and cumulative regret of the block's steps first .. end - 1
-        from their stored f(x); the running sum adds strictly step by step."""
-        fx = regret[1 + first : 1 + end]
-        np.subtract(f_at_theta, fx, out=fx)
-        if columns is not None:
-            columns.inst_regret[first:end] = fx[:, t_row]
-        running = regret[first : 1 + end]
-        np.add.accumulate(running, axis=0, out=running)
-        if columns is not None:
-            columns.cum_regret[first:end] = fx[:, t_row]
 
     values = np.empty((slabs, n))
     flat_values = values.reshape(-1)
@@ -563,11 +586,10 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     add, subtract, divide, minimum, maximum = np.add, np.subtract, np.divide, np.minimum, np.maximum
     take, update = corners.take, rule.update
 
-    step = 1
-    while step <= horizon:
-        block = min(cap, horizon - step + 1)
-        # c by step, (block,), or by row, (1, d, n), and the spans 2c
-        cs = rule.perturbations(step, block)
+    for step, block in ledger.blocks():
+        # c and the rate by step, (block, ...), or by row, (1, d, n), and the
+        # spans 2c
+        cs, rates = rule.tables(step, block)
         spans = 2.0 * cs
         if values_per_step:
             drawn = noise_block[:, :block]
@@ -576,25 +598,22 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
             # j's values of every row become one sign-major slab.
             by_sign = drawn.reshape(n, block, d, 2).transpose(1, 3, 2, 0)
             np.copyto(step_noise[:block].reshape(block, 2, d, n), by_sign)
-        if sink is not None:
-            columns = TraceBlock.empty(change_times, step, block, d)
-            tr_actions = columns.actions
-        settled = 0
-        # step + j perturbs by c and divides by span, stores f(x) into f_x,
-        # row 1 + j of the regret, and adds the noise slab noise_j
+        columns = ledger.columns
+        # step + j perturbs by c, divides by span and ascends at rate, stores
+        # f(x) into f_x and adds the noise slab noise_j
         by_step = zip(
             range(block),
             _by_step(cs, block),
             _by_step(spans, block),
-            regret[1:],
+            _by_step(rates, block),
+            ledger.f_x,
             step_noise if values_per_step else repeat(None),
         )
-        for j, c, span, f_x, noise_j in by_step:
+        for j, c, span, rate, f_x, noise_j in by_step:
             s = step + j
             if s == next_event:
                 if s in changes:
-                    settle(settled, j)
-                    settled = j
+                    ledger.settle(j)
                 for event in events[s]:
                     event()
                 next_event = next(event_steps, 0)
@@ -611,76 +630,55 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
             evaluate(objectives, at_points, flat_values)
             f_x[...] = at_x
             if columns is not None:
-                tr_actions[j] = x_traced
+                columns.actions[j] = x_traced
 
             if values_per_step:
                 add(samples, noise_j, samples)
             subtract(plus_samples, minus_samples, grad)
             divide(grad, span, grad)
-            update(x, grad, s)
-        settle(settled, block)
-        regret[0] = regret[block]
+            update(x, grad, s, rate)
 
         if columns is not None:
-            c_col = cs[:, None] if cs.ndim == 1 else cs[0, :, t_row]
-            np.any((tr_actions + c_col > hi) | (tr_actions - c_col < lo), axis=1, out=columns.boundary_contact)
-            sink(columns)
-        step += block
+            c_col = cs[:, None] if cs.ndim == 1 else cs[0, :, ledger.t_row]
+            contact = (columns.actions + c_col > hi) | (columns.actions - c_col < lo)
+            np.any(contact, axis=1, out=columns.boundary_contact)
 
     for k, lane in enumerate(lanes):
         if horizon + 1 in lane.probe_steps:
             probe_out[k][horizon + 1] = distances(k)
-    trace = RegretTrace.join(blocks, x_traced) if blocks is not None else None
-    return [
-        BatchResult(total_regret=regret[0, rows].copy(), trace=trace if k == traced else None, distance_probes=probes)
-        for k, (rows, probes) in enumerate(zip(lane_rows, probe_out))
-    ]
+    return ledger.results(probe_out, x_traced)
 
 
 def _hold(lane: Lane) -> BatchResult:
     """Oracle and static play: the action changes only when the oracle
-    moves to a new episode's maximizer, so an episode's regret is one value
-    by row.  The steps run in blocks, as a measuring rule's do: each step's
-    row of a block takes its episode's regret, and one accumulate adds the
-    rows strictly step by step onto the running sum."""
+    moves to a new episode's maximizer, so f(x) is evaluated once per
+    episode and stored on each of its steps, whose regret the ledger
+    settles as it does a measuring rule's."""
     env, horizon, probes = lane.env, lane.env.horizon, lane.probe_steps
     oracle = isinstance(lane.policy, OraclePolicy)
     x = np.tile(_policy_start(lane.policy, env), (len(lane.rngs), 1))
-    d = env.domain.dimension
-    sink, blocks = sink_for(lane.record_trace)
-    change_times = np.asarray(env.change_times)
+    ledger = _Ledger([lane], [slice(0, len(x))], np.empty(len(x)), _block_steps(len(x), 0, horizon))
     probe_out: dict[int, np.ndarray] = {}
-    cap = _block_steps(len(x), 0, horizon)
-    # Row 0 holds the cumulative regret by row so far, and row 1 + j the
-    # regret of step j of the current block.
-    regret = np.zeros((cap + 1, len(x)))
-    step, block = 1, cap
-    columns = TraceBlock.empty(change_times, step, block, d) if sink is not None else None
-    ends = env.change_times[1:] + (horizon + 1,)
-    for objective, first, end in zip(env.objectives, env.change_times, ends):
-        if oracle:
-            x[...] = objective.theta_array
-        inst = objective.max_value - objective._value(x)
-        for s in probes[bisect_left(probes, first) : bisect_left(probes, end)]:
-            probe_out[s] = objective._squared_distance(x)
-        while first < end:
+    # each episode's objective and the step after its last; none is open yet
+    episodes = zip(env.objectives, env.change_times[1:] + (horizon + 1,))
+    end = 1
+    for step, block in ledger.blocks():
+        first = step
+        while first < step + block:
+            if first == end:
+                ledger.settle(first - step)
+                objective, end = next(episodes)
+                ledger.f_at_theta[...] = objective.max_value
+                if oracle:
+                    x[...] = objective.theta_array
+                f_x = objective._value(x)
+                for s in probes[bisect_left(probes, first) : bisect_left(probes, end)]:
+                    probe_out[s] = objective._squared_distance(x)
             stop = min(end, step + block)
-            regret[1 + first - step : 1 + stop - step] = inst
-            if columns is not None:
-                columns.actions[first - step : stop - step] = x[0]
-                columns.inst_regret[first - step : stop - step] = inst[0]
+            ledger.f_x[first - step : stop - step] = f_x
+            if ledger.columns is not None:
+                ledger.columns.actions[first - step : stop - step] = x[0]
             first = stop
-            if stop == step + block:
-                running = regret[: 1 + block]
-                np.add.accumulate(running, axis=0, out=running)
-                regret[0] = regret[block]
-                if columns is not None:
-                    columns.cum_regret[...] = regret[1 : 1 + block, 0]
-                    sink(columns)
-                step, block = stop, min(cap, horizon - stop + 1)
-                if columns is not None and block:
-                    columns = TraceBlock.empty(change_times, step, block, d)
     if horizon + 1 in probes:
         probe_out[horizon + 1] = env.objectives[-1]._squared_distance(x)
-    trace = RegretTrace.join(blocks, x[0]) if blocks is not None else None
-    return BatchResult(total_regret=regret[0].copy(), trace=trace, distance_probes=probe_out)
+    return ledger.results([probe_out], x[0])[0]

@@ -2,9 +2,12 @@
 noiseless on quadratics, where the central difference is the gradient up
 to rounding, and exact when every point is dyadic."""
 
+import sys
+
 import numpy as np
 import pytest
 
+import kwbandit.trajectory as traj
 import reference
 from kwbandit import (
     ContractionViolationError,
@@ -17,10 +20,9 @@ from kwbandit import (
     SlidingWindowConfig,
     SlidingWindowPolicy,
     VanillaPolicy,
+    decaying_schedule,
     replication_stream,
     simulate_batch,
-    vanilla_perturbation,
-    vanilla_step_size,
 )
 
 
@@ -49,15 +51,39 @@ class TestVanillaStep:
     def test_fourth_step_uses_half_rate(self, bowl):
         # on b = 1 the update is x <- x * (1 - 2 * rate): zero only at rate 1/2
         trace = noiseless_trace(VanillaPolicy(x0=(0.5,)), bowl, horizon=4)
-        assert vanilla_step_size(4) == 0.5
+        assert decaying_schedule(4, 1)[1][0] == 0.5
         assert abs(trace.actions[3, 0]) > 0.01
         assert trace.final_x == pytest.approx((0.0,), abs=1e-15)
 
     def test_schedules(self):
-        assert vanilla_step_size(1) == 1.0
-        assert vanilla_step_size(4) == 0.5
-        assert vanilla_perturbation(1) == 1.0
-        assert vanilla_perturbation(16) == 0.5
+        cs, rates = decaying_schedule(1, 16)
+        assert (rates[0], rates[3], cs[0], cs[15]) == (1.0, 0.5, 1.0, 0.5)
+        with pytest.raises(ValueError, match="step must be >= 1"):
+            decaying_schedule(0, 3)
+
+    @pytest.mark.parametrize("first", [1, 4090, 4097, 2**31 - 4, 2**32 + 1, 2**53 - 4])
+    def test_schedule_tables_are_the_scalar_powers_bit_for_bit(self, first):
+        cs, rates = decaying_schedule(first, 8)
+        steps = range(first, first + 8)
+        assert rates.tobytes() == np.array([float(s) ** -0.5 for s in steps]).tobytes()
+        assert cs.tobytes() == np.array([float(s) ** -0.25 for s in steps]).tobytes()
+
+    def test_schedule_runs_no_python_frame_per_step(self, bowl, monkeypatch):
+        # one call into ``algorithms`` per 100-step block, none per step
+        calls = []
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_globals.get("__name__") == "kwbandit.algorithms":
+                calls.append(frame.f_code.co_name)
+
+        monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 100)
+        env = EnvironmentSchedule.stationary(1000, bowl)
+        sys.setprofile(profile)
+        try:
+            simulate_batch(VanillaPolicy(x0=(1.0,)), env, NoiseModel.none(), [replication_stream(0, 0)])
+        finally:
+            sys.setprofile(None)
+        assert calls == ["decaying_schedule"] * 10
 
 
 class TestFixedStep:
