@@ -119,7 +119,7 @@ def _cmd_bounds(args) -> int:
     cfg = _overridden(args, parse_config(_read(args.config)))
     resolved = resolve_experiment(cfg)
     if resolved.bound is None:
-        print(f"variant {cfg.algorithm.variant!r} has no theoretical bound to evaluate", file=sys.stderr)
+        print(f"variant {cfg.variant!r} has no theoretical bound to evaluate", file=sys.stderr)
         return EXIT_VALIDATION
     bound = resolved.bound
     print(f"bound {bound.name} = {bound.value!r}")

@@ -1,11 +1,14 @@
 """Experiment config documents: a strict JSON schema with full-error
-validation and round-trip serialization.
+validation.
 
-Unknown keys are rejected, every validation problem is collected (not
-just the first), and ``parse_config(json.dumps(cfg.to_dict()))`` yields an
-equal config.  The schema is documented in the README.  Parsing checks
-the document only; ``runner.resolve_experiment`` assembles a config (its
-schedule, tuning and policy) and reports what does not assemble.
+Unknown keys are rejected and every validation problem is collected (not
+just the first).  ``ExperimentConfig`` is one flat record of the checked
+document: the box, each objective as its kind and the keyword arguments of
+the bowl class that kind names, the noise, the algorithm's keys, and the
+schedule as ``change_times`` or ``episodes`` (neither means stationary).
+The schema is documented in the README.  Parsing checks the document only;
+``runner.resolve_experiment`` assembles a config (its schedule, tuning and
+policy) and reports what does not assemble.
 """
 
 from __future__ import annotations
@@ -29,7 +32,10 @@ VARIANTS = (VANILLA, FIXED_STEP, SLIDING_WINDOW, ORACLE, STATIC)
 EXPLICIT = "explicit"
 AUTO = "auto"
 
-SWEEP_AXES = ("T", "delta_T", "beta", "L")
+BOWLS = {QUADRATIC_BOWL: QuadraticBowl, QUARTIC_PERTURBED_BOWL: QuarticPerturbedBowl}
+
+# Each sweep axis names the field it sets and that field's type.
+SWEEP_AXES = {"T": ("horizon", int), "delta_T": ("episodes", int), "beta": ("beta", float), "L": ("window", int)}
 
 # The most replications a config or ``--replications`` may ask for: every
 # replication's total regret and probes are kept until the run ends.
@@ -42,44 +48,19 @@ MAX_REP_STEPS = 10**11
 
 
 @dataclass(frozen=True)
-class ObjectiveEntry:
-    kind: str
-    theta: tuple[float, ...]
-    b: float
-    a: float = 0.0
-    q: float | None = None
-    k5: float = 1.0
-    s0: int = 0
+class ExperimentConfig:
+    """A checked config document.  ``objectives`` holds, per objective, its
+    kind and every keyword argument of ``BOWLS[kind]`` except ``domain``;
+    as those are dicts, a config is not hashable."""
 
-    def to_dict(self) -> dict:
-        doc = {"kind": self.kind, "theta": list(self.theta), "b": self.b, "a": self.a, "k5": self.k5, "s0": self.s0}
-        if self.kind == QUARTIC_PERTURBED_BOWL:
-            doc["q"] = self.q
-        return doc
-
-    def build(self, domain: Domain) -> ObjectiveSpec:
-        if self.kind == QUADRATIC_BOWL:
-            return QuadraticBowl(domain=domain, theta=self.theta, b=self.b, a=self.a, k5=self.k5, s0=self.s0)
-        return QuarticPerturbedBowl(
-            domain=domain, theta=self.theta, b=self.b, q=self.q, a=self.a, k5=self.k5, s0=self.s0
-        )
-
-
-@dataclass(frozen=True)
-class ScheduleSpec:
-    """Either explicit change times or N evenly spaced episodes."""
-
-    change_times: tuple[int, ...] | None = None
-    episodes: int | None = None
-
-    def to_dict(self) -> dict:
-        if self.change_times is not None:
-            return {"change_times": list(self.change_times)}
-        return {"episodes": self.episodes}
-
-
-@dataclass(frozen=True)
-class AlgorithmSpec:
+    domain_lower: tuple[float, ...]
+    domain_upper: tuple[float, ...]
+    objectives: tuple[tuple[str, dict], ...]
+    noise_kind: str
+    noise_sigma2: float
+    horizon: int
+    replications: int
+    base_seed: int
     variant: str
     tuning: str = EXPLICIT
     x0: tuple[float, ...] | None = None
@@ -87,70 +68,34 @@ class AlgorithmSpec:
     c: float | None = None
     alpha: float = 1.0
     window: int | None = None
-
-    def to_dict(self) -> dict:
-        doc: dict = {"variant": self.variant}
-        if self.variant in (FIXED_STEP, SLIDING_WINDOW):
-            doc["tuning"] = self.tuning
-        if self.x0 is not None:
-            doc["x0"] = list(self.x0)
-        for key in ("beta", "c", "window"):
-            value = getattr(self, key)
-            if value is not None:
-                doc[key] = value
-        if self.variant == FIXED_STEP:
-            doc["alpha"] = self.alpha
-        return doc
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    domain_lower: tuple[float, ...]
-    domain_upper: tuple[float, ...]
-    objectives: tuple[ObjectiveEntry, ...]
-    noise_kind: str
-    noise_sigma2: float
-    algorithm: AlgorithmSpec
-    horizon: int
-    replications: int
-    base_seed: int
-    schedule: ScheduleSpec | None = None
-
-    def to_dict(self) -> dict:
-        doc = {
-            "domain": {"lower": list(self.domain_lower), "upper": list(self.domain_upper)},
-            "objectives": [o.to_dict() for o in self.objectives],
-            "noise": {"kind": self.noise_kind, "sigma2": self.noise_sigma2},
-            "algorithm": self.algorithm.to_dict(),
-            "horizon": self.horizon,
-            "replications": self.replications,
-            "base_seed": self.base_seed,
-        }
-        if self.schedule is not None:
-            doc["schedule"] = self.schedule.to_dict()
-        return doc
+    change_times: tuple[int, ...] | None = None
+    episodes: int | None = None
 
     def build_objectives(self) -> tuple[ObjectiveSpec, ...]:
         domain = Domain(lower=self.domain_lower, upper=self.domain_upper)
-        return tuple(entry.build(domain) for entry in self.objectives)
+        built = []
+        for i, (kind, kwargs) in enumerate(self.objectives):
+            try:
+                built.append(BOWLS[kind](domain=domain, **kwargs))
+            except ValueError as exc:
+                raise ValueError(f"objectives[{i}]: {exc}") from exc
+        return tuple(built)
 
     def build_schedule(self) -> EnvironmentSchedule:
-        objectives = list(self.build_objectives())
-        if self.schedule is None:
-            return EnvironmentSchedule.stationary(self.horizon, objectives[0])
-        if self.schedule.episodes is not None:
-            return EnvironmentSchedule.evenly_spaced(self.horizon, self.schedule.episodes, objectives)
-        return EnvironmentSchedule(
-            horizon=self.horizon, change_times=self.schedule.change_times, objectives=tuple(objectives)
-        )
+        objectives = self.build_objectives()
+        if self.episodes is not None:
+            return EnvironmentSchedule.evenly_spaced(self.horizon, self.episodes, list(objectives))
+        if self.change_times is not None:
+            return EnvironmentSchedule(horizon=self.horizon, change_times=self.change_times, objectives=objectives)
+        return EnvironmentSchedule.stationary(self.horizon, objectives[0])
 
 
 @dataclass(frozen=True)
 class SweepSpec:
     """One axis swept over sorted positive values, the rest held fixed.
 
-    Values stay integers for the T/delta_T/L axes (so serialization
-    round-trips) and floats for beta.
+    ``config_for`` sets the one field the axis names in ``SWEEP_AXES``: an
+    integer for the T/delta_T/L axes and a float for beta.
     """
 
     axis: str
@@ -158,18 +103,8 @@ class SweepSpec:
     base: ExperimentConfig
 
     def config_for(self, value) -> ExperimentConfig:
-        if self.axis == "T":
-            return replace(self.base, horizon=int(value))
-        if self.axis == "delta_T":
-            return replace(self.base, schedule=ScheduleSpec(episodes=int(value)))
-        if self.axis == "beta":
-            return replace(self.base, algorithm=replace(self.base.algorithm, beta=float(value)))
-        return replace(self.base, algorithm=replace(self.base.algorithm, window=int(value)))
-
-    def to_dict(self) -> dict:
-        doc = self.base.to_dict()
-        doc["sweep"] = {"axis": self.axis, "values": list(self.values)}
-        return doc
+        field, cast = SWEEP_AXES[self.axis]
+        return replace(self.base, **{field: cast(value)})
 
 
 def _finite(value) -> bool:
@@ -257,7 +192,8 @@ class _Checker:
         return value
 
 
-def _parse_objective(doc, index: int, chk: _Checker) -> ObjectiveEntry | None:
+def _parse_objective(doc, index: int, chk: _Checker) -> tuple[str, dict] | None:
+    """An objective's kind and the checked keyword arguments of its bowl."""
     path = f"objectives[{index}]"
     if not isinstance(doc, dict):
         chk.fail(f"{path}: expected an object")
@@ -273,18 +209,22 @@ def _parse_objective(doc, index: int, chk: _Checker) -> ObjectiveEntry | None:
         required.add("q")
     if not chk.expect_keys(doc, path, required, optional):
         return None
-    theta = chk.vector(doc, path, "theta")
-    b = chk.number(doc, path, "b", minimum=0.0, exclusive=True)
-    a = chk.number(doc, path, "a", default=0.0)
-    q = chk.number(doc, path, "q", minimum=0.0, exclusive=True) if kind == QUARTIC_PERTURBED_BOWL else None
-    k5 = chk.number(doc, path, "k5", minimum=0.0, exclusive=True, default=1.0)
-    s0 = chk.integer(doc, path, "s0", minimum=0, default=0)
-    if theta is None or b is None or (kind == QUARTIC_PERTURBED_BOWL and q is None) or k5 is None or s0 is None:
+    kwargs = {
+        "theta": chk.vector(doc, path, "theta"),
+        "b": chk.number(doc, path, "b", minimum=0.0, exclusive=True),
+        "a": chk.number(doc, path, "a", default=0.0),
+    }
+    if kind == QUARTIC_PERTURBED_BOWL:
+        kwargs["q"] = chk.number(doc, path, "q", minimum=0.0, exclusive=True)
+    kwargs["k5"] = chk.number(doc, path, "k5", minimum=0.0, exclusive=True, default=1.0)
+    kwargs["s0"] = chk.integer(doc, path, "s0", minimum=0, default=0)
+    if None in kwargs.values():
         return None
-    return ObjectiveEntry(kind=kind, theta=theta, b=b, a=a, q=q, k5=k5, s0=s0)
+    return kind, kwargs
 
 
-def _parse_schedule(doc, horizon: int | None, chk: _Checker) -> ScheduleSpec | None:
+def _parse_schedule(doc, horizon: int | None, chk: _Checker) -> dict | None:
+    """``{"episodes": N}`` or ``{"change_times": (...)}``, checked."""
     path = "schedule"
     if not isinstance(doc, dict):
         chk.fail(f"{path}: expected an object")
@@ -302,7 +242,7 @@ def _parse_schedule(doc, horizon: int | None, chk: _Checker) -> ScheduleSpec | N
         if horizon is not None and episodes > horizon:
             chk.fail(f"{path}.episodes: must be <= horizon ({horizon}), got {episodes}")
             return None
-        return ScheduleSpec(episodes=episodes)
+        return {"episodes": episodes}
     times = doc["change_times"]
     if not isinstance(times, list) or not times or not all(isinstance(t, int) and not isinstance(t, bool) for t in times):
         chk.fail(f"{path}.change_times: expected a non-empty list of integers")
@@ -316,10 +256,11 @@ def _parse_schedule(doc, horizon: int | None, chk: _Checker) -> ScheduleSpec | N
     if horizon is not None and times[-1] > horizon:
         chk.fail(f"{path}.change_times: must lie within [1, horizon={horizon}], got {times}")
         return None
-    return ScheduleSpec(change_times=tuple(times))
+    return {"change_times": tuple(times)}
 
 
-def _parse_algorithm(doc, dimension: int | None, midpoint, chk: _Checker) -> AlgorithmSpec | None:
+def _parse_algorithm(doc, dimension: int | None, midpoint, chk: _Checker) -> dict | None:
+    """The algorithm's fields of ``ExperimentConfig``, checked."""
     path = "algorithm"
     if not isinstance(doc, dict):
         chk.fail(f"{path}: expected an object")
@@ -368,15 +309,15 @@ def _parse_algorithm(doc, dimension: int | None, midpoint, chk: _Checker) -> Alg
         x0 = midpoint
     if x0 is not None and dimension is not None and len(x0) != dimension:
         chk.fail(f"{path}.x0: expected {dimension} components, got {len(x0)}")
-    return AlgorithmSpec(
-        variant=variant,
-        tuning=tuning if variant in (FIXED_STEP, SLIDING_WINDOW) else EXPLICIT,
-        x0=x0,
-        beta=beta,
-        c=c,
-        alpha=alpha if alpha is not None else 1.0,
-        window=window,
-    )
+    return {
+        "variant": variant,
+        "tuning": tuning if variant in (FIXED_STEP, SLIDING_WINDOW) else EXPLICIT,
+        "x0": x0,
+        "beta": beta,
+        "c": c,
+        "alpha": alpha if alpha is not None else 1.0,
+        "window": window,
+    }
 
 
 def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozenset()) -> ExperimentConfig | None:
@@ -406,18 +347,19 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
     replications = chk.integer(doc, "config", "replications", minimum=1, maximum=MAX_REPLICATIONS)
     base_seed = chk.integer(doc, "config", "base_seed", minimum=0)
 
-    entries: list[ObjectiveEntry] = []
+    entries: list[tuple[str, dict]] = []
     if isinstance(doc.get("objectives"), list) and doc["objectives"]:
         for i, entry_doc in enumerate(doc["objectives"]):
             entry = _parse_objective(entry_doc, i, chk)
             if entry is not None:
                 entries.append(entry)
-                if dimension is not None and len(entry.theta) != dimension:
-                    chk.fail(f"objectives[{i}].theta: expected {dimension} components, got {len(entry.theta)}")
+                theta = entry[1]["theta"]
+                if dimension is not None and len(theta) != dimension:
+                    chk.fail(f"objectives[{i}].theta: expected {dimension} components, got {len(theta)}")
                 elif lower is not None and upper is not None and any(
-                    not (lo <= t <= hi) for t, lo, hi in zip(entry.theta, lower, upper)
+                    not (lo <= t <= hi) for t, lo, hi in zip(theta, lower, upper)
                 ):
-                    chk.fail(f"objectives[{i}].theta: {list(entry.theta)} lies outside the domain box")
+                    chk.fail(f"objectives[{i}].theta: {list(theta)} lies outside the domain box")
     elif "objectives" in doc:
         chk.fail("objectives: expected a non-empty list of objective objects")
 
@@ -442,26 +384,27 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
     algorithm = None
     if "algorithm" in doc:
         algorithm = _parse_algorithm(doc["algorithm"], dimension, midpoint, chk)
-        if algorithm is not None and algorithm.tuning == AUTO and "schedule" not in doc:
+    if algorithm is not None:
+        if algorithm["tuning"] == AUTO and "schedule" not in doc:
             chk.fail(
                 "algorithm: auto tuning derives the rate from episodes/horizon, so a 'schedule' section "
                 "(its episode count) is required"
             )
+        x0 = algorithm["x0"]
         if (
-            algorithm is not None
-            and algorithm.x0 is not None
+            x0 is not None
             and lower is not None
             and upper is not None
-            and len(algorithm.x0) == len(lower)
-            and any(not (lo <= v <= hi) for v, lo, hi in zip(algorithm.x0, lower, upper))
+            and len(x0) == len(lower)
+            and any(not (lo <= v <= hi) for v, lo, hi in zip(x0, lower, upper))
         ):
-            chk.fail(f"algorithm.x0: {list(algorithm.x0)} lies outside the domain box")
+            chk.fail(f"algorithm.x0: {list(x0)} lies outside the domain box")
 
     if "schedule" not in doc and len(entries) > 1:
         chk.fail("objectives: a config without a schedule must declare exactly one objective")
     if entries and schedule is not None:
-        n_episodes = schedule.episodes or len(schedule.change_times)
-        if schedule.change_times is not None and len(entries) != n_episodes:
+        n_episodes = schedule.get("episodes") or len(schedule["change_times"])
+        if "change_times" in schedule and len(entries) != n_episodes:
             chk.fail(
                 f"objectives: explicit change_times declare {n_episodes} episodes "
                 f"but {len(entries)} objectives were given (need one per episode)"
@@ -477,11 +420,11 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
         objectives=tuple(entries),
         noise_kind=noise_kind,
         noise_sigma2=float(noise_sigma2),
-        algorithm=algorithm,
         horizon=horizon,
         replications=replications,
         base_seed=base_seed,
-        schedule=schedule,
+        **algorithm,
+        **(schedule or {}),
     )
 
 
@@ -534,7 +477,7 @@ def parse_sweep(source: str | dict) -> SweepSpec:
         chk.fail("sweep: missing or malformed 'sweep' section")
     else:
         if chk.expect_keys(sweep_doc, "sweep", {"axis", "values"}, set()):
-            axis = chk.choice(sweep_doc, "sweep", "axis", SWEEP_AXES)
+            axis = chk.choice(sweep_doc, "sweep", "axis", tuple(SWEEP_AXES))
             raw = sweep_doc.get("values")
             if not isinstance(raw, list) or len(raw) < 3:
                 chk.fail("sweep.values: expected a list of at least 3 values (exponent fits need 3 points)")
@@ -552,14 +495,14 @@ def parse_sweep(source: str | dict) -> SweepSpec:
                     values = tuple(raw)
 
     base = _parse_document(doc, chk, extra_top_keys={"sweep"})
-    if base is not None and base.algorithm.variant == ORACLE:
+    if base is not None and base.variant == ORACLE:
         chk.fail("sweep: variant 'oracle' has zero regret at every point, so no exponent can be fitted")
     if base is not None and axis is not None and values is not None:
-        if axis == "delta_T" and (base.schedule is None or base.schedule.episodes is None):
+        if axis == "delta_T" and base.episodes is None:
             chk.fail("sweep: axis 'delta_T' requires a schedule given as {'episodes': N}")
-        if axis == "beta" and not (base.algorithm.variant == FIXED_STEP and base.algorithm.tuning == EXPLICIT):
+        if axis == "beta" and not (base.variant == FIXED_STEP and base.tuning == EXPLICIT):
             chk.fail("sweep: axis 'beta' requires an explicitly tuned fixed-step algorithm")
-        if axis == "L" and not (base.algorithm.variant == SLIDING_WINDOW and base.algorithm.tuning == EXPLICIT):
+        if axis == "L" and not (base.variant == SLIDING_WINDOW and base.tuning == EXPLICIT):
             chk.fail("sweep: axis 'L' requires an explicitly tuned sliding-window algorithm")
     if chk.errors:
         raise ConfigValidationError(chk.errors)

@@ -143,11 +143,10 @@ def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
     domain = env.domain
     noise = NoiseModel(kind=cfg.noise_kind, sigma2=cfg.noise_sigma2)
     constants = env.combined_constants()
-    alg = cfg.algorithm
     episodes = env.num_episodes
     echo = TuningEcho(
-        variant=alg.variant,
-        tuning=alg.tuning if alg.variant in (FIXED_STEP, SLIDING_WINDOW) else "",
+        variant=cfg.variant,
+        tuning=cfg.tuning if cfg.variant in (FIXED_STEP, SLIDING_WINDOW) else "",
         horizon=cfg.horizon,
         delta_T=episodes,
         dimension=domain.dimension,
@@ -156,23 +155,23 @@ def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
     )
     bound = None
 
-    if alg.variant == ORACLE:
+    if cfg.variant == ORACLE:
         policy: Policy = OraclePolicy()
-    elif alg.variant == STATIC:
-        policy = StaticPolicy(x0=alg.x0)
-    elif alg.variant == VANILLA:
-        policy = VanillaPolicy(x0=alg.x0)
-    elif alg.variant == FIXED_STEP:
+    elif cfg.variant == STATIC:
+        policy = StaticPolicy(x0=cfg.x0)
+    elif cfg.variant == VANILLA:
+        policy = VanillaPolicy(x0=cfg.x0)
+    elif cfg.variant == FIXED_STEP:
         sigma_tilde2 = noise.sigma_tilde2(domain.dimension)
-        if alg.tuning == AUTO:
+        if cfg.tuning == AUTO:
             try:
-                beta = optimal_step_size(domain.diameter, sigma_tilde2, alg.alpha, cfg.horizon, episodes)
+                beta = optimal_step_size(domain.diameter, sigma_tilde2, cfg.alpha, cfg.horizon, episodes)
             except ValueError as exc:
                 raise ValueError(f"algorithm: auto tuning failed: {exc}") from exc
-            c = coupled_perturbation(beta, alg.alpha)
+            c = coupled_perturbation(beta, cfg.alpha)
         else:
-            beta, c = alg.beta, alg.c
-        policy = FixedStepPolicy(config=FixedStepConfig(beta=beta, c=c, constants=constants), x0=alg.x0)
+            beta, c = cfg.beta, cfg.c
+        policy = FixedStepPolicy(config=FixedStepConfig(beta=beta, c=c, constants=constants), x0=cfg.x0)
         epsilon = env.max_mean_value_offset(c)
         bound = fixed_step_regret_bound(
             constants, domain.diameter, sigma_tilde2, beta, c, epsilon, cfg.horizon, episodes
@@ -181,19 +180,19 @@ def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
             echo,
             beta=beta,
             c=c,
-            alpha=alg.alpha,
+            alpha=cfg.alpha,
             epsilon=epsilon,
             gamma=bound.input("gamma"),
             error_floor=bound.input("error_floor"),
         )
     else:
-        if alg.tuning == AUTO:
+        if cfg.tuning == AUTO:
             window = optimal_window(constants.k5, domain.diameter, cfg.horizon, episodes)
         else:
-            window = alg.window
+            window = cfg.window
         if window <= constants.s0:
             raise ValueError(f"algorithm.window: window {window} must exceed the declared burn-in s0={constants.s0}")
-        sw = SlidingWindowConfig(window=window, x0=alg.x0, c=alg.c)
+        sw = SlidingWindowConfig(window=window, x0=cfg.x0, c=cfg.c)
         policy = SlidingWindowPolicy(config=sw)
         echo = replace(echo, window=window, c=sw.c, refresh=RESTART, k5=constants.k5)
         bound = sliding_window_regret_bound(constants, domain.diameter, window, cfg.horizon, episodes)

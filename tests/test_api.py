@@ -44,6 +44,12 @@ REMOVED_ATTRIBUTES = (
     # the schedule and the box count episodes and dimensions
     ("ExperimentConfig", "dimension"),
     ("ExperimentConfig", "num_episodes"),
+    # a config is one flat record of the document, with no serializer
+    ("config", "ObjectiveEntry"),
+    ("config", "ScheduleSpec"),
+    ("config", "AlgorithmSpec"),
+    ("ExperimentConfig", "to_dict"),
+    ("SweepSpec", "to_dict"),
 )
 # Public names no production path calls: the bound evaluators that the
 # per-episode diagnostics are to wire in.
@@ -74,6 +80,13 @@ def test_removed_names_are_gone(name):
 @pytest.mark.parametrize("owner, name", REMOVED_ATTRIBUTES, ids=[".".join(pair) for pair in REMOVED_ATTRIBUTES])
 def test_removed_attributes_are_gone(owner, name):
     assert not hasattr(getattr(kwbandit, owner), name)
+
+
+@pytest.mark.parametrize("name", ["algorithm", "schedule"])
+def test_a_parsed_config_holds_no_nested_record(name):
+    # ``algorithm`` had no default, so it was never a class attribute
+    cfg = kwbandit.parse_config((ROOT / "configs" / "adversarial_packed_early.json").read_text())
+    assert not hasattr(cfg, name)
 
 
 def test_run_sweep_takes_no_testing_hook():

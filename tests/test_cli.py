@@ -287,6 +287,13 @@ EXIT_CODE_MATRIX = [
         ("overflow encountered", "float arithmetic"),
     ),
     ("undominated-bounds-check", ["bounds", "--config", "{dir}/window.json", "--check"], 3, 0, ("check: FAIL",)),
+    (
+        "second-objective-does-not-assemble",
+        ["run", "--config", "{dir}/strong-quartic.json"],
+        1,
+        1,
+        ("does not assemble: objectives[1]: quartic perturbation too strong",),
+    ),
     ("sweep-oracle", ["sweep", "--config", "{dir}/oracle-sweep.json"], 1, 1, ("variant 'oracle'", "zero regret")),
     ("sweep-zero-regret", ["sweep", "--config", "{dir}/zero-regret-sweep.json"], 1, 1, ("log-log fit",)),
 ]
@@ -307,6 +314,14 @@ def bad_inputs(tmp_path):
         # beta = 0.6 exceeds k1/k2**2 = 0.5 of the unit bowl: no contraction
         "beta-0.6.json": json.dumps({**smoke, "algorithm": {**smoke["algorithm"], "beta": 0.6}}).encode(),
         "two-objectives.json": json.dumps({**smoke, "objectives": smoke["objectives"] + [SECOND_OBJECTIVE]}).encode(),
+        # 2*q*R/b = 5 for the second objective: it has no valid constants
+        "strong-quartic.json": json.dumps(
+            {
+                **smoke,
+                "schedule": {"episodes": 2},
+                "objectives": smoke["objectives"] + [{**SECOND_OBJECTIVE, "kind": "quartic-perturbed-bowl", "q": 1.0}],
+            }
+        ).encode(),
         # 10**11 steps in 500 dimensions, at the cap of replication-steps:
         # a second replication takes it over the cap
         "huge-horizon.json": json.dumps(wide_doc(500, horizon=MAX_REP_STEPS)).encode(),

@@ -1,9 +1,11 @@
+import copy
 import json
+from dataclasses import fields
 
 import pytest
 
-from kwbandit import ConfigValidationError, parse_config, parse_sweep
-from kwbandit.config import ExperimentConfig
+from kwbandit import ConfigValidationError, QuadraticBowl, QuarticPerturbedBowl, parse_config, parse_sweep
+from kwbandit.config import ExperimentConfig, _Checker, _parse_objective
 from kwbandit.runner import resolve_experiment
 
 
@@ -25,7 +27,7 @@ class TestParseConfig:
     def test_minimal_stationary_config_valid(self):
         cfg = parse_config(json.dumps(smoke_doc()))
         assert cfg.horizon == 100
-        assert cfg.algorithm.variant == "fixed-step"
+        assert cfg.variant == "fixed-step"
         env = cfg.build_schedule()
         assert env.num_episodes == 1
 
@@ -70,7 +72,7 @@ class TestParseConfig:
     def test_x0_defaults_to_midpoint(self):
         doc = smoke_doc(algorithm={"variant": "fixed-step", "beta": 0.1, "c": 0.1})
         cfg = parse_config(json.dumps(doc))
-        assert cfg.algorithm.x0 == (0.0,)
+        assert cfg.x0 == (0.0,)
 
     def test_x0_outside_domain_rejected(self):
         doc = smoke_doc(algorithm={"variant": "fixed-step", "beta": 0.1, "c": 0.1, "x0": [3.0]})
@@ -78,18 +80,20 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert any("algorithm.x0" in e for e in err.value.errors)
 
-    def test_round_trip(self):
-        doc = smoke_doc(
-            schedule={"episodes": 4},
-            objectives=[
-                {"kind": "quadratic-bowl", "theta": [-0.5], "b": 1.0},
-                {"kind": "quartic-perturbed-bowl", "theta": [0.5], "b": 1.0, "q": 0.05, "k5": 2.0},
-            ],
-            noise={"kind": "gaussian", "sigma2": 1.0},
-            replications=3,
-        )
-        cfg = parse_config(json.dumps(doc))
-        assert parse_config(json.dumps(cfg.to_dict())) == cfg
+    @pytest.mark.parametrize(
+        "bowl, doc",
+        [
+            (QuadraticBowl, {"kind": "quadratic-bowl", "theta": [0.0], "b": 1.0}),
+            (QuarticPerturbedBowl, {"kind": "quartic-perturbed-bowl", "theta": [0.0], "b": 1.0, "q": 0.05}),
+        ],
+        ids=["quadratic-bowl", "quartic-perturbed-bowl"],
+    )
+    def test_objective_keys_are_the_bowl_fields(self, bowl, doc):
+        # build_objectives passes the parsed keys straight to the bowl, so a
+        # coefficient added on one side alone must fail here
+        kind, kwargs = _parse_objective(doc, 0, _Checker())
+        assert kind == doc["kind"]
+        assert set(kwargs) == {f.name for f in fields(bowl)} - {"domain"}
 
     def test_explicit_change_times_need_matching_objectives(self):
         doc = smoke_doc(schedule={"change_times": [1, 40, 80]})
@@ -132,7 +136,7 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
         assert any("unknown key 'x0'" in e for e in err.value.errors)
         cfg = parse_config(json.dumps(smoke_doc(algorithm={"variant": "oracle"})))
-        assert cfg.algorithm.x0 is None
+        assert cfg.x0 is None
 
     def test_malformed_json_rejected(self):
         with pytest.raises(ConfigValidationError, match="well-formed"):
@@ -148,7 +152,7 @@ class TestParseConfig:
     def test_sliding_window_fields(self):
         doc = smoke_doc(algorithm={"variant": "sliding-window", "window": 8, "c": 0.5, "x0": [0.0]})
         cfg = parse_config(json.dumps(doc))
-        assert cfg.algorithm.window == 8
+        assert cfg.window == 8
         doc["algorithm"]["refresh"] = "restart"
         with pytest.raises(ConfigValidationError) as err:
             parse_config(json.dumps(doc))
@@ -208,6 +212,27 @@ class TestParseSweep:
         with pytest.raises(ConfigValidationError, match="explicitly tuned fixed-step"):
             parse_sweep(json.dumps(doc))
 
-    def test_sweep_round_trip(self):
-        sweep = parse_sweep(json.dumps(self.sweep_doc()))
-        assert parse_sweep(json.dumps(sweep.to_dict())) == sweep
+    @pytest.mark.parametrize(
+        "axis, algorithm, values, section, key",
+        [
+            ("T", {"variant": "fixed-step", "tuning": "auto", "x0": [1.0]}, [100, 200, 400], None, "horizon"),
+            ("delta_T", {"variant": "fixed-step", "tuning": "auto", "x0": [1.0]}, [1, 2, 4], "schedule", "episodes"),
+            ("beta", {"variant": "fixed-step", "beta": 0.1, "c": 0.1, "x0": [1.0]}, [0.05, 0.1, 0.2], "algorithm", "beta"),
+            ("L", {"variant": "sliding-window", "window": 8, "c": 0.5, "x0": [1.0]}, [4, 8, 16], "algorithm", "window"),
+        ],
+        ids=["T", "delta_T", "beta", "L"],
+    )
+    def test_config_for_is_the_document_with_the_value_written_in(self, axis, algorithm, values, section, key):
+        base = smoke_doc(
+            schedule={"episodes": 2},
+            objectives=[
+                {"kind": "quadratic-bowl", "theta": [-0.5], "b": 1.0},
+                {"kind": "quartic-perturbed-bowl", "theta": [0.5], "b": 1.0, "q": 0.05, "k5": 2.0},
+            ],
+            algorithm=algorithm,
+        )
+        sweep = parse_sweep(json.dumps({**base, "sweep": {"axis": axis, "values": values}}))
+        for value in values:
+            doc = copy.deepcopy(base)
+            (doc[section] if section else doc)[key] = value
+            assert sweep.config_for(value) == parse_config(json.dumps(doc))
