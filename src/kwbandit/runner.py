@@ -5,15 +5,18 @@ Output bytes are a pure function of (config document, seed): floats are
 written with repr (full round-trip precision), rows are emitted in a
 fixed order, and each replication's stream is keyed by its index, so how
 replications are chunked never changes stream assignment or aggregation
-order.
+order.  trace.csv is formatted beside the engine, in a writer process
+that ``tracewriter`` holds with the trace's schema; the other CSVs are
+written here, from the row types below.
 """
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,8 @@ from .montecarlo import Experiment, MonteCarloEstimate, regret_lanes, regret_sam
 from .noise import NoiseModel
 from .scaling import fit_scaling_exponent
 from .schedule import EnvironmentSchedule
-from .traces import TraceBlock
+from .tracewriter import COMMAND, send
+from .traces import TraceSink
 from .trajectory import (
     FixedStepPolicy,
     OraclePolicy,
@@ -36,10 +40,6 @@ from .trajectory import (
     VanillaPolicy,
 )
 from .tuning import coupled_perturbation, optimal_step_size, optimal_window
-
-# trace.csv rows whose cells are converted to Python values at once
-_TRACE_CHUNK = 1024
-
 
 # Each row type below is one CSV schema: its field order is the column order.
 
@@ -235,13 +235,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     or bound name), none of which RFC 4180 quotes, so the join writes the
     bytes a ``csv.writer`` would."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        _write_lines(handle, [header])
-        _write_lines(handle, rows)
-
-
-def _write_lines(handle, rows) -> None:
-    """Write rows of formatted cells to an open file, as ``_write_csv`` does."""
-    handle.writelines(",".join(row) + "\n" for row in rows)
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _write_rows(path: Path, row_type: type, rows) -> None:
@@ -249,29 +244,36 @@ def _write_rows(path: Path, row_type: type, rows) -> None:
     _write_csv(path, [f.name for f in fields(row_type)], ([_fmt(v) for v in astuple(row)] for row in rows))
 
 
-def _cells(column: np.ndarray, fmt) -> Iterator[str]:
-    """``fmt`` of each value of ``column``, formatted from the plain Python
-    values of ``tolist``, one chunk of rows at a time."""
-    chunks = (column[i : i + _TRACE_CHUNK].tolist() for i in range(0, len(column), _TRACE_CHUNK))
-    return chain.from_iterable(map(fmt, chunk) for chunk in chunks)
-
-
-def _write_trace_block(handle, block: TraceBlock) -> None:
-    """Append a block's rows to trace.csv, after its header when the block
-    is the first: trace.csv's one schema, its column names in order.  Each
-    column is lazy, holding one chunk of rows as Python values, and formats
-    each cell as ``_fmt`` would."""
-    columns = {
-        "step": map(str, range(block.first, block.first + len(block.episode))),
-        "episode": _cells(block.episode, str),
-        **{f"action_{i}": _cells(column, repr) for i, column in enumerate(block.actions.T)},
-        "inst_regret": _cells(block.inst_regret, repr),
-        "cum_regret": _cells(block.cum_regret, repr),
-        "boundary_contact": _cells(block.boundary_contact.view(np.uint8), str),
-    }
-    if block.first == 1:
-        _write_lines(handle, [list(columns)])
-    _write_lines(handle, zip(*columns.values()))
+@contextmanager
+def _trace_writer(path: Path) -> Iterator[TraceSink]:
+    """A sink that hands each trace block to a writer process
+    (``tracewriter``), which formats it into ``path`` while the engine
+    simulates the next.  On leaving, the writer's input is closed and the
+    writer waited for: it formats what it holds and exits, whether the body
+    finished or raised.  A writer that failed raises OSError with the last
+    line of its standard error, never its traceback."""
+    frames_out, frames_in = os.pipe()
+    errors_out, errors_in = os.pipe()
+    with open(frames_in, "wb") as frames, open(errors_out, "rb") as errors:
+        try:
+            with open(path, "wb") as trace:
+                stdio = [(os.POSIX_SPAWN_DUP2, fd, i) for i, fd in enumerate((frames_out, trace.fileno(), errors_in))]
+                pid = os.posix_spawn(COMMAND[0], COMMAND, os.environ, file_actions=stdio)
+        finally:
+            os.close(frames_out)
+            os.close(errors_in)
+        broken = False
+        try:
+            yield partial(send, frames)
+        except BrokenPipeError:
+            broken = True  # the writer stopped reading; its stderr says why
+        finally:
+            with suppress(BrokenPipeError):
+                frames.close()
+            message = errors.read().decode(errors="replace").splitlines()
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if broken or status:
+        raise OSError(f"trace writer failed: {message[-1] if message else f'exit status {status}'}")
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
@@ -279,10 +281,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     one-row summary CSV with the Monte-Carlo estimate, the evaluated
     bound, and the tuning values used.
 
-    The trace is written block by block as the engine runs, to a partial
-    file that becomes trace.csv only once every replication has run; a run
-    that fails while it simulates leaves neither CSV.  Without ``out_dir``
-    no trace is kept."""
+    The trace goes block by block, as the engine runs, to a writer process
+    that formats it into a partial file while the engine simulates on; the
+    file becomes trace.csv only once every replication has run and the
+    writer has exited.  A run that fails while it simulates, or whose
+    writer fails, leaves neither CSV, and every run waits for its writer.
+    Without ``out_dir`` no trace is kept and no writer starts."""
     resolved = resolve_experiment(cfg)
     env = resolved.env
     _make_out_dir(out_dir)
@@ -296,8 +300,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         trace_path, summary_path = out / "trace.csv", out / "summary.csv"
         unfinished = out / "trace.csv.partial"
         try:
-            with open(unfinished, "w", newline="", encoding="utf-8") as handle:
-                totals, _ = simulate(trace=partial(_write_trace_block, handle))
+            with _trace_writer(unfinished) as sink:
+                totals, _ = simulate(trace=sink)
             unfinished.replace(trace_path)
         finally:
             unfinished.unlink(missing_ok=True)

@@ -2,10 +2,10 @@
 consumer as it runs, and the whole trace they join to.
 
 The engine (``trajectory``) fills one ``TraceBlock`` per block of steps
-and hands it to a ``TraceSink``; ``run`` writes each block to trace.csv as
-it arrives, so no horizon-sized array exists, and ``simulate_batch`` with
-``record_trace=True`` keeps the blocks and joins them into a
-``RegretTrace``.
+and hands it to a ``TraceSink``; ``run`` sends each block to a writer
+process (``tracewriter``) as it arrives, so no horizon-sized array exists,
+and ``simulate_batch`` with ``record_trace=True`` keeps the blocks and
+joins them into a ``RegretTrace``.
 """
 
 from __future__ import annotations

@@ -81,9 +81,10 @@ the loop stores the traced row's action; the ledger copies its regret and
 cumulative regret from the block's settled rows, its episode column comes
 from the schedule's change times, and the loop derives its boundary
 contacts after the block's steps.  The ledger then hands it to a
-``TraceSink``, which writes it or keeps it, so the engine holds no
+``TraceSink``, which keeps it or, in ``run``, sends it to the writer
+process that formats trace.csv (``tracewriter``), so the engine holds no
 horizon-sized array: a traced run's memory is bounded by the block budget,
-whatever the horizon.
+whatever the horizon, and the step loop spends no time on formatting.
 
 The oracle and static policies never measure: their action changes only
 at an episode start, so f(x) is evaluated once per episode and stored on

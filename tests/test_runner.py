@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
+import time
 import tracemalloc
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +163,66 @@ class TestRunExperiment:
         assert len(blocks) == 2
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("ending", ["finishes", "engine-fails", "writer-fails"])
+    def test_every_run_reaps_its_trace_writer(self, ending, tmp_path, monkeypatch):
+        """However a run ends, its trace writer has exited and been reaped by
+        the time ``main`` returns, so this process has no child left."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_doc(horizon=10_000)))
+        out = tmp_path / "out"
+        if ending == "engine-fails":
+            monkeypatch.setattr(TraceBlock, "empty", fail_on_the_second_call(TraceBlock.empty))
+        if ending == "writer-fails":
+            trace_on_a_full_disk(out)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == (0 if ending == "finishes" else 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_failed_trace_writer_is_one_line_and_leaves_no_csv(self, tmp_path, capsys):
+        """The writer fails to write (the disk is full) and exits with a
+        traceback: the run exits 2 with the traceback's last line, and --out
+        holds neither CSV nor the partial trace."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_doc(horizon=10_000)))
+        out = tmp_path / "out"
+        trace_on_a_full_disk(out)
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["i/o error: trace writer failed: OSError: [Errno 28] No space left on device"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads a process's state from /proc")
+    def test_a_killed_run_orphans_no_trace_writer(self, tmp_path):
+        """A process hands its trace writer one block and is killed: the
+        writer, whose input has ended, writes that block and exits."""
+        script = f"""
+import os
+import numpy as np
+from kwbandit import runner
+from kwbandit.traces import TraceBlock
+spawn = os.posix_spawn
+def spawned(*args, **kwargs):
+    pid = spawn(*args, **kwargs)
+    print(pid, flush=True)
+    return pid
+os.posix_spawn = spawned
+with runner._trace_writer({str(tmp_path / "trace.csv")!r}) as sink:
+    block = TraceBlock.empty(np.array([1]), 1, 3, 1)
+    block.actions[...] = block.inst_regret[...] = block.cum_regret[...] = 0.5
+    sink(block)
+    os.kill(os.getpid(), 9)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        killed = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+        assert killed.returncode == -9, killed.stderr
+        stat = Path(f"/proc/{int(killed.stdout)}/stat")
+        deadline = time.monotonic() + 30
+        while stat.exists() and stat.read_text().rpartition(")")[2].split()[0] not in ("Z", "X"):
+            assert time.monotonic() < deadline, "the orphaned writer still runs"
+            time.sleep(0.01)
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
+        assert rows[1:] == ["1,1,0.5,0.5,0.5,0", "2,1,0.5,0.5,0.5,0", "3,1,0.5,0.5,0.5,0"]
+
     def test_summary_has_bound_and_tuning(self, tmp_path):
         doc = base_doc(
             schedule={"episodes": 1},
@@ -209,6 +274,27 @@ class TestResolveExperiment:
         # (16 / (2*4) * 1000/8)**(2/3) = 250**(2/3) ~ 39.7 -> 40
         assert resolved.echo.window == 40
         assert resolved.bound.name == "sliding-window-total"
+
+
+def fail_on_the_second_call(empty):
+    """``TraceBlock.empty`` that runs out of memory on its second call."""
+    calls = []
+
+    def second_call_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("no room for the second block")
+        return empty(*args)
+
+    return second_call_fails
+
+
+def trace_on_a_full_disk(out):
+    """Make ``out``'s partial trace a link to a device that is always full."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("needs /dev/full")
+    out.mkdir()
+    (out / "trace.csv.partial").symlink_to("/dev/full")
 
 
 def stub_constant_totals(monkeypatch, total):
