@@ -25,7 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .conditions import verify_conditions
 from .config import ExperimentConfig, parse_config, parse_sweep, with_overrides
 from .exceptions import ConfigValidationError
 from .montecarlo import MonteCarloEstimate, regret_samples
@@ -81,6 +80,8 @@ def _overridden(args, cfg: ExperimentConfig) -> ExperimentConfig:
 
 
 def _cmd_verify(args) -> int:
+    from .conditions import verify_conditions
+
     cfg = _overridden(args, parse_config(_read(args.config)))
     resolve_experiment(cfg)  # rejects every config that run rejects
     objectives = cfg.build_objectives()

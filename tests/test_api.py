@@ -1,6 +1,9 @@
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,6 +63,23 @@ UNCALLED = (
     "sliding_window_normalized_bound",
 )
 ROOT = Path(__file__).parents[1]
+# What ``import kwbandit`` leaves for first use: the config parser and the
+# JSON module it reads documents with, the CSV drivers and their trace writer,
+# the bound evaluators, the condition grids, the exponent fit and the CLI.
+DEFERRED = ("json", *(f"kwbandit.{name}" for name in ("bounds", "cli", "conditions", "config", "runner", "scaling", "tracewriter")))
+FRESH_IMPORT = """
+import sys
+import kwbandit
+deferred, removed = sys.argv[1].split(","), sys.argv[2].split(",")
+print(sorted(set(deferred) & set(sys.modules)))
+print(sorted(set(kwbandit.__all__) - set(dir(kwbandit))))
+import pkgutil
+submodules = [module.name for module in pkgutil.iter_modules(kwbandit.__path__)]
+print(sorted(name for name in submodules if getattr(getattr(kwbandit, name, None), "__name__", None) != "kwbandit." + name))
+print(sorted(name for name in kwbandit.__all__ if not hasattr(kwbandit, name)))
+print(sorted(name for name in removed if hasattr(kwbandit, name)))
+print(sorted(submodules))
+"""
 
 
 def test_all_is_unique_sorted_and_resolves():
@@ -68,6 +88,20 @@ def test_all_is_unique_sorted_and_resolves():
     assert names == sorted(names)
     for name in names:
         getattr(kwbandit, name)
+
+
+def test_import_defers_the_drivers_and_resolves_every_name_on_first_use():
+    # a fresh interpreter: in this one, other tests have loaded every module
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-c", FRESH_IMPORT, ",".join(DEFERRED), ",".join(REMOVED)]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
+    loaded, missing_from_dir, unresolved_modules, unresolved_names, still_there, modules = child.stdout.splitlines()
+    assert loaded == "[]"
+    assert missing_from_dir == "[]"
+    assert unresolved_modules == "[]"
+    assert unresolved_names == "[]"
+    assert still_there == "[]"
+    assert modules == str(sorted(path.stem for path in (ROOT / "src" / "kwbandit").glob("[!_]*.py")))
 
 
 @pytest.mark.parametrize("name", REMOVED)

@@ -3,7 +3,10 @@ import copy
 import io
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -157,6 +160,24 @@ def test_bounds_check_needs_two_replications(override, capsys):
     assert len(captured.err.strip().splitlines()) == 1
     assert "replications >= 2" in captured.err
     assert "check:" not in captured.out
+
+
+# In a fresh interpreter: this one has loaded every module of the package.
+MODULES_AFTER = """
+import sys
+from kwbandit.cli import main
+code = main(sys.argv[1:])
+print(code, "kwbandit.conditions" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, grids", [("run", False), ("sweep", False), ("bounds", False), ("verify", True)])
+def test_only_verify_loads_the_condition_grids(command, grids, sweep_config, tmp_path):
+    config = sweep_config if command == "sweep" else SHIPPED_SMOKE
+    argv = [sys.executable, "-c", MODULES_AFTER, command, "--config", config, "--out", str(tmp_path / "out")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert child.stdout.splitlines()[-1] == f"0 {grids}"
 
 
 def test_bounds_for_oracle_is_a_validation_error(tmp_path, capsys):
