@@ -27,7 +27,6 @@ from .config import AUTO, MAX_REP_STEPS, ORACLE, STATIC, ExperimentConfig, Sweep
 from .exceptions import ConfigValidationError
 from .montecarlo import Experiment, MonteCarloEstimate, regret_lanes, regret_samples
 from .noise import NoiseModel
-from .scaling import fit_scaling_exponent
 from .schedule import EnvironmentSchedule
 from .tracewriter import COMMAND, send
 from .traces import TraceSink
@@ -347,6 +346,8 @@ def run_sweep(sweep: SweepSpec, out_dir: str | Path | None = None) -> SweepResul
     batches.  sweep_summary.csv is written before the fit, so a fit that
     fails (a point of zero regret has no logarithm) keeps the points.
     """
+    from .scaling import fit_scaling_exponent  # only a sweep fits; run loads no fit
+
     resolved_points, errors = [], []
     for value in sweep.values:
         try:

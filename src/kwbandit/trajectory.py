@@ -68,19 +68,28 @@ which every policy shares: the regret f(theta) - f(x) and its running sum,
 added strictly left to right, are settled once per noise block and before
 each objective change, so an episode change never meets unsettled steps; a
 probe reads only x, so it settles nothing.  The rules' tables are built
-once per noise block, and ``NoiseModel.fill`` writes the block in place,
-one generator call per replication.  A lane's streams are a sized iterable,
-which a ``rng.StreamChunk`` builds only as it is iterated: a batch of one
-noise block hands ``fill`` the lanes' streams as one lazy chain, so each
-stream is built, drawn from and dropped before the next is built, and only
-a batch of several blocks keeps its streams in a list.  A block's noise as
-drawn, its step-major copy and the stored f(x) hold at most
-``_NOISE_BLOCK_VALUES`` values over all rows together.  With
-``record_trace`` the ledger opens a block-sized ``TraceBlock``, in which
-the loop stores the traced row's action; the ledger copies its regret and
-cumulative regret from the block's settled rows, its episode column comes
-from the schedule's change times, and the loop derives its boundary
-contacts after the block's steps.  The ledger then hands it to a
+once per noise block.  One producer (``_step_major_noise``) draws each
+block in place with ``NoiseModel.fill``, one generator call per
+replication, and permutes it step-major.  A lane's streams are a sized
+iterable, which a ``rng.StreamChunk`` builds only as it is iterated: a
+batch of one noise block hands ``fill`` the lanes' streams as one lazy
+chain, so each stream is built, drawn from and dropped before the next is
+built, and only a batch of several blocks keeps its streams in a list.
+The steps of a replication are sequential, but its noise depends on no
+action: a batch whose noise after its first block holds at least
+``_WORKER_VALUES`` values runs the producer in a worker that it forks,
+which draws one block ahead of the loop on another core and hands the
+blocks over through shared memory (``_noise_blocks``); any other batch
+runs it in-process, a block when the loop asks for it.  In-process, a
+block's noise as drawn, its step-major copy and the stored f(x) hold at
+most ``_NOISE_BLOCK_VALUES`` values over all rows together; a worker's
+batch holds a second step-major block, in the buffer that the worker
+fills while the loop reads the first.  With ``record_trace`` the ledger
+opens a block-sized ``TraceBlock``, in which the loop stores the traced
+row's action; the ledger copies its regret and cumulative regret from the
+block's settled rows, its episode column comes from the schedule's change
+times, and the loop derives its boundary contacts after the block's
+steps.  The ledger then hands it to a
 ``TraceSink``, which keeps it or, in ``run``, sends it to the writer
 process that formats trace.csv (``tracewriter``), so the engine holds no
 horizon-sized array: a traced run's memory is bounded by the block budget,
@@ -96,11 +105,14 @@ each of its steps.  The same ledger settles, sums and traces them.
 
 from __future__ import annotations
 
+import os
+import pickle
 from bisect import bisect_left
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, cycle, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -115,10 +127,19 @@ from .traces import RegretTrace, TraceBlock, TraceSink, sink_for
 
 # A noise block holds at most this many values over all its rows (2 MB,
 # however many lanes share the batch): the noise as drawn, its step-major
-# copy and the stored f(x).  It spans at most this many steps, which bounds
-# the per-block tables too.
+# copy and the stored f(x); a noise worker's batch adds a second step-major
+# copy.  It spans at most this many steps, which bounds the per-block tables
+# too.
 _NOISE_BLOCK_VALUES = 262_144
 _NOISE_BLOCK_STEPS = 4096
+# A batch whose noise after its first block holds at least this many values
+# draws it in a forked worker (``_noise_blocks``).  Below it, the fork, the
+# reap and the copy-on-write faults, 3-5 ms a batch, outweigh the fill time
+# that the worker takes off the loop, about 25 ns a value.  At 192 rows and
+# d = 1, a worker made a 700-step batch (164k values) about 5 ms slower and
+# broke even near 1,000 steps (280k values); a worker for every batch of two
+# blocks or more made a six-window calibration at 200 rows 20% slower.
+_WORKER_VALUES = _NOISE_BLOCK_VALUES
 
 
 @dataclass(frozen=True)
@@ -186,7 +207,9 @@ class Lane:
     first replication: True keeps it in the lane's result, and a
     ``TraceSink`` receives it block by block instead.  The lanes of one
     batch run the same number of steps, ``env.horizon`` (see
-    ``simulate_lanes``)."""
+    ``simulate_lanes``).  A batch large enough to draw its noise in a
+    forked worker iterates ``rngs`` in the worker, so it does not advance
+    a list of generators given here; any other batch does."""
 
     policy: Policy
     env: EnvironmentSchedule
@@ -363,6 +386,144 @@ def _block_steps(rows: int, values_per_step: int, length: int) -> int:
     return max(1, min(_NOISE_BLOCK_STEPS, length, _NOISE_BLOCK_VALUES // per_step))
 
 
+def _step_major_noise(lanes: Sequence[Lane], noise: NoiseModel, cap: int, buffers: Iterable[np.ndarray]):
+    """Each noise block of a batch of ``lanes``, in step order, written into
+    the next of ``buffers``, (cap, 2d, rows) arrays: ``NoiseModel.fill``
+    draws the block, (rows, steps, 2d), and one copy permutes it into the
+    buffer's first steps, step-major and sign-major, which are yielded.  A
+    buffer is taken from ``buffers`` only when its block is about to be
+    drawn.  The lanes' streams are iterated once: lazily by the only
+    block's fill, or into a list that every block reuses."""
+    horizon, d = lanes[0].env.horizon, lanes[0].env.domain.dimension
+    rngs = chain.from_iterable(lane.rngs for lane in lanes)
+    if cap < horizon:
+        rngs = list(rngs)
+    n = sum(len(lane.rngs) for lane in lanes)
+    drawn_block = np.empty((n, cap, 2 * d))
+    for first, out in zip(range(1, horizon + 1, cap), buffers):
+        block = min(cap, horizon + 1 - first)
+        drawn = drawn_block[:, :block]
+        noise.fill(rngs, drawn)
+        # Each stream's values stay axis-major, plus before minus; step
+        # j's values of every row become one sign-major slab.
+        by_sign = drawn.reshape(n, block, d, 2).transpose(1, 3, 2, 0)
+        np.copyto(out[:block].reshape(block, 2, d, n), by_sign)
+        yield out[:block]
+
+
+@contextmanager
+def _noise_blocks(lanes: Sequence[Lane], noise: NoiseModel, cap: int) -> Iterator[Iterator]:
+    """The step-major noise of a batch, one block for each of the ledger's
+    blocks of ``cap`` steps (``_step_major_noise``); for ``none`` noise,
+    blocks of steps without noise (None).
+
+    A batch whose noise after its first block holds at least
+    ``_WORKER_VALUES`` values has it drawn by a worker forked here, on
+    another core, one block ahead of the step loop; any other batch draws
+    in-process, into one buffer, each block when the loop asks for it.  The
+    worker builds the streams itself, so the parent builds none, and a
+    caller's list of generators is not advanced.  It writes two step-major
+    buffers, in one shared anonymous mapping, in turn: it sends a token on
+    one pipe when a block is ready, and the parent sends one back on another
+    when it asks for the next block, which frees the older buffer.  An
+    exception in the worker is pickled to the parent, which raises it.  The
+    parent kills the worker if the loop fails, and reaps it however the
+    batch ends.
+
+    The worker calls only ``numpy.random``, ``os`` and ``mmap``, never
+    BLAS, so the fork is safe in a process that holds the thread NumPy's
+    OpenBLAS starts.  Python 3.12 and later still warn
+    (``DeprecationWarning``) on a fork in a process with threads, and the
+    test settings in ``pyproject.toml`` make that warning an error; the
+    test suite runs on Python 3.11, which does not warn."""
+    horizon, d = lanes[0].env.horizon, lanes[0].env.domain.dimension
+    n = sum(len(lane.rngs) for lane in lanes)
+    if noise.kind == NONE:
+        yield repeat(repeat(None))
+        return
+    shape = (cap, 2 * d, n)
+    if n * (horizon - cap) * 2 * d < _WORKER_VALUES:
+        yield _step_major_noise(lanes, noise, cap, repeat(np.empty(shape)))
+        return
+    import mmap  # only a batch that forks loads these
+    import signal
+
+    size = cap * 2 * d * n
+    shared = mmap.mmap(-1, 2 * 8 * size)
+    buffers = [np.frombuffer(shared, float, size, 8 * size * k).reshape(shape) for k in (0, 1)]
+    ready_out, ready_in = os.pipe()
+    free_out, free_in = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (ready_out, ready_in, free_out, free_in):
+            os.close(fd)
+        raise
+    if pid == 0:
+        _serve(lanes, noise, cap, buffers, ready_in, free_out)
+    os.close(ready_in)
+    os.close(free_out)
+    try:
+        with open(ready_out, "rb", buffering=0) as ready, open(free_in, "wb", buffering=0) as free:
+            yield _handed_over(ready, free, buffers, horizon, cap)
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+
+
+def _handed_over(ready, free, buffers: list[np.ndarray], horizon: int, cap: int) -> Iterator[np.ndarray]:
+    """The worker's blocks, as the step loop asks for them: each waits for
+    its token on ``ready``, and asking for block i hands the buffer of block
+    i - 1 back on ``free``, for block i + 1, if there is one.  A worker that
+    failed sent its pickled exception in place of its token, which is
+    raised here."""
+    firsts = range(1, horizon + 1, cap)
+    for i, first in enumerate(firsts):
+        if 0 < i < len(firsts) - 1:
+            free.write(b"\0")
+        token = ready.read(1)
+        if token != b"\0":
+            raise pickle.loads(ready.read()) if token else OSError("the noise worker ended before its last block")
+        yield buffers[i % 2][: min(cap, horizon + 1 - first)]
+
+
+def _serve(lanes: Sequence[Lane], noise: NoiseModel, cap: int, buffers: list[np.ndarray], ready: int, free: int):
+    """The forked worker's whole life; it never returns.  It closes every
+    descriptor it inherited but its ends of the two pipes (the trace
+    writer's input among them, whose reader must see its end when the
+    parent closes it), runs ``_step_major_noise`` into the two buffers in
+    turn, and leaves through ``os._exit``, so nothing the parent buffered is
+    flushed twice.  It stops when the parent's end of ``free`` closes, as it
+    does when the parent dies."""
+    status = 1
+    try:
+        low, high = sorted((ready, free))
+        os.closerange(0, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+
+        def handed_back():
+            yield from buffers
+            for buffer in cycle(buffers):
+                if not os.read(free, 1):
+                    return
+                yield buffer
+
+        for _ in _step_major_noise(lanes, noise, cap, handed_back()):
+            os.write(ready, b"\0")
+        status = 0
+    except BaseException as exc:
+        try:
+            payload = pickle.dumps(exc)
+        except Exception:
+            payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        os.write(ready, b"\1" + payload)
+    finally:
+        os._exit(status)
+
+
 def simulate_lanes(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     """Run every lane in one step loop; returns each lane's result, in lane
     order.
@@ -405,8 +566,9 @@ def simulate_batch(
     iterate left after the final update).  When ``record_trace`` is True,
     the full per-step trace of replication 0 is returned; a ``TraceSink``
     receives it block by block instead, and the result holds none.  Every returned
-    array is new and owns its memory.  This is the one-lane case of
-    ``simulate_lanes``.
+    array is new and owns its memory.  When a forked worker draws the
+    batch's noise (see ``Lane``), the generators in a list ``rngs`` are not
+    advanced.  This is the one-lane case of ``simulate_lanes``.
     """
     return simulate_lanes([Lane(policy, env, rngs, probe_steps, record_trace)], noise)[0]
 
@@ -502,9 +664,8 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     every step.  The traced row's block of trace rows gets its boundary
     contacts after the block's steps, from the recorded actions and the
     block's perturbations.  The totals and the probes of step ``horizon +
-    1`` are taken after the last block.  The lanes' streams are iterated
-    once: lazily by the only block's fill, or into a list that every block
-    reuses."""
+    1`` are taken after the last block.  The noise comes block by block
+    from ``_noise_blocks``, drawn in-process or by a forked worker."""
     domain, horizon = lanes[0].env.domain, lanes[0].env.horizon
     d = domain.dimension
     lo, hi = domain.lower_array, domain.upper_array
@@ -566,16 +727,8 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
 
     values_per_step = 2 * d if noise.kind != NONE else 0
     cap = _block_steps(n, values_per_step, horizon)
-    # One block draws from each stream once, so it builds, draws and drops
-    # each in turn; only several blocks keep every stream alive.
-    rngs = chain.from_iterable(lane.rngs for lane in lanes)
-    if cap < horizon:
-        rngs = list(rngs)
     ledger = _Ledger(lanes, lane_rows, objectives.max_value, cap)
     x_traced = x[:, ledger.t_row]
-    if values_per_step:
-        noise_block = np.empty((n, cap, values_per_step))
-        step_noise = np.empty((cap, values_per_step, n))
 
     values = np.empty((slabs, n))
     flat_values = values.reshape(-1)
@@ -587,62 +740,56 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     add, subtract, divide, minimum, maximum = np.add, np.subtract, np.divide, np.minimum, np.maximum
     take, update = corners.take, rule.update
 
-    for step, block in ledger.blocks():
-        # c and the rate by step, (block, ...), or by row, (1, d, n), and the
-        # spans 2c
-        cs, rates = rule.tables(step, block)
-        spans = 2.0 * cs
-        if values_per_step:
-            drawn = noise_block[:, :block]
-            noise.fill(rngs, drawn)
-            # Each stream's values stay axis-major, plus before minus; step
-            # j's values of every row become one sign-major slab.
-            by_sign = drawn.reshape(n, block, d, 2).transpose(1, 3, 2, 0)
-            np.copyto(step_noise[:block].reshape(block, 2, d, n), by_sign)
-        columns = ledger.columns
-        # step + j perturbs by c, divides by span and ascends at rate, stores
-        # f(x) into f_x and adds the noise slab noise_j
-        by_step = zip(
-            range(block),
-            _by_step(cs, block),
-            _by_step(spans, block),
-            _by_step(rates, block),
-            ledger.f_x,
-            step_noise if values_per_step else repeat(None),
-        )
-        for j, c, span, rate, f_x, noise_j in by_step:
-            s = step + j
-            if s == next_event:
-                if s in changes:
-                    ledger.settle(j)
-                for event in events[s]:
-                    event()
-                next_event = next(event_steps, 0)
+    with _noise_blocks(lanes, noise, cap) as noise_blocks:
+        for (step, block), block_noise in zip(ledger.blocks(), noise_blocks):
+            # c and the rate by step, (block, ...), or by row, (1, d, n), and
+            # the spans 2c
+            cs, rates = rule.tables(step, block)
+            spans = 2.0 * cs
+            columns = ledger.columns
+            # step + j perturbs by c, divides by span and ascends at rate,
+            # stores f(x) into f_x and adds the noise slab noise_j
+            by_step = zip(
+                range(block),
+                _by_step(cs, block),
+                _by_step(spans, block),
+                _by_step(rates, block),
+                ledger.f_x,
+                block_noise,
+            )
+            for j, c, span, rate, f_x, noise_j in by_step:
+                s = step + j
+                if s == next_event:
+                    if s in changes:
+                        ledger.settle(j)
+                    for event in events[s]:
+                        event()
+                    next_event = next(event_steps, 0)
 
-            # One-sided clamps: x lies in the box and c > 0, so x + c never
-            # falls below lo nor x - c rises above hi, and the clamp on that
-            # side would return its input bit for bit.
-            add(x, c, plus)
-            minimum(plus, hi_rows, out=plus)
-            subtract(x, c, minus)
-            maximum(minus, lo_rows, out=minus)
-            if gather is not None:
-                take(gather, None, points, "clip")
-            evaluate(objectives, at_points, flat_values)
-            f_x[...] = at_x
+                # One-sided clamps: x lies in the box and c > 0, so x + c
+                # never falls below lo nor x - c rises above hi, and the
+                # clamp on that side would return its input bit for bit.
+                add(x, c, plus)
+                minimum(plus, hi_rows, out=plus)
+                subtract(x, c, minus)
+                maximum(minus, lo_rows, out=minus)
+                if gather is not None:
+                    take(gather, None, points, "clip")
+                evaluate(objectives, at_points, flat_values)
+                f_x[...] = at_x
+                if columns is not None:
+                    columns.actions[j] = x_traced
+
+                if values_per_step:
+                    add(samples, noise_j, samples)
+                subtract(plus_samples, minus_samples, grad)
+                divide(grad, span, grad)
+                update(x, grad, s, rate)
+
             if columns is not None:
-                columns.actions[j] = x_traced
-
-            if values_per_step:
-                add(samples, noise_j, samples)
-            subtract(plus_samples, minus_samples, grad)
-            divide(grad, span, grad)
-            update(x, grad, s, rate)
-
-        if columns is not None:
-            c_col = cs[:, None] if cs.ndim == 1 else cs[0, :, ledger.t_row]
-            contact = (columns.actions + c_col > hi) | (columns.actions - c_col < lo)
-            np.any(contact, axis=1, out=columns.boundary_contact)
+                c_col = cs[:, None] if cs.ndim == 1 else cs[0, :, ledger.t_row]
+                contact = (columns.actions + c_col > hi) | (columns.actions - c_col < lo)
+                np.any(contact, axis=1, out=columns.boundary_contact)
 
     for k, lane in enumerate(lanes):
         if horizon + 1 in lane.probe_steps:

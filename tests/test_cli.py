@@ -167,17 +167,18 @@ MODULES_AFTER = """
 import sys
 from kwbandit.cli import main
 code = main(sys.argv[1:])
-print(code, "kwbandit.conditions" in sys.modules)
+print(code, "kwbandit.conditions" in sys.modules, "kwbandit.scaling" in sys.modules)
 """
 
 
 @pytest.mark.parametrize("command, grids", [("run", False), ("sweep", False), ("bounds", False), ("verify", True)])
 def test_only_verify_loads_the_condition_grids(command, grids, sweep_config, tmp_path):
+    """Only verify loads the condition grids, and only sweep the exponent fit."""
     config = sweep_config if command == "sweep" else SHIPPED_SMOKE
     argv = [sys.executable, "-c", MODULES_AFTER, command, "--config", config, "--out", str(tmp_path / "out")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
-    assert child.stdout.splitlines()[-1] == f"0 {grids}"
+    assert child.stdout.splitlines()[-1] == f"0 {grids} {command == 'sweep'}"
 
 
 def test_bounds_for_oracle_is_a_validation_error(tmp_path, capsys):
@@ -422,6 +423,34 @@ def test_out_of_memory_is_one_line(sweep_config, tmp_path, capsys, monkeypatch):
         assert main([command, "--config", config, "--out", str(tmp_path / command)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["out of memory: Unable to allocate the noise block"]
+
+
+@pytest.mark.parametrize(
+    "error, code, prefix",
+    [
+        (MemoryError("no room for the noise"), 2, "out of memory: "),
+        (ValueError("zip() argument 2 is shorter than argument 1"), 1, "invalid parameters: "),
+    ],
+    ids=["memory", "value"],
+)
+def test_a_failure_in_the_noise_worker_is_one_line(
+    error, code, prefix, sweep_config, tmp_path, capsys, monkeypatch, worker_forks
+):
+    """The fill fails in the forked noise worker: run and sweep exit with
+    the code and the one line that the same failure in-process gives, and
+    leave no child."""
+
+    def fails(*args):
+        raise error
+
+    monkeypatch.setattr(NoiseModel, "fill", fails)
+    configs = {"run": write_config(tmp_path, window_doc(k5=1.8)), "sweep": sweep_config}
+    for command, config in configs.items():
+        assert main([command, "--config", config, "--out", str(tmp_path / command)]) == code
+        assert capsys.readouterr().err.splitlines() == [prefix + str(error)]
+    assert len(worker_forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_window_longer_than_the_run_builds_no_weight_table(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,11 +16,16 @@ from kwbandit import (
     FixedStepPolicy,
     MonteCarloEstimate,
     NoiseModel,
+    calibrate_window_constant,
+    distance_recursion_check,
+    parse_config,
     parse_sweep,
     regret_samples,
+    run_experiment,
     simulate_batch,
     simulate_lanes,
 )
+from kwbandit.rng import StreamChunk
 from kwbandit.runner import resolve_experiment
 
 
@@ -120,15 +126,46 @@ def test_regret_lanes_batches_only_experiments_of_one_horizon(monkeypatch):
     assert calls == [("batch", [(2000, 20)]), ("batch", [(1000, 20)]), ("batch", [(3000, 20)])]
 
 
-@pytest.mark.parametrize("block_values, alive", [(None, range(1, 4)), (1000, [64])], ids=["one-block", "several-blocks"])
-def test_a_one_block_batch_holds_one_stream_at_a_time(bowl, block_values, alive, monkeypatch):
+ONE_BLOCK_CASES = pytest.mark.parametrize(
+    "block_values, alive", [(None, range(1, 4)), (1000, [64])], ids=["one-block", "several-blocks"]
+)
+
+
+@ONE_BLOCK_CASES
+def test_a_one_block_batch_holds_one_stream_at_a_time(bowl, block_values, alive, tmp_path, monkeypatch):
     """A batch whose noise fits one block draws from each stream once, so
     it builds, draws and drops the streams one by one (a loop variable or
     two may still hold the last); a batch of several blocks keeps all of
     them until its last block."""
+    assert_streams_alive(bowl, block_values, alive, tmp_path, monkeypatch)
+
+
+@ONE_BLOCK_CASES
+def test_a_noise_worker_holds_its_streams_as_the_loop_would(
+    bowl, block_values, alive, tmp_path, monkeypatch, worker_forks
+):
+    """A forked noise worker holds the streams as the in-process batch
+    does, and builds every one of them: the parent builds none."""
+    chunk_iter, builders = StreamChunk.__iter__, tmp_path / "builders"
+
+    def logged_iter(chunk):
+        with open(builders, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return chunk_iter(chunk)
+
+    monkeypatch.setattr(StreamChunk, "__iter__", logged_iter)
+    assert_streams_alive(bowl, block_values, alive, tmp_path, monkeypatch)
+    assert len(worker_forks) == 1
+    assert builders.read_text().split() == [str(worker_forks[0])]
+
+
+def assert_streams_alive(bowl, block_values, alive, tmp_path, monkeypatch):
+    """Runs 64 replications in one batch and checks the generators alive
+    when the fill draws its last row, logged to a file that a forked noise
+    worker's fill reaches too."""
     env = EnvironmentSchedule.stationary(40, bowl)
     policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.2, constants=bowl.constants), x0=(1.0,))
-    fill, counts = NoiseModel.fill, []
+    fill, log = NoiseModel.fill, tmp_path / "alive"
 
     def live_streams():
         return sum(type(o) is np.random.Generator for o in gc.get_objects())
@@ -137,7 +174,8 @@ def test_a_one_block_batch_holds_one_stream_at_a_time(bowl, block_values, alive,
         def streams():
             for i, rng in enumerate(rngs):
                 if i == len(out) - 1:
-                    counts.append(live_streams() - before)
+                    with open(log, "a") as handle:
+                        handle.write(f"{live_streams() - before}\n")
                 yield rng
 
         return fill(self, streams(), out)
@@ -148,4 +186,35 @@ def test_a_one_block_batch_holds_one_stream_at_a_time(bowl, block_values, alive,
     monkeypatch.setattr(NoiseModel, "fill", counted_fill)
     before = live_streams()
     regret_samples(policy, env, NoiseModel.gaussian(1.0), 64, base_seed=2)
+    counts = [int(count) for count in log.read_text().split()] if log.exists() else []
     assert counts and all(count in alive for count in counts)
+
+
+def test_only_large_batches_fork_a_noise_worker(bowl, quartic, forks, tmp_path):
+    """The benchmark's shapes: the diagnostics' wide, short batches (three
+    recursion checks at 10,000 replications, a window calibration at 200)
+    and a one-replication traced run over 30,000 steps in d = 2 draw their
+    noise in-process; the smallest point of a 192-replication horizon sweep
+    forks one worker."""
+    config = FixedStepConfig(beta=0.1, c=0.1, constants=bowl.constants)
+    for probe in (1, 5, 20):
+        distance_recursion_check(config, bowl, NoiseModel.gaussian(0.5), (1.0,), probe, 10_000, base_seed=probe)
+    calibrate_window_constant(quartic, NoiseModel.gaussian(0.5), (1.0,), (4, 8, 16, 32, 64, 128), 200, 3, c=0.5)
+    objectives = [
+        {"kind": "quartic-perturbed-bowl", "theta": [0.1 * k, -0.1 * k], "b": 1.0, "q": 0.05} for k in range(8)
+    ]
+    run = {
+        "domain": {"lower": [-2.0, -2.0], "upper": [2.0, 2.0]},
+        "objectives": objectives,
+        "schedule": {"episodes": 8},
+        "noise": {"kind": "uniform-bounded", "sigma2": 0.3},
+        "algorithm": {"variant": "vanilla", "x0": [1.0, -1.0]},
+        "horizon": 30_000,
+        "replications": 1,
+        "base_seed": 3,
+    }
+    run_experiment(parse_config(json.dumps(run)), out_dir=tmp_path)
+    assert forks == []
+    policy = FixedStepPolicy(config=config, x0=(1.0,))
+    regret_samples(policy, EnvironmentSchedule.stationary(1000, bowl), NoiseModel.gaussian(0.5), 192, base_seed=4)
+    assert len(forks) == 1

@@ -22,7 +22,7 @@ from kwbandit import (
     simulate_batch,
     simulate_lanes,
 )
-from kwbandit import montecarlo, runner
+from kwbandit import montecarlo, runner, trajectory
 from kwbandit.cli import main
 from kwbandit.config import with_overrides
 from kwbandit.rng import StreamChunk
@@ -222,6 +222,64 @@ with runner._trace_writer({str(tmp_path / "trace.csv")!r}) as sink:
             time.sleep(0.01)
         rows = (tmp_path / "trace.csv").read_text().splitlines()
         assert rows[1:] == ["1,1,0.5,0.5,0.5,0", "2,1,0.5,0.5,0.5,0", "3,1,0.5,0.5,0.5,0"]
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="reads a process's descriptors from /proc")
+    def test_a_noise_worker_holds_only_its_two_pipes(self, tmp_path, monkeypatch, worker_forks):
+        """A traced run's noise worker, in its third block, holds its ends
+        of its two pipes and nothing else it inherited: not the trace
+        writer's input, nor the standard streams."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, horizon=50)))
+        monkeypatch.setattr(trajectory, "_NOISE_BLOCK_STEPS", 7)
+        tables, held = trajectory._Ascent.tables, []
+
+        def third_block_looks(self, first, count):
+            if first == 15:
+                fds = Path(f"/proc/{worker_forks[0]}/fd")
+                held.extend(os.readlink(fds / fd) for fd in os.listdir(fds))
+            return tables(self, first, count)
+
+        monkeypatch.setattr(trajectory._Ascent, "tables", third_block_looks)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert len(worker_forks) == 1
+        assert len(held) == 2 and all(target.startswith("pipe:") for target in held), held
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads a process's state from /proc")
+    def test_a_killed_sweep_leaves_no_noise_worker(self, tmp_path):
+        """A sweep is killed in its third noise block, while its worker
+        waits for a buffer: the worker, whose pipe from the parent has
+        ended, exits."""
+        doc = base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, replications=3)
+        doc["sweep"] = {"axis": "T", "values": [50, 100, 200]}
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(doc))
+        script = f"""
+import os
+import kwbandit.trajectory as traj
+from kwbandit.cli import main
+traj._WORKER_VALUES, traj._NOISE_BLOCK_STEPS = 0, 7
+fork, tables, blocks = os.fork, traj._Ascent.tables, []
+def forked():
+    pid = fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+def third_block_kills(self, first, count):
+    blocks.append(first)
+    if len(blocks) == 3:
+        os.kill(os.getpid(), 9)
+    return tables(self, first, count)
+os.fork, traj._Ascent.tables = forked, third_block_kills
+main(["sweep", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        killed = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+        assert killed.returncode == -9, killed.stderr
+        stat = Path(f"/proc/{int(killed.stdout)}/stat")
+        deadline = time.monotonic() + 30
+        while stat.exists() and stat.read_text().rpartition(")")[2].split()[0] not in ("Z", "X"):
+            assert time.monotonic() < deadline, "the orphaned noise worker still runs"
+            time.sleep(0.01)
 
     def test_summary_has_bound_and_tuning(self, tmp_path):
         doc = base_doc(

@@ -1,3 +1,5 @@
+import ast
+import os
 import tracemalloc
 from itertools import accumulate, combinations
 from unittest import mock
@@ -49,6 +51,55 @@ def two_bowls(box1d):
         QuadraticBowl(domain=box1d, theta=(-0.5,), b=1.0),
         QuadraticBowl(domain=box1d, theta=(0.5,), b=1.0),
     )
+
+
+FILL_CASES = pytest.mark.parametrize(
+    "noise, fills",
+    [(NoiseModel.gaussian(1.0), 8), (NoiseModel.uniform_bounded(0.5), 8), (NoiseModel.none(), 0)],
+    ids=["gaussian", "uniform-bounded", "none"],
+)
+
+
+def logged_calls(log):
+    """A logger that appends each call to the file ``log`` as a line, which
+    a forked noise worker's calls reach too, and a reader of the calls."""
+
+    def logged(*call):
+        with open(log, "a") as handle:
+            handle.write(repr(call) + "\n")
+
+    def calls():
+        return [ast.literal_eval(line) for line in log.read_text().splitlines()] if log.exists() else []
+
+    return logged, calls
+
+
+def check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeypatch):
+    env = EnvironmentSchedule.stationary(50, bowl)
+    default = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
+    logged, calls = logged_calls(tmp_path / "calls")
+    fill, draw = NoiseModel.fill, NoiseModel.draw
+
+    def counted_fill(self, rngs, out):
+        logged("fill", out.shape, out.flags.c_contiguous, all(row.flags.c_contiguous for row in out))
+        return fill(self, rngs, out)
+
+    def counted_draw(self, *args, **kwargs):
+        logged("draw")
+        return draw(self, *args, **kwargs)
+
+    monkeypatch.setattr(NoiseModel, "fill", counted_fill)
+    monkeypatch.setattr(NoiseModel, "draw", counted_draw)
+    monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
+    blocked = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
+    blocks = [tuple(call[1:]) for call in calls() if call[0] == "fill"]
+    draws = [call for call in calls() if call[0] == "draw"]
+    assert len(blocks) == fills and draws == []
+    if fills:
+        # 7 blocks of 7 steps, each one contiguous array, then one step:
+        # a slice of the 7-step block, whose rows alone are contiguous
+        assert blocks == [((3, 7, 2), True, True)] * 7 + [((3, 1, 2), False, True)]
+    assert np.array_equal(default, blocked)
 
 
 class TestNoiselessTrace:
@@ -238,35 +289,17 @@ class TestBatchSemantics:
             if listed.trace is not None:
                 assert listed.trace.cum_regret.tobytes() == chunked.trace.cum_regret.tobytes()
 
-    @pytest.mark.parametrize(
-        "noise, fills",
-        [(NoiseModel.gaussian(1.0), 8), (NoiseModel.uniform_bounded(0.5), 8), (NoiseModel.none(), 0)],
-        ids=["gaussian", "uniform-bounded", "none"],
-    )
-    def test_noise_comes_from_one_fill_per_block(self, bowl, fixed_policy, noise, fills, monkeypatch):
-        env = EnvironmentSchedule.stationary(50, bowl)
-        default = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
-        blocks, draws = [], []
-        fill, draw = NoiseModel.fill, NoiseModel.draw
+    @FILL_CASES
+    def test_noise_comes_from_one_fill_per_block(self, bowl, fixed_policy, noise, fills, tmp_path, monkeypatch):
+        check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeypatch)
 
-        def counted_fill(self, rngs, out):
-            blocks.append((out.shape, out.flags.c_contiguous, all(row.flags.c_contiguous for row in out)))
-            return fill(self, rngs, out)
-
-        def counted_draw(self, *args, **kwargs):
-            draws.append(args)
-            return draw(self, *args, **kwargs)
-
-        monkeypatch.setattr(NoiseModel, "fill", counted_fill)
-        monkeypatch.setattr(NoiseModel, "draw", counted_draw)
-        monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
-        blocked = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
-        assert len(blocks) == fills and draws == []
-        if fills:
-            # 7 blocks of 7 steps, each one contiguous array, then one step:
-            # a slice of the 7-step block, whose rows alone are contiguous
-            assert blocks == [((3, 7, 2), True, True)] * 7 + [((3, 1, 2), False, True)]
-        assert np.array_equal(default, blocked)
+    @FILL_CASES
+    def test_a_noise_worker_draws_one_fill_per_block(
+        self, bowl, fixed_policy, noise, fills, tmp_path, monkeypatch, worker_forks
+    ):
+        check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeypatch)
+        # the batch at the default block size, then the blocked one
+        assert len(worker_forks) == (2 if fills else 0)
 
     def test_distance_probes(self, bowl, fixed_policy, no_noise):
         env = EnvironmentSchedule.stationary(5, bowl)
@@ -471,14 +504,15 @@ def test_engine_matches_reference_ops_on_random_batches(case, reps, seed):
 
 
 @st.composite
-def lane_batches(draw):
-    """2-4 lanes of one rule on one box, one horizon and one noise model
-    (gaussian, uniform-bounded or none), each with its own change times,
-    objectives, starting point, rate or window, width and probe steps."""
+def lane_batches(draw, variants=VARIANTS, noiseless=True):
+    """2-4 lanes of one rule, one of ``variants``, on one box, one horizon
+    and one noise model (gaussian, uniform-bounded or, with ``noiseless``,
+    none), each with its own change times, objectives, starting point, rate
+    or window, width and probe steps."""
     d = draw(st.integers(1, 3))
     half = [draw(st.floats(0.5, 3.0)) for _ in range(d)]
     domain = Domain(lower=tuple(-h for h in half), upper=tuple(half))
-    variant = draw(st.sampled_from(VARIANTS))
+    variant = draw(st.sampled_from(variants))
     horizon = draw(st.integers(1, 40))
     lanes = []
     for _ in range(draw(st.integers(2, 4))):
@@ -512,7 +546,8 @@ def lane_batches(draw):
         probes = tuple(draw(st.lists(st.integers(1, horizon + 1), max_size=3, unique=True)))
         lanes.append((policy, env, draw(st.integers(1, 3)), probes))
     sigma2 = draw(st.floats(0.01, 2.0))
-    noise = draw(st.sampled_from((NoiseModel.gaussian(sigma2), NoiseModel.uniform_bounded(sigma2), NoiseModel.none())))
+    noises = (NoiseModel.gaussian(sigma2), NoiseModel.uniform_bounded(sigma2))
+    noise = draw(st.sampled_from(noises + (NoiseModel.none(),) * noiseless))
     return lanes, noise
 
 
@@ -596,11 +631,13 @@ def test_engine_squared_distance_equals_the_objectives_bit_for_bit(d):
             assert value.tobytes() == expected.tobytes()
 
 
-def test_block_buffers_stay_within_the_noise_block_budget():
+def test_block_buffers_stay_within_the_noise_block_budget(monkeypatch):
     """A batch shaped like a sweep point (192 rows, d=1, 1,000 steps,
-    gaussian noise) allocates at most the 2 MB block budget, which covers
-    the noise as drawn, its step-major copy and the stored f(x), plus
-    0.5 MB for everything else."""
+    gaussian noise), drawn in-process, allocates at most the 2 MB block
+    budget, which covers the noise as drawn, its step-major copy and the
+    stored f(x), plus 0.5 MB for everything else.  (At this size a noise
+    worker draws by default, in a mapping that tracemalloc does not see.)"""
+    monkeypatch.setattr(traj, "_WORKER_VALUES", float("inf"))
     box = Domain(lower=(-2.0,), upper=(2.0,))
     f = QuadraticBowl(domain=box, theta=(0.3,), b=1.0)
     policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.1, constants=f.constants), x0=(1.0,))
@@ -613,3 +650,124 @@ def test_block_buffers_stay_within_the_noise_block_budget():
     finally:
         tracemalloc.stop()
     assert peak <= traj._NOISE_BLOCK_VALUES * 8 + 512 * 1024, peak
+
+
+MEASURING = (VANILLA, FIXED_STEP, SLIDING_WINDOW)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    batch=lane_batches(variants=MEASURING, noiseless=False),
+    seed=st.integers(0, 2**31 - 1),
+    block_values=st.sampled_from((48, 4_000_000)),
+    chunked=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_a_noise_worker_gives_the_in_process_bytes(batch, seed, block_values, chunked):
+    """Every measuring rule, gaussian and uniform noise, d = 1-3, over one
+    noise block or several, with each lane's streams a list or a
+    ``StreamChunk``: the batch drawn by a forked worker equals, bit for bit,
+    the batch drawn in-process."""
+    specs, noise = batch
+
+    def run(worker_values):
+        lanes = [
+            Lane(policy, env, StreamChunk(seed, reps, (k,)), probes, record_trace=k == 0)
+            for k, (policy, env, reps, probes) in enumerate(specs)
+        ]
+        lanes = [
+            lane if chunked[k] else Lane(lane.policy, lane.env, list(lane.rngs), lane.probe_steps, lane.record_trace)
+            for k, lane in enumerate(lanes)
+        ]
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        with mock.patch.object(traj, "_WORKER_VALUES", worker_values), mock.patch.object(os, "fork", counted_fork):
+            return simulate_lanes(lanes, noise), len(forks)
+
+    with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", block_values):
+        (drawn_here, no_fork), (drawn_there, one_fork) = run(float("inf")), run(0)
+    assert (no_fork, one_fork) == (0, 1)
+    for here, there in zip(drawn_here, drawn_there):
+        assert here.total_regret.tobytes() == there.total_regret.tobytes()
+        assert {s: p.tobytes() for s, p in here.distance_probes.items()} == {
+            s: p.tobytes() for s, p in there.distance_probes.items()
+        }
+        assert (here.trace is None) == (there.trace is None)
+        if here.trace is not None:
+            for name in ("actions", "inst_regret", "cum_regret", "episode", "boundary_contact", "final_x"):
+                assert getattr(here.trace, name).tobytes() == getattr(there.trace, name).tobytes(), name
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not for the pipe")
+
+
+OUT_OF_MEMORY = MemoryError("Unable to allocate the noise block")
+TOO_FEW_STREAMS = ValueError("zip() argument 2 is shorter than argument 1")
+
+
+@pytest.mark.parametrize(
+    "error, raised",
+    [
+        (OUT_OF_MEMORY, OUT_OF_MEMORY),
+        (TOO_FEW_STREAMS, TOO_FEW_STREAMS),
+        (Unpicklable("no pickle"), RuntimeError("Unpicklable: no pickle")),
+    ],
+    ids=["memory", "value", "unpicklable"],
+)
+def test_an_exception_in_the_noise_worker_reaches_the_caller(
+    bowl, fixed_policy, error, raised, monkeypatch, worker_forks
+):
+    """The worker's fill fails on its second block: the caller gets the
+    exception's type and message (a RuntimeError naming them, if it does
+    not pickle), and no child is left."""
+    fill, calls = NoiseModel.fill, []
+
+    def second_fill_fails(self, rngs, out):
+        calls.append(out.shape)
+        if len(calls) == 2:
+            raise error
+        return fill(self, rngs, out)
+
+    monkeypatch.setattr(NoiseModel, "fill", second_fill_fails)
+    monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
+    env = EnvironmentSchedule.stationary(50, bowl)
+    with pytest.raises(type(raised)) as caught:
+        simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+    assert type(caught.value) is type(raised) and str(caught.value) == str(raised)
+    assert len(worker_forks) == 1 and calls == []  # the fills ran in the worker
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("ending", ["finishes", "loop-interrupted"])
+def test_every_batch_reaps_its_noise_worker(bowl, fixed_policy, ending, monkeypatch, worker_forks):
+    """However a batch ends, its worker has been reaped when the call
+    returns or raises: an interrupt in the step loop, with the worker
+    waiting for a buffer, kills it first."""
+    monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
+    if ending == "loop-interrupted":
+        tables, calls = traj._Ascent.tables, []
+
+        def third_block_interrupted(self, first, count):
+            calls.append(first)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return tables(self, first, count)
+
+        monkeypatch.setattr(traj._Ascent, "tables", third_block_interrupted)
+    env = EnvironmentSchedule.stationary(50, bowl)
+    if ending == "finishes":
+        simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+    assert len(worker_forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
