@@ -28,6 +28,7 @@ import numpy as np
 from .config import ExperimentConfig, parse_config, parse_sweep, with_overrides
 from .exceptions import ConfigValidationError
 from .montecarlo import MonteCarloEstimate, regret_samples
+from .runner import EXPONENT_FIT_CSV, SUMMARY_CSV, SWEEP_SUMMARY_CSV, TRACE_CSV
 from .runner import resolve_experiment, run_experiment, run_sweep
 
 EXIT_OK = 0
@@ -95,24 +96,26 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    result = run_experiment(_overridden(args, parse_config(_read(args.config))), out_dir=args.out)
-    print(f"mean total regret: {result.mean_regret!r} (stderr {result.stderr_regret!r})")
-    if result.bound is not None:
-        print(f"bound {result.bound.name}: {result.bound.value!r}")
-    print(f"wrote {result.trace_path} and {result.summary_path}")
+    row = run_experiment(_overridden(args, parse_config(_read(args.config))), out_dir=args.out)
+    print(f"mean total regret: {row.mean_regret!r} (stderr {row.stderr_regret!r})")
+    if row.bound_name:
+        print(f"bound {row.bound_name}: {row.bound_value!r}")
+    out = Path(args.out)
+    print(f"wrote {out / TRACE_CSV} and {out / SUMMARY_CSV}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     sweep = parse_sweep(_read(args.config))
-    result = run_sweep(replace(sweep, base=_overridden(args, sweep.base)), out_dir=args.out)
-    for point in result.points:
+    points, fit = run_sweep(replace(sweep, base=_overridden(args, sweep.base)), out_dir=args.out)
+    for point in points:
         print(
-            f"{result.axis}={point.value:g}: mean regret {point.mean_regret!r}, "
+            f"{point.axis}={point.value:g}: mean regret {point.mean_regret!r}, "
             f"normalized {point.normalized_regret!r}"
         )
-    print(f"fitted exponent: slope={result.slope!r} r2={result.r_squared!r}")
-    print(f"wrote {result.summary_path} and {result.exponent_path}")
+    print(f"fitted exponent: slope={fit.slope!r} r2={fit.r_squared!r}")
+    out = Path(args.out)
+    print(f"wrote {out / SWEEP_SUMMARY_CSV} and {out / EXPONENT_FIT_CSV}")
     return EXIT_OK
 
 
@@ -134,7 +137,7 @@ def _cmd_bounds(args) -> int:
         # one replication has no standard error, so no tolerance applies
         raise ValueError(f"bounds --check needs replications >= 2, got {cfg.replications}")
     totals, _ = regret_samples(resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
-    estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
+    estimate = MonteCarloEstimate.from_samples(totals)
     floor = estimate.lower_confidence()
     print(f"monte-carlo mean = {estimate.mean!r} (stderr {estimate.standard_error!r}); mean - 3*SE = {floor!r}")
     if floor <= bound.value:

@@ -73,7 +73,7 @@ def distance_recursion_check(
         objective.constants.k2,
         epsilon,
     )
-    paired = MonteCarloEstimate.from_samples(dist_next - gamma * dist_s, base_seed)
+    paired = MonteCarloEstimate.from_samples(dist_next - gamma * dist_s)
     return RecursionCheckReport(
         probe_step=probe_step,
         replications=replications,

@@ -29,15 +29,13 @@ class MonteCarloEstimate:
 
     mean: float
     standard_error: float
-    replications: int
-    base_seed: int
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, base_seed: int) -> "MonteCarloEstimate":
+    def from_samples(cls, samples: np.ndarray) -> "MonteCarloEstimate":
         """Mean and standard error of ``samples``; the error of one sample is 0."""
         n = len(samples)
         stderr = 0.0 if n < 2 else float(np.std(samples, ddof=1) / np.sqrt(n))
-        return cls(mean=float(np.mean(samples)), standard_error=stderr, replications=n, base_seed=base_seed)
+        return cls(mean=float(np.mean(samples)), standard_error=stderr)
 
     def lower_confidence(self, z: float = 3.0) -> float:
         return self.mean - z * self.standard_error

@@ -7,7 +7,9 @@ fixed order, and each replication's stream is keyed by its index, so how
 replications are chunked never changes stream assignment or aggregation
 order.  trace.csv is formatted beside the engine, in a writer process
 that ``tracewriter`` holds with the trace's schema; the other CSVs are
-written here, from the row types below.
+written here, from the row types below, and each driver returns the rows
+it writes: ``run_experiment`` its ``SummaryRow``, ``run_sweep`` its
+``SweepRow`` points and ``ExponentFitRow``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,12 @@ from .trajectory import (
     VanillaPolicy,
 )
 from .tuning import coupled_perturbation, optimal_step_size, optimal_window
+
+# The file names of the outputs, in the directory that ``out_dir`` names.
+TRACE_CSV = "trace.csv"
+SUMMARY_CSV = "summary.csv"
+SWEEP_SUMMARY_CSV = "sweep_summary.csv"
+EXPONENT_FIT_CSV = "exponent_fit.csv"
 
 # Each row type below is one CSV schema: its field order is the column order.
 
@@ -79,7 +87,9 @@ class SummaryRow(TuningEcho):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One sweep point: a row of sweep_summary.csv."""
+    """One sweep point: a row of sweep_summary.csv.  Every column but
+    ``axis``, ``value``, ``scale`` and ``normalized_regret`` is the
+    point's summary.csv column of the same name."""
 
     axis: str
     value: float
@@ -98,6 +108,13 @@ class SweepRow:
     normalized_regret: float
     bound_name: str
     bound_value: float | None
+
+    @classmethod
+    def of(cls, summary: SummaryRow, axis: str, value: float, scale: float) -> "SweepRow":
+        """The point at ``value`` on ``axis``, whose summary row is ``summary``."""
+        shared = {f.name: getattr(summary, f.name) for f in fields(cls) if hasattr(summary, f.name)}
+        normalized = summary.mean_regret / summary.horizon
+        return cls(**shared, axis=axis, value=value, scale=scale, normalized_regret=normalized)
 
 
 @dataclass(frozen=True)
@@ -198,21 +215,23 @@ def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
     return ResolvedExperiment(config=cfg, env=env, noise=noise, policy=policy, echo=echo, bound=bound)
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
-    mean_regret: float
-    stderr_regret: float
-    bound: BoundReport | None
-    echo: TuningEcho
-    trace_path: Path | None
-    summary_path: Path | None
+def _summary(resolved: ResolvedExperiment, totals: np.ndarray) -> SummaryRow:
+    """The summary.csv row of ``resolved``, whose replications' total
+    regrets are ``totals``: its echo, their mean and SE, and its bound."""
+    estimate = MonteCarloEstimate.from_samples(totals)
+    bound = resolved.bound
+    return SummaryRow(
+        **asdict(resolved.echo),
+        mean_regret=estimate.mean,
+        stderr_regret=estimate.standard_error,
+        bound_name=bound.name if bound else "",
+        bound_value=bound.value if bound else None,
+    )
 
 
 def _fmt(value) -> str:
     if value is None or value == "":
         return ""
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
@@ -275,10 +294,10 @@ def _trace_writer(path: Path) -> Iterator[TraceSink]:
         raise OSError(f"trace writer failed: {message[-1] if message else f'exit status {status}'}")
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> SummaryRow:
     """Execute a config: per-step trace CSV for replication 0 plus a
     one-row summary CSV with the Monte-Carlo estimate, the evaluated
-    bound, and the tuning values used.
+    bound, and the tuning values used.  Returns that row.
 
     The trace goes block by block, as the engine runs, to a writer process
     that formats it into a partial file while the engine simulates on; the
@@ -287,59 +306,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     writer fails, leaves neither CSV, and every run waits for its writer.
     Without ``out_dir`` no trace is kept and no writer starts."""
     resolved = resolve_experiment(cfg)
-    env = resolved.env
     _make_out_dir(out_dir)
 
-    simulate = partial(regret_samples, resolved.policy, env, resolved.noise, cfg.replications, cfg.base_seed)
-    trace_path = summary_path = None
+    simulate = partial(regret_samples, resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
     if out_dir is None:
-        totals, _ = simulate()
-    else:
-        out = Path(out_dir)
-        trace_path, summary_path = out / "trace.csv", out / "summary.csv"
-        unfinished = out / "trace.csv.partial"
-        try:
-            with _trace_writer(unfinished) as sink:
-                totals, _ = simulate(trace=sink)
-            unfinished.replace(trace_path)
-        finally:
-            unfinished.unlink(missing_ok=True)
-    estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
-
-    if summary_path is not None:
-        bound = resolved.bound
-        row = SummaryRow(
-            **asdict(resolved.echo),
-            mean_regret=estimate.mean,
-            stderr_regret=estimate.standard_error,
-            bound_name=bound.name if bound else "",
-            bound_value=bound.value if bound else None,
-        )
-        _write_rows(summary_path, SummaryRow, [row])
-    return ExperimentResult(
-        mean_regret=estimate.mean,
-        stderr_regret=estimate.standard_error,
-        bound=resolved.bound,
-        echo=resolved.echo,
-        trace_path=trace_path,
-        summary_path=summary_path,
-    )
+        return _summary(resolved, simulate()[0])
+    out = Path(out_dir)
+    unfinished = out / f"{TRACE_CSV}.partial"
+    try:
+        with _trace_writer(unfinished) as sink:
+            totals, _ = simulate(trace=sink)
+        unfinished.replace(out / TRACE_CSV)
+    finally:
+        unfinished.unlink(missing_ok=True)
+    row = _summary(resolved, totals)
+    _write_rows(out / SUMMARY_CSV, SummaryRow, [row])
+    return row
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    axis: str
-    points: tuple[SweepRow, ...]
-    slope: float
-    r_squared: float
-    summary_path: Path | None
-    exponent_path: Path | None
-
-
-def run_sweep(sweep: SweepSpec, out_dir: str | Path | None = None) -> SweepResult:
+def run_sweep(sweep: SweepSpec, out_dir: str | Path | None = None) -> tuple[list[SweepRow], ExponentFitRow]:
     """Run one experiment per sweep value and fit the power-law exponent of
     the normalized regret against the axis scale (the change rate
     episodes/horizon for the delta_T axis, the raw value otherwise).
+    Returns the points and the fit, the rows of sweep_summary.csv and
+    exponent_fit.csv.
 
     Every point is resolved before the first one simulates; then all run
     through one ``regret_lanes`` call, so the points of one horizon share
@@ -364,43 +354,14 @@ def run_sweep(sweep: SweepSpec, out_dir: str | Path | None = None) -> SweepResul
     ]
     points = []
     for value, resolved, (totals, _) in zip(sweep.values, resolved_points, regret_lanes(experiments)):
-        cfg, echo, bound = resolved.config, resolved.echo, resolved.bound
-        estimate = MonteCarloEstimate.from_samples(totals, cfg.base_seed)
-        points.append(
-            SweepRow(
-                axis=sweep.axis,
-                value=float(value),
-                scale=echo.delta_T / cfg.horizon if sweep.axis == "delta_T" else float(value),
-                horizon=echo.horizon,
-                delta_T=echo.delta_T,
-                variant=echo.variant,
-                tuning=echo.tuning,
-                beta=echo.beta,
-                c=echo.c,
-                window=echo.window,
-                replications=echo.replications,
-                base_seed=echo.base_seed,
-                mean_regret=estimate.mean,
-                stderr_regret=estimate.standard_error,
-                normalized_regret=estimate.mean / cfg.horizon,
-                bound_name=bound.name if bound else "",
-                bound_value=bound.value if bound else None,
-            )
-        )
+        summary = _summary(resolved, totals)
+        scale = summary.delta_T / summary.horizon if sweep.axis == "delta_T" else float(value)
+        points.append(SweepRow.of(summary, sweep.axis, float(value), scale))
 
-    summary_path = exponent_path = None
     if out_dir is not None:
-        summary_path = Path(out_dir) / "sweep_summary.csv"
-        _write_rows(summary_path, SweepRow, points)
+        _write_rows(Path(out_dir) / SWEEP_SUMMARY_CSV, SweepRow, points)
     slope, r2 = fit_scaling_exponent([(p.scale, p.normalized_regret) for p in points])
+    fit = ExponentFitRow(sweep.axis, len(points), slope, r2)
     if out_dir is not None:
-        exponent_path = Path(out_dir) / "exponent_fit.csv"
-        _write_rows(exponent_path, ExponentFitRow, [ExponentFitRow(sweep.axis, len(points), slope, r2)])
-    return SweepResult(
-        axis=sweep.axis,
-        points=tuple(points),
-        slope=slope,
-        r_squared=r2,
-        summary_path=summary_path,
-        exponent_path=exponent_path,
-    )
+        _write_rows(Path(out_dir) / EXPONENT_FIT_CSV, ExponentFitRow, [fit])
+    return points, fit

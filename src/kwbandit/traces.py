@@ -5,12 +5,14 @@ The engine (``trajectory``) fills one ``TraceBlock`` per block of steps
 and hands it to a ``TraceSink``; ``run`` sends each block to a writer
 process (``tracewriter``) as it arrives, so no horizon-sized array exists,
 and ``simulate_batch`` with ``record_trace=True`` keeps the blocks and
-joins them into a ``RegretTrace``.
+joins them into a ``RegretTrace``: the one block of steps 1 .. T, with
+the point the trajectory ends at.  ``TraceBlock`` declares the columns
+once, for both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -20,10 +22,12 @@ import numpy as np
 class TraceBlock:
     """Steps ``first`` .. ``first + len(inst_regret) - 1`` of one
     trajectory's trace, as the engine hands them to a consumer once per
-    block: its ``episode`` (1-based), its ``actions`` (one row per step,
-    the action taken at the step) and the regret columns and boundary
-    contacts of ``RegretTrace``.  Each block's arrays are new, and the
-    consumer's to keep."""
+    block.  Row ``s - first`` of each column is step s: its ``episode``
+    (1-based), its action (the initial point at s = 1), its regret
+    ``f_s(theta_s) - f_s(X_s)`` against the true objective, which the
+    algorithm itself never sees, the regret summed through s, and whether
+    the action plus or minus c left the box.  Each block's arrays are new,
+    and the consumer's to keep."""
 
     first: int
     episode: np.ndarray
@@ -53,19 +57,10 @@ TraceSink = Callable[[TraceBlock], None]
 
 
 @dataclass(frozen=True)
-class RegretTrace:
-    """Per-step record of one trajectory: its trace blocks joined.
+class RegretTrace(TraceBlock):
+    """Per-step record of one trajectory: its trace blocks joined into the
+    block of steps 1 .. T, and ``final_x``, the point it ends at."""
 
-    ``actions[s-1]`` is the action taken at step s (the initial point for
-    s = 1); ``inst_regret[s-1] = f_s(theta_s) - f_s(X_s)`` measured against
-    the true objective, which the algorithm itself never sees.
-    """
-
-    actions: np.ndarray
-    inst_regret: np.ndarray
-    cum_regret: np.ndarray
-    episode: np.ndarray
-    boundary_contact: np.ndarray
     final_x: np.ndarray
 
     @property
@@ -80,10 +75,11 @@ class RegretTrace:
     def join(cls, blocks: list[TraceBlock], final_x: np.ndarray) -> "RegretTrace":
         """The trace of ``blocks``, in step order, left at ``final_x``."""
         columns = {
-            name: np.concatenate([getattr(block, name) for block in blocks])
-            for name in ("actions", "inst_regret", "cum_regret", "episode", "boundary_contact")
+            f.name: np.concatenate([getattr(block, f.name) for block in blocks])
+            for f in fields(TraceBlock)
+            if f.name != "first"
         }
-        trace = cls(**columns, final_x=final_x.copy())
+        trace = cls(first=1, **columns, final_x=final_x.copy())
         for column in (*columns.values(), trace.final_x):
             column.flags.writeable = False
         return trace

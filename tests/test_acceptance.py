@@ -93,8 +93,8 @@ def window_sweep(calibrated_k5):
         "sweep": {"axis": "delta_T", "values": [4, 16, 64, 256]},
     }
     started = time.perf_counter()
-    result = run_sweep(parse_sweep(doc))
-    return result, cal_elapsed + (time.perf_counter() - started)
+    points, fit = run_sweep(parse_sweep(doc))
+    return points, fit, cal_elapsed + (time.perf_counter() - started)
 
 
 def test_criterion_01_condition_verification():
@@ -265,36 +265,36 @@ def test_criterion_06_stationary_scaling():
         "base_seed": 901,
         "sweep": {"axis": "T", "values": [1_000, 10_000, 100_000]},
     }
-    result = run_sweep(parse_sweep(doc))
+    _, fit = run_sweep(parse_sweep(doc))
     elapsed = time.perf_counter() - started
-    ok = -0.48 <= result.slope <= -0.20 and elapsed < 900.0
+    ok = -0.48 <= fit.slope <= -0.20 and elapsed < 900.0
     report(
         6,
         "stationary-step-scaling",
         ok,
-        f"fitted slope {result.slope:.3f} (need [-0.48, -0.20], target -1/3), r2={result.r_squared:.3f}; "
+        f"fitted slope {fit.slope:.3f} (need [-0.48, -0.20], target -1/3), r2={fit.r_squared:.3f}; "
         f"{elapsed:.1f}s (limit 900s)",
     )
 
 
 def test_criterion_07_nonstationary_window_scaling(window_sweep):
-    result, elapsed = window_sweep
-    ok = 0.18 <= result.slope <= 0.48 and elapsed < 1200.0
-    windows = [p.window for p in result.points]
+    points, fit, elapsed = window_sweep
+    ok = 0.18 <= fit.slope <= 0.48 and elapsed < 1200.0
+    windows = [p.window for p in points]
     report(
         7,
         "nonstationary-window-scaling",
         ok,
-        f"fitted slope {result.slope:.3f} (need [0.18, 0.48], target 1/3), r2={result.r_squared:.3f}, "
+        f"fitted slope {fit.slope:.3f} (need [0.18, 0.48], target 1/3), r2={fit.r_squared:.3f}, "
         f"auto windows {windows}; {elapsed:.1f}s incl. calibration (limit 1200s)",
     )
 
 
 def test_criterion_08_asymptotic_efficiency_trend(window_sweep):
-    result, _ = window_sweep
+    points, _, _ = window_sweep
     # points are ordered by increasing change count; reading them in
     # decreasing change-rate order the per-step regret must strictly drop
-    normalized = [p.normalized_regret for p in result.points]
+    normalized = [p.normalized_regret for p in points]
     ok = all(a < b for a, b in zip(normalized, normalized[1:]))
     report(
         8,

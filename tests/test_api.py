@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kwbandit
@@ -53,6 +54,9 @@ REMOVED_ATTRIBUTES = (
     ("config", "AlgorithmSpec"),
     ("ExperimentConfig", "to_dict"),
     ("SweepSpec", "to_dict"),
+    # the drivers return the rows they write
+    ("runner", "ExperimentResult"),
+    ("runner", "SweepResult"),
 )
 # Public names no production path calls: the bound evaluators that the
 # per-episode diagnostics are to wire in.
@@ -121,6 +125,12 @@ def test_a_parsed_config_holds_no_nested_record(name):
     # ``algorithm`` had no default, so it was never a class attribute
     cfg = kwbandit.parse_config((ROOT / "configs" / "adversarial_packed_early.json").read_text())
     assert not hasattr(cfg, name)
+
+
+@pytest.mark.parametrize("name", ["replications", "base_seed"])
+def test_an_estimate_echoes_no_inputs(name):
+    # a field with no default is not a class attribute, so check an instance
+    assert not hasattr(kwbandit.MonteCarloEstimate.from_samples(np.array([1.0, 2.0])), name)
 
 
 def test_run_sweep_takes_no_testing_hook():

@@ -1,12 +1,14 @@
-"""Golden sha256 digests of the CSV artifacts.
+"""Golden sha256 digests of the CSV artifacts and of what the CLI prints.
 
 Output bytes are a pure function of (config document, seed), so any change
 to the engine, the step rules, the tuning or the CSV layout that alters a
-single byte shows up here.  The same artifacts show that the comma-join
-writer needs no quoting.  Every case runs at 3 replications, and the
+single byte shows up here.  Every case runs from its own directory with
+``--out out``, so its standard output is as fixed as its files.  The same
+artifacts show that the comma-join writer needs no quoting.  Every case runs at 3 replications, and the
 sweep documents at reduced horizons, so the whole file takes a few seconds.
 """
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -279,19 +281,42 @@ CASES = {
     ),
 }
 
+# case -> sha256 of what the CLI printed, run from the case's directory
+STDOUT = {
+    "adversarial_packed_early": "9e1ee246e21b0d09945353e4ad89e02078d8fd4ee60eed5dc3e90812fd57058f",
+    "beta_sweep": "a19fc304ecb233289573e4eca73e04b5ad434c0111e5b7b4c6144b1661d51343",
+    "fixed_step_8d": "d9098e965ce604ff02b1661f20ab2eafda21776838cb54f4f0be560669823de9",
+    "oracle_episodes": "600ba5515eb3b323ae4c9444122bf262e0f1a67ded2e6a3aaa2ab1180aba6d77",
+    "quartic_conditions": "58abfbfb7f92135fbc80d76b4e2e4e3b4d4256385315c6fa95a265583b3a37e6",
+    "quartic_window_3d": "a2c7b5944c39e1534686b97756b2c12b47dc766a939bdcaf0261e2502e592867",
+    "sliding_window": "9eeb8039de4d982c4237a7485be1536aef1ca4ac0729ecbee756edcae0e864b5",
+    "smoke": "b16d648f229f795da013ebb6adc17a72592cd9b41f7eae6990c4b755f2e0218a",
+    "static_episodes": "ed01dcae1c99621b16928a8ce44c9ae342c27655bd3db3f4ec611542218d6811",
+    "stationary_sweep": "febf26fca46607fe919b11e816a32e3367ea424a410057271e2c27e596d566d9",
+    "tuned_fixed_step_2d": "142822171e21d4e09bf8f93da95a5d9e14a3a957c4d595507aded8ba239c9411",
+    "vanilla_1d": "e72fae510d69b96bea380312ee8176459218daf499b4bde5be3de4b86d0a1c3c",
+    "vanilla_2d": "016dc3ee3020eb8a38d74b74a32fdd822dfc543a9b3f7d5d50caf3bd8adabda5",
+    "window_length_sweep": "a7369e198ac5529e154e92c21e2f634bb9d121402f2680acb504fb2b1903a79f",
+    "window_sweep": "64f52e76f72be6c00462423b92bc0595c64d389570973001fa5b2bb8fe29874e",
+}
+
 
 @pytest.fixture(scope="module")
 def artifacts(tmp_path_factory):
-    """The output directory of a case, which runs once per module."""
+    """The output directory of a case, which runs once per module; what the
+    CLI printed is the file ``stdout`` beside it."""
     outs = {}
 
     def run(case: str) -> Path:
         if case not in outs:
             command, document, _ = CASES[case]
             work = tmp_path_factory.mktemp(case)
-            config = work / "config.json"
-            config.write_text(json.dumps(document()), encoding="utf-8")
-            assert main([command, "--config", str(config), "--replications", "3", "--out", str(work / "out")]) == 0
+            (work / "config.json").write_text(json.dumps(document()), encoding="utf-8")
+            printed = io.StringIO()
+            with contextlib.chdir(work), contextlib.redirect_stdout(printed):
+                code = main([command, "--config", "config.json", "--replications", "3", "--out", "out"])
+            assert code == 0
+            (work / "stdout").write_bytes(printed.getvalue().encode("utf-8"))
             outs[case] = work / "out"
         return outs[case]
 
@@ -303,6 +328,12 @@ def test_artifact_digests(case, artifacts):
     out, expected = artifacts(case), CASES[case][2]
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in expected}
     assert digests == expected
+
+
+@pytest.mark.parametrize("case", sorted(STDOUT))
+def test_stdout_digests(case, artifacts):
+    printed = (artifacts(case).parent / "stdout").read_bytes()
+    assert hashlib.sha256(printed).hexdigest() == STDOUT[case], printed.decode("utf-8")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

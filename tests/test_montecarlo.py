@@ -39,14 +39,15 @@ def setup(bowl):
 def monte_carlo_estimate(policy, env, noise, replications, base_seed):
     """The mean and standard error of ``regret_samples``, as ``run`` and ``bounds --check`` take them."""
     totals, _ = regret_samples(policy, env, noise, replications, base_seed)
-    return MonteCarloEstimate.from_samples(totals, base_seed)
+    return MonteCarloEstimate.from_samples(totals)
 
 
 def test_noiseless_runs_have_zero_standard_error(setup, no_noise):
     policy, env = setup
-    estimate = monte_carlo_estimate(policy, env, no_noise, replications=8, base_seed=1)
+    totals, _ = regret_samples(policy, env, no_noise, 8, base_seed=1)
+    estimate = MonteCarloEstimate.from_samples(totals)
     assert estimate.standard_error == 0.0
-    assert estimate.replications == 8
+    assert len(totals) == 8
 
 
 def test_bitwise_reproducibility(setup):

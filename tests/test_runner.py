@@ -4,7 +4,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import fields, replace
+from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,15 @@ from kwbandit.config import with_overrides
 from kwbandit.rng import StreamChunk
 from kwbandit.runner import resolve_experiment
 from kwbandit.traces import TraceBlock
+
+
+def data_lines(path: Path) -> list[str]:
+    return path.read_text().splitlines()[1:]
+
+
+def cells(row) -> str:
+    """``row`` as a CSV line, formatted as the drivers write it."""
+    return ",".join(runner._fmt(value) for value in astuple(row))
 
 
 def base_doc(**overrides):
@@ -91,7 +100,16 @@ class TestRunExperiment:
 
     def test_result_holds_no_trace(self):
         # the trace streams to trace.csv; holding it would grow with the horizon
-        assert "trace" not in {f.name for f in fields(runner.ExperimentResult)}
+        assert "trace" not in {f.name for f in fields(runner.SummaryRow)}
+
+    def test_returns_the_row_it_writes(self, tmp_path):
+        doc = base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, replications=4)
+        row = run_experiment(parse_config(json.dumps(doc)), out_dir=tmp_path)
+        assert data_lines(tmp_path / runner.SUMMARY_CSV) == [cells(row)]
+
+    def test_returns_the_same_row_without_an_out_dir(self, tmp_path):
+        cfg = parse_config(json.dumps(base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, replications=4)))
+        assert run_experiment(cfg) == run_experiment(cfg, out_dir=tmp_path)
 
     def test_trace_csv_does_not_depend_on_the_batch_width(self, tmp_path):
         """At 1,100 replications the traced row shares a 1,024-row batch,
@@ -292,9 +310,9 @@ main(["sweep", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])
         header, row = (tmp_path / "summary.csv").read_text().splitlines()
         record = dict(zip(header.split(","), row.split(",")))
         assert record["tuning"] == "auto"
-        assert float(record["beta"]) == result.echo.beta
+        assert float(record["beta"]) == result.beta
         assert record["bound_name"] == "fixed-step-total"
-        assert float(record["bound_value"]) == result.bound.value
+        assert float(record["bound_value"]) == result.bound_value
         # alpha = 1 couples the perturbation to 1
         assert float(record["c"]) == 1.0
 
@@ -377,8 +395,8 @@ class TestRunSweep:
 
     def test_injected_constant_values_fit_zero_slope(self, tmp_path, monkeypatch):
         stub_constant_totals(monkeypatch, lambda env: 5.0 * env.horizon)
-        result = run_sweep(self.sweep(), out_dir=tmp_path)
-        assert result.slope == pytest.approx(0.0, abs=1e-12)
+        _, fit = run_sweep(self.sweep(), out_dir=tmp_path)
+        assert fit.slope == pytest.approx(0.0, abs=1e-12)
         lines = (tmp_path / "exponent_fit.csv").read_text().splitlines()
         assert lines[0] == "axis,n_points,slope,r_squared"
         assert lines[1].startswith("T,3,")
@@ -389,12 +407,17 @@ class TestRunSweep:
         lines = (tmp_path / "sweep_summary.csv").read_text().splitlines()
         assert len(lines) == 4
 
+    def test_returns_the_rows_it_writes(self, tmp_path):
+        points, fit = run_sweep(self.sweep(), out_dir=tmp_path)
+        assert data_lines(tmp_path / runner.SWEEP_SUMMARY_CSV) == [cells(point) for point in points]
+        assert data_lines(tmp_path / runner.EXPONENT_FIT_CSV) == [cells(fit)]
+
     def test_chunk_invariance(self, tmp_path, monkeypatch):
         sweep = self.sweep()
         sweep = replace(sweep, base=with_overrides(sweep.base, replications=20))
-        a = run_sweep(sweep, out_dir=tmp_path / "a")
+        _, a = run_sweep(sweep, out_dir=tmp_path / "a")
         monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 8)
-        b = run_sweep(sweep, out_dir=tmp_path / "b")
+        _, b = run_sweep(sweep, out_dir=tmp_path / "b")
         assert (tmp_path / "a/sweep_summary.csv").read_bytes() == (tmp_path / "b/sweep_summary.csv").read_bytes()
         assert a.slope == b.slope
 
@@ -503,5 +526,5 @@ class TestRunSweep:
         )
         doc["sweep"] = {"axis": "delta_T", "values": [2, 4, 8]}
         stub_constant_totals(monkeypatch, lambda env: 1.0)
-        result = run_sweep(parse_sweep(json.dumps(doc)))
-        assert [p.scale for p in result.points] == [0.002, 0.004, 0.008]
+        points, _ = run_sweep(parse_sweep(json.dumps(doc)))
+        assert [p.scale for p in points] == [0.002, 0.004, 0.008]
