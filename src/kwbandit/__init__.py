@@ -47,6 +47,7 @@ _PUBLIC = {
     ),
     "montecarlo": ("Experiment", "MonteCarloEstimate", "regret_lanes", "regret_samples"),
     "noise": ("NoiseModel",),
+    "noiseworker": (),
     "objectives": ("ClassConstants", "ObjectiveSpec", "QuadraticBowl", "QuarticPerturbedBowl"),
     "rng": ("RandomStream", "replication_stream"),
     "runner": ("run_experiment", "run_sweep"),
@@ -68,7 +69,7 @@ _PUBLIC = {
 }
 # Loaded on first use; ``import kwbandit`` loads every other module, which
 # is the diagnostics and what they import.
-_DEFERRED = {"bounds", "cli", "conditions", "config", "runner", "scaling", "tracewriter"}
+_DEFERRED = {"bounds", "cli", "conditions", "config", "noiseworker", "runner", "scaling", "tracewriter"}
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
 __all__ = sorted(_HOME)

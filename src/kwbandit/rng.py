@@ -23,12 +23,14 @@ one at a time as it is iterated, so the engine can draw from each stream
 and drop it before it builds the next (see ``trajectory``); take
 ``list(StreamChunk(...))`` to hold a chunk's streams at once.
 ``replication_stream`` builds one stream by its key; the engine never
-calls it, and it stays public because the benchmark builds its streams
-and counts ``rng.streams`` through it.
+calls it, and it stays public for a caller that wants one stream: the
+benchmark's engine scan (``perfbench/child.py``) builds its streams
+through it.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import operator
@@ -180,6 +182,15 @@ class StreamChunk:
 
     def __len__(self) -> int:
         return self._count
+
+    def __getitem__(self, rows: slice) -> "StreamChunk":
+        """The chunk of the replications that ``rows``, a slice of step 1, selects."""
+        start, stop, step = rows.indices(self._count)
+        if step != 1:
+            raise ValueError(f"a chunk's streams are sliced in steps of 1, not {step}")
+        part = copy.copy(self)
+        part._start, part._count = self._start + start, max(0, stop - start)
+        return part
 
     def __iter__(self) -> Iterator[RandomStream]:
         start, stop = self._start, self._start + self._count

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import kwbandit.trajectory as traj
+from kwbandit import noiseworker
 from kwbandit import Domain, NoiseModel, QuadraticBowl, QuarticPerturbedBowl
 
 
@@ -42,11 +43,28 @@ def forks(monkeypatch) -> list[int]:
     return pids
 
 
+@pytest.fixture(autouse=True)
+def no_noise_worker_after():
+    """Each test ends with the noise worker of this process reaped, so the
+    next test forks its own: fork counts do not depend on the order of the
+    tests, and a worker sees what its test patched before the fork."""
+    yield
+    noiseworker.stop()
+
+
 @pytest.fixture
-def worker_forks(forks, monkeypatch) -> list[int]:
-    """Every batch with noise draws it in a forked worker (``_noise_blocks``),
-    whatever its size; the pids of the workers forked."""
-    monkeypatch.setattr(traj, "_WORKER_VALUES", 0)
+def spare_cpu(monkeypatch) -> None:
+    """The noise worker is forked as where this process may run on two
+    CPUs, whatever this host allows, so its tests run on any host."""
+    monkeypatch.setattr(noiseworker, "_cpus", lambda: 2)
+
+
+@pytest.fixture
+def worker_forks(forks, spare_cpu, monkeypatch) -> list[int]:
+    """Every batch with noise shares its draw with the noise worker
+    (``_noise_blocks``), whatever its size; the pids of the workers
+    forked."""
+    monkeypatch.setattr(traj, "_WORKER_ROWS", 1)
     return forks
 
 

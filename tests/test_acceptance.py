@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The Monte-Carlo
-criteria (04-08, 10) take a few minutes combined; every tolerance and
-runtime limit is asserted, not just reported.
+Run with `pytest tests/test_acceptance.py -v -s`.  The whole file takes
+about 6-8 s on a 2-vCPU Xeon (Python 3.11, NumPy 2.4), most of it in the
+Monte-Carlo criteria (04-08, 10); every tolerance and runtime limit is
+asserted, not just reported.
 """
 
 import time

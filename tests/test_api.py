@@ -69,8 +69,15 @@ UNCALLED = (
 ROOT = Path(__file__).parents[1]
 # What ``import kwbandit`` leaves for first use: the config parser and the
 # JSON module it reads documents with, the CSV drivers and their trace writer,
-# the bound evaluators, the condition grids, the exponent fit and the CLI.
-DEFERRED = ("json", *(f"kwbandit.{name}" for name in ("bounds", "cli", "conditions", "config", "runner", "scaling", "tracewriter")))
+# the bound evaluators, the condition grids, the exponent fit, the CLI and the
+# noise worker.
+DEFERRED = (
+    "json",
+    *(
+        f"kwbandit.{name}"
+        for name in ("bounds", "cli", "conditions", "config", "noiseworker", "runner", "scaling", "tracewriter")
+    ),
+)
 FRESH_IMPORT = """
 import sys
 import kwbandit

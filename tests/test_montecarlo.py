@@ -1,6 +1,8 @@
 import gc
 import json
 import os
+import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 import kwbandit.montecarlo as mc
 import kwbandit.trajectory as traj
+from kwbandit import noiseworker
 from kwbandit import (
     EnvironmentSchedule,
     Experiment,
@@ -145,8 +148,10 @@ def test_a_one_block_batch_holds_one_stream_at_a_time(bowl, block_values, alive,
 def test_a_noise_worker_holds_its_streams_as_the_loop_would(
     bowl, block_values, alive, tmp_path, monkeypatch, worker_forks
 ):
-    """A forked noise worker holds the streams as the in-process batch
-    does, and builds every one of them: the parent builds none."""
+    """The noise worker holds the streams as the in-process batch does.
+    Of a batch of one block, this process builds the streams of the rows
+    it draws and the worker the rest; of a batch of several, the worker
+    builds every one, and this process none."""
     chunk_iter, builders = StreamChunk.__iter__, tmp_path / "builders"
 
     def logged_iter(chunk):
@@ -157,7 +162,8 @@ def test_a_noise_worker_holds_its_streams_as_the_loop_would(
     monkeypatch.setattr(StreamChunk, "__iter__", logged_iter)
     assert_streams_alive(bowl, block_values, alive, tmp_path, monkeypatch)
     assert len(worker_forks) == 1
-    assert builders.read_text().split() == [str(worker_forks[0])]
+    expected = [worker_forks[0]] if block_values else [os.getpid(), worker_forks[0]]
+    assert sorted(builders.read_text().split()) == sorted(map(str, expected))
 
 
 def assert_streams_alive(bowl, block_values, alive, tmp_path, monkeypatch):
@@ -191,16 +197,13 @@ def assert_streams_alive(bowl, block_values, alive, tmp_path, monkeypatch):
     assert counts and all(count in alive for count in counts)
 
 
-def test_only_large_batches_fork_a_noise_worker(bowl, quartic, forks, tmp_path):
-    """The benchmark's shapes: the diagnostics' wide, short batches (three
-    recursion checks at 10,000 replications, a window calibration at 200)
-    and a one-replication traced run over 30,000 steps in d = 2 draw their
-    noise in-process; the smallest point of a 192-replication horizon sweep
-    forks one worker."""
-    config = FixedStepConfig(beta=0.1, c=0.1, constants=bowl.constants)
-    for probe in (1, 5, 20):
-        distance_recursion_check(config, bowl, NoiseModel.gaussian(0.5), (1.0,), probe, 10_000, base_seed=probe)
-    calibrate_window_constant(quartic, NoiseModel.gaussian(0.5), (1.0,), (4, 8, 16, 32, 64, 128), 200, 3, c=0.5)
+def test_only_large_batches_fork_a_noise_worker(bowl, quartic, forks, spare_cpu, tmp_path):
+    """The benchmark's shapes, in one process: a one-replication traced run
+    over 30,000 steps in d = 2 draws its noise in-process and forks no
+    worker; the diagnostics' wide, short batches (three recursion checks at
+    10,000 replications, a window calibration at 200) and the smallest
+    point of a 192-replication horizon sweep, which follow, share one
+    worker, forked once."""
     objectives = [
         {"kind": "quartic-perturbed-bowl", "theta": [0.1 * k, -0.1 * k], "b": 1.0, "q": 0.05} for k in range(8)
     ]
@@ -216,6 +219,64 @@ def test_only_large_batches_fork_a_noise_worker(bowl, quartic, forks, tmp_path):
     }
     run_experiment(parse_config(json.dumps(run)), out_dir=tmp_path)
     assert forks == []
+    config = FixedStepConfig(beta=0.1, c=0.1, constants=bowl.constants)
+    for probe in (1, 5, 20):
+        distance_recursion_check(config, bowl, NoiseModel.gaussian(0.5), (1.0,), probe, 10_000, base_seed=probe)
+    calibrate_window_constant(quartic, NoiseModel.gaussian(0.5), (1.0,), (4, 8, 16, 32, 64, 128), 200, 3, c=0.5)
+    assert len(forks) == 1
     policy = FixedStepPolicy(config=config, x0=(1.0,))
     regret_samples(policy, EnvironmentSchedule.stationary(1000, bowl), NoiseModel.gaussian(0.5), 192, base_seed=4)
+    assert len(forks) == 1 and noiseworker._worker.pid == forks[0]
+
+
+def test_two_library_calls_in_a_row_fork_one_noise_worker(bowl, forks, spare_cpu):
+    """The second of two recursion checks reuses the worker that the first
+    forked, and each gives the report it gives in-process."""
+    config = FixedStepConfig(beta=0.1, c=0.1, constants=bowl.constants)
+
+    def check(seed):
+        return distance_recursion_check(config, bowl, NoiseModel.gaussian(0.5), (1.0,), 5, 2048, base_seed=seed)
+
+    shared = [check(1), check(2)]
+    assert len(forks) == 1 and noiseworker._worker.pid == forks[0]
+    noiseworker.stop()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(traj, "_WORKER_ROWS", float("inf"))
+        assert shared == [check(1), check(2)]
     assert len(forks) == 1
+
+
+def test_threads_that_check_at_once_get_the_one_thread_reports(bowl, forks, spare_cpu):
+    """Four threads, more than the cores, each run a recursion check at the
+    same time, with the interpreter switching threads often: a batch that
+    finds the noise worker busy with another thread's draws in-process,
+    each report equals the one a single thread gets, and the process forks
+    at most one worker."""
+    config = FixedStepConfig(beta=0.1, c=0.1, constants=bowl.constants)
+    seeds = (1, 2, 3, 4)
+
+    def check(seed):
+        return distance_recursion_check(config, bowl, NoiseModel.gaussian(0.5), (1.0,), 20, 4096, base_seed=seed)
+
+    alone = [check(seed) for seed in seeds]
+    noiseworker.stop()
+    forks.clear()
+    start, reports = threading.Barrier(len(seeds)), {}
+
+    def checked(seed):
+        start.wait()
+        reports[seed] = check(seed)
+
+    threads = [threading.Thread(target=checked, args=(seed,)) for seed in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert [reports[seed] for seed in seeds] == alone
+    assert len(forks) <= 1

@@ -22,7 +22,7 @@ from kwbandit import (
     simulate_batch,
     simulate_lanes,
 )
-from kwbandit import montecarlo, runner, trajectory
+from kwbandit import montecarlo, noiseworker, runner, trajectory
 from kwbandit.cli import main
 from kwbandit.config import with_overrides
 from kwbandit.rng import StreamChunk
@@ -243,30 +243,37 @@ with runner._trace_writer({str(tmp_path / "trace.csv")!r}) as sink:
 
     @pytest.mark.skipif(not Path("/proc/self/fd").exists(), reason="reads a process's descriptors from /proc")
     def test_a_noise_worker_holds_only_its_two_pipes(self, tmp_path, monkeypatch, worker_forks):
-        """A traced run's noise worker, in its third block, holds its ends
-        of its two pipes and nothing else it inherited: not the trace
-        writer's input, nor the standard streams."""
+        """A traced run's noise worker, in its third block, holds the read
+        end of its request pipe and the write end of its reply pipe, whose
+        other ends this process holds, and nothing else it inherited: not
+        the trace writer's input, nor the standard streams."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps(base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, horizon=50)))
         monkeypatch.setattr(trajectory, "_NOISE_BLOCK_STEPS", 7)
-        tables, held = trajectory._Ascent.tables, []
+        tables, held, ours = trajectory._Ascent.tables, {}, {}
 
         def third_block_looks(self, first, count):
             if first == 15:
-                fds = Path(f"/proc/{worker_forks[0]}/fd")
-                held.extend(os.readlink(fds / fd) for fd in os.listdir(fds))
+                worker = noiseworker._worker
+                ours.update(requests=os.readlink(f"/proc/self/fd/{worker.requests}"))
+                ours.update(replies=os.readlink(f"/proc/self/fd/{worker.replies}"))
+                proc = Path(f"/proc/{worker.pid}")
+                for fd in os.listdir(proc / "fd"):
+                    flags = (proc / "fdinfo" / fd).read_text().split("flags:")[1].split()[0]
+                    held[os.readlink(proc / "fd" / fd)] = int(flags, 8) & os.O_ACCMODE
             return tables(self, first, count)
 
         monkeypatch.setattr(trajectory._Ascent, "tables", third_block_looks)
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         assert len(worker_forks) == 1
-        assert len(held) == 2 and all(target.startswith("pipe:") for target in held), held
+        assert ours["requests"].startswith("pipe:") and ours["replies"].startswith("pipe:")
+        assert held == {ours["requests"]: os.O_RDONLY, ours["replies"]: os.O_WRONLY}
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads a process's state from /proc")
     def test_a_killed_sweep_leaves_no_noise_worker(self, tmp_path):
         """A sweep is killed in its third noise block, while its worker
-        waits for a buffer: the worker, whose pipe from the parent has
-        ended, exits."""
+        waits for a buffer: the worker, whose request pipe has ended,
+        exits."""
         doc = base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, replications=3)
         doc["sweep"] = {"axis": "T", "values": [50, 100, 200]}
         config = tmp_path / "sweep.json"
@@ -274,8 +281,9 @@ with runner._trace_writer({str(tmp_path / "trace.csv")!r}) as sink:
         script = f"""
 import os
 import kwbandit.trajectory as traj
+from kwbandit import noiseworker
 from kwbandit.cli import main
-traj._WORKER_VALUES, traj._NOISE_BLOCK_STEPS = 0, 7
+traj._WORKER_ROWS, traj._NOISE_BLOCK_STEPS, noiseworker._cpus = 1, 7, lambda: 2
 fork, tables, blocks = os.fork, traj._Ascent.tables, []
 def forked():
     pid = fork()
@@ -297,6 +305,35 @@ main(["sweep", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}])
         deadline = time.monotonic() + 30
         while stat.exists() and stat.read_text().rpartition(")")[2].split()[0] not in ("Z", "X"):
             assert time.monotonic() < deadline, "the orphaned noise worker still runs"
+            time.sleep(0.01)
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads a process's state from /proc")
+    @pytest.mark.parametrize("leaving", ["returns", "os._exit"])
+    def test_a_process_that_exits_leaves_no_noise_worker(self, tmp_path, leaving):
+        """A process whose noise worker waits for its next batch exits: by
+        returning, which stops and reaps the worker at exit, or through
+        ``os._exit``, which ends the worker's request pipe, so the worker
+        exits."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, replications=3)))
+        script = f"""
+import os
+import kwbandit.trajectory as traj
+from kwbandit import noiseworker
+from kwbandit.cli import main
+traj._WORKER_ROWS, noiseworker._cpus = 1, lambda: 2
+assert main(["run", "--config", {str(config)!r}, "--out", {str(tmp_path / "out")!r}]) == 0
+print(noiseworker._worker.pid, flush=True)
+if {leaving!r} == "os._exit":
+    os._exit(0)
+"""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        left = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+        assert left.returncode == 0, left.stderr
+        stat = Path(f"/proc/{int(left.stdout.split()[-1])}/stat")
+        deadline = time.monotonic() + (0 if leaving == "returns" else 30)
+        while stat.exists() and stat.read_text().rpartition(")")[2].split()[0] not in ("Z", "X"):
+            assert time.monotonic() < deadline, "the noise worker still runs"
             time.sleep(0.01)
 
     def test_summary_has_bound_and_tuning(self, tmp_path):

@@ -1,7 +1,9 @@
 import ast
 import os
+import signal
 import tracemalloc
 from itertools import accumulate, combinations
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kwbandit.trajectory as traj
+from kwbandit import noiseworker
 import reference
 from kwbandit import (
     Domain,
@@ -75,9 +78,12 @@ def logged_calls(log):
 
 
 def check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeypatch):
+    """Runs a batch of one 50-step block, then the same batch in blocks of
+    7 steps, and checks the second; returns the shapes of the first's
+    fills."""
     env = EnvironmentSchedule.stationary(50, bowl)
-    default = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
-    logged, calls = logged_calls(tmp_path / "calls")
+    log = tmp_path / "calls"
+    logged, calls = logged_calls(log)
     fill, draw = NoiseModel.fill, NoiseModel.draw
 
     def counted_fill(self, rngs, out):
@@ -90,8 +96,11 @@ def check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeyp
 
     monkeypatch.setattr(NoiseModel, "fill", counted_fill)
     monkeypatch.setattr(NoiseModel, "draw", counted_draw)
+    default = simulate_batch(fixed_policy, env, noise, StreamChunk(7, 3)).total_regret
+    one_block = sorted(call[1] for call in calls() if call[0] == "fill")
+    log.unlink(missing_ok=True)
     monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
-    blocked = simulate_batch(fixed_policy, env, noise, list(StreamChunk(7, 3))).total_regret
+    blocked = simulate_batch(fixed_policy, env, noise, StreamChunk(7, 3)).total_regret
     blocks = [tuple(call[1:]) for call in calls() if call[0] == "fill"]
     draws = [call for call in calls() if call[0] == "draw"]
     assert len(blocks) == fills and draws == []
@@ -100,6 +109,7 @@ def check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeyp
         # a slice of the 7-step block, whose rows alone are contiguous
         assert blocks == [((3, 7, 2), True, True)] * 7 + [((3, 1, 2), False, True)]
     assert np.array_equal(default, blocked)
+    return one_block
 
 
 class TestNoiselessTrace:
@@ -291,15 +301,19 @@ class TestBatchSemantics:
 
     @FILL_CASES
     def test_noise_comes_from_one_fill_per_block(self, bowl, fixed_policy, noise, fills, tmp_path, monkeypatch):
-        check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeypatch)
+        one_block = check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeypatch)
+        assert one_block == ([(3, 50, 2)] if fills else [])
 
     @FILL_CASES
     def test_a_noise_worker_draws_one_fill_per_block(
         self, bowl, fixed_policy, noise, fills, tmp_path, monkeypatch, worker_forks
     ):
-        check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeypatch)
-        # the batch at the default block size, then the blocked one
-        assert len(worker_forks) == (2 if fills else 0)
+        """The one-block batch splits its rows: this process fills one and
+        the worker two; the blocked batch reuses the worker, which fills
+        every row of every block."""
+        one_block = check_one_fill_per_block(bowl, fixed_policy, noise, fills, tmp_path, monkeypatch)
+        assert one_block == ([(1, 50, 2), (2, 50, 2)] if fills else [])
+        assert len(worker_forks) == (1 if fills else 0)
 
     def test_distance_probes(self, bowl, fixed_policy, no_noise):
         env = EnvironmentSchedule.stationary(5, bowl)
@@ -637,7 +651,7 @@ def test_block_buffers_stay_within_the_noise_block_budget(monkeypatch):
     budget, which covers the noise as drawn, its step-major copy and the
     stored f(x), plus 0.5 MB for everything else.  (At this size a noise
     worker draws by default, in a mapping that tracemalloc does not see.)"""
-    monkeypatch.setattr(traj, "_WORKER_VALUES", float("inf"))
+    monkeypatch.setattr(traj, "_WORKER_ROWS", float("inf"))
     box = Domain(lower=(-2.0,), upper=(2.0,))
     f = QuadraticBowl(domain=box, theta=(0.3,), b=1.0)
     policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.1, constants=f.constants), x0=(1.0,))
@@ -660,22 +674,25 @@ MEASURING = (VANILLA, FIXED_STEP, SLIDING_WINDOW)
     batch=lane_batches(variants=MEASURING, noiseless=False),
     seed=st.integers(0, 2**31 - 1),
     block_values=st.sampled_from((48, 4_000_000)),
-    chunked=st.lists(st.booleans(), min_size=4, max_size=4),
+    listed=st.one_of(st.none(), st.integers(0, 3)),
+    split=st.integers(0, 10**6),
 )
-def test_a_noise_worker_gives_the_in_process_bytes(batch, seed, block_values, chunked):
+def test_a_noise_worker_gives_the_in_process_bytes(batch, seed, block_values, listed, split):
     """Every measuring rule, gaussian and uniform noise, d = 1-3, over one
-    noise block or several, with each lane's streams a list or a
-    ``StreamChunk``: the batch drawn by a forked worker equals, bit for bit,
-    the batch drawn in-process."""
+    noise block or several, this process drawing any number k of the rows
+    of a batch of one block, 0 to all, and the worker the rest: the batch
+    that shares its draw equals, bit for bit, the batch drawn in-process.
+    A batch with a lane whose streams are a list of generators (lane
+    ``listed``) draws in-process."""
     specs, noise = batch
 
-    def run(worker_values):
+    def run(worker_rows):
         lanes = [
             Lane(policy, env, StreamChunk(seed, reps, (k,)), probes, record_trace=k == 0)
             for k, (policy, env, reps, probes) in enumerate(specs)
         ]
         lanes = [
-            lane if chunked[k] else Lane(lane.policy, lane.env, list(lane.rngs), lane.probe_steps, lane.record_trace)
+            lane if k != listed else Lane(lane.policy, lane.env, list(lane.rngs), lane.probe_steps, lane.record_trace)
             for k, lane in enumerate(lanes)
         ]
         forks, fork = [], os.fork
@@ -686,12 +703,19 @@ def test_a_noise_worker_gives_the_in_process_bytes(batch, seed, block_values, ch
                 forks.append(pid)
             return pid
 
-        with mock.patch.object(traj, "_WORKER_VALUES", worker_values), mock.patch.object(os, "fork", counted_fork):
+        with mock.patch.object(traj, "_WORKER_ROWS", worker_rows), mock.patch.object(os, "fork", counted_fork):
             return simulate_lanes(lanes, noise), len(forks)
 
-    with mock.patch.object(traj, "_NOISE_BLOCK_VALUES", block_values):
-        (drawn_here, no_fork), (drawn_there, one_fork) = run(float("inf")), run(0)
-    assert (no_fork, one_fork) == (0, 1)
+    with (
+        mock.patch.object(traj, "_NOISE_BLOCK_VALUES", block_values),
+        mock.patch.object(noiseworker, "_split", lambda rows: split % (rows + 1)),
+        mock.patch.object(noiseworker, "_cpus", lambda: 2),
+    ):
+        try:
+            (drawn_here, no_fork), (drawn_there, one_fork) = run(float("inf")), run(1)
+        finally:
+            noiseworker.stop()
+    assert (no_fork, one_fork) == (0, 0 if listed is not None and listed < len(specs) else 1)
     for here, there in zip(drawn_here, drawn_there):
         assert here.total_regret.tobytes() == there.total_regret.tobytes()
         assert {s: p.tobytes() for s, p in here.distance_probes.items()} == {
@@ -748,9 +772,10 @@ def test_an_exception_in_the_noise_worker_reaches_the_caller(
 
 @pytest.mark.parametrize("ending", ["finishes", "loop-interrupted"])
 def test_every_batch_reaps_its_noise_worker(bowl, fixed_policy, ending, monkeypatch, worker_forks):
-    """However a batch ends, its worker has been reaped when the call
-    returns or raises: an interrupt in the step loop, with the worker
-    waiting for a buffer, kills it first."""
+    """A batch that finishes leaves its worker waiting for the next batch,
+    until the worker is stopped, as it is at exit; an interrupt in the step
+    loop, with the worker waiting for a buffer, kills and reaps it before
+    the call raises."""
     monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
     if ending == "loop-interrupted":
         tables, calls = traj._Ascent.tables, []
@@ -765,9 +790,93 @@ def test_every_batch_reaps_its_noise_worker(bowl, fixed_policy, ending, monkeypa
     env = EnvironmentSchedule.stationary(50, bowl)
     if ending == "finishes":
         simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+        assert noiseworker._worker.pid == worker_forks[0]
+        assert os.waitpid(worker_forks[0], os.WNOHANG) == (0, 0)
+        noiseworker.stop()
     else:
         with pytest.raises(KeyboardInterrupt):
             simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+        assert noiseworker._worker is None
     assert len(worker_forks) == 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_two_batches_share_one_noise_worker(bowl, fixed_policy, monkeypatch, worker_forks):
+    """A second batch reuses the worker that the first forked, whatever
+    their shapes: the first of one block, the second of several."""
+    env = EnvironmentSchedule.stationary(50, bowl)
+    first = simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+    monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 7)
+    second = simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+    assert len(worker_forks) == 1 and noiseworker._worker.pid == worker_forks[0]
+    assert first.total_regret.tobytes() == second.total_regret.tobytes()
+
+
+@pytest.mark.parametrize("cpus", [None, {0}, {0, 1}], ids=["unreadable", "one", "two"])
+def test_a_process_on_one_cpu_forks_no_noise_worker(bowl, fixed_policy, cpus, monkeypatch, forks):
+    """No worker is forked where the CPUs a process may run on cannot be
+    read or where it may run on one only, where a worker could only take
+    turns with its parent; where it may run on two, one is.  The bytes are
+    the in-process bytes."""
+    env = EnvironmentSchedule.stationary(50, bowl)
+
+    def regret():
+        return simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 300)).total_regret.tobytes()
+
+    monkeypatch.setattr(traj, "_WORKER_ROWS", float("inf"))
+    in_process = regret()
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+    monkeypatch.setattr(traj, "_WORKER_ROWS", 1)
+    assert regret() == in_process
+    assert len(forks) == (1 if cpus and len(cpus) > 1 else 0)
+
+
+def test_an_idle_noise_worker_ignores_a_terminal_interrupt(bowl, fixed_policy, worker_forks):
+    """An interrupt that a terminal sends the whole process group while the
+    worker waits for its next batch leaves it serving: the next batch
+    reuses it and gets its bytes."""
+    env = EnvironmentSchedule.stationary(50, bowl)
+    first = simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+    os.kill(worker_forks[0], signal.SIGINT)
+    try:
+        second = simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+    except KeyboardInterrupt:
+        pytest.fail("the worker took the interrupt")
+    assert len(worker_forks) == 1 and noiseworker._worker.pid == worker_forks[0]
+    assert first.total_regret.tobytes() == second.total_regret.tobytes()
+
+
+def resident_kb(pid: int, start: int) -> int:
+    """The resident kB of the mapping of process ``pid`` that starts at ``start``."""
+    lines = Path(f"/proc/{pid}/smaps").read_text().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith(f"{start:x}-"))
+    return int(next(line for line in lines[at + 1 :] if line.startswith("Rss:")).split()[1])
+
+
+@pytest.mark.skipif(not Path("/proc/self/smaps").exists(), reason="reads a process's mappings from /proc")
+def test_a_batch_leaves_none_of_the_shared_noise_resident_here(bowl, fixed_policy, worker_forks):
+    """After a batch, this process holds none of the worker's mapping in
+    its resident set, which would raise its peak for the rest of its life;
+    the worker holds the pages it wrote."""
+    env = EnvironmentSchedule.stationary(50, bowl)
+    simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 300))
+    start = np.frombuffer(noiseworker._worker.mapping, np.uint8).ctypes.data
+    assert resident_kb(os.getpid(), start) == 0 and resident_kb(worker_forks[0], start) > 0
+
+
+def test_a_batch_forks_again_when_the_idle_noise_worker_was_killed(bowl, fixed_policy, worker_forks):
+    """A worker killed while it waits for the next batch costs that batch
+    nothing: the batch reaps it, forks another and gets the same bytes."""
+    env = EnvironmentSchedule.stationary(50, bowl)
+    first = simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+    os.kill(worker_forks[0], signal.SIGKILL)
+    os.waitid(os.P_PID, worker_forks[0], os.WEXITED | os.WNOWAIT)
+    second = simulate_batch(fixed_policy, env, NoiseModel.gaussian(1.0), StreamChunk(7, 3))
+    assert len(worker_forks) == 2 and noiseworker._worker.pid == worker_forks[1]
+    assert first.total_regret.tobytes() == second.total_regret.tobytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(worker_forks[0], os.WNOHANG)
