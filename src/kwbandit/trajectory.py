@@ -63,6 +63,17 @@ does, where a float costs about half as much again; and an operation runs
 in place only through the identical array object, since one through a
 second view of the same memory pays NumPy's overlap solver.
 
+At one row a step's 22 or so NumPy calls cost about 0.4 us each on arrays
+of one element.  So a batch of one row with at most ``_FLOAT_AXES`` axes,
+on objectives of exactly the kind ``QuadraticBowl`` or
+``QuarticPerturbedBowl``, runs its steps on Python floats while NumPy
+ignores underflow (``floatloop``): the same IEEE-754 operations, about
+1 us a step at d = 2.  A step that meets a value that is not finite goes,
+with the rest of the batch, to the array loop.  The block's work stays
+shared: the rule's tables, the noise, the ledger, the events and the
+trace.  The one-row golden digests and the one-row tests of
+``tests/test_trajectory.py`` hold the two loops equal bit for bit.
+
 Each step stores f(x) into a block buffer of one ledger (``_Ledger``),
 which every policy shares: the regret f(theta) - f(x) and its running sum,
 added strictly left to right, are settled once per noise block and before
@@ -103,8 +114,9 @@ The oracle and static policies never measure: their action changes only
 at an episode start, so f(x) is evaluated once per episode and stored on
 each of its steps.  The same ledger settles, sums and traces them.
 
-``simulate_lanes`` is the only implementation of the three step rules;
-``algorithms`` holds their configs and the decaying schedule.
+``simulate_lanes`` implements the three step rules, in the array loop and,
+for one row, in the float loop of ``floatloop``; ``algorithms`` holds their
+configs and the decaying schedule.
 """
 
 from __future__ import annotations
@@ -114,7 +126,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, islice, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -122,7 +134,7 @@ import numpy as np
 from .algorithms import FixedStepConfig, SlidingWindowConfig, decaying_schedule
 from .domain import add_left_to_right
 from .noise import NONE, NoiseModel
-from .objectives import ObjectiveSpec, shared_kind
+from .objectives import ObjectiveSpec, QuadraticBowl, QuarticPerturbedBowl, shared_kind
 from .rng import RandomStream, StreamChunk
 from .schedule import EnvironmentSchedule
 from .traces import RegretTrace, TraceBlock, TraceSink, sink_for
@@ -140,6 +152,11 @@ _NOISE_BLOCK_STEPS = 4096
 # worker takes about 2 us a row off a one-block batch; one-block batches of
 # 5 and 20 steps at d = 1 broke even between 96 and 192 rows.
 _WORKER_ROWS = 128
+# A batch of one row with at most this many axes steps on Python floats
+# (``floatloop``).  A float step's cost grows as d squared: on 4,000-step
+# one-row batches it took 0.8 us at d = 1 against the array loop's 8 us, 10
+# against 15 at d = 16, and about as long as the array loop at d = 24.
+_FLOAT_AXES = 16
 
 
 @dataclass(frozen=True)
@@ -576,8 +593,11 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     """The step loop of a measuring rule over lanes of one horizon, with
     sorted probe steps; returns their results.
 
-    The loop never branches on the rule or the lane, and every row runs
-    every step.  The traced row's block of trace rows gets its boundary
+    The array loop never branches on the rule or the lane, and every row
+    runs every step.  A batch of one row runs each block's steps in the
+    float loop of ``floatloop.Row`` instead, between its events, until a
+    step meets a value that is not finite; the array loop runs that step
+    and the rest.  The traced row's block of trace rows gets its boundary
     contacts after the block's steps, from the recorded actions and the
     block's perturbations.  The totals and the probes of step ``horizon +
     1`` are taken after the last block.  The noise comes block by block
@@ -644,6 +664,15 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         event_steps = iter(sorted(events))
         next_event = next(event_steps, 0)
 
+        def fire(j: int, s: int) -> int:
+            """Runs step s's events, settling the block's steps before j
+            first if one changes an objective; returns the next event's step."""
+            if s in changes:
+                ledger.settle(j)
+            for event in events[s]:
+                event()
+            return next(event_steps, 0)
+
         ledger = _Ledger(lanes, lane_rows, objectives.max_value, cap)
         x_traced = x[:, ledger.t_row]
 
@@ -656,6 +685,20 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         # Bound once: looking each up on every step costs about 2% of a step
         add, subtract, divide, minimum, maximum = np.add, np.subtract, np.divide, np.minimum, np.maximum
         take, update = corners.take, rule.update
+        # A batch of one row steps on Python floats (``floatloop``) until a
+        # step meets a value that is not finite.  Python floats signal no
+        # underflow, so NumPy must ignore it, as it does by default.
+        row = None
+        if (
+            n == 1
+            and d <= _FLOAT_AXES
+            and kind in (QuadraticBowl, QuarticPerturbedBowl)
+            and np.geterr()["under"] == "ignore"
+        ):
+            from .floatloop import Row
+
+            window = (rule.action_sum, rule.anchor) if isinstance(rule, _SlidingWindow) else ()
+            row = Row(bool(values_per_step), x, domain.lower, domain.upper, *window)
 
         for (step, block), block_noise in zip(ledger.blocks(), noise_blocks):
             # c and the rate by step, (block, ...), or by row, (1, d, n), and
@@ -673,14 +716,30 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
                 ledger.f_x,
                 block_noise,
             )
+            j = 0
+            if row is not None:
+                actions = None if columns is None else columns.actions
+                row.open(step, block, cs, rates, block_noise, getattr(rule, "restarts", ()))
+                while j < block:
+                    s = step + j
+                    if s == next_event:
+                        row.sync(j, ledger.f_x, actions)
+                        next_event = fire(j, s)
+                    stop = min(block, next_event - step) if next_event > s else block
+                    j = row.run(j, stop, current[0])
+                    if j < stop:
+                        break
+                row.sync(j, ledger.f_x, actions)
+                if j < block:
+                    # step j met a value that is not finite: the array loop
+                    # runs it and every later step of the batch
+                    row, by_step = None, islice(by_step, j, None)
+                else:
+                    by_step = ()
             for j, c, span, rate, f_x, noise_j in by_step:
                 s = step + j
                 if s == next_event:
-                    if s in changes:
-                        ledger.settle(j)
-                    for event in events[s]:
-                        event()
-                    next_event = next(event_steps, 0)
+                    next_event = fire(j, s)
 
                 # One-sided clamps: x lies in the box and c > 0, so x + c
                 # never falls below lo nor x - c rises above hi, and the

@@ -69,13 +69,23 @@ UNCALLED = (
 ROOT = Path(__file__).parents[1]
 # What ``import kwbandit`` leaves for first use: the config parser and the
 # JSON module it reads documents with, the CSV drivers and their trace writer,
-# the bound evaluators, the condition grids, the exponent fit, the CLI and the
-# noise worker.
+# the bound evaluators, the condition grids, the exponent fit, the CLI, the
+# noise worker and the one-row step loop.
 DEFERRED = (
     "json",
     *(
         f"kwbandit.{name}"
-        for name in ("bounds", "cli", "conditions", "config", "noiseworker", "runner", "scaling", "tracewriter")
+        for name in (
+            "bounds",
+            "cli",
+            "conditions",
+            "config",
+            "floatloop",
+            "noiseworker",
+            "runner",
+            "scaling",
+            "tracewriter",
+        )
     ),
 )
 FRESH_IMPORT = """

@@ -308,6 +308,13 @@ EXIT_CODE_MATRIX = [
         1,
         ("overflow encountered", "float arithmetic"),
     ),
+    (
+        "float-overflow-difference-one-row",
+        ["run", "--config", "{dir}/tiny-c-window.json", "--replications", "1"],
+        1,
+        1,
+        ("overflow encountered", "float arithmetic"),
+    ),
     ("undominated-bounds-check", ["bounds", "--config", "{dir}/window.json", "--check"], 3, 0, ("check: FAIL",)),
     (
         "second-objective-does-not-assemble",
@@ -352,6 +359,11 @@ def bad_inputs(tmp_path):
         # the central difference divides by 2c, which overflows
         "huge-c-window.json": json.dumps(
             {**window_doc(k5=1.8), "algorithm": {**window_doc(k5=1.8)["algorithm"], "c": 1e308}}
+        ).encode(),
+        # the central difference divides the noise by 2c = 2e-320, which
+        # overflows on the first step
+        "tiny-c-window.json": json.dumps(
+            {**window_doc(k5=1.8), "algorithm": {**window_doc(k5=1.8)["algorithm"], "c": 1e-320}}
         ).encode(),
         # over the cap, a run would simulate chunk after chunk until memory ran out
         "too-many-replications.json": json.dumps({**smoke, "replications": 10**400}).encode(),

@@ -4,8 +4,10 @@ Output bytes are a pure function of (config document, seed), so any change
 to the engine, the step rules, the tuning or the CSV layout that alters a
 single byte shows up here.  Every case runs from its own directory with
 ``--out out``, so its standard output is as fixed as its files.  The same
-artifacts show that the comma-join writer needs no quoting.  Every case runs at 3 replications, and the
-sweep documents at reduced horizons, so the whole file takes a few seconds.
+artifacts show that the comma-join writer needs no quoting.  Every case runs
+at 3 replications, except the ``ONE_ROW`` cases, whose one replication runs
+the engine's one-row step loop; the sweep documents run at reduced
+horizons, so the whole file takes a few seconds.
 """
 
 import contextlib
@@ -271,6 +273,30 @@ CASES = {
             "summary.csv": "c47c3a4c3ca388b07b5917bba5c60e0655d957f252794b285293292053f7aacb",
         },
     ),
+    "vanilla_2d_one_row": (
+        "run",
+        _vanilla_2d_run,
+        {
+            "trace.csv": "ff8ef2789d8433f7aa8fa1fbf82cf6d99a32ffa42bcd3674073d720e94cf89c2",
+            "summary.csv": "03b85d848fe34c887a431d3170c7526203cadc33372bbd24aa6d8b2a3510e64f",
+        },
+    ),
+    "quartic_window_3d_one_row": (
+        "run",
+        _quartic_window_3d,
+        {
+            "trace.csv": "642cd6cfccf2b58e7ffaf67074163fe3006f687e4e163f65c7966f427c47ee63",
+            "summary.csv": "8035dd871986d0d74ff9a615d66f603577740b77da183facd5e8f39a34ae9e16",
+        },
+    ),
+    "fixed_step_8d_one_row": (
+        "run",
+        _fixed_step_8d,
+        {
+            "trace.csv": "d9f0e1540747b7d575f600f4fae0dbc8cd5fb35989e89fe3459ebe96d105e68d",
+            "summary.csv": "122d2fb85d632ab7bde351634219e679d5d28c1424cd86faddc5a9e85ef9a8e7",
+        },
+    ),
     "fixed_step_8d": (
         "run",
         _fixed_step_8d,
@@ -281,14 +307,19 @@ CASES = {
     ),
 }
 
+# cases run at one replication
+ONE_ROW = {"fixed_step_8d_one_row", "quartic_window_3d_one_row", "vanilla_2d_one_row"}
+
 # case -> sha256 of what the CLI printed, run from the case's directory
 STDOUT = {
     "adversarial_packed_early": "9e1ee246e21b0d09945353e4ad89e02078d8fd4ee60eed5dc3e90812fd57058f",
     "beta_sweep": "a19fc304ecb233289573e4eca73e04b5ad434c0111e5b7b4c6144b1661d51343",
     "fixed_step_8d": "d9098e965ce604ff02b1661f20ab2eafda21776838cb54f4f0be560669823de9",
+    "fixed_step_8d_one_row": "cfe18128fd26368d880603968ac4fa20478ffe4b9bfa1ffdf5337418769392a2",
     "oracle_episodes": "600ba5515eb3b323ae4c9444122bf262e0f1a67ded2e6a3aaa2ab1180aba6d77",
     "quartic_conditions": "58abfbfb7f92135fbc80d76b4e2e4e3b4d4256385315c6fa95a265583b3a37e6",
     "quartic_window_3d": "a2c7b5944c39e1534686b97756b2c12b47dc766a939bdcaf0261e2502e592867",
+    "quartic_window_3d_one_row": "f28df6815fa644cc651de7f8547ceb6d7537d831f83915ee81f01603eabb9d2d",
     "sliding_window": "9eeb8039de4d982c4237a7485be1536aef1ca4ac0729ecbee756edcae0e864b5",
     "smoke": "b16d648f229f795da013ebb6adc17a72592cd9b41f7eae6990c4b755f2e0218a",
     "static_episodes": "ed01dcae1c99621b16928a8ce44c9ae342c27655bd3db3f4ec611542218d6811",
@@ -296,6 +327,7 @@ STDOUT = {
     "tuned_fixed_step_2d": "142822171e21d4e09bf8f93da95a5d9e14a3a957c4d595507aded8ba239c9411",
     "vanilla_1d": "e72fae510d69b96bea380312ee8176459218daf499b4bde5be3de4b86d0a1c3c",
     "vanilla_2d": "016dc3ee3020eb8a38d74b74a32fdd822dfc543a9b3f7d5d50caf3bd8adabda5",
+    "vanilla_2d_one_row": "51b1bc734757e2e5209df5854a26c60fa1c1f0631b9ae670053140382d68f493",
     "window_length_sweep": "a7369e198ac5529e154e92c21e2f634bb9d121402f2680acb504fb2b1903a79f",
     "window_sweep": "64f52e76f72be6c00462423b92bc0595c64d389570973001fa5b2bb8fe29874e",
 }
@@ -313,8 +345,9 @@ def artifacts(tmp_path_factory):
             work = tmp_path_factory.mktemp(case)
             (work / "config.json").write_text(json.dumps(document()), encoding="utf-8")
             printed = io.StringIO()
+            replications = "1" if case in ONE_ROW else "3"
             with contextlib.chdir(work), contextlib.redirect_stdout(printed):
-                code = main([command, "--config", "config.json", "--replications", "3", "--out", "out"])
+                code = main([command, "--config", "config.json", "--replications", replications, "--out", "out"])
             assert code == 0
             (work / "stdout").write_bytes(printed.getvalue().encode("utf-8"))
             outs[case] = work / "out"

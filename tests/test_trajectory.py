@@ -376,6 +376,77 @@ def test_each_step_evaluates_all_its_points_in_one_objective_call(variant, d):
         assert call.args[1].shape == ((1 + 2 * d) * reps, d)
 
 
+class Aniso(QuadraticBowl):
+    """A bowl with an objective of its own: the engine must call its ``_value``."""
+
+    def _value(self, x, out=None):
+        return np.negative(x[..., 0] ** 2 + 2.0 * x[..., 1] ** 2, out=out)
+
+
+@pytest.mark.parametrize(
+    "kind, d, rows, errors, calls",
+    [
+        (QuadraticBowl, 2, 1, {}, 0),
+        (QuarticPerturbedBowl, 2, 1, {}, 0),
+        (QuadraticBowl, 2, 2, {}, 1),
+        (Aniso, 2, 1, {}, 1),
+        (QuadraticBowl, 2, 1, {"under": "raise"}, 1),
+        (QuadraticBowl, traj._FLOAT_AXES, 1, {}, 0),
+        (QuadraticBowl, traj._FLOAT_AXES + 1, 1, {}, 1),
+    ],
+    ids=["one-row", "one-row-quartic", "two-rows", "one-row-own-value", "one-row-underflow-raises", "most-axes", "more"],
+)
+def test_only_a_one_row_batch_of_a_shipped_bowl_steps_on_floats(kind, d, rows, errors, calls):
+    """The float loop evaluates the objective without ``_value``; every other
+    batch calls it once per step."""
+    box = Domain(lower=(-2.0,) * d, upper=(2.0,) * d)
+    coefficients = {"q": 0.1} if kind is QuarticPerturbedBowl else {}
+    f = kind(domain=box, theta=(0.3, -0.2) + (0.0,) * (d - 2), b=1.0, **coefficients)
+    f.max_value  # cached before the patch, so only the engine's calls are counted
+    horizon = 12
+    env = EnvironmentSchedule.stationary(horizon, f)
+    policy = VanillaPolicy(x0=(1.0,) * d)
+    with mock.patch.object(kind, "_value", autospec=True, side_effect=kind._value) as value, np.errstate(**errors):
+        simulate_batch(policy, env, NoiseModel.gaussian(1.0), StreamChunk(0, rows))
+    assert value.call_count == calls * horizon
+
+
+def test_a_float_error_of_one_row_warns_raises_and_ends_as_in_two_rows(bowl):
+    """A fixed step with c = 1e-320 overflows in the central difference's
+    divide on every step.  One row hands that step to the array loop, so it
+    warns and raises as two rows do, and its regret is theirs."""
+    policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=1e-320, constants=bowl.constants), x0=(1.0,))
+    env = EnvironmentSchedule.stationary(20, bowl)
+    noise = NoiseModel.gaussian(1.0)
+    for rows in (1, 2):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
+            result = simulate_batch(policy, env, noise, StreamChunk(0, rows))
+        assert result.total_regret.tolist() == [77.0] * rows
+        # the second leaves underflow ignored, as the CLI does, so one row
+        # starts on the float loop
+        for errors in ({"all": "raise"}, {"over": "raise", "invalid": "raise", "divide": "raise"}):
+            with np.errstate(**errors), pytest.raises(FloatingPointError, match="overflow encountered in divide"):
+                simulate_batch(policy, env, noise, StreamChunk(0, rows))
+
+
+def test_one_row_clamps_a_zero_to_the_bound_as_numpy_does():
+    """Every trial point is 0.0 against the upper bound -0.0, where NumPy's
+    ``minimum`` returns its second operand, -0.0, and Python's ``min`` its
+    first: one row keeps NumPy's sign, as two rows do."""
+    box = Domain(lower=(-2.0,), upper=(-0.0,))
+    f = QuadraticBowl(domain=box, theta=(-0.25,), b=1.0)
+    # the corners -0.0 and -0.5 are equally far from theta: no gradient
+    policy = FixedStepPolicy(config=FixedStepConfig(beta=0.1, c=0.5, constants=f.constants), x0=(-0.0,))
+    env = EnvironmentSchedule.stationary(6, f)
+    one, two = (
+        simulate_batch(policy, env, NoiseModel.none(), StreamChunk(0, rows), record_trace=True).trace
+        for rows in (1, 2)
+    )
+    assert np.signbit(two.actions).all() and np.signbit(two.final_x).all()
+    assert one.actions.tobytes() == two.actions.tobytes()
+    assert one.final_x.tobytes() == two.final_x.tobytes()
+
+
 @pytest.mark.parametrize("variant", [VANILLA, FIXED_STEP, SLIDING_WINDOW, ORACLE, STATIC])
 def test_returned_arrays_own_their_memory_and_outlive_the_next_call(variant, box2d):
     objectives = (
