@@ -16,6 +16,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .exceptions import raise_first
 from .objectives import ClassConstants
 from .tuning import contraction_factor
 
@@ -38,6 +39,16 @@ def decaying_schedule(first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return perturbations, np.fromiter(map(float.__pow__, steps, repeat(-0.5)), float, count)
 
 
+def step_problems(beta: float | None = None, c: float | None = None, window: int | None = None) -> list[str]:
+    """The value rules of the step rules' keys, of those given: beta > 0,
+    c > 0 and window >= 1."""
+    positive = (("beta", beta), ("c", c))
+    problems = [f"{name} must be > 0, got {value}" for name, value in positive if value is not None and not value > 0]
+    if window is not None and window < 1:
+        problems.append(f"window must be >= 1, got {window}")
+    return problems
+
+
 @dataclass(frozen=True)
 class FixedStepConfig:
     """Constant learning rate ``beta`` and perturbation ``c``.
@@ -54,10 +65,7 @@ class FixedStepConfig:
     def __post_init__(self):
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "c", float(self.c))
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.c <= 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
+        raise_first(step_problems(beta=self.beta, c=self.c))
         # Raises ContractionViolationError when beta is too large.
         contraction_factor(self.beta, self.constants.k1, self.constants.k2)
 
@@ -95,12 +103,10 @@ class SlidingWindowConfig:
     def __post_init__(self):
         object.__setattr__(self, "window", int(self.window))
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        if self.window < 1:
-            raise ValueError(f"window must be >= 1, got {self.window}")
+        raise_first(step_problems(window=self.window))
         c = float(self.window) ** -0.25 if self.c is None else float(self.c)
         object.__setattr__(self, "c", c)
-        if c <= 0:
-            raise ValueError(f"c must be > 0, got {c}")
+        raise_first(step_problems(c=c))
 
     def weights(self, filled: np.ndarray) -> np.ndarray:
         """The weight n**(-1/2) of the estimate that follows ``filled``

@@ -11,8 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithms import step_problems
+from .exceptions import raise_first
 from .objectives import ClassConstants
-from .tuning import contraction_factor, error_floor
+from .schedule import episode_problems
+from .tuning import alpha_problems, contraction_factor, error_floor
 
 FIXED_STEP_TOTAL = "fixed-step-total"
 FIXED_STEP_NORMALIZED = "fixed-step-normalized"
@@ -136,10 +139,7 @@ def fixed_step_normalized_bound(
     with lam = (diameter**2/sigma_tilde2)**(1/(2+alpha)).  Vanishes as
     rho -> 0, which is the asymptotic-efficiency statement.
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if horizon < 1 or not 1 <= episodes <= horizon:
-        raise ValueError(f"need 1 <= episodes <= horizon, got episodes={episodes}, horizon={horizon}")
+    raise_first(alpha_problems(alpha) + episode_problems(episodes, horizon))
     if diameter <= 0 or sigma_tilde2 <= 0:
         raise ValueError("diameter and sigma_tilde2 must be > 0")
     rho = episodes / horizon
@@ -176,8 +176,7 @@ def sliding_window_episode_bound(
 
         k3 * k5 * T_i / sqrt(L) + L * k3 * diameter
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    raise_first(step_problems(window=window))
     if episode_length < 0:
         raise ValueError(f"episode_length must be >= 0, got {episode_length}")
     tracking = constants.k3 * constants.k5 * episode_length / np.sqrt(window)
@@ -206,8 +205,7 @@ def sliding_window_regret_bound(
     ``window`` may be real-valued so the bound can be inspected at the
     unrounded optimum.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
+    raise_first(step_problems(window=window))
     if horizon < 0:
         raise ValueError(f"horizon must be >= 0, got {horizon}")
     if episodes < 1:
@@ -242,8 +240,7 @@ def sliding_window_normalized_bound(
     Strictly increasing in episodes/horizon and vanishing as it tends to
     zero (asymptotic efficiency).
     """
-    if horizon < 1 or not 1 <= episodes <= horizon:
-        raise ValueError(f"need 1 <= episodes <= horizon, got episodes={episodes}, horizon={horizon}")
+    raise_first(episode_problems(episodes, horizon))
     if diameter <= 0:
         raise ValueError(f"diameter must be > 0, got {diameter}")
     coefficient = 2.0 ** (1.0 / 3.0) + 2.0 ** (-2.0 / 3.0)

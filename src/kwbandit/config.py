@@ -1,8 +1,14 @@
 """Experiment config documents: a strict JSON schema with full-error
 validation.
 
-Unknown keys are rejected and every validation problem is collected (not
-just the first).  ``ExperimentConfig`` is one flat record of the checked
+Unknown keys are rejected and every problem is collected (not just the
+first).  This module keeps three kinds of check: JSON shape (keys, types,
+finite numbers, integers), facts that span sections (dimensions, objective
+counts, a schedule for auto tuning, which sweep axis fits which variant),
+and the caps.  Each value rule is a function beside its class (such as
+``schedule.change_time_problems``) that returns its problems as strings:
+the class raises the first, and the parser reports all of them under the
+section's path.  ``ExperimentConfig`` is one flat record of the checked
 document: the box, each objective as its kind and the keyword arguments of
 the bowl class that kind names, the noise, the algorithm's keys, and the
 schedule as ``change_times`` or ``episodes`` (neither means stationary).
@@ -14,28 +20,45 @@ policy) and reports what does not assemble.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from .domain import Domain
+from .algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA, step_problems
+from .domain import Domain, bound_problems
 from .exceptions import ConfigValidationError
-from .noise import GAUSSIAN, NONE, UNIFORM_BOUNDED
+from .noise import KINDS, sigma2_problems
 from .objectives import QUADRATIC_BOWL, QUARTIC_PERTURBED_BOWL, ObjectiveSpec, QuadraticBowl, QuarticPerturbedBowl
-from .schedule import EnvironmentSchedule
-from .algorithms import FIXED_STEP, SLIDING_WINDOW, VANILLA
+from .objectives import calibration_problems, coefficient_problems, theta_problems
+from .schedule import EnvironmentSchedule, change_time_problems, episode_problems
+from .tuning import alpha_problems
 
 ORACLE = "oracle"
 STATIC = "static"
-VARIANTS = (VANILLA, FIXED_STEP, SLIDING_WINDOW, ORACLE, STATIC)
 
 EXPLICIT = "explicit"
 AUTO = "auto"
 
+# Each variant's keys besides "variant", and those of them that explicit
+# tuning requires and auto tuning computes.
+ALGORITHM_KEYS = {
+    VANILLA: ({"x0"}, ()),
+    FIXED_STEP: ({"tuning", "x0", "beta", "c", "alpha"}, ("beta", "c")),
+    SLIDING_WINDOW: ({"tuning", "x0", "window", "c"}, ("window",)),
+    ORACLE: (set(), ()),
+    STATIC: ({"x0"}, ()),
+}
+
 BOWLS = {QUADRATIC_BOWL: QuadraticBowl, QUARTIC_PERTURBED_BOWL: QuarticPerturbedBowl}
 
-# Each sweep axis names the field it sets and that field's type.
-SWEEP_AXES = {"T": ("horizon", int), "delta_T": ("episodes", int), "beta": ("beta", float), "L": ("window", int)}
+# Each sweep axis names the field it sets, that field's type, and what a
+# document must declare for the field to be set.
+SWEEP_AXES = {
+    "T": ("horizon", int, "a horizon"),
+    "delta_T": ("episodes", int, "a schedule given as {'episodes': N}"),
+    "beta": ("beta", float, "an explicitly tuned fixed-step algorithm"),
+    "L": ("window", int, "an explicitly tuned sliding-window algorithm"),
+}
 
 # The most replications a config or ``--replications`` may ask for: every
 # replication's total regret and probes are kept until the run ends.
@@ -103,7 +126,7 @@ class SweepSpec:
     base: ExperimentConfig
 
     def config_for(self, value) -> ExperimentConfig:
-        field, cast = SWEEP_AXES[self.axis]
+        field, cast, _ = SWEEP_AXES[self.axis]
         return replace(self.base, **{field: cast(value)})
 
 
@@ -127,6 +150,11 @@ class _Checker:
     def fail(self, message: str) -> None:
         self.errors.append(message)
 
+    def rules(self, path: str, problems: list[str]) -> bool:
+        """Report a rule function's problems under ``path``; whether there were none."""
+        self.errors.extend(f"{path}: {problem}" for problem in problems)
+        return not problems
+
     def expect_keys(self, doc: dict, path: str, required: set[str], optional: set[str]) -> bool:
         ok = True
         unknown = set(doc) - required - optional
@@ -138,19 +166,17 @@ class _Checker:
             ok = False
         return ok
 
-    def number(self, doc: dict, path: str, key: str, minimum=None, exclusive=False, default=None):
+    # Each reader below returns ``default`` for an absent key and None for
+    # a value it rejects.
+
+    def number(self, doc: dict, path: str, key: str, default=None):
         if key not in doc:
             return default
         value = doc[key]
         if not _finite(value):
             self.fail(f"{path}.{key}: expected a finite number, got {value!r}")
-            return default
-        value = float(value)
-        if minimum is not None and (value <= minimum if exclusive else value < minimum):
-            op = ">" if exclusive else ">="
-            self.fail(f"{path}.{key}: must be {op} {minimum}, got {value}")
-            return default
-        return value
+            return None
+        return float(value)
 
     def integer(self, doc: dict, path: str, key: str, minimum=None, default=None, maximum=None):
         if key not in doc:
@@ -158,13 +184,13 @@ class _Checker:
         value = doc[key]
         if isinstance(value, bool) or not isinstance(value, int):
             self.fail(f"{path}.{key}: expected an integer, got {value!r}")
-            return default
+            return None
         if minimum is not None and value < minimum:
             self.fail(f"{path}.{key}: must be >= {minimum}, got {value}")
-            return default
+            return None
         if maximum is not None and value > maximum:
             self.fail(f"{path}.{key}: must be <= {maximum}, got {value}")
-            return default
+            return None
         return value
 
     def vector(self, doc: dict, path: str, key: str, default=None):
@@ -173,12 +199,12 @@ class _Checker:
         value = doc[key]
         if not isinstance(value, list) or not value:
             self.fail(f"{path}.{key}: expected a non-empty list of numbers")
-            return default
+            return None
         out = []
         for i, v in enumerate(value):
             if not _finite(v):
                 self.fail(f"{path}.{key}[{i}]: expected a finite number, got {v!r}")
-                return default
+                return None
             out.append(float(v))
         return tuple(out)
 
@@ -188,37 +214,35 @@ class _Checker:
         value = doc[key]
         if value not in choices:
             self.fail(f"{path}.{key}: expected one of {list(choices)}, got {value!r}")
-            return default
+            return None
         return value
 
 
-def _parse_objective(doc, index: int, chk: _Checker) -> tuple[str, dict] | None:
-    """An objective's kind and the checked keyword arguments of its bowl."""
+def _parse_objective(doc, index: int, chk: _Checker, box: tuple | None = None) -> tuple[str, dict] | None:
+    """An objective's kind and the checked keyword arguments of its bowl,
+    whose fields but ``domain`` are its keys; theta is checked against
+    ``box``, the (lower, upper) of a valid domain."""
     path = f"objectives[{index}]"
     if not isinstance(doc, dict):
         chk.fail(f"{path}: expected an object")
         return None
-    kind = chk.choice(doc, path, "kind", (QUADRATIC_BOWL, QUARTIC_PERTURBED_BOWL))
+    kind = chk.choice(doc, path, "kind", tuple(BOWLS))
     if kind is None:
         if "kind" not in doc:
             chk.fail(f"{path}: missing required key 'kind'")
         return None
-    required = {"kind", "theta", "b"}
-    optional = {"a", "k5", "s0"}
-    if kind == QUARTIC_PERTURBED_BOWL:
-        required.add("q")
-    if not chk.expect_keys(doc, path, required, optional):
+    defaults = {f.name: f.default for f in fields(BOWLS[kind]) if f.name != "domain"}
+    required = {key for key, default in defaults.items() if default is MISSING}
+    if not chk.expect_keys(doc, path, {"kind"} | required, set(defaults) - required):
         return None
-    kwargs = {
-        "theta": chk.vector(doc, path, "theta"),
-        "b": chk.number(doc, path, "b", minimum=0.0, exclusive=True),
-        "a": chk.number(doc, path, "a", default=0.0),
-    }
-    if kind == QUARTIC_PERTURBED_BOWL:
-        kwargs["q"] = chk.number(doc, path, "q", minimum=0.0, exclusive=True)
-    kwargs["k5"] = chk.number(doc, path, "k5", minimum=0.0, exclusive=True, default=1.0)
-    kwargs["s0"] = chk.integer(doc, path, "s0", minimum=0, default=0)
+    readers = {"theta": chk.vector, "s0": chk.integer}
+    kwargs = {key: readers.get(key, chk.number)(doc, path, key, default=default) for key, default in defaults.items()}
     if None in kwargs.values():
+        return None
+    problems = coefficient_problems(kwargs["b"], kwargs.get("q"))
+    if box is not None:
+        problems += theta_problems(kwargs["theta"], *box)
+    if not chk.rules(path, problems + calibration_problems(kwargs["k5"], kwargs["s0"])):
         return None
     return kind, kwargs
 
@@ -236,86 +260,65 @@ def _parse_schedule(doc, horizon: int | None, chk: _Checker) -> dict | None:
         chk.fail(f"{path}: provide exactly one of 'change_times' or 'episodes'")
         return None
     if has_episodes:
-        episodes = chk.integer(doc, path, "episodes", minimum=1)
-        if episodes is None:
-            return None
-        if horizon is not None and episodes > horizon:
-            chk.fail(f"{path}.episodes: must be <= horizon ({horizon}), got {episodes}")
+        episodes = chk.integer(doc, path, "episodes")
+        if episodes is None or horizon is None or not chk.rules(path, episode_problems(episodes, horizon)):
             return None
         return {"episodes": episodes}
     times = doc["change_times"]
-    if not isinstance(times, list) or not times or not all(isinstance(t, int) and not isinstance(t, bool) for t in times):
-        chk.fail(f"{path}.change_times: expected a non-empty list of integers")
+    if not isinstance(times, list) or not all(isinstance(t, int) and not isinstance(t, bool) for t in times):
+        chk.fail(f"{path}.change_times: expected a list of integers")
         return None
-    if times[0] != 1:
-        chk.fail(f"{path}.change_times: the first change time must be 1, got {times[0]}")
-        return None
-    if any(b <= a for a, b in zip(times, times[1:])):
-        chk.fail(f"{path}.change_times: must be strictly increasing, got {times}")
-        return None
-    if horizon is not None and times[-1] > horizon:
-        chk.fail(f"{path}.change_times: must lie within [1, horizon={horizon}], got {times}")
+    if horizon is None or not chk.rules(path, change_time_problems(tuple(times), horizon)):
         return None
     return {"change_times": tuple(times)}
 
 
-def _parse_algorithm(doc, dimension: int | None, midpoint, chk: _Checker) -> dict | None:
-    """The algorithm's fields of ``ExperimentConfig``, checked."""
+def _parse_algorithm(doc, box: tuple | None, chk: _Checker) -> dict | None:
+    """The algorithm's fields of ``ExperimentConfig``, checked; ``x0`` is
+    checked against ``box``, the (lower, upper) of a valid domain, and
+    defaults to its midpoint."""
     path = "algorithm"
     if not isinstance(doc, dict):
         chk.fail(f"{path}: expected an object")
         return None
-    variant = chk.choice(doc, path, "variant", VARIANTS)
+    variant = chk.choice(doc, path, "variant", tuple(ALGORITHM_KEYS))
     if variant is None:
         if "variant" not in doc:
             chk.fail(f"{path}: missing required key 'variant'")
         return None
-
-    allowed: set[str] = {"variant"}
-    if variant in (VANILLA, STATIC):
-        allowed |= {"x0"}
-    elif variant == FIXED_STEP:
-        allowed |= {"tuning", "x0", "beta", "c", "alpha"}
-    elif variant == SLIDING_WINDOW:
-        allowed |= {"tuning", "x0", "window", "c"}
-    if not chk.expect_keys(doc, path, {"variant"}, allowed - {"variant"}):
+    optional, tuned = ALGORITHM_KEYS[variant]
+    if not chk.expect_keys(doc, path, {"variant"}, optional):
         return None
 
     tuning = chk.choice(doc, path, "tuning", (EXPLICIT, AUTO), default=EXPLICIT)
-    beta = chk.number(doc, path, "beta", minimum=0.0, exclusive=True)
-    c = chk.number(doc, path, "c", minimum=0.0, exclusive=True)
+    beta = chk.number(doc, path, "beta")
+    c = chk.number(doc, path, "c")
     alpha = chk.number(doc, path, "alpha", default=1.0)
-    window = chk.integer(doc, path, "window", minimum=1)
+    window = chk.integer(doc, path, "window")
+    chk.rules(path, step_problems(beta, c, window) + (alpha_problems(alpha) if alpha is not None else []))
 
-    if alpha is not None and not 0.0 < alpha <= 1.0:
-        chk.fail(f"{path}.alpha: must lie in (0, 1], got {alpha}")
-    if variant == FIXED_STEP:
-        if tuning == EXPLICIT:
-            if beta is None and "beta" not in doc:
-                chk.fail(f"{path}: fixed-step with explicit tuning requires 'beta'")
-            if c is None and "c" not in doc:
-                chk.fail(f"{path}: fixed-step with explicit tuning requires 'c'")
-        else:
-            if "beta" in doc or "c" in doc:
-                chk.fail(f"{path}: 'beta'/'c' are computed by auto tuning and may not be declared")
-    if variant == SLIDING_WINDOW:
-        if tuning == EXPLICIT and "window" not in doc:
-            chk.fail(f"{path}: sliding-window with explicit tuning requires 'window'")
-        if tuning == AUTO and "window" in doc:
-            chk.fail(f"{path}: 'window' is computed by auto tuning and may not be declared")
+    for key in tuned:
+        if tuning == EXPLICIT and key not in doc:
+            chk.fail(f"{path}: {variant} with explicit tuning requires {key!r}")
+        if tuning == AUTO and key in doc:
+            chk.fail(f"{path}: {key!r} is computed by auto tuning and may not be declared")
 
     x0 = chk.vector(doc, path, "x0")
-    if variant != ORACLE and x0 is None and "x0" not in doc and midpoint is not None:
-        x0 = midpoint
-    if x0 is not None and dimension is not None and len(x0) != dimension:
-        chk.fail(f"{path}.x0: expected {dimension} components, got {len(x0)}")
+    if box is not None:
+        lower, upper = box
+        if variant != ORACLE and "x0" not in doc:
+            x0 = tuple(0.5 * (a + b) for a, b in zip(lower, upper))
+        elif x0 is not None and len(x0) != len(lower):
+            chk.fail(f"{path}.x0: expected {len(lower)} components, got {len(x0)}")
+        elif x0 is not None and any(not (lo <= v <= hi) for v, lo, hi in zip(x0, lower, upper)):
+            chk.fail(f"{path}.x0: {list(x0)} lies outside the domain box")
     return {
         "variant": variant,
-        "tuning": tuning if variant in (FIXED_STEP, SLIDING_WINDOW) else EXPLICIT,
+        "tuning": tuning,
         "x0": x0,
         "beta": beta,
         "c": c,
-        "alpha": alpha if alpha is not None else 1.0,
+        "alpha": alpha,
         "window": window,
     }
 
@@ -325,21 +328,13 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
     top_optional = {"schedule"} | extra_top_keys
     chk.expect_keys(doc, "config", top_required, top_optional)
 
-    dimension = None
-    midpoint = None
-    lower = upper = None
+    box = None  # the (lower, upper) of a valid domain
     if isinstance(doc.get("domain"), dict):
         if chk.expect_keys(doc["domain"], "domain", {"lower", "upper"}, set()):
             lower = chk.vector(doc["domain"], "domain", "lower")
             upper = chk.vector(doc["domain"], "domain", "upper")
-            if lower is not None and upper is not None:
-                if len(lower) != len(upper):
-                    chk.fail(f"domain: lower has {len(lower)} components, upper has {len(upper)}")
-                elif any(a >= b for a, b in zip(lower, upper)):
-                    chk.fail("domain: every lower bound must be strictly below its upper bound")
-                else:
-                    dimension = len(lower)
-                    midpoint = tuple(0.5 * (a + b) for a, b in zip(lower, upper))
+            if lower is not None and upper is not None and chk.rules("domain", bound_problems(lower, upper)):
+                box = (lower, upper)
     elif "domain" in doc:
         chk.fail("domain: expected an object with 'lower' and 'upper'")
 
@@ -350,30 +345,19 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
     entries: list[tuple[str, dict]] = []
     if isinstance(doc.get("objectives"), list) and doc["objectives"]:
         for i, entry_doc in enumerate(doc["objectives"]):
-            entry = _parse_objective(entry_doc, i, chk)
+            entry = _parse_objective(entry_doc, i, chk, box)
             if entry is not None:
                 entries.append(entry)
-                theta = entry[1]["theta"]
-                if dimension is not None and len(theta) != dimension:
-                    chk.fail(f"objectives[{i}].theta: expected {dimension} components, got {len(theta)}")
-                elif lower is not None and upper is not None and any(
-                    not (lo <= t <= hi) for t, lo, hi in zip(theta, lower, upper)
-                ):
-                    chk.fail(f"objectives[{i}].theta: {list(theta)} lies outside the domain box")
     elif "objectives" in doc:
         chk.fail("objectives: expected a non-empty list of objective objects")
 
-    noise_kind = None
-    noise_sigma2 = 0.0
+    noise_kind = noise_sigma2 = None
     if isinstance(doc.get("noise"), dict):
         if chk.expect_keys(doc["noise"], "noise", {"kind"}, {"sigma2"}):
-            noise_kind = chk.choice(doc["noise"], "noise", "kind", (GAUSSIAN, UNIFORM_BOUNDED, NONE))
-            sigma2 = chk.number(doc["noise"], "noise", "sigma2", minimum=0.0, default=0.0)
-            if noise_kind == NONE and sigma2 not in (None, 0.0):
-                chk.fail(f"noise.sigma2: kind 'none' requires sigma2 = 0, got {sigma2}")
-            elif noise_kind in (GAUSSIAN, UNIFORM_BOUNDED) and (sigma2 is None or sigma2 <= 0.0):
-                chk.fail(f"noise.sigma2: kind {noise_kind!r} requires sigma2 > 0")
-            noise_sigma2 = sigma2 if sigma2 is not None else 0.0
+            noise_kind = chk.choice(doc["noise"], "noise", "kind", KINDS)
+            noise_sigma2 = chk.number(doc["noise"], "noise", "sigma2", default=0.0)
+            if noise_kind is not None and noise_sigma2 is not None:
+                chk.rules("noise", sigma2_problems(noise_kind, noise_sigma2))
     elif "noise" in doc:
         chk.fail("noise: expected an object with 'kind'")
 
@@ -383,23 +367,12 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
 
     algorithm = None
     if "algorithm" in doc:
-        algorithm = _parse_algorithm(doc["algorithm"], dimension, midpoint, chk)
-    if algorithm is not None:
-        if algorithm["tuning"] == AUTO and "schedule" not in doc:
-            chk.fail(
-                "algorithm: auto tuning derives the rate from episodes/horizon, so a 'schedule' section "
-                "(its episode count) is required"
-            )
-        x0 = algorithm["x0"]
-        if (
-            x0 is not None
-            and lower is not None
-            and upper is not None
-            and len(x0) == len(lower)
-            and any(not (lo <= v <= hi) for v, lo, hi in zip(x0, lower, upper))
-        ):
-            chk.fail(f"algorithm.x0: {list(x0)} lies outside the domain box")
-
+        algorithm = _parse_algorithm(doc["algorithm"], box, chk)
+    if algorithm is not None and algorithm["tuning"] == AUTO and "schedule" not in doc:
+        chk.fail(
+            "algorithm: auto tuning derives the rate from episodes/horizon, so a 'schedule' section "
+            "(its episode count) is required"
+        )
     if "schedule" not in doc and len(entries) > 1:
         chk.fail("objectives: a config without a schedule must declare exactly one objective")
     if entries and schedule is not None:
@@ -415,11 +388,11 @@ def _parse_document(doc: dict, chk: _Checker, extra_top_keys: set[str] = frozens
     if chk.errors:
         return None
     return ExperimentConfig(
-        domain_lower=lower,
-        domain_upper=upper,
+        domain_lower=box[0],
+        domain_upper=box[1],
         objectives=tuple(entries),
         noise_kind=noise_kind,
-        noise_sigma2=float(noise_sigma2),
+        noise_sigma2=noise_sigma2,
         horizon=horizon,
         replications=replications,
         base_seed=base_seed,
@@ -435,11 +408,10 @@ def parse_config(source: str | dict) -> ExperimentConfig:
     assembles the result.  Raises ConfigValidationError carrying every
     problem found.
     """
-    doc = _load(source)
     chk = _Checker()
-    cfg = _parse_document(doc, chk)
+    cfg = _parse_document(_load(source), chk)
     if cfg is None:
-        raise ConfigValidationError(chk.errors or ["config: could not be parsed"])
+        raise ConfigValidationError(chk.errors)
     return cfg
 
 
@@ -498,12 +470,9 @@ def parse_sweep(source: str | dict) -> SweepSpec:
     if base is not None and base.variant == ORACLE:
         chk.fail("sweep: variant 'oracle' has zero regret at every point, so no exponent can be fitted")
     if base is not None and axis is not None and values is not None:
-        if axis == "delta_T" and base.episodes is None:
-            chk.fail("sweep: axis 'delta_T' requires a schedule given as {'episodes': N}")
-        if axis == "beta" and not (base.variant == FIXED_STEP and base.tuning == EXPLICIT):
-            chk.fail("sweep: axis 'beta' requires an explicitly tuned fixed-step algorithm")
-        if axis == "L" and not (base.variant == SLIDING_WINDOW and base.tuning == EXPLICIT):
-            chk.fail("sweep: axis 'L' requires an explicitly tuned sliding-window algorithm")
+        field, _, declared = SWEEP_AXES[axis]
+        if getattr(base, field) is None:
+            chk.fail(f"sweep: axis {axis!r} requires {declared}")
     if chk.errors:
         raise ConfigValidationError(chk.errors)
     return SweepSpec(axis=axis, values=values, base=base)

@@ -119,8 +119,6 @@ def calibrate_window_constant(
     c_used = 0.5 if c is None else float(c)
     x0 = tuple(np.atleast_1d(np.asarray(x0, dtype=float)))
     lengths = sorted(set(int(w) for w in windows))
-    if lengths[0] < 1:
-        raise ValueError(f"window lengths must be >= 1, got {lengths[0]}")
     experiments = [
         Experiment(
             SlidingWindowPolicy(config=SlidingWindowConfig(window=window, x0=x0, c=c_used)),

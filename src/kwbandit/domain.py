@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DomainViolationError
+from .exceptions import DomainViolationError, raise_first
 
 
 def add_left_to_right(terms: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
@@ -21,6 +21,22 @@ def add_left_to_right(terms: Sequence[np.ndarray], out: np.ndarray | None = None
     for term in terms[2:]:
         total = np.add(total, term, out=out)
     return total
+
+
+def bound_problems(lower: tuple[float, ...], upper: tuple[float, ...]) -> list[str]:
+    """The value rules of a box's bounds: equal lengths, at least one axis,
+    and on each axis finite bounds with lower < upper."""
+    if len(lower) != len(upper):
+        return [f"lower has {len(lower)} components, upper has {len(upper)}"]
+    if not lower:
+        return ["domain must have dimension >= 1"]
+    problems = []
+    for i, (a, b) in enumerate(zip(lower, upper)):
+        if not (np.isfinite(a) and np.isfinite(b)):
+            problems.append(f"axis {i}: bounds must be finite, got [{a}, {b}]")
+        elif not a < b:
+            problems.append(f"axis {i}: lower must be < upper, got [{a}, {b}]")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -39,15 +55,7 @@ class Domain:
         hi = tuple(float(v) for v in self.upper)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
-        if len(lo) != len(hi):
-            raise ValueError(f"lower has {len(lo)} components, upper has {len(hi)}")
-        if len(lo) < 1:
-            raise ValueError("domain must have dimension >= 1")
-        for i, (a, b) in enumerate(zip(lo, hi)):
-            if not (np.isfinite(a) and np.isfinite(b)):
-                raise ValueError(f"axis {i}: bounds must be finite, got [{a}, {b}]")
-            if not a < b:
-                raise ValueError(f"axis {i}: lower must be < upper, got [{a}, {b}]")
+        raise_first(bound_problems(lo, hi))
 
     @property
     def dimension(self) -> int:

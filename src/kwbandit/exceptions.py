@@ -5,6 +5,13 @@ Everything derives from ValueError so callers that only care about
 """
 
 
+def raise_first(problems: list[str]) -> None:
+    """Raise the first of a value rule's problems as a ValueError (the
+    config parser reports all of them)."""
+    if problems:
+        raise ValueError(problems[0])
+
+
 class KWBanditError(ValueError):
     """Base class for all kwbandit errors."""
 

@@ -12,13 +12,26 @@ from typing import Iterable
 
 import numpy as np
 
+from .exceptions import raise_first
 from .rng import RandomStream
 
 GAUSSIAN = "gaussian"
 UNIFORM_BOUNDED = "uniform-bounded"
 NONE = "none"
 
-_KINDS = (GAUSSIAN, UNIFORM_BOUNDED, NONE)
+KINDS = (GAUSSIAN, UNIFORM_BOUNDED, NONE)
+
+
+def sigma2_problems(kind: str, sigma2: float) -> list[str]:
+    """The value rules of a variance bound: finite and >= 0, 0 for ``none``
+    and > 0 for ``uniform-bounded`` (gaussian noise of variance 0 is none)."""
+    if not (sigma2 >= 0 and np.isfinite(sigma2)):
+        return [f"sigma2 must be a finite value >= 0, got {sigma2}"]
+    if kind == NONE and sigma2 != 0.0:
+        return [f"noise kind 'none' requires sigma2 = 0, got {sigma2}"]
+    if kind == UNIFORM_BOUNDED and sigma2 == 0.0:
+        return ["uniform-bounded noise requires sigma2 > 0"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -40,14 +53,9 @@ class NoiseModel:
 
     def __post_init__(self):
         object.__setattr__(self, "sigma2", float(self.sigma2))
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {_KINDS}")
-        if self.sigma2 < 0 or not np.isfinite(self.sigma2):
-            raise ValueError(f"sigma2 must be a finite value >= 0, got {self.sigma2}")
-        if self.kind == NONE and self.sigma2 != 0.0:
-            raise ValueError(f"noise kind 'none' requires sigma2 = 0, got {self.sigma2}")
-        if self.kind == UNIFORM_BOUNDED and self.sigma2 == 0.0:
-            raise ValueError("uniform-bounded noise requires sigma2 > 0")
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {KINDS}")
+        raise_first(sigma2_problems(self.kind, self.sigma2))
 
     @classmethod
     def gaussian(cls, sigma2: float) -> "NoiseModel":

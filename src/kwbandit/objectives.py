@@ -29,9 +29,36 @@ from typing import ClassVar
 import numpy as np
 
 from .domain import Domain, add_left_to_right
+from .exceptions import raise_first
 
 QUADRATIC_BOWL = "quadratic-bowl"
 QUARTIC_PERTURBED_BOWL = "quartic-perturbed-bowl"
+
+
+def theta_problems(theta: tuple[float, ...], lower: tuple[float, ...], upper: tuple[float, ...]) -> list[str]:
+    """The value rule of a maximizer: theta is a point of the box lower..upper."""
+    if len(theta) != len(lower):
+        return [f"theta has dimension {len(theta)}, domain has dimension {len(lower)}"]
+    if not all(lo <= t <= hi for t, lo, hi in zip(theta, lower, upper)):
+        return [f"theta {list(theta)} lies outside the domain box"]
+    return []
+
+
+def coefficient_problems(b: float, q: float | None = None) -> list[str]:
+    """The value rules of a bowl's coefficients: b > 0 and, for the quartic
+    bowl, q > 0."""
+    positive = (("b", b), ("q", q))
+    return [f"{name} must be > 0, got {value}" for name, value in positive if value is not None and not value > 0]
+
+
+def calibration_problems(k5: float, s0: int) -> list[str]:
+    """The value rules of the calibration inputs: k5 positive and finite, s0 >= 0."""
+    problems = []
+    if not (k5 > 0.0 and np.isfinite(k5)):
+        problems.append(f"k5 must be a positive finite real, got {k5}")
+    if s0 < 0:
+        problems.append(f"s0 must be >= 0, got {s0}")
+    return problems
 
 
 @dataclass(frozen=True)
@@ -53,12 +80,10 @@ class ClassConstants:
         for name in ("k1", "k2", "k3", "k4", "k5"):
             v = float(getattr(self, name))
             object.__setattr__(self, name, v)
-            if not (v > 0.0 and np.isfinite(v)):
+            if name != "k5" and not (v > 0.0 and np.isfinite(v)):
                 raise ValueError(f"{name} must be a positive finite real, got {v}")
-        s0 = int(self.s0)
-        object.__setattr__(self, "s0", s0)
-        if s0 < 0:
-            raise ValueError(f"s0 must be >= 0, got {s0}")
+        object.__setattr__(self, "s0", int(self.s0))
+        raise_first(calibration_problems(self.k5, self.s0))
 
     @classmethod
     def combine(cls, items: list["ClassConstants"]) -> "ClassConstants":
@@ -145,13 +170,17 @@ class ObjectiveSpec(ABC):
         np.multiply(u, u, out=u)
         return add_left_to_right([u[..., i] for i in range(u.shape[-1])], out=out)
 
-    def _check_common(self):
-        if len(self.theta) != self.domain.dimension:
-            raise ValueError(
-                f"theta has dimension {len(self.theta)}, domain has dimension {self.domain.dimension}"
-            )
-        if not self.domain.contains(self.theta_array):
-            raise ValueError(f"theta {list(self.theta)} lies outside the domain box")
+    def __post_init__(self):
+        """Store theta and the coefficients as floats, then raise the first
+        problem of the coefficients, theta or the calibration inputs."""
+        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
+        for name in self.coefficients:
+            object.__setattr__(self, name, float(getattr(self, name)))
+        raise_first(
+            coefficient_problems(self.b, getattr(self, "q", None))
+            + theta_problems(self.theta, self.domain.lower, self.domain.upper)
+            + calibration_problems(self.k5, self.s0)
+        )
 
 
 @dataclass(frozen=True)
@@ -167,14 +196,6 @@ class QuadraticBowl(ObjectiveSpec):
 
     kind = QUADRATIC_BOWL
     coefficients = ("a", "b")
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "a", float(self.a))
-        if self.b <= 0:
-            raise ValueError(f"b must be > 0, got {self.b}")
-        self._check_common()
 
     @cached_property
     def constants(self) -> ClassConstants:
@@ -215,15 +236,7 @@ class QuarticPerturbedBowl(ObjectiveSpec):
     coefficients = ("a", "b", "q")
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "q", float(self.q))
-        object.__setattr__(self, "a", float(self.a))
-        if self.b <= 0:
-            raise ValueError(f"b must be > 0, got {self.b}")
-        if self.q <= 0:
-            raise ValueError(f"q must be > 0, got {self.q}")
-        self._check_common()
+        super().__post_init__()
         if 2.0 * self.q * self.max_radius / self.b >= 1.0:
             raise ValueError(
                 "quartic perturbation too strong for this box: need 2*q*R/b < 1, got "

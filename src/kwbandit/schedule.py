@@ -10,7 +10,32 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 
+from .exceptions import raise_first
 from .objectives import ClassConstants, ObjectiveSpec
+
+
+def change_time_problems(times: tuple[int, ...], horizon: int) -> list[str]:
+    """The value rules of change times: the first is 1, they increase
+    strictly, and they lie within [1, horizon]."""
+    if not times:
+        return ["change_times must contain at least the start time 1"]
+    problems = []
+    if times[0] != 1:
+        problems.append(f"the first change time must be 1 (start of the first episode), got {times[0]}")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        problems.append(f"change times must be strictly increasing, got {list(times)}")
+    if times[-1] > horizon:
+        problems.append(f"change times must lie in [1, horizon={horizon}], got {list(times)}")
+    return problems
+
+
+def episode_problems(episodes: int, horizon: int) -> list[str]:
+    """The value rules of an episode count: at least 1, at most the horizon."""
+    if episodes < 1:
+        return [f"episodes must be >= 1, got {episodes}"]
+    if episodes > horizon:
+        return [f"cannot fit {episodes} episodes into horizon {horizon}"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -25,17 +50,8 @@ class EnvironmentSchedule:
         object.__setattr__(self, "horizon", int(self.horizon))
         object.__setattr__(self, "change_times", tuple(int(t) for t in self.change_times))
         object.__setattr__(self, "objectives", tuple(self.objectives))
-        if self.horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.horizon}")
         times = self.change_times
-        if not times:
-            raise ValueError("change_times must contain at least the start time 1")
-        if times[0] != 1:
-            raise ValueError(f"the first change time must be 1 (start of the first episode), got {times[0]}")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"change_times must be strictly increasing, got {times}")
-        if times[-1] > self.horizon:
-            raise ValueError(f"change times must lie in [1, horizon={self.horizon}], got {times}")
+        raise_first(change_time_problems(times, self.horizon))
         if len(self.objectives) != len(times):
             raise ValueError(
                 f"need one objective per episode: {len(times)} episodes but {len(self.objectives)} objectives"
@@ -95,10 +111,7 @@ class EnvironmentSchedule:
         """``num_episodes`` episodes of near-equal length, cycling through
         ``objectives`` in order (so two alternating objectives give maximal
         back-and-forth jumps)."""
-        if num_episodes < 1:
-            raise ValueError(f"num_episodes must be >= 1, got {num_episodes}")
-        if num_episodes > horizon:
-            raise ValueError(f"cannot fit {num_episodes} episodes into horizon {horizon}")
+        raise_first(episode_problems(num_episodes, horizon))
         if not objectives:
             raise ValueError("need at least one objective")
         times = tuple(1 + (i * horizon) // num_episodes for i in range(num_episodes))

@@ -8,19 +8,23 @@ from __future__ import annotations
 
 import math
 
-from .exceptions import ContractionViolationError, MeanValueConditionError
+from .exceptions import ContractionViolationError, MeanValueConditionError, raise_first
+from .schedule import episode_problems
+
+
+def alpha_problems(alpha: float) -> list[str]:
+    """The value rule of the rate exponent: alpha lies in (0, 1]."""
+    return [] if 0.0 < alpha <= 1.0 else [f"alpha must lie in (0, 1], got {alpha}"]
 
 
 def contraction_factor(beta: float, k1: float, k2: float) -> float:
     """gamma = 1 - 2*beta*k1 + 2*beta**2*k2**2, required < 1.
 
     Raises ContractionViolationError when the result is >= 1 (beta too
-    large, or degenerate beta <= 0 where the factor hits 1).
+    large, or degenerate beta <= 0, where the factor is at least 1).
     """
     if k1 <= 0 or k2 <= 0:
         raise ValueError(f"k1 and k2 must be > 0, got k1={k1}, k2={k2}")
-    if beta <= 0:
-        raise ContractionViolationError(f"beta must be > 0 for contraction, got {beta}")
     gamma = 1.0 - 2.0 * beta * k1 + 2.0 * beta**2 * k2**2
     if gamma >= 1.0:
         raise ContractionViolationError(
@@ -76,12 +80,7 @@ def optimal_step_size(
         raise ValueError(f"diameter must be > 0, got {diameter}")
     if sigma_tilde2 <= 0:
         raise ValueError(f"sigma_tilde2 must be > 0, got {sigma_tilde2}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not 1 <= episodes <= horizon:
-        raise ValueError(f"episodes must lie in [1, horizon={horizon}], got {episodes}")
+    raise_first(alpha_problems(alpha) + episode_problems(episodes, horizon))
     exponent = 1.0 / (2.0 + alpha)
     prefactor = (diameter**2 / sigma_tilde2) ** exponent
     return prefactor * (episodes / horizon) ** exponent
@@ -94,8 +93,7 @@ def coupled_perturbation(beta: float, alpha: float) -> float:
     """
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    raise_first(alpha_problems(alpha))
     return beta ** ((1.0 - alpha) / 2.0)
 
 
@@ -108,9 +106,6 @@ def optimal_window(k5: float, diameter: float, horizon: int, episodes: int) -> i
     """
     if k5 <= 0 or diameter <= 0:
         raise ValueError(f"k5 and diameter must be > 0, got k5={k5}, diameter={diameter}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    if not 1 <= episodes <= horizon:
-        raise ValueError(f"episodes must lie in [1, horizon={horizon}], got {episodes}")
+    raise_first(episode_problems(episodes, horizon))
     raw = (k5 / (2.0 * diameter) * horizon / episodes) ** (2.0 / 3.0)
     return max(1, int(math.floor(raw + 0.5)))

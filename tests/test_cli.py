@@ -96,6 +96,19 @@ def test_run_writes_artifacts(smoke, tmp_path, capsys):
     assert "mean total regret" in capsys.readouterr().out
 
 
+def test_gaussian_noise_of_zero_variance_writes_the_noiseless_bytes(tmp_path, capsys):
+    """sigma2 = 0 is a valid gaussian variance: the smoke config's run
+    writes the bytes that it writes without noise."""
+    smoke = json.loads(Path(SHIPPED_SMOKE).read_text())
+    outputs = []
+    for noise in ({"kind": "gaussian", "sigma2": 0}, {"kind": "none"}):
+        out = tmp_path / noise["kind"]
+        assert main(["run", "--config", write_config(tmp_path, {**smoke, "noise": noise}), "--out", str(out)]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in ("trace.csv", "summary.csv")})
+    assert outputs[0] == outputs[1]
+    assert capsys.readouterr().err == ""
+
+
 def test_validation_error_exit_code(tmp_path, capsys):
     bad = write_config(tmp_path, {"horizon": 10})
     assert main(["run", "--config", bad, "--out", str(tmp_path / "out")]) == 1
@@ -215,10 +228,92 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 QUARTIC_CONDITIONS = str(CONFIGS / "quartic_conditions.json")
 SECOND_OBJECTIVE = {"kind": "quadratic-bowl", "theta": [0.5], "b": 1.0}
 
+# One document per value rule: the shipped smoke config with the sections
+# given here, and the one problem the rule's function reports, after the
+# section's path.
+SMOKE_ALGORITHM = {"variant": "fixed-step", "beta": 0.1, "c": 0.1, "x0": [1.0]}
+RULE_CASES = {
+    "domain-bound-lengths": (
+        {"domain": {"lower": [-2.0], "upper": [2.0, 2.0]}},
+        "domain: lower has 1 components, upper has 2",
+    ),
+    "domain-lower-below-upper": (
+        {"domain": {"lower": [2.0], "upper": [2.0]}},
+        "domain: axis 0: lower must be < upper, got [2.0, 2.0]",
+    ),
+    "objective-theta-in-box": (
+        {"objectives": [{"kind": "quadratic-bowl", "theta": [5.0], "b": 1.0}]},
+        "objectives[0]: theta [5.0] lies outside the domain box",
+    ),
+    "objective-b": (
+        {"objectives": [{"kind": "quadratic-bowl", "theta": [0.0], "b": -1.0}]},
+        "objectives[0]: b must be > 0, got -1.0",
+    ),
+    "objective-q": (
+        {"objectives": [{"kind": "quartic-perturbed-bowl", "theta": [0.0], "b": 1.0, "q": 0}]},
+        "objectives[0]: q must be > 0, got 0.0",
+    ),
+    "objective-k5": (
+        {"objectives": [{"kind": "quadratic-bowl", "theta": [0.0], "b": 1.0, "k5": 0}]},
+        "objectives[0]: k5 must be a positive finite real, got 0.0",
+    ),
+    "objective-s0": (
+        {"objectives": [{"kind": "quadratic-bowl", "theta": [0.0], "b": 1.0, "s0": -1}]},
+        "objectives[0]: s0 must be >= 0, got -1",
+    ),
+    "noise-sigma2-nonnegative": (
+        {"noise": {"kind": "gaussian", "sigma2": -1.0}},
+        "noise: sigma2 must be a finite value >= 0, got -1.0",
+    ),
+    "noise-none-sigma2": (
+        {"noise": {"kind": "none", "sigma2": 1.0}},
+        "noise: noise kind 'none' requires sigma2 = 0, got 1.0",
+    ),
+    "noise-uniform-sigma2": (
+        {"noise": {"kind": "uniform-bounded", "sigma2": 0}},
+        "noise: uniform-bounded noise requires sigma2 > 0",
+    ),
+    "algorithm-beta": ({"algorithm": {**SMOKE_ALGORITHM, "beta": -0.1}}, "algorithm: beta must be > 0, got -0.1"),
+    "algorithm-c": ({"algorithm": {**SMOKE_ALGORITHM, "c": 0}}, "algorithm: c must be > 0, got 0.0"),
+    "algorithm-window": (
+        {"algorithm": {"variant": "sliding-window", "window": 0, "x0": [1.0]}},
+        "algorithm: window must be >= 1, got 0",
+    ),
+    "algorithm-alpha": (
+        {"algorithm": {**SMOKE_ALGORITHM, "alpha": 1.5}},
+        "algorithm: alpha must lie in (0, 1], got 1.5",
+    ),
+    "schedule-first-change-time": (
+        {"schedule": {"change_times": [2]}},
+        "schedule: the first change time must be 1 (start of the first episode), got 2",
+    ),
+    "schedule-change-times-increase": (
+        {"schedule": {"change_times": [1, 1]}},
+        "schedule: change times must be strictly increasing, got [1, 1]",
+    ),
+    "schedule-change-times-in-horizon": (
+        {"schedule": {"change_times": [1, 101]}},
+        "schedule: change times must lie in [1, horizon=100], got [1, 101]",
+    ),
+    "schedule-episodes-in-horizon": (
+        {"schedule": {"episodes": 101}},
+        "schedule: cannot fit 101 episodes into horizon 100",
+    ),
+}
+
+# four of those cases, in four sections, broken together in one document,
+# which reports all four problems on its one line
+SEVERAL_RULES = ("objective-b", "noise-none-sigma2", "algorithm-alpha", "schedule-episodes-in-horizon")
+
 # id, argv ("{dir}" is a scratch directory holding the files of
 # ``bad_inputs``), exit code, lines on stderr, texts naming the fault (on
 # stdout for exit 3, the failed check's report; "{dir}" as in argv)
 EXIT_CODE_MATRIX = [
+    *(
+        (f"rule-{name}", ["run", "--config", f"{{dir}}/rule-{name}.json"], 1, 1, (f"invalid config: {text}",))
+        for name, (_, text) in RULE_CASES.items()
+    ),
+    ("several-rules", ["run", "--config", "{dir}/several-rules.json"], 1, 1, tuple(RULE_CASES[n][1] for n in SEVERAL_RULES)),
     ("missing-config", ["run", "--config", "{dir}/nope.json"], 2, 1, ("No such file",)),
     ("directory", ["run", "--config", "{dir}"], 2, 1, ("Is a directory",)),
     ("non-utf8", ["run", "--config", "{dir}/non-utf8.json"], 1, 1, ("{dir}/non-utf8.json", "not UTF-8")),
@@ -394,6 +489,10 @@ def bad_inputs(tmp_path):
         "oracle-sweep.json": json.dumps(t_sweep_doc({"variant": "oracle"})).encode(),
         "zero-regret-sweep.json": json.dumps(t_sweep_doc(ZERO_REGRET_STATIC)).encode(),
     }
+    for name, (sections, _) in RULE_CASES.items():
+        files[f"rule-{name}.json"] = json.dumps({**smoke, **sections}).encode()
+    several = {key: section for name in SEVERAL_RULES for key, section in RULE_CASES[name][0].items()}
+    files["several-rules.json"] = json.dumps({**smoke, **several}).encode()
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
     return tmp_path

@@ -3,9 +3,11 @@ import json
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
 
+from documents import documents
 from kwbandit import ConfigValidationError, QuadraticBowl, QuarticPerturbedBowl, parse_config, parse_sweep
-from kwbandit.config import ExperimentConfig, _Checker, _parse_objective
+from kwbandit.config import MAX_REP_STEPS, ExperimentConfig, _Checker, _parse_objective
 from kwbandit.runner import resolve_experiment
 
 
@@ -39,7 +41,7 @@ class TestParseConfig:
         doc = smoke_doc(objectives=[{"kind": "quadratic-bowl", "theta": [5.0], "b": 1.0}])
         with pytest.raises(ConfigValidationError) as err:
             parse_config(json.dumps(doc))
-        assert any("objectives[0].theta" in e for e in err.value.errors)
+        assert "objectives[0]: theta [5.0] lies outside the domain box" in err.value.errors
 
     def test_auto_without_schedule_cites_prerequisite(self):
         doc = smoke_doc(algorithm={"variant": "fixed-step", "tuning": "auto", "x0": [1.0]})
@@ -236,3 +238,17 @@ class TestParseSweep:
             doc = copy.deepcopy(base)
             (doc[section] if section else doc)[key] = value
             assert sweep.config_for(value) == parse_config(json.dumps(doc))
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=documents())
+def test_documents_the_rule_functions_accept_parse_and_assemble(doc):
+    """A document drawn section by section through the rule functions
+    parses, and assembles unless a rule checked only at assembly fails:
+    a contraction factor >= 1 (an explicit beta or an auto-tuned beta*)
+    or the replication-step cap."""
+    cfg = parse_config(doc)
+    try:
+        resolve_experiment(cfg)
+    except ConfigValidationError as exc:
+        assert "contraction factor" in str(exc) or f"cap of {MAX_REP_STEPS}" in str(exc), str(exc)
