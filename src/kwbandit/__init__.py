@@ -50,6 +50,7 @@ _PUBLIC = {
     "noise": ("NoiseModel",),
     "noiseworker": (),
     "objectives": ("ClassConstants", "ObjectiveSpec", "QuadraticBowl", "QuarticPerturbedBowl"),
+    "records": (),
     "rng": ("RandomStream", "replication_stream"),
     "runner": ("run_experiment", "run_sweep"),
     "scaling": ("fit_scaling_exponent",),

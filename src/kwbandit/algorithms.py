@@ -11,13 +11,13 @@ distance argument the tuning formulas rest on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 
 import numpy as np
 
 from .exceptions import raise_first
 from .objectives import ClassConstants
+from .records import Record
 from .tuning import contraction_factor
 
 VANILLA = "vanilla"
@@ -49,8 +49,7 @@ def step_problems(beta: float | None = None, c: float | None = None, window: int
     return problems
 
 
-@dataclass(frozen=True)
-class FixedStepConfig:
+class FixedStepConfig(Record):
     """Constant learning rate ``beta`` and perturbation ``c``.
 
     Construction rejects any (beta, constants) pair whose contraction
@@ -58,24 +57,20 @@ class FixedStepConfig:
     expected squared distance.
     """
 
-    beta: float
-    c: float
-    constants: ClassConstants
+    _fields = ("beta", "c", "constants")
 
-    def __post_init__(self):
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "c", float(self.c))
+    def __init__(self, beta: float, c: float, constants: ClassConstants):
+        self._set(beta=float(beta), c=float(c), constants=constants)
         raise_first(step_problems(beta=self.beta, c=self.c))
         # Raises ContractionViolationError when beta is too large.
-        contraction_factor(self.beta, self.constants.k1, self.constants.k2)
+        contraction_factor(self.beta, constants.k1, constants.k2)
 
     @property
     def gamma(self) -> float:
         return contraction_factor(self.beta, self.constants.k1, self.constants.k2)
 
 
-@dataclass(frozen=True)
-class SlidingWindowConfig:
+class SlidingWindowConfig(Record):
     """Finite-memory rule: at most ``window`` recent estimates shape the
     action, re-anchored at ``x0``.
 
@@ -96,17 +91,14 @@ class SlidingWindowConfig:
     constant flat across window lengths.
     """
 
-    window: int
-    x0: tuple[float, ...]
-    c: float | None = None
+    _fields = ("window", "x0", "c")
 
-    def __post_init__(self):
-        object.__setattr__(self, "window", int(self.window))
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
-        raise_first(step_problems(window=self.window))
-        c = float(self.window) ** -0.25 if self.c is None else float(self.c)
-        object.__setattr__(self, "c", c)
+    def __init__(self, window: int, x0: tuple[float, ...], c: float | None = None):
+        window, x0 = int(window), tuple(float(v) for v in x0)
+        raise_first(step_problems(window=window))
+        c = float(window) ** -0.25 if c is None else float(c)
         raise_first(step_problems(c=c))
+        self._set(window=window, x0=x0, c=c)
 
     def weights(self, filled: np.ndarray) -> np.ndarray:
         """The weight n**(-1/2) of the estimate that follows ``filled``

@@ -7,13 +7,12 @@ the internal structure (e.g. the 2:1 term ratio at the optimal window).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .algorithms import step_problems
 from .exceptions import raise_first
 from .objectives import ClassConstants
+from .records import Record
 from .schedule import episode_problems
 from .tuning import alpha_problems, contraction_factor, error_floor
 
@@ -24,19 +23,17 @@ SLIDING_WINDOW_TOTAL = "sliding-window-total"
 SLIDING_WINDOW_NORMALIZED = "sliding-window-normalized"
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """A named bound value with its inputs and additive terms echoed."""
 
-    name: str
-    value: float
-    inputs: tuple[tuple[str, float], ...]
-    terms: tuple[tuple[str, float], ...]
+    _fields = ("name", "value", "inputs", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", float(self.value))
-        object.__setattr__(self, "inputs", tuple((key, float(val)) for key, val in self.inputs))
-        object.__setattr__(self, "terms", tuple((key, float(val)) for key, val in self.terms))
+    def __init__(
+        self, name: str, value: float, inputs: tuple[tuple[str, float], ...], terms: tuple[tuple[str, float], ...]
+    ):
+        inputs = tuple((key, float(val)) for key, val in inputs)
+        terms = tuple((key, float(val)) for key, val in terms)
+        self._set(name=name, value=float(value), inputs=inputs, terms=terms)
         if not (np.isfinite(self.value) and self.value >= 0.0):
             raise ValueError(f"bound {self.name} evaluated to {self.value}; must be finite and >= 0")
 

@@ -19,8 +19,8 @@ values overflow float arithmetic, too),
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +107,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     sweep = parse_sweep(_read(args.config))
-    points, fit = run_sweep(replace(sweep, base=_overridden(args, sweep.base)), out_dir=args.out)
+    points, fit = run_sweep(sweep._replace(base=_overridden(args, sweep.base)), out_dir=args.out)
     for point in points:
         print(
             f"{point.axis}={point.value:g}: mean regret {point.mean_regret!r}, "
@@ -125,6 +125,9 @@ def _cmd_bounds(args) -> int:
     if resolved.bound is None:
         print(f"variant {cfg.variant!r} has no theoretical bound to evaluate", file=sys.stderr)
         return EXIT_VALIDATION
+    if args.check and cfg.replications < 2:
+        # one replication has no standard error, so no tolerance applies
+        raise ValueError(f"bounds --check needs replications >= 2, got {cfg.replications}")
     bound = resolved.bound
     print(f"bound {bound.name} = {bound.value!r}")
     for key, value in bound.terms:
@@ -133,9 +136,6 @@ def _cmd_bounds(args) -> int:
         print(f"  input {key} = {value!r}")
     if not args.check:
         return EXIT_OK
-    if cfg.replications < 2:
-        # one replication has no standard error, so no tolerance applies
-        raise ValueError(f"bounds --check needs replications >= 2, got {cfg.replications}")
     totals, _ = regret_samples(resolved.policy, resolved.env, resolved.noise, cfg.replications, cfg.base_seed)
     estimate = MonteCarloEstimate.from_samples(totals)
     floor = estimate.lower_confidence()
@@ -149,6 +149,12 @@ def _cmd_bounds(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    if argv is None:
+        # The process's command (the console script, ``sys.exit(main())``):
+        # what the imports built lives until exit, and frozen, the
+        # collections at interpreter shutdown skip it.  ``atexit`` still
+        # runs.  In-process, frozen garbage would outlive the call.
+        gc.freeze()
     handlers = {"verify": _cmd_verify, "run": _cmd_run, "sweep": _cmd_sweep, "bounds": _cmd_bounds}
     try:
         # A float operation that overflows or gives NaN is an error, not a

@@ -16,8 +16,8 @@ the smallest admissible value for k2/k3/k4 and the largest for k1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +35,7 @@ VALUE_GAP = "value-gap"
 GRADIENT_LIPSCHITZ = "gradient-lipschitz"
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     """Outcome of one condition over the whole grid."""
 
     name: str
@@ -55,8 +54,7 @@ class ConditionCheck:
         )
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     kind: str
     grid_points_per_axis: int
     pair_radius: float

@@ -20,7 +20,8 @@ policy) and reports what does not assemble.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, fields, replace
+from inspect import Parameter, signature
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +71,7 @@ MAX_REPLICATIONS = 10**6
 MAX_REP_STEPS = 10**11
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """A checked config document.  ``objectives`` holds, per objective, its
     kind and every keyword argument of ``BOWLS[kind]`` except ``domain``;
     as those are dicts, a config is not hashable."""
@@ -113,8 +113,7 @@ class ExperimentConfig:
         return EnvironmentSchedule.stationary(self.horizon, objectives[0])
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     """One axis swept over sorted positive values, the rest held fixed.
 
     ``config_for`` sets the one field the axis names in ``SWEEP_AXES``: an
@@ -127,7 +126,7 @@ class SweepSpec:
 
     def config_for(self, value) -> ExperimentConfig:
         field, cast, _ = SWEEP_AXES[self.axis]
-        return replace(self.base, **{field: cast(value)})
+        return self.base._replace(**{field: cast(value)})
 
 
 def _finite(value) -> bool:
@@ -220,8 +219,8 @@ class _Checker:
 
 def _parse_objective(doc, index: int, chk: _Checker, box: tuple | None = None) -> tuple[str, dict] | None:
     """An objective's kind and the checked keyword arguments of its bowl,
-    whose fields but ``domain`` are its keys; theta is checked against
-    ``box``, the (lower, upper) of a valid domain."""
+    whose constructor's parameters but ``domain`` are its keys; theta is
+    checked against ``box``, the (lower, upper) of a valid domain."""
     path = f"objectives[{index}]"
     if not isinstance(doc, dict):
         chk.fail(f"{path}: expected an object")
@@ -231,8 +230,9 @@ def _parse_objective(doc, index: int, chk: _Checker, box: tuple | None = None) -
         if "kind" not in doc:
             chk.fail(f"{path}: missing required key 'kind'")
         return None
-    defaults = {f.name: f.default for f in fields(BOWLS[kind]) if f.name != "domain"}
-    required = {key for key, default in defaults.items() if default is MISSING}
+    parameters = signature(BOWLS[kind]).parameters
+    defaults = {name: p.default for name, p in parameters.items() if name != "domain"}
+    required = {key for key, default in defaults.items() if default is Parameter.empty}
     if not chk.expect_keys(doc, path, {"kind"} | required, set(defaults) - required):
         return None
     readers = {"theta": chk.vector, "s0": chk.integer}
@@ -431,7 +431,7 @@ def with_overrides(
     )
     if chk.errors:
         raise ConfigValidationError(chk.errors)
-    return replace(cfg, base_seed=base_seed, replications=replications)
+    return cfg._replace(base_seed=base_seed, replications=replications)
 
 
 def parse_sweep(source: str | dict) -> SweepSpec:

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .exceptions import DomainViolationError, raise_first
+from .records import Record
 
 
 def add_left_to_right(terms: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
@@ -39,23 +39,20 @@ def bound_problems(lower: tuple[float, ...], upper: tuple[float, ...]) -> list[s
     return problems
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """Axis-aligned box in R^d with nonempty interior.
 
     ``diameter`` is the Euclidean length of ``upper - lower``; projection is
     the componentwise clamp, which is the Euclidean projection onto a box.
     """
 
-    lower: tuple[float, ...]
-    upper: tuple[float, ...]
+    _fields = ("lower", "upper")
 
-    def __post_init__(self):
-        lo = tuple(float(v) for v in self.lower)
-        hi = tuple(float(v) for v in self.upper)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
-        raise_first(bound_problems(lo, hi))
+    def __init__(self, lower: tuple[float, ...], upper: tuple[float, ...]):
+        lower = tuple(float(v) for v in lower)
+        upper = tuple(float(v) for v in upper)
+        self._set(lower=lower, upper=upper)
+        raise_first(bound_problems(lower, upper))
 
     @property
     def dimension(self) -> int:

@@ -30,9 +30,9 @@ NumPy ignores underflow, its default.
 The step of each rule family (the ascent shared by the decaying and the
 fixed-step rules, or the sliding window), dimension and noise is source
 unrolled over the axes (``_source``), compiled the first time a batch
-needs it and kept for the life of the process, as ``dataclasses`` builds
-its methods.  A point's squared length has d terms and a step has 1 + 2d
-points, so its source and its time grow as d squared; beyond
+needs it and kept for the life of the process.  A point's squared
+length has d terms and a step has 1 + 2d points, so its source and its
+time grow as d squared; beyond
 ``trajectory._FLOAT_AXES`` axes the array loop runs the batch, so at most
 2 x 2 x ``_FLOAT_AXES`` functions are kept.
 """

@@ -6,8 +6,7 @@ benchmark's tracer counts the engine through them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,8 +22,7 @@ from .trajectory import BatchResult, Lane, Policy, simulate_batch, simulate_lane
 REPLICATION_CHUNK = 1024
 
 
-@dataclass(frozen=True)
-class MonteCarloEstimate:
+class MonteCarloEstimate(NamedTuple):
     """Sample mean and standard error of the total regret."""
 
     mean: float
@@ -41,11 +39,11 @@ class MonteCarloEstimate:
         return self.mean - z * self.standard_error
 
 
-@dataclass(frozen=True)
-class Experiment:
+class Experiment(NamedTuple):
     """The inputs of one Monte-Carlo estimate: replication ``r`` runs
     ``policy`` on ``env`` under ``noise`` and draws from the stream keyed by
-    ``(base_seed, *seed_path, r)``; ``probe_steps`` as in ``simulate_batch``."""
+    ``(base_seed, *seed_path, r)``; ``probe_steps`` as in ``simulate_batch``.
+    ``regret_lanes`` rejects fewer than one replication."""
 
     policy: Policy
     env: EnvironmentSchedule
@@ -54,10 +52,6 @@ class Experiment:
     base_seed: int
     seed_path: tuple[int, ...] = ()
     probe_steps: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if self.replications < 1:
-            raise ValueError(f"replications must be >= 1, got {self.replications}")
 
     def batch_key(self) -> tuple:
         """Experiments with equal keys can share a batch (see ``simulate_lanes``)."""
@@ -83,6 +77,8 @@ def regret_lanes(experiments: Sequence[Experiment], trace: TraceSink | None = No
     """
     groups: dict[tuple, list[int]] = {}
     for i, experiment in enumerate(experiments):
+        if experiment.replications < 1:
+            raise ValueError(f"replications must be >= 1, got {experiment.replications}")
         groups.setdefault(experiment.batch_key(), []).append(i)
     pieces: list[list[BatchResult]] = [[] for _ in experiments]
 

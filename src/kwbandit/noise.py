@@ -7,12 +7,12 @@ streams' samples in place, equal to ``draw``'s bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .exceptions import raise_first
+from .records import Record
 from .rng import RandomStream
 
 GAUSSIAN = "gaussian"
@@ -34,8 +34,7 @@ def sigma2_problems(kind: str, sigma2: float) -> list[str]:
     return []
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(Record):
     """Zero-mean reward noise with variance at most ``sigma2``.
 
     * ``gaussian``: N(0, sigma2), variance exactly sigma2.
@@ -48,14 +47,14 @@ class NoiseModel:
     reproduces a trajectory exactly.
     """
 
-    kind: str
-    sigma2: float = 0.0
+    _fields = ("kind", "sigma2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "sigma2", float(self.sigma2))
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown noise kind {self.kind!r}; expected one of {KINDS}")
-        raise_first(sigma2_problems(self.kind, self.sigma2))
+    def __init__(self, kind: str, sigma2: float = 0.0):
+        sigma2 = float(sigma2)
+        if kind not in KINDS:
+            raise ValueError(f"unknown noise kind {kind!r}; expected one of {KINDS}")
+        raise_first(sigma2_problems(kind, sigma2))
+        self._set(kind=kind, sigma2=sigma2)
 
     @classmethod
     def gaussian(cls, sigma2: float) -> "NoiseModel":

@@ -22,7 +22,6 @@ condition verifier.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
 
@@ -30,6 +29,7 @@ import numpy as np
 
 from .domain import Domain, add_left_to_right
 from .exceptions import raise_first
+from .records import Record
 
 QUADRATIC_BOWL = "quadratic-bowl"
 QUARTIC_PERTURBED_BOWL = "quartic-perturbed-bowl"
@@ -61,28 +61,21 @@ def calibration_problems(k5: float, s0: int) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class ClassConstants:
+class ClassConstants(Record):
     """Curvature/growth constants of an objective class.
 
     ``k5`` (steady distance constant of the windowed optimizer) and ``s0``
     (its burn-in) are calibration inputs, not derivable in closed form.
     """
 
-    k1: float
-    k2: float
-    k3: float
-    k4: float
-    k5: float = 1.0
-    s0: int = 0
+    _fields = ("k1", "k2", "k3", "k4", "k5", "s0")
 
-    def __post_init__(self):
-        for name in ("k1", "k2", "k3", "k4", "k5"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if name != "k5" and not (v > 0.0 and np.isfinite(v)):
+    def __init__(self, k1: float, k2: float, k3: float, k4: float, k5: float = 1.0, s0: int = 0):
+        self._set(k1=float(k1), k2=float(k2), k3=float(k3), k4=float(k4), k5=float(k5), s0=int(s0))
+        for name in ("k1", "k2", "k3", "k4"):
+            v = getattr(self, name)
+            if not (v > 0.0 and np.isfinite(v)):
                 raise ValueError(f"{name} must be a positive finite real, got {v}")
-        object.__setattr__(self, "s0", int(self.s0))
         raise_first(calibration_problems(self.k5, self.s0))
 
     @classmethod
@@ -104,7 +97,7 @@ class ClassConstants:
         )
 
 
-class ObjectiveSpec(ABC):
+class ObjectiveSpec(Record, ABC):
     """Analytic objective on a box with a known interior maximizer.
 
     ``_value`` reads from ``self`` only ``theta_array``, ``_squared_distance``
@@ -170,12 +163,13 @@ class ObjectiveSpec(ABC):
         np.multiply(u, u, out=u)
         return add_left_to_right([u[..., i] for i in range(u.shape[-1])], out=out)
 
-    def __post_init__(self):
-        """Store theta and the coefficients as floats, then raise the first
-        problem of the coefficients, theta or the calibration inputs."""
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        for name in self.coefficients:
-            object.__setattr__(self, name, float(getattr(self, name)))
+    def _store(self, **values) -> None:
+        """Store a bowl's ``values``, theta and the coefficients as floats,
+        then raise the first problem of the coefficients, theta or the
+        calibration inputs."""
+        values["theta"] = tuple(float(v) for v in values["theta"])
+        values.update((name, float(values[name])) for name in self.coefficients)
+        self._set(**values)
         raise_first(
             coefficient_problems(self.b, getattr(self, "q", None))
             + theta_problems(self.theta, self.domain.lower, self.domain.upper)
@@ -183,19 +177,17 @@ class ObjectiveSpec(ABC):
         )
 
 
-@dataclass(frozen=True)
 class QuadraticBowl(ObjectiveSpec):
     """f(x) = a - b * ||x - theta||^2 with b > 0."""
 
-    domain: Domain
-    theta: tuple[float, ...]
-    b: float
-    a: float = 0.0
-    k5: float = 1.0
-    s0: int = 0
-
     kind = QUADRATIC_BOWL
     coefficients = ("a", "b")
+    _fields = ("domain", "theta", "b", "a", "k5", "s0")
+
+    def __init__(
+        self, domain: Domain, theta: tuple[float, ...], b: float, a: float = 0.0, k5: float = 1.0, s0: int = 0
+    ):
+        self._store(domain=domain, theta=theta, b=b, a=a, k5=k5, s0=s0)
 
     @cached_property
     def constants(self) -> ClassConstants:
@@ -213,7 +205,6 @@ class QuadraticBowl(ObjectiveSpec):
         return 0.0
 
 
-@dataclass(frozen=True)
 class QuarticPerturbedBowl(ObjectiveSpec):
     """f(x) = a - b * ||x - theta||^2 - q * ||x - theta||^4 with b, q > 0.
 
@@ -224,19 +215,14 @@ class QuarticPerturbedBowl(ObjectiveSpec):
     below c^2 exactly when 2*q*R/b < 1, which construction enforces.
     """
 
-    domain: Domain
-    theta: tuple[float, ...]
-    b: float
-    q: float
-    a: float = 0.0
-    k5: float = 1.0
-    s0: int = 0
-
     kind = QUARTIC_PERTURBED_BOWL
     coefficients = ("a", "b", "q")
+    _fields = ("domain", "theta", "b", "q", "a", "k5", "s0")
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(
+        self, domain: Domain, theta: tuple[float, ...], b: float, q: float, a: float = 0.0, k5: float = 1.0, s0: int = 0
+    ):
+        self._store(domain=domain, theta=theta, b=b, q=q, a=a, k5=k5, s0=s0)
         if 2.0 * self.q * self.max_radius / self.b >= 1.0:
             raise ValueError(
                 "quartic perturbation too strong for this box: need 2*q*R/b < 1, got "

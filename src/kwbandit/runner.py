@@ -17,9 +17,9 @@ from __future__ import annotations
 import os
 from collections.abc import Iterator
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, astuple, dataclass, fields, replace
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,11 +51,11 @@ EXPONENT_FIT_CSV = "exponent_fit.csv"
 # Each row type below is one CSV schema: its field order is the column order.
 
 
-@dataclass(frozen=True)
-class TuningEcho:
-    """What an experiment runs with, tuning values included; None (an
-    empty CSV cell) where its variant has no such value.  These are the
-    leading columns of summary.csv."""
+class SummaryRow(NamedTuple):
+    """The row of summary.csv: what an experiment runs with, tuning values
+    included, then its Monte-Carlo estimate and its bound.  None is an
+    empty CSV cell: a value that its variant does not have, or an estimate
+    not yet made (``ResolvedExperiment.echo``)."""
 
     variant: str
     tuning: str
@@ -73,20 +73,13 @@ class TuningEcho:
     gamma: float | None = None
     error_floor: float | None = None
     k5: float | None = None
+    mean_regret: float | None = None
+    stderr_regret: float | None = None
+    bound_name: str = ""
+    bound_value: float | None = None
 
 
-@dataclass(frozen=True, kw_only=True)
-class SummaryRow(TuningEcho):
-    """The row of summary.csv: the echo, the Monte-Carlo estimate and the bound."""
-
-    mean_regret: float
-    stderr_regret: float
-    bound_name: str
-    bound_value: float | None
-
-
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep point: a row of sweep_summary.csv.  Every column but
     ``axis``, ``value``, ``scale`` and ``normalized_regret`` is the
     point's summary.csv column of the same name."""
@@ -112,13 +105,12 @@ class SweepRow:
     @classmethod
     def of(cls, summary: SummaryRow, axis: str, value: float, scale: float) -> "SweepRow":
         """The point at ``value`` on ``axis``, whose summary row is ``summary``."""
-        shared = {f.name: getattr(summary, f.name) for f in fields(cls) if hasattr(summary, f.name)}
+        shared = {name: value for name, value in summary._asdict().items() if name in cls._fields}
         normalized = summary.mean_regret / summary.horizon
         return cls(**shared, axis=axis, value=value, scale=scale, normalized_regret=normalized)
 
 
-@dataclass(frozen=True)
-class ExponentFitRow:
+class ExponentFitRow(NamedTuple):
     """The row of exponent_fit.csv."""
 
     axis: str
@@ -127,15 +119,15 @@ class ExponentFitRow:
     r_squared: float
 
 
-@dataclass(frozen=True)
-class ResolvedExperiment:
-    """A config turned into runnable pieces, with tuning values echoed."""
+class ResolvedExperiment(NamedTuple):
+    """A config turned into runnable pieces, with tuning values and the
+    bound echoed in ``echo``, its summary row but the estimate."""
 
     config: ExperimentConfig
     env: EnvironmentSchedule
     noise: NoiseModel
     policy: Policy
-    echo: TuningEcho
+    echo: SummaryRow
     bound: BoundReport | None
 
 
@@ -160,7 +152,7 @@ def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
     noise = NoiseModel(kind=cfg.noise_kind, sigma2=cfg.noise_sigma2)
     constants = env.combined_constants()
     episodes = env.num_episodes
-    echo = TuningEcho(
+    echo = SummaryRow(
         variant=cfg.variant,
         tuning=cfg.tuning if cfg.variant in (FIXED_STEP, SLIDING_WINDOW) else "",
         horizon=cfg.horizon,
@@ -192,8 +184,7 @@ def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
         bound = fixed_step_regret_bound(
             constants, domain.diameter, sigma_tilde2, beta, c, epsilon, cfg.horizon, episodes
         )
-        echo = replace(
-            echo,
+        echo = echo._replace(
             beta=beta,
             c=c,
             alpha=cfg.alpha,
@@ -210,23 +201,18 @@ def _assemble(cfg: ExperimentConfig) -> ResolvedExperiment:
             raise ValueError(f"algorithm.window: window {window} must exceed the declared burn-in s0={constants.s0}")
         sw = SlidingWindowConfig(window=window, x0=cfg.x0, c=cfg.c)
         policy = SlidingWindowPolicy(config=sw)
-        echo = replace(echo, window=window, c=sw.c, refresh=RESTART, k5=constants.k5)
+        echo = echo._replace(window=window, c=sw.c, refresh=RESTART, k5=constants.k5)
         bound = sliding_window_regret_bound(constants, domain.diameter, window, cfg.horizon, episodes)
+    if bound is not None:
+        echo = echo._replace(bound_name=bound.name, bound_value=bound.value)
     return ResolvedExperiment(config=cfg, env=env, noise=noise, policy=policy, echo=echo, bound=bound)
 
 
 def _summary(resolved: ResolvedExperiment, totals: np.ndarray) -> SummaryRow:
     """The summary.csv row of ``resolved``, whose replications' total
-    regrets are ``totals``: its echo, their mean and SE, and its bound."""
+    regrets are ``totals``: its echo with their mean and SE."""
     estimate = MonteCarloEstimate.from_samples(totals)
-    bound = resolved.bound
-    return SummaryRow(
-        **asdict(resolved.echo),
-        mean_regret=estimate.mean,
-        stderr_regret=estimate.standard_error,
-        bound_name=bound.name if bound else "",
-        bound_value=bound.value if bound else None,
-    )
+    return resolved.echo._replace(mean_regret=estimate.mean, stderr_regret=estimate.standard_error)
 
 
 def _fmt(value) -> str:
@@ -258,8 +244,8 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_rows(path: Path, row_type: type, rows) -> None:
-    """Write row dataclasses of ``row_type``; the header is its field names."""
-    _write_csv(path, [f.name for f in fields(row_type)], ([_fmt(v) for v in astuple(row)] for row in rows))
+    """Write rows of the ``NamedTuple`` ``row_type``; the header is its field names."""
+    _write_csv(path, list(row_type._fields), ([_fmt(v) for v in row] for row in rows))
 
 
 @contextmanager

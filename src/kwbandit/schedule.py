@@ -8,10 +8,10 @@ steps 1..50 see objective 0 and steps 51..100 see objective 1.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 from .exceptions import raise_first
 from .objectives import ClassConstants, ObjectiveSpec
+from .records import Record
 
 
 def change_time_problems(times: tuple[int, ...], horizon: int) -> list[str]:
@@ -38,29 +38,22 @@ def episode_problems(episodes: int, horizon: int) -> list[str]:
     return []
 
 
-@dataclass(frozen=True)
-class EnvironmentSchedule:
+class EnvironmentSchedule(Record):
     """Objectives served over steps 1..horizon, constant within episodes."""
 
-    horizon: int
-    change_times: tuple[int, ...]
-    objectives: tuple[ObjectiveSpec, ...]
+    _fields = ("horizon", "change_times", "objectives")
 
-    def __post_init__(self):
-        object.__setattr__(self, "horizon", int(self.horizon))
-        object.__setattr__(self, "change_times", tuple(int(t) for t in self.change_times))
-        object.__setattr__(self, "objectives", tuple(self.objectives))
-        times = self.change_times
-        raise_first(change_time_problems(times, self.horizon))
-        if len(self.objectives) != len(times):
-            raise ValueError(
-                f"need one objective per episode: {len(times)} episodes but {len(self.objectives)} objectives"
-            )
-        domain = self.objectives[0].domain
-        for i, obj in enumerate(self.objectives):
+    def __init__(self, horizon: int, change_times: tuple[int, ...], objectives: tuple[ObjectiveSpec, ...]):
+        horizon, times, objectives = int(horizon), tuple(int(t) for t in change_times), tuple(objectives)
+        self._set(horizon=horizon, change_times=times, objectives=objectives)
+        raise_first(change_time_problems(times, horizon))
+        if len(objectives) != len(times):
+            raise ValueError(f"need one objective per episode: {len(times)} episodes but {len(objectives)} objectives")
+        domain = objectives[0].domain
+        for i, obj in enumerate(objectives):
             if obj.domain != domain:
                 raise ValueError(f"objective {i} uses a different domain than objective 0")
-        for i, (a, b) in enumerate(zip(self.objectives, self.objectives[1:])):
+        for i, (a, b) in enumerate(zip(objectives, objectives[1:])):
             if a == b:
                 raise ValueError(f"episodes {i + 1} and {i + 2} serve identical objectives; a change must change f")
 

@@ -12,14 +12,12 @@ once, for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class TraceBlock:
+class TraceBlock(NamedTuple):
     """Steps ``first`` .. ``first + len(inst_regret) - 1`` of one
     trajectory's trace, as the engine hands them to a consumer once per
     block.  Row ``s - first`` of each column is step s: its ``episode``
@@ -56,12 +54,12 @@ class TraceBlock:
 TraceSink = Callable[[TraceBlock], None]
 
 
-@dataclass(frozen=True)
-class RegretTrace(TraceBlock):
+class RegretTrace(NamedTuple("RegretTrace", [*TraceBlock.__annotations__.items(), ("final_x", np.ndarray)])):
     """Per-step record of one trajectory: its trace blocks joined into the
-    block of steps 1 .. T, and ``final_x``, the point it ends at."""
+    block of steps 1 .. T, the columns of a ``TraceBlock``, and
+    ``final_x``, the point it ends at."""
 
-    final_x: np.ndarray
+    __slots__ = ()
 
     @property
     def horizon(self) -> int:
@@ -74,13 +72,9 @@ class RegretTrace(TraceBlock):
     @classmethod
     def join(cls, blocks: list[TraceBlock], final_x: np.ndarray) -> "RegretTrace":
         """The trace of ``blocks``, in step order, left at ``final_x``."""
-        columns = {
-            f.name: np.concatenate([getattr(block, f.name) for block in blocks])
-            for f in fields(TraceBlock)
-            if f.name != "first"
-        }
-        trace = cls(first=1, **columns, final_x=final_x.copy())
-        for column in (*columns.values(), trace.final_x):
+        columns = [np.concatenate(column) for column in list(zip(*blocks))[1:]]  # every column but ``first``
+        trace = cls(1, *columns, final_x.copy())
+        for column in (*columns, trace.final_x):
             column.flags.writeable = False
         return trace
 

@@ -124,10 +124,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -135,6 +134,7 @@ from .algorithms import FixedStepConfig, SlidingWindowConfig, decaying_schedule
 from .domain import add_left_to_right
 from .noise import NONE, NoiseModel
 from .objectives import ObjectiveSpec, QuadraticBowl, QuarticPerturbedBowl, shared_kind
+from .records import Record
 from .rng import RandomStream, StreamChunk
 from .schedule import EnvironmentSchedule
 from .traces import RegretTrace, TraceBlock, TraceSink, sink_for
@@ -159,54 +159,50 @@ _WORKER_ROWS = 128
 _FLOAT_AXES = 16
 
 
-@dataclass(frozen=True)
-class VanillaPolicy:
+class VanillaPolicy(Record):
     """Decaying schedule: step s uses rate s**(-1/2), perturbation s**(-1/4)."""
 
-    x0: tuple[float, ...]
+    _fields = ("x0",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+    def __init__(self, x0: tuple[float, ...]):
+        self._set(x0=tuple(float(v) for v in x0))
 
 
-@dataclass(frozen=True)
-class FixedStepPolicy:
+class FixedStepPolicy(Record):
     """Constant rate/perturbation ascent from x0."""
 
-    config: FixedStepConfig
-    x0: tuple[float, ...]
+    _fields = ("config", "x0")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+    def __init__(self, config: FixedStepConfig, x0: tuple[float, ...]):
+        self._set(config=config, x0=tuple(float(v) for v in x0))
 
 
-@dataclass(frozen=True)
-class SlidingWindowPolicy:
+class SlidingWindowPolicy(Record):
     """Finite-memory ascent; the anchor lives in the config."""
 
-    config: SlidingWindowConfig
+    _fields = ("config",)
+
+    def __init__(self, config: SlidingWindowConfig):
+        self._set(config=config)
 
 
-@dataclass(frozen=True)
-class OraclePolicy:
+class OraclePolicy(Record):
     """Clairvoyant baseline playing the current maximizer; zero regret."""
 
 
-@dataclass(frozen=True)
-class StaticPolicy:
+class StaticPolicy(Record):
     """Plays x0 forever; never measures."""
 
-    x0: tuple[float, ...]
+    _fields = ("x0",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+    def __init__(self, x0: tuple[float, ...]):
+        self._set(x0=tuple(float(v) for v in x0))
 
 
 Policy = Union[VanillaPolicy, FixedStepPolicy, SlidingWindowPolicy, OraclePolicy, StaticPolicy]
 
 
-@dataclass(frozen=True)
-class BatchResult:
+class BatchResult(NamedTuple):
     """Outcome of a batch of replications."""
 
     total_regret: np.ndarray
@@ -214,8 +210,7 @@ class BatchResult:
     distance_probes: dict[int, np.ndarray]
 
 
-@dataclass(frozen=True)
-class Lane:
+class Lane(Record):
     """One experiment's share of a batch: ``policy`` on ``env`` with one
     replication per stream in ``rngs``, a sized iterable (a list, or a
     ``rng.StreamChunk``, which builds its streams when iterated, and is
@@ -227,20 +222,23 @@ class Lane:
     ``simulate_lanes``).  A list of generators is drawn from in-process,
     which advances them."""
 
-    policy: Policy
-    env: EnvironmentSchedule
-    rngs: Iterable[RandomStream]
-    probe_steps: tuple[int, ...] = ()
-    record_trace: bool | TraceSink = False
+    _fields = ("policy", "env", "rngs", "probe_steps", "record_trace")
 
-    def __post_init__(self):
-        if len(self.rngs) < 1:
+    def __init__(
+        self,
+        policy: Policy,
+        env: EnvironmentSchedule,
+        rngs: Iterable[RandomStream],
+        probe_steps: tuple[int, ...] = (),
+        record_trace: bool | TraceSink = False,
+    ):
+        if len(rngs) < 1:
             raise ValueError("need at least one replication stream")
-        probes = tuple(sorted(set(int(s) for s in self.probe_steps)))
-        horizon = self.env.horizon
+        probes = tuple(sorted(set(int(s) for s in probe_steps)))
+        horizon = env.horizon
         if probes and not (1 <= probes[0] and probes[-1] <= horizon + 1):
             raise ValueError(f"probe steps must lie in [1, horizon + 1 = {horizon + 1}], got {list(probes)}")
-        object.__setattr__(self, "probe_steps", probes)
+        self._set(policy=policy, env=env, rngs=rngs, probe_steps=probes, record_trace=record_trace)
 
 
 def _policy_start(policy: Policy, env: EnvironmentSchedule) -> np.ndarray:

@@ -7,7 +7,6 @@ asserted, not just reported.
 """
 
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,14 +110,14 @@ def test_criterion_01_condition_verification():
         # every constant is exactly tight on a bowl; perturbing the
         # curvature lower bound upward by 50% must be reported as failing
         consts = bowl.constants
-        inflated = replace(consts, k1=1.5 * consts.k1)
+        inflated = consts._replace(k1=1.5 * consts.k1)
         assert not verify_conditions(bowl, 16, declared=inflated).check(CURVATURE_LOWER_BOUND).holds
         # tightness evidence for the upper-bound constants: understating
         # any one of them by the same factor is reported as failing
         for name, shrunk in (
-            (GRADIENT_GROWTH, replace(consts, k2=consts.k2 / 1.5)),
-            (VALUE_GAP, replace(consts, k3=consts.k3 / 1.5)),
-            (GRADIENT_LIPSCHITZ, replace(consts, k4=consts.k4 / 1.5)),
+            (GRADIENT_GROWTH, consts._replace(k2=consts.k2 / 1.5)),
+            (VALUE_GAP, consts._replace(k3=consts.k3 / 1.5)),
+            (GRADIENT_LIPSCHITZ, consts._replace(k4=consts.k4 / 1.5)),
         ):
             assert not verify_conditions(bowl, 16, declared=shrunk).check(name).holds
     elapsed = time.perf_counter() - started
@@ -224,7 +223,7 @@ def test_criterion_05_bound_domination(calibrated_k5):
         cells, samples[0::2], samples[1::2]
     ):
         sigma_tilde2 = NoiseModel.gaussian(sigma2).sigma_tilde2(1)
-        constants = replace(base_constants, k5=k5_by_noise[sigma2])
+        constants = base_constants._replace(k5=k5_by_noise[sigma2])
 
         mean_fixed = float(np.mean(fixed_totals))
         bound_fixed = fixed_step_regret_bound(

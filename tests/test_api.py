@@ -57,6 +57,8 @@ REMOVED_ATTRIBUTES = (
     # the drivers return the rows they write
     ("runner", "ExperimentResult"),
     ("runner", "SweepResult"),
+    # an assembled experiment's echo is its summary row without the estimate
+    ("runner", "TuningEcho"),
 )
 # Public names no production path calls: the bound evaluators that the
 # per-episode diagnostics are to wire in.
@@ -148,6 +150,20 @@ def test_a_parsed_config_holds_no_nested_record(name):
 def test_an_estimate_echoes_no_inputs(name):
     # a field with no default is not a class attribute, so check an instance
     assert not hasattr(kwbandit.MonteCarloEstimate.from_samples(np.array([1.0, 2.0])), name)
+
+
+def test_a_record_is_an_immutable_value():
+    box = kwbandit.Domain(lower=(-1,), upper=(1,))
+    same = kwbandit.Domain(lower=(-1.0,), upper=(1.0,))
+    assert box == same and hash(box) == hash(same) and box is not same
+    assert box != kwbandit.Domain(lower=(-1.0,), upper=(2.0,))
+    assert repr(box) == "Domain(lower=(-1.0,), upper=(1.0,))"
+    assert box.diameter == 2.0  # a cached_property still caches
+    with pytest.raises(AttributeError):
+        box.lower = (0.0,)
+    assert box._replace(upper=(2,)) == kwbandit.Domain(lower=(-1.0,), upper=(2.0,))
+    with pytest.raises(ValueError, match="lower must be < upper"):
+        box._replace(upper=(-2.0,))  # the constructor checks the new value
 
 
 def test_run_sweep_takes_no_testing_hook():

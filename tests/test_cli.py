@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import io
 import json
 import math
@@ -172,7 +173,7 @@ def test_bounds_check_needs_two_replications(override, capsys):
     captured = capsys.readouterr()
     assert len(captured.err.strip().splitlines()) == 1
     assert "replications >= 2" in captured.err
-    assert "check:" not in captured.out
+    assert captured.out == ""  # rejected before the bound report prints
 
 
 # In a fresh interpreter: this one has loaded every module of the package.
@@ -192,6 +193,77 @@ def test_only_verify_loads_the_condition_grids(command, grids, sweep_config, tmp
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60, check=True)
     assert child.stdout.splitlines()[-1] == f"0 {grids} {command == 'sweep'}"
+
+
+# What the console script runs: ``main`` as the process's command.
+PROGRAM_ENTRY = "import sys; from kwbandit.cli import main; sys.exit(main())"
+# The program entry with the noise worker forked on any host, reporting
+# each fork's pid on stderr.
+PROGRAM_ENTRY_FORKS = """
+import os, sys
+from kwbandit import noiseworker
+noiseworker._cpus = lambda: 2
+fork = os.fork
+def forked():
+    pid = fork()
+    if pid:
+        print(pid, file=sys.stderr, flush=True)
+    return pid
+os.fork = forked
+""" + PROGRAM_ENTRY
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads a process's state from /proc")
+def test_a_sweep_through_the_program_entry_writes_the_in_process_bytes(tmp_path, capsys):
+    """A sweep of 128 replications a point run as the process's command:
+    its batches share their draw with the noise worker, which forks after
+    ``main`` has frozen the collector's objects.  It prints and writes the
+    bytes of the same sweep run in-process, and at exit the worker has
+    been reaped."""
+    doc = json.loads((Path(SHIPPED_SMOKE).parent / "stationary_sweep.json").read_text())
+    doc["horizon"], doc["sweep"]["values"] = 100, [100, 1000, 4000]
+    args = ["sweep", "--config", "config.json", "--replications", "128", "--out", "out"]
+    inside, entry = tmp_path / "inside", tmp_path / "entry"
+    for work in (inside, entry):
+        work.mkdir()
+        write_config(work, doc)
+    with contextlib.chdir(inside):
+        assert main(args) == 0
+    printed = capsys.readouterr().out
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = [sys.executable, "-c", PROGRAM_ENTRY_FORKS, *args]
+    child = subprocess.run(argv, cwd=entry, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout == printed
+    for name in (runner.SWEEP_SUMMARY_CSV, runner.EXPONENT_FIT_CSV):
+        assert (entry / "out" / name).read_bytes() == (inside / "out" / name).read_bytes()
+    forked = [int(pid) for pid in child.stderr.split()]
+    assert forked, "the sweep forked no noise worker"
+    for pid in forked:
+        stat = Path(f"/proc/{pid}/stat")
+        assert not stat.exists() or stat.read_text().rpartition(")")[2].split()[0] in ("Z", "X"), "a worker runs on"
+
+
+def test_only_the_program_entry_freezes_the_collector(tmp_path, capsys):
+    """Importing the CLI leaves the collector as it was, and so does
+    ``main`` called in-process; ``main`` as the process's command freezes
+    the objects built so far, and they stay frozen up to the exit hooks."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    imported = "import gc, kwbandit.cli; print(gc.isenabled(), gc.get_freeze_count())"
+    child = subprocess.run([sys.executable, "-c", imported], env=env, capture_output=True, text=True, timeout=60)
+    assert child.stdout.split() == ["True", "0"], child.stderr
+
+    frozen = gc.get_freeze_count()
+    assert main(["run", "--config", SHIPPED_SMOKE, "--out", str(tmp_path / "inside")]) == 0
+    assert gc.get_freeze_count() == frozen
+    capsys.readouterr()
+
+    at_exit = "import atexit, gc; atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+    argv = [sys.executable, "-c", at_exit + PROGRAM_ENTRY, "run", "--config", SHIPPED_SMOKE, "--out", str(tmp_path)]
+    child = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    word, count = child.stdout.splitlines()[-1].split()
+    assert word == "frozen" and int(count) > 0
 
 
 def test_bounds_for_oracle_is_a_validation_error(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import copy
 import json
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -95,7 +94,7 @@ class TestParseConfig:
         # coefficient added on one side alone must fail here
         kind, kwargs = _parse_objective(doc, 0, _Checker())
         assert kind == doc["kind"]
-        assert set(kwargs) == {f.name for f in fields(bowl)} - {"domain"}
+        assert set(kwargs) == set(bowl._fields) - {"domain"}
 
     def test_explicit_change_times_need_matching_objectives(self):
         doc = smoke_doc(schedule={"change_times": [1, 40, 80]})

@@ -3,7 +3,6 @@ import json
 import os
 import sys
 import threading
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +124,7 @@ def test_regret_lanes_batches_only_experiments_of_one_horizon(monkeypatch):
     assert calls == [("lanes", [(2000, 100)] * 4)]
 
     calls.clear()
-    unequal = [resolve_experiment(replace(sweep.base, horizon=horizon)) for horizon in (2000, 1000, 3000)]
+    unequal = [resolve_experiment(sweep.base._replace(horizon=horizon)) for horizon in (2000, 1000, 3000)]
     mc.regret_lanes([Experiment(p.policy, p.env, p.noise, 20, 902) for p in unequal])
     assert calls == [("batch", [(2000, 20)]), ("batch", [(1000, 20)]), ("batch", [(3000, 20)])]
 

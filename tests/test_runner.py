@@ -4,7 +4,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +35,7 @@ def data_lines(path: Path) -> list[str]:
 
 def cells(row) -> str:
     """``row`` as a CSV line, formatted as the drivers write it."""
-    return ",".join(runner._fmt(value) for value in astuple(row))
+    return ",".join(runner._fmt(value) for value in row)
 
 
 def base_doc(**overrides):
@@ -100,7 +99,7 @@ class TestRunExperiment:
 
     def test_result_holds_no_trace(self):
         # the trace streams to trace.csv; holding it would grow with the horizon
-        assert "trace" not in {f.name for f in fields(runner.SummaryRow)}
+        assert "trace" not in runner.SummaryRow._fields
 
     def test_returns_the_row_it_writes(self, tmp_path):
         doc = base_doc(noise={"kind": "gaussian", "sigma2": 1.0}, replications=4)
@@ -451,7 +450,7 @@ class TestRunSweep:
 
     def test_chunk_invariance(self, tmp_path, monkeypatch):
         sweep = self.sweep()
-        sweep = replace(sweep, base=with_overrides(sweep.base, replications=20))
+        sweep = sweep._replace(base=with_overrides(sweep.base, replications=20))
         _, a = run_sweep(sweep, out_dir=tmp_path / "a")
         monkeypatch.setattr(montecarlo, "REPLICATION_CHUNK", 8)
         _, b = run_sweep(sweep, out_dir=tmp_path / "b")
