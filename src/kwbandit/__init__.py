@@ -45,7 +45,6 @@ _PUBLIC = {
         "KWBanditError",
         "MeanValueConditionError",
     ),
-    "floatloop": (),
     "montecarlo": ("Experiment", "MonteCarloEstimate", "regret_lanes", "regret_samples"),
     "noise": ("NoiseModel",),
     "noiseworker": (),
@@ -55,6 +54,7 @@ _PUBLIC = {
     "runner": ("run_experiment", "run_sweep"),
     "scaling": ("fit_scaling_exponent",),
     "schedule": ("EnvironmentSchedule",),
+    "steploop": (),
     "traces": ("RegretTrace",),
     "tracewriter": (),
     "trajectory": (
@@ -71,7 +71,7 @@ _PUBLIC = {
 }
 # Loaded on first use; ``import kwbandit`` loads every other module, which
 # is the diagnostics and what they import.
-_DEFERRED = {"bounds", "cli", "conditions", "config", "floatloop", "noiseworker", "runner", "scaling", "tracewriter"}
+_DEFERRED = {"bounds", "cli", "conditions", "config", "noiseworker", "runner", "scaling", "tracewriter"}
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
 __all__ = sorted(_HOME)

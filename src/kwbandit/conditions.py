@@ -128,39 +128,28 @@ def verify_conditions(
     scale = max(domain.diameter, 1.0)
     away = r2 > (1e-8 * scale) ** 2
 
-    checks = []
-
-    # (x-theta)' grad f <= -k1 r^2, i.e. ratio -(u . grad)/r^2 >= k1
-    inner = np.sum(u * grads, axis=-1)
-    ratio1 = -inner[away] / r2[away]
-    tight1 = float(ratio1.min())
-    bad1 = int(np.sum(ratio1 < consts.k1 * (1.0 - _REL_TOL)))
-    checks.append(
-        ConditionCheck(CURVATURE_LOWER_BOUND, "k1", consts.k1, tight1, bad1 == 0, bad1, int(away.sum()))
-    )
-
-    # ||grad f|| <= k2 r
-    gnorm = np.linalg.norm(grads, axis=-1)
-    ratio2 = gnorm[away] / np.sqrt(r2[away])
-    tight2 = float(ratio2.max())
-    bad2 = int(np.sum(ratio2 > consts.k2 * (1.0 + _REL_TOL)))
-    checks.append(ConditionCheck(GRADIENT_GROWTH, "k2", consts.k2, tight2, bad2 == 0, bad2, int(away.sum())))
-
-    # f(theta) - f(x) <= k3 r^2
-    gaps = objective.max_value - values
-    ratio3 = gaps[away] / r2[away]
-    tight3 = float(ratio3.max())
-    bad3 = int(np.sum(ratio3 > consts.k3 * (1.0 + _REL_TOL)))
-    checks.append(ConditionCheck(VALUE_GAP, "k3", consts.k3, tight3, bad3 == 0, bad3, int(away.sum())))
-
-    # ||grad f(x) - grad f(y)|| <= k4 ||x - y|| over neighbor pairs
     ia, ib = _neighbor_pairs(n, d)
-    diff_g = np.linalg.norm(grads[ia] - grads[ib], axis=-1)
     diff_x = np.linalg.norm(pts[ia] - pts[ib], axis=-1)
-    ratio4 = diff_g / diff_x
-    tight4 = float(ratio4.max())
-    bad4 = int(np.sum(ratio4 > consts.k4 * (1.0 + _REL_TOL)))
-    checks.append(ConditionCheck(GRADIENT_LIPSCHITZ, "k4", consts.k4, tight4, bad4 == 0, bad4, ia.size))
+    # (check, constant, the ratio at each grid point or pair, whether the
+    # constant bounds the ratios from below)
+    table = (
+        # (x-theta)' grad f <= -k1 r^2, i.e. ratio -(u . grad)/r^2 >= k1
+        (CURVATURE_LOWER_BOUND, "k1", -np.sum(u * grads, axis=-1)[away] / r2[away], True),
+        # ||grad f|| <= k2 r
+        (GRADIENT_GROWTH, "k2", np.linalg.norm(grads, axis=-1)[away] / np.sqrt(r2[away]), False),
+        # f(theta) - f(x) <= k3 r^2
+        (VALUE_GAP, "k3", (objective.max_value - values)[away] / r2[away], False),
+        # ||grad f(x) - grad f(y)|| <= k4 ||x - y|| over neighbor pairs
+        (GRADIENT_LIPSCHITZ, "k4", np.linalg.norm(grads[ia] - grads[ib], axis=-1) / diff_x, False),
+    )
+    checks = []
+    for name, constant, ratios, lower in table:
+        bound = getattr(consts, constant)
+        if lower:
+            tightest, bad = ratios.min(), int(np.sum(ratios < bound * (1.0 - _REL_TOL)))
+        else:
+            tightest, bad = ratios.max(), int(np.sum(ratios > bound * (1.0 + _REL_TOL)))
+        checks.append(ConditionCheck(name, constant, bound, float(tightest), bad == 0, bad, ratios.size))
 
     return ConditionReport(
         kind=objective.kind,

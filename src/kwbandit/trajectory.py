@@ -15,38 +15,39 @@ a per-row column: the rate and perturbation, the window's anchor and
 weight, and the current objective's theta, coefficients and f(theta).  The
 rows are the lanes' replications concatenated in lane order, and every row
 runs every step.  Each lane's episode changes and probes fire at its own
-steps, precomputed into one table that the loop checks with one integer
-comparison per step; window restarts are listed per noise block.
-``simulate_batch`` is the one-lane case.
+steps, precomputed into one table of events, and the loop runs each
+block's steps in segments between them; window restarts are listed per
+noise block.  ``simulate_batch`` is the one-lane case.
 
-Each measuring rule is two operations: ``tables(first, count)`` gives the
-perturbation c and the rate of a block of steps, and ``update(x, g, s,
-rate)`` overwrites the iterates x with those that follow step s, given its
-gradient estimates g and its rate; the decaying and fixed-step rules share
-one update and differ only in their tables.  One loop, which never asks
-which rule it runs, evaluates the objective once per step on one stacked
-array of the step's 1 + 2d points for every row, in sign-major slabs: x
-itself, whose value gives the step's regret, then x + c e_i for every axis
-i, then x - c e_i for every axis i, clamped into the box, whose noisy
-values give the central-difference gradient estimate.  The plus and the
-minus samples are then each one contiguous slab.  Only the slabs are
-sign-major: each stream is still consumed axis-major, plus before minus,
-and each noise block is permuted once into step-major, sign-major order, so
-that a step adds one contiguous (2d, rows) slab of noise.  The points are
-formed from x and its two clamped corners, min(x + c, hi) and max(x - c,
-lo), held as one (3, d, rows) array.  At d = 1 that array is the step's
-points, slab for slab, and the objective reads it in place; at d > 1 one
-``take`` gathers the points from it, coordinate-major.
+Each measuring rule gives, through ``tables(first, count)``, the
+perturbation c and the rate of a block of steps; the decaying and
+fixed-step rules share one step and differ only in their tables.  Each
+rule family's step is written once, in ``steploop``, which generates its
+two forms: the float form of a batch of one row, below, and the array
+form, which never asks which rule it runs.  The array form evaluates the
+objective once per step on one stacked array of the step's 1 + 2d points
+for every row, in sign-major slabs: x itself, whose value gives the step's
+regret, then x + c e_i for every axis i, then x - c e_i for every axis i,
+clamped into the box, whose noisy values give the central-difference
+gradient estimate.  The plus and the minus samples are then each one
+contiguous slab.  Only the slabs are sign-major: each stream is still
+consumed axis-major, plus before minus, and each noise block is permuted
+once into step-major, sign-major order, so that a step adds one contiguous
+(2d, rows) slab of noise.  The points are formed from x and its two
+clamped corners, min(x + c, hi) and max(x - c, lo), held as one (3, d,
+rows) array.  At d = 1 that array is the step's points, slab for slab, and
+the objective reads it in place; at d > 1 one ``take`` gathers the points
+from it, coordinate-major.
 
-A step is one NumPy call per arithmetic operation, plus the copy of f(x)
-into the block buffer and the sliding window's gather of its weights.
-Every array the loop writes is allocated once per batch.  Every view it
-reads is built once per batch, or once per block for a table by row, except
-the step's rows of the block buffers and its entries of the tables by step,
-which the loop iterates and hands the step: c, 2c and the rate.  A step
-goes through three Python frames: the objective's ``_value``, the
-``_squared_distance`` it calls, and the rule's ``update``; at d > 1 a
-fourth, ``domain.add_left_to_right``.  The decaying schedule's tables,
+An array step is one NumPy call per arithmetic operation, plus the copy
+of f(x) into the block buffer and the sliding window's gather of its
+weights.  Every array the loop writes is allocated once per batch.  Every
+view it reads is built once per batch, or once per block for a table by
+row, except the step's rows of the block buffers and its entries of the
+tables by step, which the loop iterates and hands the step: c, 2c and the
+rate.  A step goes through two Python frames: the objective's ``_value``
+and the ``_squared_distance`` it calls; at d > 1 a third,
+``domain.add_left_to_right``.  The decaying schedule's tables,
 built per block, run no Python frame per step.  Each ufunc is passed its
 output by position, which costs about 40 ns less a call than ``out=``;
 ``maximum`` and ``minimum`` keep ``out=``, since NumPy 2.4 deprecates a
@@ -63,16 +64,12 @@ does, where a float costs about half as much again; and an operation runs
 in place only through the identical array object, since one through a
 second view of the same memory pays NumPy's overlap solver.
 
-At one row a step's 22 or so NumPy calls cost about 0.4 us each on arrays
-of one element.  So a batch of one row with at most ``_FLOAT_AXES`` axes,
+At one row a step's 20 or so NumPy calls cost about 0.4 us each on arrays
+of one element, so a batch of one row with at most ``_FLOAT_AXES`` axes,
 on objectives of exactly the kind ``QuadraticBowl`` or
-``QuarticPerturbedBowl``, runs its steps on Python floats while NumPy
-ignores underflow (``floatloop``): the same IEEE-754 operations, about
-1 us a step at d = 2.  A step that meets a value that is not finite goes,
-with the rest of the batch, to the array loop.  The block's work stays
-shared: the rule's tables, the noise, the ledger, the events and the
-trace.  The one-row golden digests and the one-row tests of
-``tests/test_trajectory.py`` hold the two loops equal bit for bit.
+``QuarticPerturbedBowl``, runs in the float form while NumPy ignores
+underflow, about 1.5 us a step at d = 2, and switches to the array form at
+a step that meets a value that is not finite.
 
 Each step stores f(x) into a block buffer of one ledger (``_Ledger``),
 which every policy shares: the regret f(theta) - f(x) and its running sum,
@@ -114,9 +111,8 @@ The oracle and static policies never measure: their action changes only
 at an episode start, so f(x) is evaluated once per episode and stored on
 each of its steps.  The same ledger settles, sums and traces them.
 
-``simulate_lanes`` implements the three step rules, in the array loop and,
-for one row, in the float loop of ``floatloop``; ``algorithms`` holds their
-configs and the decaying schedule.
+``simulate_lanes`` runs the three step rules, whose steps ``steploop``
+holds; ``algorithms`` holds their configs and the decaying schedule.
 """
 
 from __future__ import annotations
@@ -125,11 +121,12 @@ from bisect import bisect_left
 from collections import defaultdict
 from contextlib import contextmanager
 from functools import partial
-from itertools import accumulate, chain, islice, repeat
+from itertools import accumulate, chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
+from . import steploop
 from .algorithms import FixedStepConfig, SlidingWindowConfig, decaying_schedule
 from .domain import add_left_to_right
 from .noise import NONE, NoiseModel
@@ -152,10 +149,10 @@ _NOISE_BLOCK_STEPS = 4096
 # worker takes about 2 us a row off a one-block batch; one-block batches of
 # 5 and 20 steps at d = 1 broke even between 96 and 192 rows.
 _WORKER_ROWS = 128
-# A batch of one row with at most this many axes steps on Python floats
-# (``floatloop``).  A float step's cost grows as d squared: on 4,000-step
-# one-row batches it took 0.8 us at d = 1 against the array loop's 8 us, 10
-# against 15 at d = 16, and about as long as the array loop at d = 24.
+# A batch of one row with at most this many axes runs ``steploop``'s float
+# form, whose step's cost grows as d squared: on 4,000-step one-row batches
+# it took 0.8 us at d = 1 against the array form's 8 us, 10 against 15 at
+# d = 16, and about as long as the array form at d = 24.
 _FLOAT_AXES = 16
 
 
@@ -302,30 +299,27 @@ class _ObjectiveRows:
 
 
 class _Rule:
-    """A measuring rule over a batch's rows, its state held coordinate-major
-    as C-contiguous (d, rows) arrays, like the iterates x.
-
+    """A measuring rule's state over a batch's rows, as C-contiguous (d,
+    rows) arrays named as in its family's table in ``steploop``: the box
+    bounds, repeated by row, and the scratch arrays ``step`` and ``trial``.
     ``tables(first, count)`` gives the perturbations c and the rates of
     steps first .. first + count - 1, each a table by step, (count, ...), or
-    by row, (1, d, rows), whose one entry serves every step (``_by_step``).
-    ``update(x, g, s, rate)`` overwrites x with the iterates that follow step
-    s, given its gradient estimates g, (d, rows), and its entry of the rate
-    table: it forms a point and projects it onto the box, ties going to the
-    bound, as in np.clip.  The box bounds are repeated by row and ``step``
-    and ``trial`` are scratch arrays, so that every operand of the update's
-    ufuncs is 0-d or has the output's shape, which keeps them on NumPy's
-    trivial loop (see the module docstring)."""
+    by row, (1, d, rows), whose one entry serves every step; ``restarts``
+    maps a step of the block to the rows whose window restarts there."""
 
     def __init__(self, policies: list[Policy], counts: list[int], x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         self.lo, self.hi = np.empty_like(x), np.empty_like(x)
         self.lo[...], self.hi[...] = lo[:, None], hi[:, None]
         self.step, self.trial = np.empty_like(x), np.empty_like(x)
+        self.restarts = {}
 
 
 class _Ascent(_Rule):
     """x <- project(x + rate g): the decaying rule's rate s**(-1/2) and
     perturbation s**(-1/4), tabulated by step (``decaying_schedule``), or
     the fixed rule's beta and c, by row."""
+
+    window = False
 
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
@@ -338,13 +332,6 @@ class _Ascent(_Rule):
     def tables(self, first: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         return self.by_row or decaying_schedule(first, count)
 
-    def update(self, x: np.ndarray, g: np.ndarray, s: int, rate: np.ndarray) -> None:
-        step, trial = self.step, self.trial
-        np.multiply(g, rate, step)
-        np.add(x, step, trial)
-        np.maximum(trial, self.lo, out=step)
-        np.minimum(step, self.hi, out=x)
-
 
 class _SlidingWindow(_Rule):
     """x <- project(anchor + sum_n n**(-1/2) y_n) over the estimates since
@@ -352,8 +339,9 @@ class _SlidingWindow(_Rule):
     Step s on lane k's rows has n = (s - 1) % window + 1: each block's
     weights are computed by lane (``SlidingWindowConfig.weights``), so no
     table of ``window`` weights is built, and a step's row of them is
-    gathered with one ``take`` over the (d, rows) lane index; the block's
-    restarts are listed by step."""
+    gathered with one ``take`` over the (d, rows) lane index."""
+
+    window = True
 
     def __init__(self, policies, counts, x, lo, hi):
         super().__init__(policies, counts, x, lo, hi)
@@ -362,7 +350,7 @@ class _SlidingWindow(_Rule):
         self.lane_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
         self.c = _by_row([config.c for config in self.configs], counts, len(x))[None]
         self.anchor = x.copy()
-        self.action_sum = np.zeros_like(x)
+        self.sums = np.zeros_like(x)
         self.lane_index = np.tile(np.arange(len(policies)).repeat(counts), (len(x), 1))
         self.weight = np.empty_like(x)
 
@@ -373,20 +361,8 @@ class _SlidingWindow(_Rule):
             window = config.window
             for s in range(first + (1 - first) % window, first + count, window):
                 if s > 1:
-                    self.restarts[s].append(rows)
+                    self.restarts[s - first].append(rows)
         return self.c, np.stack([config.weights(filled) for config in self.configs], axis=1)
-
-    def update(self, x: np.ndarray, g: np.ndarray, s: int, rate: np.ndarray) -> None:
-        step, trial, action_sum = self.step, self.trial, self.action_sum
-        if s in self.restarts:
-            for rows in self.restarts[s]:
-                action_sum[:, rows] = 0.0
-        rate.take(self.lane_index, None, self.weight, "clip")
-        np.multiply(g, self.weight, step)
-        np.add(action_sum, step, action_sum)
-        np.add(self.anchor, action_sum, trial)
-        np.maximum(trial, self.lo, out=step)
-        np.minimum(step, self.hi, out=x)
 
 
 _RULES = {VanillaPolicy: _Ascent, FixedStepPolicy: _Ascent, SlidingWindowPolicy: _SlidingWindow}
@@ -517,16 +493,6 @@ def _gather_index(d: int, n: int) -> np.ndarray:
     return (((corner * d + axes[:, None]) * n)[:, :, None] + np.arange(n)).ravel()
 
 
-def _by_step(table: np.ndarray, count: int) -> Iterable[np.ndarray]:
-    """The operand of each of ``count`` steps from a table of
-    ``_Rule.tables``: the one (d, rows) entry of a table by row, (1, d,
-    rows), every step, or entry j of a table by step, (count, ...), which is
-    a 0-d array when the table is (count,)."""
-    if len(table) == 1:
-        return repeat(table[0, ...], count)
-    return map(table.__getitem__, zip(range(count), repeat(Ellipsis)))
-
-
 class _Ledger:
     """The regret of a batch's rows, kept block by block, and the trace of
     the one lane that records it.  Row 0 of ``regret`` holds the cumulative
@@ -591,16 +557,16 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
     """The step loop of a measuring rule over lanes of one horizon, with
     sorted probe steps; returns their results.
 
-    The array loop never branches on the rule or the lane, and every row
-    runs every step.  A batch of one row runs each block's steps in the
-    float loop of ``floatloop.Row`` instead, between its events, until a
-    step meets a value that is not finite; the array loop runs that step
-    and the rest.  The traced row's block of trace rows gets its boundary
-    contacts after the block's steps, from the recorded actions and the
-    block's perturbations.  The totals and the probes of step ``horizon +
-    1`` are taken after the last block.  The noise comes block by block
-    from ``_noise_blocks``, drawn in-process or with the noise worker,
-    which starts on its rows while the loop's arrays are built."""
+    One loop runs each block's steps in segments between its events, in
+    one form of ``steploop``'s step: the array form, in which every row runs
+    every step, or, for a batch of one row, the float form until a step
+    meets a value that is not finite.  The traced row's block of trace rows
+    gets its boundary contacts after the block's steps, from the recorded
+    actions and the block's perturbations.  The totals and the probes of
+    step ``horizon + 1`` are taken after the last block.  The noise comes
+    block by block from ``_noise_blocks``, drawn in-process or with the
+    noise worker, which starts on its rows while the loop's arrays are
+    built."""
     domain, horizon = lanes[0].env.domain, lanes[0].env.horizon
     d = domain.dimension
     lo, hi = domain.lower_array, domain.upper_array
@@ -627,10 +593,8 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         else:
             points, gather = np.empty(d * slabs * n), _gather_index(d, n)
         coordinates = points.reshape(d, slabs * n)
-        at_points = coordinates.T
         rule = _RULES[type(lanes[0].policy)]([lane.policy for lane in lanes], counts, x, lo, hi)
         kind = shared_kind([o for lane in lanes for o in lane.env.objectives])
-        evaluate = kind._value
         objectives = _ObjectiveRows(kind, slabs, n, coordinates)
         current = [lane.env.objectives[0] for lane in lanes]
         for rows, objective in zip(lane_rows, current):
@@ -640,7 +604,9 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         def distances(k: int) -> np.ndarray:
             return current[k]._squared_distance(x[:, lane_rows[k]].T)
 
-        def change(k: int, objective: ObjectiveSpec) -> None:
+        def change(k: int, objective: ObjectiveSpec, s: int) -> None:
+            # the block's steps before s see the old objective
+            ledger.settle(s - step)
             current[k] = objective
             objectives.set(lane_rows[k], objective)
 
@@ -650,11 +616,9 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         # Each step's events: episode changes, then probes of the new episode's
         # objective.
         events = defaultdict(list)
-        changes = set()
         for k, lane in enumerate(lanes):
             for t, objective in zip(lane.env.change_times[1:], lane.env.objectives[1:]):
-                events[t].append(partial(change, k, objective))
-                changes.add(t)
+                events[t].append(partial(change, k, objective, t))
         for k, lane in enumerate(lanes):
             for t in lane.probe_steps:
                 if t <= horizon:
@@ -662,106 +626,52 @@ def _measure(lanes: Sequence[Lane], noise: NoiseModel) -> list[BatchResult]:
         event_steps = iter(sorted(events))
         next_event = next(event_steps, 0)
 
-        def fire(j: int, s: int) -> int:
-            """Runs step s's events, settling the block's steps before j
-            first if one changes an objective; returns the next event's step."""
-            if s in changes:
-                ledger.settle(j)
-            for event in events[s]:
-                event()
-            return next(event_steps, 0)
-
         ledger = _Ledger(lanes, lane_rows, objectives.max_value, cap)
         x_traced = x[:, ledger.t_row]
+        noisy, traced = bool(values_per_step), ledger.sink is not None
 
+        # The step's f(x) and its samples at the plus and the minus corners,
+        # slab by slab, and every array of the rule family's step, by its
+        # name in ``steploop``'s table.
         values = np.empty((slabs, n))
-        flat_values = values.reshape(-1)
-        at_x, samples = values[0], values[1:]
-        plus_samples, minus_samples = values[1 : 1 + d], values[1 + d :]
-        grad = np.empty((d, n))
-        lo_rows, hi_rows = rule.lo, rule.hi
-        # Bound once: looking each up on every step costs about 2% of a step
-        add, subtract, divide, minimum, maximum = np.add, np.subtract, np.divide, np.minimum, np.maximum
-        take, update = corners.take, rule.update
-        # A batch of one row steps on Python floats (``floatloop``) until a
-        # step meets a value that is not finite.  Python floats signal no
-        # underflow, so NumPy must ignore it, as it does by default.
-        row = None
-        if (
-            n == 1
-            and d <= _FLOAT_AXES
-            and kind in (QuadraticBowl, QuarticPerturbedBowl)
-            and np.geterr()["under"] == "ignore"
-        ):
-            from .floatloop import Row
-
-            window = (rule.action_sum, rule.anchor) if isinstance(rule, _SlidingWindow) else ()
-            row = Row(bool(values_per_step), x, domain.lower, domain.upper, *window)
+        arrays = dict(x=x, plus=plus, minus=minus, take=corners.take, gather=gather, points=points)
+        arrays.update(evaluate=kind._value, objectives=objectives, at_points=coordinates.T, at_x=values[0])
+        arrays.update(flat_values=values.reshape(-1), samples=values[1:], above=values[1 : 1 + d], below=values[1 + d :])
+        arrays.update(grad=np.empty((d, n)), x_traced=x_traced)
+        form = array_form = steploop.Rows(rule, noisy, traced, arrays)
+        # Python floats signal no underflow, so NumPy must ignore it, as it
+        # does by default.
+        shipped = kind in (QuadraticBowl, QuarticPerturbedBowl)
+        if n == 1 and d <= _FLOAT_AXES and shipped and np.geterr()["under"] == "ignore":
+            form = steploop.Row(rule, noisy, traced, x, current)
 
         for (step, block), block_noise in zip(ledger.blocks(), noise_blocks):
             # c and the rate by step, (block, ...), or by row, (1, d, n), and
-            # the spans 2c
+            # the spans 2c; step + j adds the noise slab block_noise[j] and
+            # stores f(x) into f_x[j]
             cs, rates = rule.tables(step, block)
-            spans = 2.0 * cs
             columns = ledger.columns
-            # step + j perturbs by c, divides by span and ascends at rate,
-            # stores f(x) into f_x and adds the noise slab noise_j
-            by_step = zip(
-                range(block),
-                _by_step(cs, block),
-                _by_step(spans, block),
-                _by_step(rates, block),
-                ledger.f_x,
-                block_noise,
-            )
+            actions = None if columns is None else columns.actions
+            tables = (block, cs, 2.0 * cs, rates, block_noise, rule.restarts, ledger.f_x, actions)
+            form.open(*tables)
             j = 0
-            if row is not None:
-                actions = None if columns is None else columns.actions
-                row.open(step, block, cs, rates, block_noise, getattr(rule, "restarts", ()))
-                while j < block:
-                    s = step + j
-                    if s == next_event:
-                        row.sync(j, ledger.f_x, actions)
-                        next_event = fire(j, s)
-                    stop = min(block, next_event - step) if next_event > s else block
-                    j = row.run(j, stop, current[0])
-                    if j < stop:
-                        break
-                row.sync(j, ledger.f_x, actions)
-                if j < block:
-                    # step j met a value that is not finite: the array loop
-                    # runs it and every later step of the batch
-                    row, by_step = None, islice(by_step, j, None)
-                else:
-                    by_step = ()
-            for j, c, span, rate, f_x, noise_j in by_step:
+            while j < block:
                 s = step + j
                 if s == next_event:
-                    next_event = fire(j, s)
-
-                # One-sided clamps: x lies in the box and c > 0, so x + c
-                # never falls below lo nor x - c rises above hi, and the
-                # clamp on that side would return its input bit for bit.
-                add(x, c, plus)
-                minimum(plus, hi_rows, out=plus)
-                subtract(x, c, minus)
-                maximum(minus, lo_rows, out=minus)
-                if gather is not None:
-                    take(gather, None, points, "clip")
-                evaluate(objectives, at_points, flat_values)
-                f_x[...] = at_x
-                if columns is not None:
-                    columns.actions[j] = x_traced
-
-                if values_per_step:
-                    add(samples, noise_j, samples)
-                subtract(plus_samples, minus_samples, grad)
-                divide(grad, span, grad)
-                update(x, grad, s, rate)
+                    for event in events[s]:
+                        event()
+                    next_event = next(event_steps, 0)
+                stop = min(block, next_event - step) if next_event > s else block
+                j = form.run(j, stop)
+                if j < stop:
+                    # step j met a value that is not finite: the array form
+                    # runs it and every later step of the batch
+                    form = array_form
+                    form.open(*tables, start=j)
 
             if columns is not None:
                 c_col = cs[:, None] if cs.ndim == 1 else cs[0, :, ledger.t_row]
-                contact = (columns.actions + c_col > hi) | (columns.actions - c_col < lo)
+                contact = (actions + c_col > hi) | (actions - c_col < lo)
                 np.any(contact, axis=1, out=columns.boundary_contact)
 
     for k, lane in enumerate(lanes):

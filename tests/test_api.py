@@ -71,8 +71,9 @@ UNCALLED = (
 ROOT = Path(__file__).parents[1]
 # What ``import kwbandit`` leaves for first use: the config parser and the
 # JSON module it reads documents with, the CSV drivers and their trace writer,
-# the bound evaluators, the condition grids, the exponent fit, the CLI, the
-# noise worker and the one-row step loop.
+# the bound evaluators, the condition grids, the exponent fit, the CLI and the
+# noise worker.  The step loops of ``steploop`` are the engine's, so they load
+# with it.
 DEFERRED = (
     "json",
     *(
@@ -82,7 +83,6 @@ DEFERRED = (
             "cli",
             "conditions",
             "config",
-            "floatloop",
             "noiseworker",
             "runner",
             "scaling",

@@ -128,3 +128,64 @@ def test_reports_are_finite_and_nonnegative():
     assert np.isfinite(report.value) and report.value >= 0
     with pytest.raises(KeyError):
         report.term("nope")
+
+
+class TestEvaluatorsAgainstTheirDocstrings:
+    """The evaluators that no production path calls, pinned term by term
+    to the formulas in their docstrings at a point where no factor is 1:
+    lam != 1, diameter != 1, k5 != 1."""
+
+    CONSTANTS = ClassConstants(k1=0.5, k2=1.5, k3=2.0, k4=3.0, k5=1.7)
+    DIAMETER, SIGMA_TILDE2, ALPHA, HORIZON, EPISODES = 3.0, 2.0, 0.5, 1000, 10
+
+    def test_fixed_step_normalized_terms(self):
+        k1, k3, k4 = self.CONSTANTS.k1, self.CONSTANTS.k3, self.CONSTANTS.k4
+        diameter, alpha, rho = self.DIAMETER, self.ALPHA, self.EPISODES / self.HORIZON
+        lam = (diameter**2 / self.SIGMA_TILDE2) ** (1 / (2 + alpha))
+        assert abs(lam - 1.0) > 0.5
+        pre = k3 / (2 * k1)
+        expected = {
+            "learning": pre * lam**alpha * rho ** (1 / (2 + alpha)),
+            "offset": pre * 2 * diameter * k4 * lam**alpha * rho ** (1 / (2 + alpha)),
+            "noise": pre * 2 * lam**3 * rho ** (3 / (2 + alpha)),
+            "restart": pre * diameter**2 / lam * rho ** ((1 + alpha) / (2 + alpha)),
+        }
+        report = fixed_step_normalized_bound(
+            self.CONSTANTS, diameter, self.SIGMA_TILDE2, alpha, horizon=self.HORIZON, episodes=self.EPISODES
+        )
+        assert dict(report.terms) == pytest.approx(expected, rel=1e-12)
+        assert report.value == pytest.approx(sum(expected.values()), rel=1e-12)
+        assert report.input("lambda") == pytest.approx(lam, rel=1e-12)
+
+    def test_sliding_window_normalized_value(self):
+        rho = self.EPISODES / self.HORIZON
+        expected = 1.7 ** (2 / 3) * self.DIAMETER ** (1 / 3) * rho ** (1 / 3) * (2 ** (1 / 3) + 2 ** (-2 / 3))
+        report = sliding_window_normalized_bound(
+            self.CONSTANTS, self.DIAMETER, horizon=self.HORIZON, episodes=self.EPISODES
+        )
+        assert report.value == pytest.approx(expected, rel=1e-12)
+        assert report.term("value") == report.value
+
+    def test_sliding_window_episode_terms(self):
+        window, length = 16, 100
+        report = sliding_window_episode_bound(self.CONSTANTS, self.DIAMETER, window=window, episode_length=length)
+        expected = {"tracking": 2.0 * 1.7 * length / 4.0, "adaptation": window * 2.0 * self.DIAMETER}
+        assert dict(report.terms) == pytest.approx(expected, rel=1e-12)
+        assert report.value == pytest.approx(sum(expected.values()), rel=1e-12)
+
+    def test_expected_distance_at_a_middle_step(self):
+        beta, c, epsilon, x0_dist2, s = 0.1, 0.5, 0.01, 4.0, 7
+        k1, k2, k4 = self.CONSTANTS.k1, self.CONSTANTS.k2, self.CONSTANTS.k4
+        gamma = 1 - 2 * beta * k1 + 2 * beta**2 * k2**2
+        floor = (
+            beta**2 * self.SIGMA_TILDE2 / c**2
+            + 2 * self.DIAMETER * k4 * beta * epsilon
+            + 2 * beta**2 * k2**2 * epsilon**2
+        )
+        expected = floor * (1 - gamma**s) / (1 - gamma) + x0_dist2 * gamma**s
+        value = expected_distance_bound(
+            s, beta, c, epsilon, self.CONSTANTS, self.SIGMA_TILDE2, self.DIAMETER, x0_dist2=x0_dist2
+        )
+        assert value == pytest.approx(expected, rel=1e-12)
+        # neither end of the curve: the floor and the start both still count
+        assert x0_dist2 * gamma**s > 0.5 and floor * (1 - gamma**s) / (1 - gamma) > 0.05

@@ -297,6 +297,9 @@ CASES = {
             "summary.csv": "122d2fb85d632ab7bde351634219e679d5d28c1424cd86faddc5a9e85ef9a8e7",
         },
     ),
+    # what ``verify`` prints at its default grid of 16 points per axis; it
+    # writes no artifact
+    "quartic_conditions_verify": ("verify", lambda: _load("quartic_conditions.json"), {}),
     "fixed_step_8d": (
         "run",
         _fixed_step_8d,
@@ -318,6 +321,7 @@ STDOUT = {
     "fixed_step_8d_one_row": "cfe18128fd26368d880603968ac4fa20478ffe4b9bfa1ffdf5337418769392a2",
     "oracle_episodes": "600ba5515eb3b323ae4c9444122bf262e0f1a67ded2e6a3aaa2ab1180aba6d77",
     "quartic_conditions": "58abfbfb7f92135fbc80d76b4e2e4e3b4d4256385315c6fa95a265583b3a37e6",
+    "quartic_conditions_verify": "6b3f414e0099aad2186ed400a45763c8f82055e3f798f4c681ba9aa8ba54ca36",
     "quartic_window_3d": "a2c7b5944c39e1534686b97756b2c12b47dc766a939bdcaf0261e2502e592867",
     "quartic_window_3d_one_row": "f28df6815fa644cc651de7f8547ceb6d7537d831f83915ee81f01603eabb9d2d",
     "sliding_window": "9eeb8039de4d982c4237a7485be1536aef1ca4ac0729ecbee756edcae0e864b5",

@@ -447,6 +447,59 @@ def test_one_row_clamps_a_zero_to_the_bound_as_numpy_does():
     assert one.final_x.tobytes() == two.final_x.tobytes()
 
 
+@pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+@pytest.mark.parametrize("noisy", [False, True], ids=["none", "gaussian"])
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+@pytest.mark.parametrize("variant", [VANILLA, FIXED_STEP, SLIDING_WINDOW])
+def test_the_float_and_the_array_form_agree_bit_for_bit(variant, d, noisy, traced, monkeypatch):
+    """A batch of one row steps in the float form, and the same row as row
+    0 of a batch of two in the array form: over noise blocks of 16 steps, an
+    episode change from a quartic to a quadratic bowl inside a block, and,
+    for the window, restarts every 7 steps, from a start on the box's faces
+    that the corners clamp at, the two give the same totals, probes and
+    trace, final x included, bit for bit."""
+    monkeypatch.setattr(traj, "_NOISE_BLOCK_STEPS", 16)
+    box = Domain(lower=(-2.0,) * d, upper=(2.0,) * d)
+    thetas = [tuple(0.1 * ((i * 7 + k) % 11 - 5) for i in range(d)) for k in (0, 1)]
+    objectives = (
+        QuarticPerturbedBowl(domain=box, theta=thetas[0], b=1.0, q=0.02),
+        QuadraticBowl(domain=box, theta=thetas[1], b=1.5),
+    )
+    horizon = 60
+    env = EnvironmentSchedule(horizon=horizon, change_times=(1, 27), objectives=objectives)
+    x0 = tuple(2.0 if i % 2 else -2.0 for i in range(d))
+    if variant == VANILLA:
+        policy = VanillaPolicy(x0=x0)
+    elif variant == FIXED_STEP:
+        constants = env.combined_constants()
+        config = FixedStepConfig(beta=0.5 * constants.k1 / constants.k2**2, c=0.3, constants=constants)
+        policy = FixedStepPolicy(config=config, x0=x0)
+    else:
+        policy = SlidingWindowPolicy(config=SlidingWindowConfig(window=7, x0=x0, c=0.3))
+    noise = NoiseModel.gaussian(1.0) if noisy else NoiseModel.none()
+    for f in objectives:
+        f.max_value  # cached before the patch, so only the engine's calls are counted
+    results = {}
+    for rows in (1, 2):
+        with mock.patch.object(QuarticPerturbedBowl, "_value", autospec=True, side_effect=QuarticPerturbedBowl._value) as value:
+            results[rows] = simulate_batch(
+                policy, env, noise, StreamChunk(5, rows), record_trace=traced, probe_steps=(9, 40, horizon + 1)
+            )
+        # one row evaluates in the float form, two rows in the array form
+        assert value.call_count == (0 if rows == 1 else horizon)
+    one, two = results[1], results[2]
+    assert one.total_regret.tobytes() == two.total_regret[:1].tobytes()
+    assert one.distance_probes.keys() == two.distance_probes.keys()
+    for s, distances in one.distance_probes.items():
+        assert distances.tobytes() == two.distance_probes[s][:1].tobytes(), s
+    assert (one.trace is None) == (two.trace is None) == (not traced)
+    if traced:
+        for name in ("actions", "inst_regret", "cum_regret", "episode", "boundary_contact", "final_x"):
+            assert getattr(one.trace, name).tobytes() == getattr(two.trace, name).tobytes(), name
+        # the corners and the projection did clamp
+        assert one.trace.boundary_contact.any()
+
+
 @pytest.mark.parametrize("variant", [VANILLA, FIXED_STEP, SLIDING_WINDOW, ORACLE, STATIC])
 def test_returned_arrays_own_their_memory_and_outlive_the_next_call(variant, box2d):
     objectives = (
